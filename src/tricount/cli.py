@@ -23,15 +23,16 @@ from .errors import InputError, TricountError
 from .geom import PointSet, validate_point_set
 
 
-def parse_points(text: str) -> list[tuple[int, int]]:
+def parse_points(text: str) -> list:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
-            data = json.loads(text)
-            pts = data["points"]
-            return [(int(x), int(y)) for x, y in pts]
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            pts = json.loads(text)["points"]
+        except (json.JSONDecodeError, KeyError) as exc:
             raise InputError(f"bad JSON point file: {exc}") from None
+        if not isinstance(pts, list):
+            raise InputError("bad JSON point file: 'points' is not a list")
+        return pts  # coordinates are checked by validate_point_set
     out = []
     for lineno, line in enumerate(text.splitlines(), 1):
         body = line.split("#", 1)[0].strip()
@@ -61,10 +62,12 @@ def _edges_as_lists(edges) -> list[list[int]]:
 
 
 def cmd_count(args) -> int:
+    if args.threads < 1:
+        raise InputError(f"--threads must be at least 1, got {args.threads}")
     P = load_point_set(args.input)
     system = sweep.system_for(args.structure)
     t0 = time.perf_counter()
-    count, stats, _ = sweep.run_sweep(system, P, threads=args.threads)
+    count, stats, _ = sweep.run_sweep(system, P)
     elapsed_ms = (time.perf_counter() - t0) * 1000
     print(count)
     if args.stats:
@@ -93,6 +96,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.count < 0:
+        raise InputError(f"--count must be nonnegative, got {args.count}")
     P = load_point_set(args.input)
     run = sampler.sample(P, args.structure, args.seed, args.count,
                          max_table_entries=args.max_table_entries)
@@ -109,6 +114,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_sequence(args) -> int:
+    if args.k < 0:
+        raise InputError(f"--k must be nonnegative, got {args.k}")
     for row in analysis.bound_sequence(args.k):
         print(f"{row.k}\t{row.f}\t{row.g}")
     return 0
@@ -161,7 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     add_structure(p)
     p.add_argument("--stats", help="write stats JSON to this path")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; has no effect")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("enumerate", help="brute-force enumeration (small n)")

@@ -31,10 +31,6 @@ class PreconditionViolated(TricountError):
     exit_code = 2
 
 
-class DegenerateCorridor(TricountError):
-    exit_code = 2
-
-
 class EdgeNotInTriangulation(TricountError):
     exit_code = 2
 

@@ -14,14 +14,13 @@ between two consecutive sheared points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
     CollinearTriple,
-    DegenerateCorridor,
     DuplicatePoint,
+    InputError,
     PreconditionViolated,
     TooFewPoints,
 )
@@ -66,7 +65,7 @@ class PointSet:
     """
 
     __slots__ = ("points", "n", "_sx", "_sy", "_hull", "_empty_table",
-                 "_cross_cache", "_crossy_cache")
+                 "_cross_cache", "_crossy_cache", "_crossing")
 
     def __init__(self, points: Sequence[Point]):
         self.points = tuple((int(x), int(y)) for x, y in points)
@@ -80,6 +79,7 @@ class PointSet:
         self._empty_table: Optional[dict[tuple[int, int, int], bool]] = None
         self._cross_cache: dict[tuple[Segment, Segment], bool] = {}
         self._crossy_cache: dict[tuple[Segment, int], Fraction] = {}
+        self._crossing: Optional[tuple[dict[Segment, int], list[int]]] = None
 
     # -- sheared coordinate access -------------------------------------
 
@@ -124,6 +124,14 @@ class PointSet:
             self._cross_cache[key] = r
         return r
 
+    def crossing_table(self) -> tuple[dict[Segment, int], list[int]]:
+        """Bit index of each segment, and its crossing mask (cross_masks)."""
+        if self._crossing is None:
+            edges = all_edges(self)
+            self._crossing = ({e: k for k, e in enumerate(edges)},
+                              cross_masks(edges, self))
+        return self._crossing
+
     def triangle_empty(self, a: int, b: int, c: int) -> bool:
         key = tuple(sorted((a, b, c)))
         if self.n <= EMPTINESS_TABLE_THRESHOLD:
@@ -148,9 +156,25 @@ class PointSet:
         return f"PointSet(n={self.n}, points={list(self.points)})"
 
 
+def _integer_point(q) -> Point:
+    try:
+        x, y = q
+    except (TypeError, ValueError):
+        raise InputError(f"expected an (x, y) pair, got {q!r}") from None
+    for c in (x, y):
+        # bool is an int subclass, but true/false are not coordinates
+        if isinstance(c, bool) or not isinstance(c, int):
+            raise InputError(f"non-integer coordinate {c!r} in {q!r}")
+    return (x, y)
+
+
 def validate_point_set(raw: Iterable[Point]) -> PointSet:
-    """Sort, deduplicate-check and general-position-check a raw point list."""
-    pts = sorted((int(x), int(y)) for x, y in raw)
+    """Sort, deduplicate-check and general-position-check a raw point list.
+
+    Coordinates must be Python ints; floats, bools and strings are refused
+    rather than coerced.
+    """
+    pts = sorted(_integer_point(q) for q in raw)
     if len(pts) < 3:
         raise TooFewPoints(f"need at least 3 points, got {len(pts)}")
     for k in range(1, len(pts)):
@@ -221,6 +245,23 @@ def segments_cross(s1: Segment, s2: Segment, P: PointSet) -> bool:
     return o3 != o4
 
 
+def all_edges(P: PointSet) -> list[Segment]:
+    """All n(n-1)/2 segments of P in lexicographic order."""
+    return [seg(a, b) for a in range(P.n) for b in range(a + 1, P.n)]
+
+
+def cross_masks(edges: list[Segment], P: PointSet) -> list[int]:
+    """Bit b of masks[a] is set iff edges[a] and edges[b] properly cross."""
+    m = len(edges)
+    masks = [0] * m
+    for a in range(m):
+        for b in range(a + 1, m):
+            if P.segments_cross(edges[a], edges[b]):
+                masks[a] |= 1 << b
+                masks[b] |= 1 << a
+    return masks
+
+
 def edge_crosses_line(s: Segment, i: int) -> bool:
     """True iff segment s has one endpoint left of l_i and one right."""
     a, b = s
@@ -267,52 +308,9 @@ def hull_crossing_edges(P: PointSet, i: int) -> tuple[Segment, Segment]:
     return crossing[0], crossing[1]
 
 
-def visible_points(source: int, obstacles: Sequence[Segment],
-                   P: PointSet) -> set[int]:
-    """Points q whose open segment source-q meets no obstacle interior.
-
-    Obstacles sharing an endpoint with the sight line never block it (a
-    shared endpoint is not a proper crossing), and under general position no
-    point of P lies on the open segment between two others.
-    """
-    out = set()
-    for q in range(P.n):
-        if q == source:
-            continue
-        sq = seg(source, q)
-        if all(not P.segments_cross(sq, ob) for ob in obstacles):
-            out.add(q)
-    return out
-
-
 # -- exact rational helpers (sheared coordinates) -----------------------
 
 RPoint = tuple[Fraction, Fraction]
-
-
-def _orient_r(a, b, c) -> int:
-    d = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-    if d > 0:
-        return 1
-    if d < 0:
-        return -1
-    return 0
-
-
-def _on_open_segment_r(q, a, b) -> bool:
-    if _orient_r(a, b, q) != 0:
-        return False
-    lo, hi = min(a, b), max(a, b)
-    return lo < q < hi
-
-
-def _segments_cross_r(a, b, c, d) -> bool:
-    """Proper crossing of segments ab and cd with rational endpoints."""
-    o1 = _orient_r(a, b, c)
-    o2 = _orient_r(a, b, d)
-    o3 = _orient_r(c, d, a)
-    o4 = _orient_r(c, d, b)
-    return o1 != o2 and o3 != o4 and 0 not in (o1, o2, o3, o4)
 
 
 def point_in_polygon_strict(q: RPoint, poly: Sequence[RPoint]) -> bool:
@@ -329,152 +327,3 @@ def point_in_polygon_strict(q: RPoint, poly: Sequence[RPoint]) -> bool:
             if xint > qx:
                 inside = not inside
     return inside
-
-
-@dataclass(frozen=True)
-class Interval:
-    """A (possibly empty) interval of ordinates on a sweep line.
-
-    Ordinates live in the doubled-sheared y coordinate (twice the original
-    y), so integer points of P have even ordinates.
-    """
-    lo: Optional[Fraction] = None
-    hi: Optional[Fraction] = None
-
-    def is_empty(self) -> bool:
-        return self.lo is None or self.hi is None or self.lo >= self.hi
-
-    def length(self) -> Fraction:
-        if self.is_empty():
-            return Fraction(0)
-        return self.hi - self.lo
-
-
-EMPTY_INTERVAL = Interval()
-
-
-def _blocked_at(P: PointSet, p: int, c: int, y: Fraction,
-                obstacles: Sequence[Segment]) -> bool:
-    sp = P.spoint(p)
-    sp = (Fraction(sp[0]), Fraction(sp[1]))
-    q = (Fraction(c), y)
-    for (u, v) in obstacles:
-        if p in (u, v):
-            continue  # an obstacle never blocks along its own endpoints
-        su = P.spoint(u)
-        sv = P.spoint(v)
-        if _segments_cross_r(sp, q, su, sv):
-            return True
-        # grazing contact: an obstacle endpoint on the open sight segment
-        if _on_open_segment_r(su, sp, q) or _on_open_segment_r(sv, sp, q):
-            return True
-    return False
-
-
-def visibility_interval(p: int, i: int, obstacles: Sequence[Segment],
-                        P: PointSet) -> Interval:
-    """Largest sub-interval of l_i (clipped to the hull) visible from p.
-
-    Endpoints are exact rationals in sheared coordinates.  Visibility from a
-    point may in general split into several intervals; the longest one is
-    returned (lowest wins ties), and an empty Interval when p sees nothing.
-    """
-    lo_edge, hi_edge = hull_crossing_edges(P, i)
-    base_lo = P.cross_y(lo_edge, i)
-    base_hi = P.cross_y(hi_edge, i)
-    c = P.line_x(i)
-    px, py = P.spoint(p)
-
-    cuts = {base_lo, base_hi}
-    for (u, v) in obstacles:
-        for (ax, ay), (bx, by) in (
-                ((px, py), P.spoint(u)),
-                ((px, py), P.spoint(v)),
-                (P.spoint(u), P.spoint(v))):
-            if ax == bx:
-                continue  # distinct points never share a sheared abscissa
-            y = Fraction(ay * (bx - ax) + (c - ax) * (by - ay), bx - ax)
-            if base_lo < y < base_hi:
-                cuts.add(y)
-    ys = sorted(cuts)
-
-    best = EMPTY_INTERVAL
-    run_lo: Optional[Fraction] = None
-    for k in range(len(ys) - 1):
-        mid = (ys[k] + ys[k + 1]) / 2
-        if not _blocked_at(P, p, c, mid, obstacles):
-            if run_lo is None:
-                run_lo = ys[k]
-            if k == len(ys) - 2:
-                cand = Interval(run_lo, ys[k + 1])
-                if cand.length() > best.length():
-                    best = cand
-        else:
-            if run_lo is not None:
-                cand = Interval(run_lo, ys[k])
-                if cand.length() > best.length():
-                    best = cand
-                run_lo = None
-    return best
-
-
-def shortest_homotopic_path(start: int, end: int,
-                            sleeve: Sequence[tuple[int, int]],
-                            P: PointSet) -> list[int]:
-    """Funnel algorithm over a corridor of portals.
-
-    The corridor is given as an ordered sequence of portals, each a
-    (left, right) pair of vertex indices as seen walking from start to end;
-    it fixes the homotopy class.  The result is the unique shortest path in
-    that class, bending only at points of P.
-    """
-    if start == end:
-        raise DegenerateCorridor("corridor loops back to its start")
-    pts = P.points
-    portals: list[tuple[Point, Point]] = [(pts[start], pts[start])]
-    portals += [(pts[l], pts[r]) for (l, r) in sleeve]
-    portals.append((pts[end], pts[end]))
-
-    coord_to_idx = {pt: j for j, pt in enumerate(pts)}
-
-    def area2(a: Point, b: Point, c: Point) -> int:
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    path = [pts[start]]
-    apex = left = right = pts[start]
-    apex_i = left_i = right_i = 0
-    k = 1
-    guard = 0
-    while k < len(portals):
-        guard += 1
-        if guard > 4 * len(portals) ** 2 + 16:
-            raise DegenerateCorridor("corridor self-overlaps inconsistently")
-        pl, pr = portals[k]
-        # tighten the right side
-        if area2(apex, right, pr) >= 0:
-            if apex == right or area2(apex, left, pr) < 0:
-                right, right_i = pr, k
-            else:
-                if path[-1] != left:
-                    path.append(left)
-                apex, apex_i = left, left_i
-                left = right = apex
-                left_i = right_i = apex_i
-                k = apex_i + 1
-                continue
-        # tighten the left side
-        if area2(apex, left, pl) <= 0:
-            if apex == left or area2(apex, right, pl) > 0:
-                left, left_i = pl, k
-            else:
-                if path[-1] != right:
-                    path.append(right)
-                apex, apex_i = right, right_i
-                left = right = apex
-                left_i = right_i = apex_i
-                k = apex_i + 1
-                continue
-        k += 1
-    if path[-1] != pts[end]:
-        path.append(pts[end])
-    return [coord_to_idx[pt] for pt in path]

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import FrozenSet, Optional
 
-from . import ptpath, tpath
+from . import geom, ptpath, tpath
 from .errors import CapExceeded, InternalInvariantViolation, TooLarge
-from .geom import PointSet, Segment, seg
+from .geom import PointSet, Segment
 
 TRI_GUARD = 12
 PT_GUARD = 10
@@ -38,21 +38,6 @@ def catalan(m: int) -> int:
     return comb(2 * m, m) // (m + 1)
 
 
-def _all_edges(P: PointSet) -> list[Segment]:
-    return [seg(a, b) for a in range(P.n) for b in range(a + 1, P.n)]
-
-
-def _cross_masks(edges: list[Segment], P: PointSet) -> list[int]:
-    m = len(edges)
-    masks = [0] * m
-    for a in range(m):
-        for b in range(a + 1, m):
-            if P.segments_cross(edges[a], edges[b]):
-                masks[a] |= 1 << b
-                masks[b] |= 1 << a
-    return masks
-
-
 def _emit(structures: list[EdgeSet], edges: list[Segment], imask: int,
           target: int, cap: Optional[int], family: str) -> None:
     chosen = frozenset(e for k, e in enumerate(edges) if imask >> k & 1)
@@ -68,9 +53,9 @@ def enumerate_triangulations(P: PointSet, cap: Optional[int] = None,
                              guard: int = TRI_GUARD) -> EnumerationResult:
     if P.n > guard:
         raise TooLarge(f"n={P.n} exceeds triangulation oracle guard {guard}")
-    edges = _all_edges(P)
+    edges = geom.all_edges(P)
     m = len(edges)
-    cross = _cross_masks(edges, P)
+    cross = P.crossing_table()[1]
     target = tpath.triangulation_edge_target(P)
     result = EnumerationResult("tri")
 
@@ -112,9 +97,9 @@ def enumerate_pointed_pseudotriangulations(
         guard: int = PT_GUARD) -> EnumerationResult:
     if P.n > guard:
         raise TooLarge(f"n={P.n} exceeds pseudo-triangulation oracle guard {guard}")
-    edges = _all_edges(P)
+    edges = geom.all_edges(P)
     m = len(edges)
-    cross = _cross_masks(edges, P)
+    cross = P.crossing_table()[1]
     target = ptpath.pseudotriangulation_edge_target(P)
     result = EnumerationResult("pt")
     # edges sharing an endpoint can change each other's pointedness

@@ -12,26 +12,25 @@ convex turn among the excursion vertices" plus region emptiness.
 
 As with T-paths, validity coincides with membership in the population: a
 valid chain completes to a maximal planar pointed edge set, of which it is
-the unique PT-path.  Extraction and successor generation are therefore one
-constrained depth-first search.
+the unique PT-path.  Extraction and population building are therefore one
+constrained depth-first search, and successors come from a join of two
+populations.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
-from . import geom
+from . import geom, tpath
 from .errors import (
     EdgeDoesNotCrossLine,
     InternalInvariantViolation,
     PreconditionViolated,
 )
 from .geom import CCW, CW, RIGHT, PointSet, Segment, seg
-from .tpath import Check, PathKey, chain_edges
-
-EdgeSet = FrozenSet[Segment]
+from .tpath import Check, EdgeSet, PathKey, chain_edges
 
 
 @dataclass(frozen=True)
@@ -138,40 +137,18 @@ def _region_empty(P: PointSet, i: int, exc: list[int],
 # -- chain search --------------------------------------------------------
 
 def ptpath_chains(P: PointSet, i: int,
-                  pool: Optional[EdgeSet] = None,
-                  obstacles: Iterable[Segment] = (),
-                  pointed_with: Iterable[Segment] = ()) -> list[PathKey]:
-    """All valid PT-path chains w.r.t. l_i.
+                  pool: Optional[EdgeSet] = None) -> list[PathKey]:
+    """All valid PT-path chains w.r.t. l_i: the path population.
 
     With a pool, edges are restricted to it and the final pointedness check
-    is skipped (a subset of a pointed set is pointed).  Obstacles must not
-    be crossed; pointed_with edges join the chain for the union-pointedness
-    filter (the parent path during successor generation).
+    is skipped (a subset of a pointed set is pointed).
     """
     lo, hi = geom.hull_crossing_edges(P, i)
-    obst = list(obstacles)
-    extra = list(pointed_with)
     out: list[PathKey] = []
 
-    if pool is not None:
-        adj: dict[int, list[int]] = {}
-        for (a, b) in pool:
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-
     def blocked(e: Segment, chain_edge_list: list[Segment]) -> bool:
-        if any(P.segments_cross(e, f) for f in obst):
-            return True
-        if pool is None and any(P.segments_cross(e, f) for f in chain_edge_list):
-            return True
-        return False
-
-    def finish(chain: list[int]) -> None:
-        if pool is None:
-            edges = set(chain_edges(chain)) | set(extra)
-            if not _all_pointed(edges, P):
-                return
-        out.append(tuple(chain))
+        return pool is None and any(P.segments_cross(e, f)
+                                    for f in chain_edge_list)
 
     def extend(chain: list[int], edges: list[Segment],
                exc_prev: int, exc: list[int], convex: int,
@@ -179,8 +156,7 @@ def ptpath_chains(P: PointSet, i: int,
         v = exc[-1]
         q = exc[-2] if len(exc) > 1 else exc_prev
         side = P.side(v, i)
-        cands = adj.get(v, ()) if pool is not None else range(P.n)
-        for w in cands:
+        for w in range(P.n):
             if w == v:
                 continue
             e = seg(v, w)
@@ -217,7 +193,8 @@ def ptpath_chains(P: PointSet, i: int,
                 chain.append(w)
                 edges.append(e)
                 if e == hi:
-                    finish(chain)
+                    if pool is not None or _all_pointed(edges, P):
+                        out.append(tuple(chain))
                 else:
                     extend(chain, edges, v, [w], 0, y)
                 edges.pop()
@@ -241,6 +218,25 @@ def extract_ptpath(S: EdgeSet, i: int, P: PointSet) -> PTPath:
     return PTPath(chains[0], i)
 
 
+def ptpath_join(P: PointSet, parents: Sequence[PathKey],
+                children: Sequence[PathKey]) -> list[list[PathKey]]:
+    """For each parent, the children compatible with it, in children's order.
+
+    Compatible means non-crossing (tpath_join) with a pointed edge union.
+    Each chain of a population is pointed on its own, so only the vertices
+    both chains touch can fail.
+    """
+    out = []
+    for k, cs in zip(parents, tpath.tpath_join(P, parents, children)):
+        kept = []
+        for c in cs:
+            union = set(chain_edges(k)) | set(chain_edges(c))
+            if all(is_pointed(union, v, P) for v in set(k) & set(c)):
+                kept.append(c)
+        out.append(kept)
+    return out
+
+
 def ptpath_successors(path: PTPath, P: PointSet) -> set[PathKey]:
     """PT-paths at l_{i+1} non-crossing with path and jointly pointed."""
     check = validate_ptpath(path, P)
@@ -248,8 +244,8 @@ def ptpath_successors(path: PTPath, P: PointSet) -> set[PathKey]:
         raise PreconditionViolated(f"invalid parent PT-path: {check.reason}")
     if path.line >= P.n - 1:
         raise PreconditionViolated("no line beyond the last sweep position")
-    es = path.edges()
-    return set(ptpath_chains(P, path.line + 1, obstacles=es, pointed_with=es))
+    (succ,) = ptpath_join(P, [path.vertices], ptpath_chains(P, path.line + 1))
+    return set(succ)
 
 
 # -- validation ----------------------------------------------------------
@@ -345,8 +341,8 @@ def pt_good_edge(S: EdgeSet, e: Segment, i: int, P: PointSet) -> bool:
     hull_edges = {seg(hull[k], hull[(k + 1) % h]) for k in range(h)}
     if e in hull_edges:
         return True
-    crossing = sorted((f for f in S if geom.edge_crosses_line(f, i)),
-                      key=lambda f: P.cross_y(f, i))
+    crossing = [f for _, f in sorted((P.cross_y(f, i), f) for f in S
+                                     if geom.edge_crosses_line(f, i))]
     pos = crossing.index(e)
     if pos == 0 or pos == len(crossing) - 1:
         raise InternalInvariantViolation(

@@ -9,22 +9,23 @@ l_{n-1} holds a single entry whose count is the number of structures.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional, Sequence
 
 from . import ptpath, tpath
 from .errors import InternalInvariantViolation, MemoryBudgetExceeded
 from .geom import PointSet, seg
-from .tpath import Check, PathKey, chain_edges
+from .tpath import PathKey, chain_edges
 
 
 @dataclass(frozen=True)
 class PathSystem:
     family: str  # "tri" or "pt"
-    initial: Callable[[PointSet], PathKey]
-    successors: Callable[[PathKey, int, PointSet], Iterable[PathKey]]
-    validate: Callable[[PathKey, int, PointSet], Check]
+    # the path population at l_i
+    chains: Callable[[PointSet, int], list[PathKey]]
+    # for each parent, its compatible children (both lists sorted)
+    join: Callable[[PointSet, Sequence[PathKey], Sequence[PathKey]],
+                   list[list[PathKey]]]
 
 
 @dataclass
@@ -66,21 +67,8 @@ def paths_cross(k1: PathKey, k2: PathKey, P: PointSet) -> bool:
     return any(P.segments_cross(a, b) for a in e1 for b in e2)
 
 
-TRI_SYSTEM = PathSystem(
-    family="tri",
-    initial=initial_path,
-    successors=lambda key, i, P: tpath.tpath_successors(tpath.TPath(key, i), P),
-    validate=lambda key, i, P: tpath.validate_tpath(tpath.TPath(key, i), P),
-)
-
-PT_SYSTEM = PathSystem(
-    family="pt",
-    initial=initial_path,
-    successors=lambda key, i, P: ptpath.ptpath_successors(
-        ptpath.PTPath(key, i), P),
-    validate=lambda key, i, P: ptpath.validate_ptpath(
-        ptpath.PTPath(key, i), P),
-)
+TRI_SYSTEM = PathSystem("tri", tpath.tpath_chains, tpath.tpath_join)
+PT_SYSTEM = PathSystem("pt", ptpath.ptpath_chains, ptpath.ptpath_join)
 
 
 def system_for(family: str) -> PathSystem:
@@ -92,11 +80,14 @@ def system_for(family: str) -> PathSystem:
 
 
 def run_sweep(system: PathSystem, P: PointSet, record_parents: bool = False,
-              threads: int = 1,
               max_table_entries: Optional[int] = None
               ) -> tuple[int, SweepStats, Optional[list[PathTable]]]:
-    """Count structures; optionally retain all tables for the sampler."""
-    key0 = system.initial(P)
+    """Count structures; optionally retain all tables for the sampler.
+
+    Each line's population is joined to the previous one's in sorted key
+    order, so every entry's parents list is sorted.
+    """
+    key0 = initial_path(P)
     counts: dict[PathKey, int] = {key0: 1}
     tables: Optional[list[PathTable]] = None
     total_entries = 1
@@ -107,17 +98,12 @@ def run_sweep(system: PathSystem, P: PointSet, record_parents: bool = False,
     for i in range(1, P.n - 1):
         t0 = time.perf_counter()
         parent_keys = sorted(counts)
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                succ_sets = list(pool.map(
-                    lambda k: system.successors(k, i, P), parent_keys))
-        else:
-            succ_sets = [system.successors(k, i, P) for k in parent_keys]
-
+        children = sorted(set(system.chains(P, i + 1)))
         nxt: dict[PathKey, TableEntry] = {}
-        for k, succs in zip(parent_keys, succ_sets):
+        for k, succs in zip(parent_keys,
+                            system.join(P, parent_keys, children)):
             c = counts[k]
-            for s in sorted(set(succs)):
+            for s in succs:
                 entry = nxt.get(s)
                 if entry is None:
                     entry = nxt[s] = TableEntry(0)

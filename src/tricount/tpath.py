@@ -9,14 +9,15 @@ wedge spanned by two consecutive edges is empty.
 Validity is exactly membership in the path population: a valid chain
 extends to some triangulation (complete its edge set to a maximal
 non-crossing one) and is then, by uniqueness, that triangulation's T-path.
-This is what lets both successor generation and extraction share one
-constrained depth-first chain search instead of a case analysis.
+This is what lets extraction and population building share one
+constrained depth-first chain search instead of a case analysis, and lets
+successors be found by joining two populations instead of searching again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Optional
+from typing import FrozenSet, Iterable, Optional, Sequence
 
 from . import geom
 from .errors import (
@@ -98,40 +99,28 @@ def validate_tpath(path: TPath, P: PointSet) -> Check:
 # -- chain search --------------------------------------------------------
 
 def tpath_chains(P: PointSet, i: int,
-                 pool: Optional[EdgeSet] = None,
-                 obstacles: Iterable[Segment] = ()) -> list[PathKey]:
-    """All valid T-path chains w.r.t. l_i.
+                 pool: Optional[EdgeSet] = None) -> list[PathKey]:
+    """All valid T-path chains w.r.t. l_i: the path population.
 
     With a pool, candidate edges are restricted to it (extraction from a
-    triangulation).  Obstacles are edges the chain must not properly cross
-    (the parent path during successor generation).
+    triangulation).
     """
     lo, hi = geom.hull_crossing_edges(P, i)
-    obst = list(obstacles)
     out: list[PathKey] = []
-
-    if pool is not None:
-        adj: dict[int, list[int]] = {}
-        for (a, b) in pool:
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
 
     def extend(chain: list[int], used: set[Segment], last_y) -> None:
         v = chain[-1]
         prev = chain[-2]
-        cands = adj.get(v, ()) if pool is not None else range(P.n)
-        for w in cands:
+        for w in range(P.n):
             if P.side(w, i) == P.side(v, i):
                 continue
             e = seg(v, w)
-            if e in used:
+            if e in used or (pool is not None and e not in pool):
                 continue
             y = P.cross_y(e, i)
             if y <= last_y:
                 continue
             if not geom.wedge_empty(prev, v, w, i, P):
-                continue
-            if any(P.segments_cross(e, f) for f in obst):
                 continue
             if pool is None and any(P.segments_cross(e, f) for f in used):
                 continue
@@ -164,6 +153,30 @@ def extract_tpath(T: EdgeSet, i: int, P: PointSet) -> TPath:
     return TPath(chains[0], i)
 
 
+def tpath_join(P: PointSet, parents: Sequence[PathKey],
+               children: Sequence[PathKey]) -> list[list[PathKey]]:
+    """For each parent, the children compatible with it, in children's order.
+
+    Two chains are compatible iff no edge of one properly crosses an edge of
+    the other.  Over bitmasks of all segments of P that is one AND per pair:
+    the child's crossing mask against the parent's edge mask.
+    """
+    index, cross = P.crossing_table()
+    crossed = []
+    for c in children:
+        m = 0
+        for e in chain_edges(c):
+            m |= cross[index[e]]
+        crossed.append(m)
+    out = []
+    for k in parents:
+        m = 0
+        for e in chain_edges(k):
+            m |= 1 << index[e]
+        out.append([c for c, cm in zip(children, crossed) if not cm & m])
+    return out
+
+
 def tpath_successors(path: TPath, P: PointSet) -> set[PathKey]:
     """All T-paths at l_{i+1} compatible (non-crossing) with the given path."""
     check = validate_tpath(path, P)
@@ -171,7 +184,8 @@ def tpath_successors(path: TPath, P: PointSet) -> set[PathKey]:
         raise PreconditionViolated(f"invalid parent T-path: {check.reason}")
     if path.line >= P.n - 1:
         raise PreconditionViolated("no line beyond the last sweep position")
-    return set(tpath_chains(P, path.line + 1, obstacles=path.edges()))
+    (succ,) = tpath_join(P, [path.vertices], tpath_chains(P, path.line + 1))
+    return set(succ)
 
 
 # -- flips and good edges ------------------------------------------------

@@ -1,9 +1,17 @@
+import os
 import random
+from pathlib import Path
 
 import pytest
 
 import tricount as tc
 from tricount.geom import orientation
+
+# subprocess tests run `python -m tricount.cli`; let them import from src/
+# as the test process does (pyproject's pytest pythonpath)
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 FAN5 = [(0, 0), (2, 2), (3, 7), (4, 8), (6, 18)]
 # lex order: (0,0)=0, (2,2)=1, (3,7)=2, (4,8)=3, (6,18)=4; 2 is interior

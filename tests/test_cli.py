@@ -51,6 +51,29 @@ def test_count_collinear_exit2(tmp_path, capsys):
     assert "(1, 1)" in err and "(2, 2)" in err
 
 
+@pytest.mark.parametrize("pts", [
+    [[0, 0], [2.7, 2], [3, 7], [4, 8], [6, 18]],
+    [[0, 0], [True, 5], [3, 1]],
+])
+def test_count_non_integer_json_exit2(tmp_path, capsys, pts):
+    p = tmp_path / "pts.json"
+    p.write_text(json.dumps({"points": pts}))
+    assert main(["count", str(p)]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "FILE", "--threads", "0"],
+    ["sequence", "--k", "-1"],
+    ["sample", "FILE", "--count", "-2"],
+])
+def test_out_of_range_argument_exit2(tmp_path, capsys, argv):
+    f = write_points(tmp_path, FAN5)
+    assert main([f if a == "FILE" else a for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:")
+
+
 def test_count_bad_file_exit2(tmp_path, capsys):
     p = tmp_path / "bad.txt"
     p.write_text("0 0\n1 a\n")

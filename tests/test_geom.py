@@ -1,13 +1,11 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import tricount.geom as geom
 from tricount.errors import (
     CollinearTriple,
-    DegenerateCorridor,
     DuplicatePoint,
+    InputError,
     PreconditionViolated,
     TooFewPoints,
 )
@@ -17,9 +15,6 @@ from tricount.geom import (
     CW,
     orientation,
     seg,
-    shortest_homotopic_path,
-    visibility_interval,
-    visible_points,
 )
 import tricount as tc
 
@@ -50,6 +45,9 @@ def test_validate_point_set():
         tc.validate_point_set([(0, 0), (0, 0), (1, 5)])
     with pytest.raises(TooFewPoints):
         tc.validate_point_set([(0, 0), (1, 5)])
+    for bad in (2.7, True, "3"):  # refused, never coerced
+        with pytest.raises(InputError):
+            tc.validate_point_set([(0, 0), (bad, 5), (3, 1)])
 
 
 def test_validate_sorts_input():
@@ -131,81 +129,6 @@ def test_wedge_empty_matches_scan():
                             and geom.point_in_triangle(q, a, b, d, P)
                             for q in range(n) if q not in (a, b, d))
                         assert geom.wedge_empty(a, b, d, i, P) == expect
-
-
-def test_visible_points(fan5):
-    assert visible_points(2, [], fan5) == {0, 1, 3, 4}
-    # obstacle (1,2) = (2,2)-(3,7) sits between 0 and 3
-    blocked = visible_points(0, [(1, 2)], fan5)
-    assert 3 not in blocked
-    assert {1, 2, 4} <= blocked
-    # obstacles incident to the source never block
-    assert visible_points(0, [(0, 2)], fan5) == {1, 2, 3, 4}
-
-
-def test_visibility_interval_full_span(fan5):
-    lo_e, hi_e = geom.hull_crossing_edges(fan5, 2)
-    iv = visibility_interval(0, 2, [], fan5)
-    assert iv.lo == fan5.cross_y(lo_e, 2)
-    assert iv.hi == fan5.cross_y(hi_e, 2)
-
-
-def test_visibility_interval_enclosed(fan5):
-    # point 2 walled off from l_2's left portion by its own star edges
-    iv = visibility_interval(3, 2, [(0, 2), (1, 2), (2, 4)], fan5)
-    full = visibility_interval(3, 2, [], fan5)
-    assert iv.length() < full.length()
-
-
-def test_visibility_interval_vs_sampling_oracle(fan5):
-    obstacles = [(1, 2)]
-    p, i = 0, 2
-    iv = visibility_interval(p, i, obstacles, fan5)
-    lo_e, hi_e = geom.hull_crossing_edges(fan5, i)
-    base_lo, base_hi = fan5.cross_y(lo_e, i), fan5.cross_y(hi_e, i)
-    c = fan5.line_x(i)
-    assert not iv.is_empty()
-    flags = []
-    for k in range(1, 200):
-        y = base_lo + (base_hi - base_lo) * Fraction(k, 200)
-        visible = not geom._blocked_at(fan5, p, c, y, obstacles)
-        flags.append((y, visible))
-        if iv.lo < y < iv.hi:
-            assert visible
-    # the returned interval is the longest visible run of the sampling grid
-    runs, cur = [], []
-    for y, visible in flags:
-        if visible:
-            cur.append(y)
-        elif cur:
-            runs.append(cur)
-            cur = []
-    if cur:
-        runs.append(cur)
-    best = max(runs, key=len)
-    assert iv.lo <= best[0] and best[-1] <= iv.hi
-
-
-def test_shortest_homotopic_path_straight():
-    P = tc.validate_point_set([(0, 0), (5, -1), (5, 1), (10, 0)])
-    assert shortest_homotopic_path(0, 3, [(2, 1)], P) == [0, 3]
-
-
-def test_shortest_homotopic_path_one_bend():
-    P = tc.validate_point_set([(0, 0), (4, 2), (6, 1), (10, 0)])
-    path = shortest_homotopic_path(0, 3, [(1, 2)], P)
-    assert path == [0, 2, 3]
-    # bending at the other portal endpoint would be longer
-    def sqlen(vs):
-        return sum((P.points[a][0] - P.points[b][0]) ** 2
-                   + (P.points[a][1] - P.points[b][1]) ** 2
-                   for a, b in zip(vs, vs[1:]))
-    assert sqlen(path) <= sqlen([0, 1, 3])
-
-
-def test_shortest_homotopic_path_degenerate(tri3):
-    with pytest.raises(DegenerateCorridor):
-        shortest_homotopic_path(1, 1, [], tri3)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,9 +1,11 @@
+import itertools
+
 import pytest
 
 import tricount as tc
-from tricount import oracle
+from tricount import oracle, ptpath, tpath
 
-from conftest import random_point_set
+from conftest import random_point_set, random_points
 
 
 def test_initial_path(fan5, conv5, tri3):
@@ -44,23 +46,28 @@ def test_initial_successor_compatible(fan5):
 
 
 def test_parent_counts_add_up(fan5):
-    _, _, tables = tc.run_sweep(tc.TRI_SYSTEM, fan5, record_parents=True)
-    assert set(tables[0].entries) == {tc.initial_path(fan5)}
-    assert tables[0].entries[tc.initial_path(fan5)].count == 1
-    for prev, cur in zip(tables, tables[1:]):
-        for key, entry in cur.entries.items():
-            assert entry.count >= 1
-            assert entry.count == sum(
-                prev.entries[p].count for p in entry.parents)
-            assert len(set(entry.parents)) == len(entry.parents)
-
-
-def test_threads_do_not_change_results():
-    P = random_point_set(7, 42)
-    c1, s1, _ = tc.run_sweep(tc.TRI_SYSTEM, P, threads=1)
-    c4, s4, _ = tc.run_sweep(tc.TRI_SYSTEM, P, threads=4)
-    assert c1 == c4
-    assert s1.t_per_line == s4.t_per_line
+    for family, P in itertools.product(("tri", "pt"),
+                                       (fan5, random_point_set(7, 42))):
+        _, _, tables = tc.run_sweep(tc.system_for(family), P,
+                                    record_parents=True)
+        assert set(tables[0].entries) == {tc.initial_path(P)}
+        assert tables[0].entries[tc.initial_path(P)].count == 1
+        for prev, cur in zip(tables, tables[1:]):
+            for key, entry in cur.entries.items():
+                assert entry.count >= 1
+                assert entry.count == sum(
+                    prev.entries[p].count for p in entry.parents)
+                # the join keeps exactly criterion 7's compatible parents
+                expect = []
+                for k in sorted(prev.entries):
+                    ok = not tc.paths_cross(k, key, P)
+                    if family == "pt" and ok:
+                        union = set(tpath.chain_edges(k)) | \
+                            set(tpath.chain_edges(key))
+                        ok = ptpath._all_pointed(union, P)
+                    if ok:
+                        expect.append(k)
+                assert entry.parents == expect
 
 
 def test_system_for():
@@ -77,3 +84,18 @@ def test_sweep_matches_oracle_random(n, seed):
         oracle.enumerate_triangulations(P).count
     assert tc.run_sweep(tc.PT_SYSTEM, P)[0] == \
         oracle.enumerate_pointed_pseudotriangulations(P).count
+
+
+@pytest.mark.parametrize("family,n,seed,count", [
+    ("tri", 13, 513, 67647),
+    ("tri", 14, 514, 386767),
+    ("pt", 9, 509, 2900),
+])
+def test_count_invariant_under_rotation_and_reflection(family, n, seed, count):
+    # above the oracle guards; each map reorders the sweep completely
+    pts = random_points(n, seed)
+    maps = [lambda x, y: (x, y), lambda x, y: (-y, x),
+            lambda x, y: (-x, y), lambda x, y: (y, x)]
+    for f in maps:
+        P = tc.validate_point_set([f(x, y) for x, y in pts])
+        assert tc.run_sweep(tc.system_for(family), P)[0] == count
