@@ -85,6 +85,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if args.cap is not None and args.cap < 0:
+        raise InputError(f"--cap must be nonnegative, got {args.cap}")
     P = load_point_set(args.input)
     result = oracle.enumerate_structures(P, args.structure, cap=args.cap)
     if args.format == "json":
@@ -98,6 +100,9 @@ def cmd_enumerate(args) -> int:
 def cmd_sample(args) -> int:
     if args.count < 0:
         raise InputError(f"--count must be nonnegative, got {args.count}")
+    if args.max_table_entries is not None and args.max_table_entries < 0:
+        raise InputError("--max-table-entries must be nonnegative, "
+                         f"got {args.max_table_entries}")
     P = load_point_set(args.input)
     run = sampler.sample(P, args.structure, args.seed, args.count,
                          max_table_entries=args.max_table_entries)

@@ -10,6 +10,10 @@ affine map, so every predicate (orientation, crossing, convexity,
 pointedness, point-in-polygon) agrees with the original plane, while each
 sweep line becomes an honest vertical line at an *integer* abscissa strictly
 between two consecutive sheared points.
+
+Crossing, triangle and wedge emptiness and pointedness are read off one
+table of left-of bitmasks (PointSet.left_table), filled from exact
+orientations once per point set, so each is a few shifts and ANDs.
 """
 
 from __future__ import annotations
@@ -34,9 +38,6 @@ RIGHT = 1
 
 Point = tuple[int, int]
 Segment = tuple[int, int]  # pair of vertex indices, normalized a < b
-
-# n up to which a PointSet precomputes the O(n^3) triangle-emptiness table.
-EMPTINESS_TABLE_THRESHOLD = 64
 
 
 def seg(a: int, b: int) -> Segment:
@@ -64,8 +65,8 @@ class PointSet:
     0..i-1 on its left and i..n-1 on its right.
     """
 
-    __slots__ = ("points", "n", "_sx", "_sy", "_hull", "_empty_table",
-                 "_cross_cache", "_crossy_cache", "_crossing")
+    __slots__ = ("points", "n", "_sx", "_sy", "_hull", "_left",
+                 "_crossy_cache", "_crossing")
 
     def __init__(self, points: Sequence[Point]):
         self.points = tuple((int(x), int(y)) for x, y in points)
@@ -76,8 +77,7 @@ class PointSet:
         self._sx = tuple(2 * (m * x + y) for x, y in self.points)
         self._sy = tuple(2 * y for _, y in self.points)
         self._hull: Optional[tuple[int, ...]] = None
-        self._empty_table: Optional[dict[tuple[int, int, int], bool]] = None
-        self._cross_cache: dict[tuple[Segment, Segment], bool] = {}
+        self._left: Optional[list[list[int]]] = None
         self._crossy_cache: dict[tuple[Segment, int], Fraction] = {}
         self._crossing: Optional[tuple[dict[Segment, int], list[int]]] = None
 
@@ -116,13 +116,44 @@ class PointSet:
     def orient(self, a: int, b: int, c: int) -> int:
         return orientation(self.points[a], self.points[b], self.points[c])
 
+    def left_table(self) -> list[list[int]]:
+        """left[a][b]: bitmask of the points strictly left of directed ab.
+
+        One exact orientation per triple a < b < c fills all six of its
+        entries: cyclic order keeps the sign, a transposition flips it.
+        """
+        if self._left is None:
+            n = self.n
+            left = [[0] * n for _ in range(n)]
+            for a in range(n):
+                for b in range(a + 1, n):
+                    for c in range(b + 1, n):
+                        o = self.orient(a, b, c)
+                        if o == CCW:
+                            left[a][b] |= 1 << c
+                            left[b][c] |= 1 << a
+                            left[c][a] |= 1 << b
+                        elif o == CW:
+                            left[b][a] |= 1 << c
+                            left[c][b] |= 1 << a
+                            left[a][c] |= 1 << b
+            self._left = left
+        return self._left
+
     def segments_cross(self, e: Segment, f: Segment) -> bool:
-        key = (e, f) if e <= f else (f, e)
-        r = self._cross_cache.get(key)
-        if r is None:
-            r = segments_cross(e, f, self)
-            self._cross_cache[key] = r
-        return r
+        """Proper crossing: each segment separates the other's endpoints.
+
+        Sharing an endpoint is never a crossing.  Under general position no
+        endpoint can lie in the other segment's interior, so the test is
+        two bit parities of the left-of masks.
+        """
+        a, b = e
+        c, d = f
+        if a == c or a == d or b == c or b == d:
+            return False
+        left = self._left or self.left_table()
+        ab, cd = left[a][b], left[c][d]
+        return bool((ab >> c ^ ab >> d) & (cd >> a ^ cd >> b) & 1)
 
     def crossing_table(self) -> tuple[dict[Segment, int], list[int]]:
         """Bit index of each segment, and its crossing mask (cross_masks)."""
@@ -132,17 +163,34 @@ class PointSet:
                               cross_masks(edges, self))
         return self._crossing
 
+    def inside(self, a: int, b: int, c: int) -> int:
+        """Bitmask of the points strictly inside triangle abc."""
+        left = self._left or self.left_table()
+        if left[a][b] >> c & 1:  # abc is counterclockwise
+            return left[a][b] & left[b][c] & left[c][a]
+        return left[b][a] & left[a][c] & left[c][b]
+
     def triangle_empty(self, a: int, b: int, c: int) -> bool:
-        key = tuple(sorted((a, b, c)))
-        if self.n <= EMPTINESS_TABLE_THRESHOLD:
-            if self._empty_table is None:
-                self._empty_table = {}
-            r = self._empty_table.get(key)
-            if r is None:
-                r = _triangle_empty_scan(a, b, c, self)
-                self._empty_table[key] = r
-            return r
-        return _triangle_empty_scan(a, b, c, self)
+        return not self.inside(a, b, c)
+
+    def pointed(self, v: int, nbrs: int) -> bool:
+        """True iff the edges from v to the points of bitmask nbrs leave an
+        angular gap larger than pi at v.
+
+        Exact test: at most two edges (general position), or some neighbour
+        u has all the others strictly left of vu, i.e. counterclockwise of
+        it within less than pi.
+        """
+        if nbrs.bit_count() <= 2:
+            return True
+        left = (self._left or self.left_table())[v]
+        rest = nbrs
+        while rest:
+            low = rest & -rest
+            if nbrs & ~left[low.bit_length() - 1] == low:
+                return True
+            rest ^= low
+        return False
 
     def convex_hull(self) -> tuple[int, ...]:
         if self._hull is None:
@@ -209,42 +257,6 @@ def convex_hull(P: PointSet) -> list[int]:
     return lower[:-1] + upper[:-1]
 
 
-def _triangle_empty_scan(a: int, b: int, c: int, P: PointSet) -> bool:
-    o = P.orient(a, b, c)
-    for q in range(P.n):
-        if q in (a, b, c):
-            continue
-        if (P.orient(a, b, q) == o and P.orient(b, c, q) == o
-                and P.orient(c, a, q) == o):
-            return False
-    return True
-
-
-def triangle_empty(a: int, b: int, c: int, P: PointSet) -> bool:
-    """True iff no other point of P lies strictly inside triangle abc."""
-    return P.triangle_empty(a, b, c)
-
-
-def segments_cross(s1: Segment, s2: Segment, P: PointSet) -> bool:
-    """Proper crossing: intersection in the strict interior of both.
-
-    Sharing an endpoint is never a crossing.  Under general position no
-    endpoint can lie in the other segment's interior, so the test reduces to
-    strict orientation alternation.
-    """
-    a, b = s1
-    c, d = s2
-    if a in s2 or b in s2:
-        return False
-    o1 = P.orient(a, b, c)
-    o2 = P.orient(a, b, d)
-    if o1 == o2:
-        return False
-    o3 = P.orient(c, d, a)
-    o4 = P.orient(c, d, b)
-    return o3 != o4
-
-
 def all_edges(P: PointSet) -> list[Segment]:
     """All n(n-1)/2 segments of P in lexicographic order."""
     return [seg(a, b) for a in range(P.n) for b in range(a + 1, P.n)]
@@ -268,28 +280,18 @@ def edge_crosses_line(s: Segment, i: int) -> bool:
     return a < i <= b if a < b else b < i <= a
 
 
-def point_in_triangle(q: int, a: int, b: int, c: int, P: PointSet) -> bool:
-    o = P.orient(a, b, c)
-    return (P.orient(a, b, q) == o and P.orient(b, c, q) == o
-            and P.orient(c, a, q) == o)
-
-
 def wedge_empty(a: int, b: int, d: int, i: int, P: PointSet) -> bool:
     """Emptiness of the wedge of consecutive path edges ba, bd w.r.t. l_i.
 
     The wedge (apex b) is exactly triangle abd clipped to b's side of l_i,
-    because l_i separates {a, d} from b.
+    because l_i separates {a, d} from b.  Points 0..i-1 are left of l_i.
     """
     if not edge_crosses_line(seg(a, b), i) or not edge_crosses_line(seg(b, d), i):
         raise PreconditionViolated(
             f"edges {seg(a, b)} and {seg(b, d)} must both cross l_{i}")
-    sb = P.side(b, i)
-    for q in range(P.n):
-        if q in (a, b, d):
-            continue
-        if P.side(q, i) == sb and point_in_triangle(q, a, b, d, P):
-            return False
-    return True
+    left_of_line = (1 << i) - 1
+    side = left_of_line if b < i else ~left_of_line
+    return not P.inside(a, b, d) & side
 
 
 def hull_crossing_edges(P: PointSet, i: int) -> tuple[Segment, Segment]:

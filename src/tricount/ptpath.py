@@ -53,59 +53,53 @@ def pseudotriangulation_edge_target(P: PointSet) -> int:
 
 # -- pointedness ---------------------------------------------------------
 
+def adjacency(edges: Iterable[Segment], n: int) -> list[int]:
+    """Bitmask of each vertex's neighbours in the edge set."""
+    adj = [0] * n
+    for a, b in edges:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return adj
+
+
 def is_pointed(edges: Iterable[Segment], v: int, P: PointSet) -> bool:
     """True iff v's incident edges leave an angular gap larger than pi.
 
-    Isolated vertices are pointed by convention.  Exact test: the incident
-    directions fit in an open half-plane iff some direction has all others
-    strictly counterclockwise of it within less than pi.
+    Isolated vertices are pointed by convention.
     """
-    px, py = P.points[v]
-    dirs = []
+    nbrs = 0
     for (a, b) in edges:
         if v == a:
-            u = b
+            nbrs |= 1 << b
         elif v == b:
-            u = a
-        else:
-            continue
-        dirs.append((P.points[u][0] - px, P.points[u][1] - py))
-    if len(dirs) <= 2:
-        return True
-    for j, dj in enumerate(dirs):
-        if all(dj[0] * dk[1] - dj[1] * dk[0] > 0
-               for k, dk in enumerate(dirs) if k != j):
-            return True
-    return False
+            nbrs |= 1 << a
+    return P.pointed(v, nbrs)
 
 
 def _all_pointed(edges: Iterable[Segment], P: PointSet) -> bool:
-    edges = set(edges)
-    touched = {v for e in edges for v in e}
-    return all(is_pointed(edges, v, P) for v in touched)
+    return all(P.pointed(v, m) for v, m in enumerate(adjacency(edges, P.n)))
+
+
+def addable(P: PointSet, adj: list[int], a: int, b: int) -> bool:
+    """Whether edge ab keeps both endpoints pointed, given adjacency adj."""
+    return P.pointed(a, adj[a] | 1 << b) and P.pointed(b, adj[b] | 1 << a)
 
 
 def validate_pseudotriangulation(edges: Iterable[Segment], P: PointSet) -> Check:
     """Maximal planar pointed edge set check."""
-    es = set(edges)
-    elist = sorted(es)
-    for a in range(len(elist)):
-        for b in range(a + 1, len(elist)):
-            if P.segments_cross(elist[a], elist[b]):
-                return Check(False, "edges_cross")
-    for v in range(P.n):
-        if not is_pointed(es, v, P):
-            return Check(False, "not_pointed")
-    for a in range(P.n):
-        for b in range(a + 1, P.n):
-            f = (a, b)
-            if f in es:
-                continue
-            if any(P.segments_cross(f, e) for e in es):
-                continue
-            with_f = es | {f}
-            if is_pointed(with_f, a, P) and is_pointed(with_f, b, P):
-                return Check(False, "not_maximal")
+    es = {seg(a, b) for a, b in edges}
+    index, cross = P.crossing_table()
+    emask = 0
+    for e in es:
+        emask |= 1 << index[e]
+    if any(cross[index[e]] & emask for e in es):
+        return Check(False, "edges_cross")
+    adj = adjacency(es, P.n)
+    if not all(P.pointed(v, m) for v, m in enumerate(adj)):
+        return Check(False, "not_pointed")
+    for (a, b), k in index.items():
+        if not (emask >> k & 1 or cross[k] & emask) and addable(P, adj, a, b):
+            return Check(False, "not_maximal")
     return Check(True)
 
 
@@ -226,14 +220,13 @@ def ptpath_join(P: PointSet, parents: Sequence[PathKey],
     Each chain of a population is pointed on its own, so only the vertices
     both chains touch can fail.
     """
+    adj = {c: adjacency(chain_edges(c), P.n) for c in children}
     out = []
     for k, cs in zip(parents, tpath.tpath_join(P, parents, children)):
-        kept = []
-        for c in cs:
-            union = set(chain_edges(k)) | set(chain_edges(c))
-            if all(is_pointed(union, v, P) for v in set(k) & set(c)):
-                kept.append(c)
-        out.append(kept)
+        ak = adjacency(chain_edges(k), P.n)
+        out.append([c for c in cs
+                    if all(P.pointed(v, ak[v] | adj[c][v])
+                           for v in set(k).intersection(c))])
     return out
 
 

@@ -61,32 +61,33 @@ def reconstruct(tuple_keys: list[PathKey], P: PointSet,
 
     The completion is independent of the greedy order because a compatible
     tuple determines its structure uniquely; lexicographic candidate order
-    is used for determinism anyway.
+    is used for determinism anyway.  The edge set is kept as a bitmask over
+    the crossing table's segment index (which is in lexicographic order),
+    and for pt as each vertex's neighbour mask.
     """
+    index, cross = P.crossing_table()
     edges: set[Segment] = set()
     for key in tuple_keys:
         edges.update(chain_edges(key))
-    elist = sorted(edges)
-    for a in range(len(elist)):
-        for b in range(a + 1, len(elist)):
-            if P.segments_cross(elist[a], elist[b]):
-                raise IncompatibleTuple("tuple union has crossing edges")
-    if family == "pt" and not ptpath._all_pointed(edges, P):
+    emask = 0
+    for e in edges:
+        emask |= 1 << index[e]
+    if any(cross[index[e]] & emask for e in edges):
+        raise IncompatibleTuple("tuple union has crossing edges")
+    adj = ptpath.adjacency(edges, P.n)
+    if family == "pt" and not all(P.pointed(v, m) for v, m in enumerate(adj)):
         raise IncompatibleTuple("tuple union is not pointed")
 
-    for a in range(P.n):
-        for b in range(a + 1, P.n):
-            e = (a, b)
-            if e in edges:
+    for (a, b), k in index.items():
+        if emask >> k & 1 or cross[k] & emask:
+            continue
+        if family == "pt":
+            if not ptpath.addable(P, adj, a, b):
                 continue
-            if any(P.segments_cross(e, f) for f in edges):
-                continue
-            if family == "pt":
-                trial = edges | {e}
-                if not (ptpath.is_pointed(trial, a, P)
-                        and ptpath.is_pointed(trial, b, P)):
-                    continue
-            edges.add(e)
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+        emask |= 1 << k
+        edges.add((a, b))
 
     if family == "tri":
         target = tpath.triangulation_edge_target(P)

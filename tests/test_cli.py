@@ -66,6 +66,8 @@ def test_count_non_integer_json_exit2(tmp_path, capsys, pts):
     ["count", "FILE", "--threads", "0"],
     ["sequence", "--k", "-1"],
     ["sample", "FILE", "--count", "-2"],
+    ["enumerate", "FILE", "--cap", "-1"],
+    ["sample", "FILE", "--max-table-entries", "-1"],
 ])
 def test_out_of_range_argument_exit2(tmp_path, capsys, argv):
     f = write_points(tmp_path, FAN5)
@@ -104,6 +106,7 @@ def test_enumerate_edges_format(tmp_path, capsys):
 def test_enumerate_cap_exit3(tmp_path, capsys):
     f = write_points(tmp_path, conv_points(6))
     assert main(["enumerate", f, "--cap", "3"]) == 3
+    assert main(["enumerate", f, "--cap", "0"]) == 3  # a refusal, not bad input
 
 
 def test_sample(tmp_path, capsys):

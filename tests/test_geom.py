@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,6 +20,7 @@ from tricount.geom import (
 )
 import tricount as tc
 
+import scan_predicates as scan
 from conftest import FAN5, conv_points, random_point_set, random_points
 
 
@@ -86,7 +89,7 @@ def test_triangle_empty_table_matches_scan():
             for b in range(a + 1, n):
                 for c in range(b + 1, n):
                     assert P.triangle_empty(a, b, c) == \
-                        geom._triangle_empty_scan(a, b, c, P)
+                        scan._triangle_empty_scan(a, b, c, P)
 
 
 def test_segments_cross(fan5):
@@ -126,9 +129,43 @@ def test_wedge_empty_matches_scan():
                             continue
                         expect = not any(
                             P.side(q, i) == P.side(b, i)
-                            and geom.point_in_triangle(q, a, b, d, P)
+                            and scan.point_in_triangle(q, a, b, d, P)
                             for q in range(n) if q not in (a, b, d))
                         assert geom.wedge_empty(a, b, d, i, P) == expect
+
+
+def test_kernel_matches_orientation_scan():
+    # every predicate derived from the left-of masks against its scan
+    rng = random.Random(7)
+    for n in range(5, 13):
+        P = random_point_set(n, 700 + n)
+        segs = geom.all_edges(P)
+        for e in segs:
+            for f in segs:
+                assert P.segments_cross(e, f) == scan.segments_cross(e, f, P)
+        for a in range(n):
+            for b in range(a + 1, n):
+                for c in range(b + 1, n):
+                    assert P.triangle_empty(a, b, c) == \
+                        scan._triangle_empty_scan(a, b, c, P)
+        for i in range(1, n):
+            for b in range(n):
+                across = [q for q in range(n) if P.side(q, i) != P.side(b, i)]
+                for a in across:
+                    for d in across:
+                        if a == d:
+                            continue
+                        expect = not any(
+                            P.side(q, i) == P.side(b, i)
+                            and scan.point_in_triangle(q, a, b, d, P)
+                            for q in range(n) if q not in (a, b, d))
+                        assert geom.wedge_empty(a, b, d, i, P) == expect
+        for v in range(n):
+            incident = [seg(v, u) for u in range(n) if u != v]
+            for _ in range(30):
+                edges = [e for e in incident if rng.random() < 0.5]
+                assert tc.is_pointed(edges, v, P) == \
+                    scan.is_pointed(edges, v, P)
 
 
 @settings(max_examples=25, deadline=None)

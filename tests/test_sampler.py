@@ -1,13 +1,15 @@
 import collections
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 import tricount as tc
 from tricount import oracle
+from tricount.cli import main
 from tricount.errors import IncompatibleTuple, MemoryBudgetExceeded
 
-from conftest import random_point_set
+from conftest import FAN5, conv_points, random_point_set
 
 
 def test_three_points_constant(tri3):
@@ -65,6 +67,41 @@ def test_reconstruct_order_independent(conv5):
 def test_reconstruct_rejects_crossing_tuple(conv5):
     with pytest.raises(IncompatibleTuple):
         tc.reconstruct([(1, 0, 4), (3, 0, 2, 1, 4)], conv5, "tri")
+
+
+def test_reconstruct_rejects_pt_tuples(fan5):
+    # (0, 3) and (1, 4) are the diagonals of FAN5's hull quadrilateral
+    with pytest.raises(IncompatibleTuple, match="crossing"):
+        tc.reconstruct([(1, 0, 3), (0, 1, 4)], fan5, "pt")
+    # spokes from interior point 2 to 0, 3 and 4 leave no gap above pi
+    with pytest.raises(IncompatibleTuple, match="not pointed"):
+        tc.reconstruct([(0, 2, 4), (2, 3)], fan5, "pt")
+
+
+# sha256 of `tricount sample F --structure S --count 50 --seed 3` stdout,
+# recorded before the predicates moved to the left-of mask kernel
+GOLDEN_SAMPLE_SHA256 = {
+    ("fan5", "tri"):
+        "70d1999ac9c76f7670728b98f7b3426e90f7d86f11bef186b75091e3faaacda9",
+    ("fan5", "pt"):
+        "db63e10ee79ec37010d3085c34e255694c7260c35a52de14fdb037a4bdfb40a0",
+    ("conv6", "tri"):
+        "69323a0bcaebc4ff7be4f5424ff9947fd2eec9191126c1011d151b46294a9d7f",
+    ("conv6", "pt"):
+        "69323a0bcaebc4ff7be4f5424ff9947fd2eec9191126c1011d151b46294a9d7f",
+}
+
+
+@pytest.mark.parametrize("name,family", sorted(GOLDEN_SAMPLE_SHA256))
+def test_sample_stdout_golden(tmp_path, capsys, name, family):
+    pts = {"fan5": FAN5, "conv6": conv_points(6)}[name]
+    f = tmp_path / "pts.txt"
+    f.write_text("".join(f"{x} {y}\n" for x, y in pts))
+    assert main(["sample", str(f), "--structure", family,
+                 "--count", "50", "--seed", "3"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        GOLDEN_SAMPLE_SHA256[(name, family)]
 
 
 def test_exact_decision_tree_uniformity():

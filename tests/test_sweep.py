@@ -90,6 +90,7 @@ def test_sweep_matches_oracle_random(n, seed):
     ("tri", 13, 513, 67647),
     ("tri", 14, 514, 386767),
     ("pt", 9, 509, 2900),
+    ("pt", 11, 511, 59836),
 ])
 def test_count_invariant_under_rotation_and_reflection(family, n, seed, count):
     # above the oracle guards; each map reorders the sweep completely
