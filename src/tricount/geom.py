@@ -2,23 +2,18 @@
 
 All predicates are exact sign computations on (arbitrarily wide) integers;
 there is no floating point anywhere.  Points carry integer coordinates and a
-point set is kept in lexicographic (x, then y) order.  The conceptual
-vertical sweep lines l_1 .. l_{n-1} are realized through an integer shear
-x' = 2*(M*x + y), y' = 2*y with M large enough that the sheared x-order
-equals the lexicographic order.  The shear is an orientation-preserving
-affine map, so every predicate (orientation, crossing, convexity,
-pointedness, point-in-polygon) agrees with the original plane, while each
-sweep line becomes an honest vertical line at an *integer* abscissa strictly
-between two consecutive sheared points.
+point set is kept in lexicographic (x, then y) order, and the sweep line
+l_i separates points 0..i-1 from i..n-1.  No predicate needs the line's
+position: sides are index comparisons, and the order in which segments
+cross a line is a left-of bit.
 
-Crossing, triangle and wedge emptiness and pointedness are read off one
-table of left-of bitmasks (PointSet.left_table), filled from exact
-orientations once per point set, so each is a few shifts and ANDs.
+Crossing, crossing order, triangle and wedge emptiness and pointedness are
+read off one table of left-of bitmasks (PointSet.left_table), filled from
+exact orientations once per point set, so each is a few shifts and ANDs.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -65,51 +60,18 @@ class PointSet:
     0..i-1 on its left and i..n-1 on its right.
     """
 
-    __slots__ = ("points", "n", "_sx", "_sy", "_hull", "_left",
-                 "_crossy_cache", "_crossing")
+    __slots__ = ("points", "n", "_hull", "_left", "_crossing")
 
     def __init__(self, points: Sequence[Point]):
         self.points = tuple((int(x), int(y)) for x, y in points)
         self.n = len(self.points)
-        ymax = max((abs(y) for _, y in self.points), default=0)
-        m = 2 * ymax + 1
-        # doubled sheared coordinates: sweep-line abscissae become integers
-        self._sx = tuple(2 * (m * x + y) for x, y in self.points)
-        self._sy = tuple(2 * y for _, y in self.points)
         self._hull: Optional[tuple[int, ...]] = None
         self._left: Optional[list[list[int]]] = None
-        self._crossy_cache: dict[tuple[Segment, int], Fraction] = {}
         self._crossing: Optional[tuple[dict[Segment, int], list[int]]] = None
-
-    # -- sheared coordinate access -------------------------------------
-
-    def spoint(self, j: int) -> tuple[int, int]:
-        return (self._sx[j], self._sy[j])
-
-    def line_x(self, i: int) -> int:
-        """Integer abscissa (sheared) of sweep line l_i, 1 <= i <= n-1."""
-        if not 1 <= i <= self.n - 1:
-            raise ValueError(f"sweep index {i} out of range 1..{self.n - 1}")
-        return (self._sx[i - 1] + self._sx[i]) // 2
 
     def side(self, j: int, i: int) -> int:
         """Side of point j w.r.t. sweep line l_i."""
         return LEFT if j < i else RIGHT
-
-    def cross_y(self, e: Segment, i: int) -> Fraction:
-        """Exact ordinate (sheared) where segment e crosses line l_i."""
-        key = (e, i)
-        y = self._crossy_cache.get(key)
-        if y is None:
-            a, b = e
-            if not edge_crosses_line(e, i):
-                raise PreconditionViolated(f"edge {e} does not cross l_{i}")
-            ax, ay = self.spoint(a)
-            bx, by = self.spoint(b)
-            c = self.line_x(i)
-            y = Fraction(ay * (bx - ax) + (c - ax) * (by - ay), bx - ax)
-            self._crossy_cache[key] = y
-        return y
 
     # -- basic predicates on vertex indices ------------------------------
 
@@ -154,6 +116,25 @@ class PointSet:
         left = self._left or self.left_table()
         ab, cd = left[a][b], left[c][d]
         return bool((ab >> c ^ ab >> d) & (cd >> a ^ cd >> b) & 1)
+
+    def above(self, f: Segment, e: Segment) -> bool:
+        """Whether f crosses the sweep line above e.
+
+        Both segments must cross the line and not cross each other; the
+        order is then the same on every line that separates their left
+        endpoints from their right ones, and one left-of bit decides it.
+        With a shared left endpoint a, f is above iff its right endpoint is
+        left of e's direction; otherwise the later left endpoint's side of
+        the other segment's line decides.
+        """
+        a, b = e
+        c, d = f
+        left = self._left or self.left_table()
+        if a == c:
+            return bool(left[a][b] >> d & 1)
+        if a < c:
+            return bool(left[a][b] >> c & 1)
+        return not left[c][d] >> a & 1
 
     def crossing_table(self) -> tuple[dict[Segment, int], list[int]]:
         """Bit index of each segment, and its crossing mask (cross_masks)."""
@@ -306,26 +287,5 @@ def hull_crossing_edges(P: PointSet, i: int) -> tuple[Segment, Segment]:
     if len(crossing) != 2:
         raise PreconditionViolated(
             f"expected exactly 2 hull edges crossing l_{i}, got {crossing}")
-    crossing.sort(key=lambda e: P.cross_y(e, i))
-    return crossing[0], crossing[1]
-
-
-# -- exact rational helpers (sheared coordinates) -----------------------
-
-RPoint = tuple[Fraction, Fraction]
-
-
-def point_in_polygon_strict(q: RPoint, poly: Sequence[RPoint]) -> bool:
-    """Even-odd test with a half-open horizontal ray; q must be off-boundary."""
-    inside = False
-    m = len(poly)
-    qx, qy = q
-    for k in range(m):
-        ax, ay = poly[k]
-        bx, by = poly[(k + 1) % m]
-        if (ay > qy) != (by > qy):
-            # exact x of the edge at height qy
-            xint = Fraction(ax) + Fraction(qy - ay) * (bx - ax) / (by - ay)
-            if xint > qx:
-                inside = not inside
-    return inside
+    lo, hi = crossing
+    return (hi, lo) if P.above(lo, hi) else (lo, hi)

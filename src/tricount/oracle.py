@@ -110,27 +110,20 @@ def enumerate_pointed_pseudotriangulations(
                 incident[a] |= 1 << b
                 incident[b] |= 1 << a
 
-    def still_addable(k: int, imask: int, chosen: set) -> bool:
-        if cross[k] & imask:
-            return False
-        chosen.add(edges[k])
-        a, b = edges[k]
-        ok = (ptpath.is_pointed(chosen, a, P)
-              and ptpath.is_pointed(chosen, b, P))
-        chosen.discard(edges[k])
-        return ok
+    adj = [0] * P.n  # neighbour masks of the included edges
 
-    def refilter(addable: int, imask: int, chosen: set) -> int:
+    def refilter(addable: int, imask: int) -> int:
         out = 0
         rest = addable
         while rest:
             e = rest & -rest
-            if still_addable(e.bit_length() - 1, imask, chosen):
+            k = e.bit_length() - 1
+            if not cross[k] & imask and ptpath.addable(P, adj, *edges[k]):
                 out |= e
             rest &= rest - 1
         return out
 
-    def rec(imask: int, xmask: int, addable: int, chosen: set) -> None:
+    def rec(imask: int, xmask: int, addable: int) -> None:
         free = addable & ~xmask
         if free == 0:
             if addable == 0:
@@ -147,13 +140,16 @@ def enumerate_pointed_pseudotriangulations(
         e = free & -free
         k = e.bit_length() - 1
         imask2 = imask | e
-        chosen.add(edges[k])
-        rec(imask2, xmask, refilter(addable & ~e, imask2, chosen), chosen)
-        chosen.discard(edges[k])
-        rec(imask, xmask | e, addable, chosen)
+        a, b = edges[k]
+        adj[a] ^= 1 << b
+        adj[b] ^= 1 << a
+        rec(imask2, xmask, refilter(addable & ~e, imask2))
+        adj[a] ^= 1 << b
+        adj[b] ^= 1 << a
+        rec(imask, xmask | e, addable)
 
     full = (1 << m) - 1
-    rec(0, 0, refilter(full, 0, set()), set())
+    rec(0, 0, refilter(full, 0))
     result.structures.sort(key=sorted)
     return result
 

@@ -19,8 +19,8 @@ populations.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from dataclasses import dataclass
+from functools import cmp_to_key
 from typing import Iterable, Optional, Sequence
 
 from . import geom, tpath
@@ -111,21 +111,24 @@ def _convex_turn(q: int, w: int, u: int, side: int, P: PointSet) -> bool:
     return P.orient(q, w, u) == want
 
 
-def _region_empty(P: PointSet, i: int, exc: list[int],
-                  y_lo: Fraction, y_hi: Fraction) -> bool:
-    c = Fraction(P.line_x(i))
-    poly = [(c, y_lo)]
-    poly += [(Fraction(P.spoint(w)[0]), Fraction(P.spoint(w)[1])) for w in exc]
-    poly.append((c, y_hi))
-    side = P.side(exc[0], i)
-    excset = set(exc)
-    for q in range(P.n):
-        if q in excset or P.side(q, i) != side:
-            continue
-        sq = P.spoint(q)
-        if geom.point_in_polygon_strict((Fraction(sq[0]), Fraction(sq[1])), poly):
-            return False
-    return True
+def _region_empty(P: PointSet, i: int, u: int, exc: list[int],
+                  w: int) -> bool:
+    """Whether no point lies between l_i and the excursion u, *exc, w.
+
+    The polygon u, *exc, w differs from the region closed along the line
+    only by a closed curve on the other side of l_i, so every point on
+    exc's side has the same even-odd parity for both.  That parity is the
+    XOR of the fan triangles from u: general position keeps every point off
+    the fan diagonals.
+    """
+    odd = 0
+    ring = exc + [w]
+    for p, q in zip(ring, ring[1:]):
+        odd ^= P.inside(u, p, q)
+    for v in exc:
+        odd &= ~(1 << v)
+    left_of_line = (1 << i) - 1
+    return not odd & (left_of_line if exc[0] < i else ~left_of_line)
 
 
 # -- chain search --------------------------------------------------------
@@ -146,7 +149,7 @@ def ptpath_chains(P: PointSet, i: int,
 
     def extend(chain: list[int], edges: list[Segment],
                exc_prev: int, exc: list[int], convex: int,
-               last_y: Fraction) -> None:
+               last: Segment) -> None:
         v = exc[-1]
         q = exc[-2] if len(exc) > 1 else exc_prev
         side = P.side(v, i)
@@ -168,21 +171,20 @@ def ptpath_chains(P: PointSet, i: int,
                 chain.append(w)
                 edges.append(e)
                 exc.append(w)
-                extend(chain, edges, exc_prev, exc, c2, last_y)
+                extend(chain, edges, exc_prev, exc, c2, last)
                 exc.pop()
                 edges.pop()
                 chain.pop()
             else:
                 # cross back: close the excursion as a pseudo-triangle
-                y = P.cross_y(e, i)
-                if y <= last_y:
+                if not P.above(e, last):
                     continue
                 c2 = convex + (1 if _convex_turn(q, v, w, side, P) else 0)
                 if c2 != 1:
                     continue
                 if blocked(e, edges):
                     continue
-                if not _region_empty(P, i, exc, last_y, y):
+                if not _region_empty(P, i, exc_prev, exc, w):
                     continue
                 chain.append(w)
                 edges.append(e)
@@ -190,16 +192,15 @@ def ptpath_chains(P: PointSet, i: int,
                     if pool is not None or _all_pointed(edges, P):
                         out.append(tuple(chain))
                 else:
-                    extend(chain, edges, v, [w], 0, y)
+                    extend(chain, edges, v, [w], 0, e)
                 edges.pop()
                 chain.pop()
 
     if pool is not None and (lo not in pool or hi not in pool):
         return []
-    y0 = P.cross_y(lo, i)
     a, b = lo
     for (v0, v1) in ((a, b), (b, a)):
-        extend([v0, v1], [lo], v0, [v1], 0, y0)
+        extend([v0, v1], [lo], v0, [v1], 0, lo)
     return out
 
 
@@ -258,7 +259,7 @@ def validate_ptpath(path: PTPath, P: PointSet) -> Check:
     if not geom.edge_crosses_line(edges[0], i) or edges[0] != lo:
         return Check(False, "bad_endpoints")
 
-    last_y = P.cross_y(lo, i)
+    last = lo
     exc_prev = vs[0]
     exc = [vs[1]]
     convex = 0
@@ -276,16 +277,15 @@ def validate_ptpath(path: PTPath, P: PointSet) -> Check:
             exc.append(w)
             closed_at_end = False
         else:
-            y = P.cross_y(e, i)
-            if y <= last_y:
+            if not P.above(e, last):
                 return Check(False, "crossings_not_increasing")
             if _convex_turn(q, v, w, side, P):
                 convex += 1
             if convex != 1:
                 return Check(False, "not_pseudo_triangle")
-            if not _region_empty(P, i, exc, last_y, y):
+            if not _region_empty(P, i, exc_prev, exc, w):
                 return Check(False, "region_not_empty")
-            exc_prev, exc, convex, last_y = v, [w], 0, y
+            exc_prev, exc, convex, last = v, [w], 0, e
             closed_at_end = True
     if not closed_at_end or edges[-1] != hi:
         return Check(False, "bad_endpoints")
@@ -299,24 +299,6 @@ def validate_ptpath(path: PTPath, P: PointSet) -> Check:
 
 
 # -- signpost edges ------------------------------------------------------
-
-def _supporting_intersection_x(e: Segment, f: Segment,
-                               P: PointSet) -> Optional[Fraction]:
-    """Sheared x of the intersection of the two supporting lines.
-
-    None for parallel lines; by convention the caller treats that as an
-    intersection at infinity on the right.
-    """
-    (ax, ay), (bx, by) = P.spoint(e[0]), P.spoint(e[1])
-    (cx, cy), (dx, dy) = P.spoint(f[0]), P.spoint(f[1])
-    r = (bx - ax, by - ay)
-    s = (dx - cx, dy - cy)
-    denom = r[0] * s[1] - r[1] * s[0]
-    if denom == 0:
-        return None
-    t = Fraction((cx - ax) * s[1] - (cy - ay) * s[0], denom)
-    return ax + t * r[0]
-
 
 def pt_good_edge(S: EdgeSet, e: Segment, i: int, P: PointSet) -> bool:
     """Signpost test for a crossing edge of S.
@@ -334,22 +316,20 @@ def pt_good_edge(S: EdgeSet, e: Segment, i: int, P: PointSet) -> bool:
     hull_edges = {seg(hull[k], hull[(k + 1) % h]) for k in range(h)}
     if e in hull_edges:
         return True
-    crossing = [f for _, f in sorted((P.cross_y(f, i), f) for f in S
-                                     if geom.edge_crosses_line(f, i))]
+    crossing = sorted((f for f in S if geom.edge_crosses_line(f, i)),
+                      key=cmp_to_key(lambda f, g: 1 if P.above(f, g) else -1))
     pos = crossing.index(e)
     if pos == 0 or pos == len(crossing) - 1:
         raise InternalInvariantViolation(
             "non-hull crossing edge at the extreme of the crossing order")
-    c = P.line_x(i)
+    pa, pb = P.points[e[0]], P.points[e[1]]
 
-    def side_of(x: Optional[Fraction]) -> int:
-        if x is None:
-            return RIGHT  # parallel supporting lines: treat as +infinity
-        if x == c:
-            raise InternalInvariantViolation(
-                "supporting lines meet on a sweep line")
-        return RIGHT if x > c else geom.LEFT
+    def turn(f: Segment) -> int:
+        # cross product of the left-to-right directions of e and f
+        qa, qb = P.points[f[0]], P.points[f[1]]
+        return ((pb[0] - pa[0]) * (qb[1] - qa[1])
+                - (pb[1] - pa[1]) * (qb[0] - qa[0]))
 
-    above = side_of(_supporting_intersection_x(e, crossing[pos + 1], P))
-    below = side_of(_supporting_intersection_x(e, crossing[pos - 1], P))
-    return above != below
+    # a line above e meets it right of l_i iff it turns clockwise from e,
+    # a line below iff counterclockwise; parallel lines meet on the right
+    return (turn(crossing[pos + 1]) <= 0) != (turn(crossing[pos - 1]) >= 0)

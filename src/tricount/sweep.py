@@ -56,7 +56,7 @@ def initial_path(P: PointSet) -> PathKey:
     pos = hull.index(0)
     b = hull[(pos - 1) % len(hull)]
     c = hull[(pos + 1) % len(hull)]
-    if P.cross_y(seg(0, b), 1) > P.cross_y(seg(0, c), 1):
+    if P.above(seg(0, b), seg(0, c)):
         b, c = c, b
     return (b, 0, c)
 

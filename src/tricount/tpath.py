@@ -83,8 +83,7 @@ def validate_tpath(path: TPath, P: PointSet) -> Check:
     lo, hi = geom.hull_crossing_edges(P, i)
     if edges[0] != lo or edges[-1] != hi:
         return Check(False, "bad_endpoints")
-    ys = [P.cross_y(e, i) for e in edges]
-    if any(ys[k] >= ys[k + 1] for k in range(len(ys) - 1)):
+    if not all(P.above(f, e) for e, f in zip(edges, edges[1:])):
         return Check(False, "crossings_not_increasing")
     for k in range(1, len(vs) - 1):
         if not geom.wedge_empty(vs[k - 1], vs[k], vs[k + 1], i, P):
@@ -108,7 +107,7 @@ def tpath_chains(P: PointSet, i: int,
     lo, hi = geom.hull_crossing_edges(P, i)
     out: list[PathKey] = []
 
-    def extend(chain: list[int], used: set[Segment], last_y) -> None:
+    def extend(chain: list[int], used: set[Segment], last: Segment) -> None:
         v = chain[-1]
         prev = chain[-2]
         for w in range(P.n):
@@ -117,8 +116,7 @@ def tpath_chains(P: PointSet, i: int,
             e = seg(v, w)
             if e in used or (pool is not None and e not in pool):
                 continue
-            y = P.cross_y(e, i)
-            if y <= last_y:
+            if not P.above(e, last):
                 continue
             if not geom.wedge_empty(prev, v, w, i, P):
                 continue
@@ -129,18 +127,17 @@ def tpath_chains(P: PointSet, i: int,
                 continue
             chain.append(w)
             used.add(e)
-            extend(chain, used, y)
+            extend(chain, used, e)
             used.discard(e)
             chain.pop()
 
     if pool is not None and (lo not in pool or hi not in pool):
         return []
-    y0 = P.cross_y(lo, i)
     a, b = lo
     for start in ((a, b), (b, a)):
         if lo == hi:  # cannot happen: two distinct hull edges cross l_i
             raise InternalInvariantViolation("hull crossing edges coincide")
-        extend([start[0], start[1]], {lo}, y0)
+        extend([start[0], start[1]], {lo}, lo)
     return out
 
 

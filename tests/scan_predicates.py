@@ -1,16 +1,25 @@
-"""Orientation-scan references for the left-of mask kernel in tricount.geom.
+"""Scan references for the left-of mask kernel in tricount.geom.
 
-Each function decides its predicate straight from exact orientation signs,
-one point or one direction at a time, the way the library did before its
-predicates were derived from PointSet.left_table().  The tests compare the
-kernel against them.
+Each function decides its predicate straight from exact orientation signs
+or exact rational coordinates, one point or one direction at a time, the
+way the library did before its predicates were derived from
+PointSet.left_table().  The tests compare the kernel against them.
+
+The rational references work in sheared coordinates x' = 2*(M*x + y),
+y' = 2*y, with M large enough that the sheared x-order is the
+lexicographic order.  The shear is an orientation-preserving affine map,
+so it keeps every predicate, and each sweep line l_i becomes a vertical
+line at an integer abscissa strictly between points i-1 and i.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from fractions import Fraction
+from typing import Iterable, Sequence
 
-from tricount.geom import PointSet, Segment
+from tricount.geom import PointSet, Segment, edge_crosses_line, seg
+
+RPoint = tuple[Fraction, Fraction]
 
 
 def _triangle_empty_scan(a: int, b: int, c: int, P: PointSet) -> bool:
@@ -74,3 +83,59 @@ def is_pointed(edges: Iterable[Segment], v: int, P: PointSet) -> bool:
                for k, dk in enumerate(dirs) if k != j):
             return True
     return False
+
+
+def spoint(P: PointSet, j: int) -> tuple[int, int]:
+    """Sheared coordinates of point j."""
+    m = 2 * max(abs(y) for _, y in P.points) + 1
+    x, y = P.points[j]
+    return (2 * (m * x + y), 2 * y)
+
+
+def line_x(P: PointSet, i: int) -> int:
+    """Integer abscissa (sheared) of sweep line l_i, 1 <= i <= n-1."""
+    return (spoint(P, i - 1)[0] + spoint(P, i)[0]) // 2
+
+
+def cross_y(P: PointSet, e: Segment, i: int) -> Fraction:
+    """Exact ordinate (sheared) where segment e crosses line l_i."""
+    if not edge_crosses_line(e, i):
+        raise ValueError(f"edge {e} does not cross l_{i}")
+    ax, ay = spoint(P, e[0])
+    bx, by = spoint(P, e[1])
+    c = line_x(P, i)
+    return Fraction(ay * (bx - ax) + (c - ax) * (by - ay), bx - ax)
+
+
+def point_in_polygon_strict(q: RPoint, poly: Sequence[RPoint]) -> bool:
+    """Even-odd test with a half-open horizontal ray; q must be off-boundary."""
+    inside = False
+    m = len(poly)
+    qx, qy = q
+    for k in range(m):
+        ax, ay = poly[k]
+        bx, by = poly[(k + 1) % m]
+        if (ay > qy) != (by > qy):
+            # exact x of the edge at height qy
+            xint = Fraction(ax) + Fraction(qy - ay) * (bx - ax) / (by - ay)
+            if xint > qx:
+                inside = not inside
+    return inside
+
+
+def region_empty(P: PointSet, i: int, u: int, exc: list[int], w: int) -> bool:
+    """No point on exc's side inside the polygon closed along l_i between
+    the crossings of u-exc[0] and exc[-1]-w."""
+    c = Fraction(line_x(P, i))
+    poly = [(c, cross_y(P, seg(u, exc[0]), i))]
+    poly += [(Fraction(spoint(P, v)[0]), Fraction(spoint(P, v)[1]))
+             for v in exc]
+    poly.append((c, cross_y(P, seg(exc[-1], w), i)))
+    side = P.side(exc[0], i)
+    for q in range(P.n):
+        if q in exc or P.side(q, i) != side:
+            continue
+        sq = spoint(P, q)
+        if point_in_polygon_strict((Fraction(sq[0]), Fraction(sq[1])), poly):
+            return False
+    return True

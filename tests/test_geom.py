@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 import tricount.geom as geom
 from tricount.errors import (
@@ -19,6 +19,7 @@ from tricount.geom import (
     seg,
 )
 import tricount as tc
+from tricount import ptpath
 
 import scan_predicates as scan
 from conftest import FAN5, conv_points, random_point_set, random_points
@@ -168,15 +169,30 @@ def test_kernel_matches_orientation_scan():
                     scan.is_pointed(edges, v, P)
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 10_000))
-def test_cross_y_between_endpoints(seed):
-    P = random_point_set(6, seed)
-    for i in range(1, 6):
-        for a in range(6):
-            for b in range(a + 1, 6):
-                if not geom.edge_crosses_line((a, b), i):
-                    continue
-                y = P.cross_y((a, b), i)
-                ys = sorted((P.spoint(a)[1], P.spoint(b)[1]))
-                assert ys[0] <= y <= ys[1]
+def test_above_matches_crossing_ordinate():
+    # every non-crossing pair of segments crossing each line
+    for n in range(5, 11):
+        P = random_point_set(n, 800 + n)
+        for i in range(1, n):
+            crossing = [e for e in geom.all_edges(P)
+                        if geom.edge_crosses_line(e, i)]
+            ys = {e: scan.cross_y(P, e, i) for e in crossing}
+            for e in crossing:
+                for f in crossing:
+                    if f != e and not P.segments_cross(e, f):
+                        assert P.above(f, e) == (ys[f] > ys[e])
+
+
+def test_region_empty_matches_polygon_scan():
+    # random u, w on one side of l_i, a distinct-vertex chain on the other
+    rng = random.Random(11)
+    for n in range(5, 11):
+        P = random_point_set(n, 900 + n)
+        for i in range(1, n):
+            sides = (list(range(i)), list(range(i, n)))
+            for _ in range(60):
+                near, far = sides if rng.random() < 0.5 else sides[::-1]
+                u, w = rng.choice(far), rng.choice(far)
+                exc = rng.sample(near, rng.randint(1, len(near)))
+                assert ptpath._region_empty(P, i, u, exc, w) == \
+                    scan.region_empty(P, i, u, exc, w)

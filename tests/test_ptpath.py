@@ -6,6 +6,7 @@ from tricount import oracle, ptpath
 from tricount.errors import EdgeDoesNotCrossLine, PreconditionViolated
 from tricount.ptpath import PTPath, ptpath_chains
 
+import scan_predicates as scan
 from conftest import fan5_star_triangulation, random_point_set
 
 
@@ -70,7 +71,8 @@ def test_crossing_positions(fan5):
     S = next(iter(oracle.enumerate_pointed_pseudotriangulations(
         fan5).structures))
     path = tc.extract_ptpath(S, 2, fan5)
-    ys = [fan5.cross_y(path.edges()[k], 2) for k in path.crossing_positions()]
+    ys = [scan.cross_y(fan5, path.edges()[k], 2)
+          for k in path.crossing_positions()]
     assert ys == sorted(ys)
     assert len(ys) >= 2
 

@@ -1,9 +1,10 @@
 import itertools
+import random
 
 import pytest
 
 import tricount as tc
-from tricount import oracle, ptpath, tpath
+from tricount import geom, oracle, ptpath, tpath
 
 from conftest import random_point_set, random_points
 
@@ -68,6 +69,53 @@ def test_parent_counts_add_up(fan5):
                     if ok:
                         expect.append(k)
                 assert entry.parents == expect
+
+
+def _chain_variants(rng, P, i, population, count):
+    """Vertex sequences near and far from the population at l_i: random
+    walks from the lower hull crossing edge, and population chains with one
+    vertex replaced, inserted or deleted."""
+    lo, hi = geom.hull_crossing_edges(P, i)
+    for _ in range(count):
+        if rng.random() < 0.5:
+            vs = list(rng.choice(population))
+            j = rng.randrange(1, len(vs) - 1)
+            move = rng.randrange(3)
+            if move == 0:
+                vs[j] = rng.randrange(P.n)
+            elif move == 1:
+                vs.insert(j, rng.randrange(P.n))
+            elif len(vs) > 3:
+                del vs[j]
+        else:
+            vs = list(lo) if rng.random() < 0.5 else list(lo[::-1])
+            for _ in range(rng.randint(1, 2 * P.n)):
+                v = vs[-1]
+                across = rng.random() < 0.5
+                vs.append(rng.choice([w for w in range(P.n) if w != v and (
+                    not across or P.side(w, i) != P.side(v, i))]))
+            if rng.random() < 0.5 and vs[-1] in hi:
+                vs.append(hi[1] if vs[-1] == hi[0] else hi[0])
+        yield tuple(vs)
+
+
+@pytest.mark.parametrize("family", ["tri", "pt"])
+def test_validator_agrees_with_population(family):
+    # a chain is valid iff the population search finds it, also where
+    # crossings of a rejected chain cross each other
+    path, validate = ((tc.TPath, tc.validate_tpath) if family == "tri"
+                      else (tc.PTPath, tc.validate_ptpath))
+    rng = random.Random(5)
+    for n in (6, 7, 8):
+        for s in range(4):
+            P = random_point_set(n, 1000 * n + s)
+            for i in range(1, n):
+                population = tc.system_for(family).chains(P, i)
+                members = set(population)
+                for vs in population:
+                    assert validate(path(vs, i), P)
+                for vs in _chain_variants(rng, P, i, population, 400):
+                    assert bool(validate(path(vs, i), P)) == (vs in members)
 
 
 def test_system_for():
