@@ -79,6 +79,10 @@ def cmd_count(args) -> int:
             "t_per_line": rep.t_per_line,
             "t_max": rep.t_max,
             "elapsed_ms": rep.elapsed_ms,
+            # per line l_2 .. l_{n-1}
+            "population": stats.population,
+            "join_pairs": stats.join_pairs,
+            "line_seconds": stats.line_seconds,
         }
         Path(args.stats).write_text(json.dumps(payload, indent=2) + "\n")
     return 0

@@ -60,7 +60,7 @@ class PointSet:
     0..i-1 on its left and i..n-1 on its right.
     """
 
-    __slots__ = ("points", "n", "_hull", "_left", "_crossing")
+    __slots__ = ("points", "n", "_hull", "_left", "_crossing", "_ids")
 
     def __init__(self, points: Sequence[Point]):
         self.points = tuple((int(x), int(y)) for x, y in points)
@@ -68,6 +68,7 @@ class PointSet:
         self._hull: Optional[tuple[int, ...]] = None
         self._left: Optional[list[list[int]]] = None
         self._crossing: Optional[tuple[dict[Segment, int], list[int]]] = None
+        self._ids: Optional[list[list[Optional[int]]]] = None
 
     def side(self, j: int, i: int) -> int:
         """Side of point j w.r.t. sweep line l_i."""
@@ -143,6 +144,15 @@ class PointSet:
             self._crossing = ({e: k for k, e in enumerate(edges)},
                               cross_masks(edges, self))
         return self._crossing
+
+    def segment_ids(self) -> list[list[Optional[int]]]:
+        """ids[a][b]: the crossing table's bit index of segment ab, in
+        either direction (None for a == b)."""
+        if self._ids is None:
+            index = self.crossing_table()[0]
+            self._ids = [[index.get((a, b) if a < b else (b, a))
+                          for b in range(self.n)] for a in range(self.n)]
+        return self._ids
 
     def inside(self, a: int, b: int, c: int) -> int:
         """Bitmask of the points strictly inside triangle abc."""

@@ -14,14 +14,15 @@ As with T-paths, validity coincides with membership in the population: a
 valid chain completes to a maximal planar pointed edge set, of which it is
 the unique PT-path.  Extraction and population building are therefore one
 constrained depth-first search, and successors come from a join of two
-populations.
+populations: the T-path join's non-crossing parents of each child, kept
+where the union stays pointed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cmp_to_key
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import geom, tpath
 from .errors import (
@@ -29,7 +30,7 @@ from .errors import (
     InternalInvariantViolation,
     PreconditionViolated,
 )
-from .geom import CCW, CW, RIGHT, PointSet, Segment, seg
+from .geom import PointSet, Segment, seg
 from .tpath import Check, EdgeSet, PathKey, chain_edges
 
 
@@ -105,12 +106,6 @@ def validate_pseudotriangulation(edges: Iterable[Segment], P: PointSet) -> Check
 
 # -- excursion geometry --------------------------------------------------
 
-def _convex_turn(q: int, w: int, u: int, side: int, P: PointSet) -> bool:
-    # the excursion polygon runs CCW on the right of the line, CW on the left
-    want = CCW if side == RIGHT else CW
-    return P.orient(q, w, u) == want
-
-
 def _region_empty(P: PointSet, i: int, u: int, exc: list[int],
                   w: int) -> bool:
     """Whether no point lies between l_i and the excursion u, *exc, w.
@@ -138,69 +133,66 @@ def ptpath_chains(P: PointSet, i: int,
     """All valid PT-path chains w.r.t. l_i: the path population.
 
     With a pool, edges are restricted to it and the final pointedness check
-    is skipped (a subset of a pointed set is pointed).
+    is skipped (a subset of a pointed set is pointed).  As in tpath_chains,
+    one bitmask carries the chain's edges and every segment crossing one.
     """
     lo, hi = geom.hull_crossing_edges(P, i)
+    cross = P.crossing_table()[1]
+    eid = P.segment_ids()
+    left = P.left_table()
+    above = P.above
+    full = (1 << P.n) - 1
+    left_of_line = (1 << i) - 1
     out: list[PathKey] = []
 
-    def blocked(e: Segment, chain_edge_list: list[Segment]) -> bool:
-        return pool is None and any(P.segments_cross(e, f)
-                                    for f in chain_edge_list)
-
-    def extend(chain: list[int], edges: list[Segment],
-               exc_prev: int, exc: list[int], convex: int,
-               last: Segment) -> None:
-        v = exc[-1]
-        q = exc[-2] if len(exc) > 1 else exc_prev
-        side = P.side(v, i)
-        for w in range(P.n):
-            if w == v:
+    def extend(chain: list[int], blocked: int, start: int, exc: int,
+               convex: int, last: Segment) -> None:
+        # the open excursion is chain[start:] (exc as a vertex mask),
+        # entered from chain[start - 1]
+        v, q = chain[-1], chain[-2]
+        # turn: the w that make v a convex corner (as in validate_ptpath)
+        if v >= i:
+            here, turn = full ^ left_of_line, left[q][v]
+        else:
+            here, turn = left_of_line, full ^ left[q][v]
+        # stay on this side (at most one convex turn, no vertex twice), or
+        # cross back after exactly one convex turn
+        stay = here & ~exc
+        if convex:
+            cands = (stay | full & ~here) & ~turn
+        else:
+            cands = stay | turn & ~here
+        ids = eid[v]
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            w = low.bit_length() - 1
+            k = ids[w]
+            if blocked >> k & 1:
                 continue
-            e = seg(v, w)
+            e = (v, w) if v < w else (w, v)
             if pool is not None and e not in pool:
                 continue
-            if P.side(w, i) == side:
-                # stay on this side: grow the excursion
-                if w in exc:
-                    continue
-                c2 = convex + (1 if _convex_turn(q, v, w, side, P) else 0)
-                if c2 > 1:
-                    continue
-                if blocked(e, edges):
-                    continue
-                chain.append(w)
-                edges.append(e)
-                exc.append(w)
-                extend(chain, edges, exc_prev, exc, c2, last)
-                exc.pop()
-                edges.pop()
-                chain.pop()
-            else:
-                # cross back: close the excursion as a pseudo-triangle
-                if not P.above(e, last):
-                    continue
-                c2 = convex + (1 if _convex_turn(q, v, w, side, P) else 0)
-                if c2 != 1:
-                    continue
-                if blocked(e, edges):
-                    continue
-                if not _region_empty(P, i, exc_prev, exc, w):
-                    continue
-                chain.append(w)
-                edges.append(e)
-                if e == hi:
-                    if pool is not None or _all_pointed(edges, P):
-                        out.append(tuple(chain))
-                else:
-                    extend(chain, edges, v, [w], 0, e)
-                edges.pop()
-                chain.pop()
+            chain.append(w)
+            if low & here:
+                extend(chain, blocked | 1 << k | cross[k], start,
+                       exc | 1 << w, convex + (turn >> w & 1), last)
+            elif above(e, last) and _region_empty(
+                    P, i, chain[start - 1], chain[start:-1], w):
+                # the excursion closes as an empty pseudo-triangle
+                if e != hi:
+                    extend(chain, blocked | 1 << k | cross[k],
+                           len(chain) - 1, 1 << w, 0, e)
+                elif pool is not None or _all_pointed(chain_edges(chain), P):
+                    out.append(tuple(chain))
+            chain.pop()
 
     if pool is not None and (lo not in pool or hi not in pool):
         return []
     a, b = lo
+    k = eid[a][b]
     for (v0, v1) in ((a, b), (b, a)):
-        extend([v0, v1], [lo], v0, [v1], 0, lo)
+        extend([v0, v1], 1 << k | cross[k], 1, 1 << v1, 0, lo)
     return out
 
 
@@ -214,21 +206,21 @@ def extract_ptpath(S: EdgeSet, i: int, P: PointSet) -> PTPath:
 
 
 def ptpath_join(P: PointSet, parents: Sequence[PathKey],
-                children: Sequence[PathKey]) -> list[list[PathKey]]:
-    """For each parent, the children compatible with it, in children's order.
+                children: Sequence[PathKey]) -> Iterator[list[int]]:
+    """For each child in turn, the ascending indices of the parents
+    compatible with it.
 
     Compatible means non-crossing (tpath_join) with a pointed edge union.
     Each chain of a population is pointed on its own, so only the vertices
-    both chains touch can fail.
+    both chains touch can fail; they are checked on tpath_join's
+    candidates only.
     """
-    adj = {c: adjacency(chain_edges(c), P.n) for c in children}
-    out = []
-    for k, cs in zip(parents, tpath.tpath_join(P, parents, children)):
-        ak = adjacency(chain_edges(k), P.n)
-        out.append([c for c in cs
-                    if all(P.pointed(v, ak[v] | adj[c][v])
-                           for v in set(k).intersection(c))])
-    return out
+    adj = [adjacency(chain_edges(k), P.n) for k in parents]
+    for c, js in zip(children, tpath.tpath_join(P, parents, children)):
+        ac = adjacency(chain_edges(c), P.n)
+        vs = set(c)
+        yield [j for j in js if all(P.pointed(v, adj[j][v] | ac[v])
+                                    for v in vs.intersection(parents[j]))]
 
 
 def ptpath_successors(path: PTPath, P: PointSet) -> set[PathKey]:
@@ -238,8 +230,10 @@ def ptpath_successors(path: PTPath, P: PointSet) -> set[PathKey]:
         raise PreconditionViolated(f"invalid parent PT-path: {check.reason}")
     if path.line >= P.n - 1:
         raise PreconditionViolated("no line beyond the last sweep position")
-    (succ,) = ptpath_join(P, [path.vertices], ptpath_chains(P, path.line + 1))
-    return set(succ)
+    children = ptpath_chains(P, path.line + 1)
+    return {c for c, js in zip(children,
+                               ptpath_join(P, [path.vertices], children))
+            if js}
 
 
 # -- validation ----------------------------------------------------------
@@ -259,6 +253,7 @@ def validate_ptpath(path: PTPath, P: PointSet) -> Check:
     if not geom.edge_crosses_line(edges[0], i) or edges[0] != lo:
         return Check(False, "bad_endpoints")
 
+    left = P.left_table()
     last = lo
     exc_prev = vs[0]
     exc = [vs[1]]
@@ -267,20 +262,18 @@ def validate_ptpath(path: PTPath, P: PointSet) -> Check:
     for k in range(1, len(vs) - 1):
         v, w = vs[k], vs[k + 1]
         q = exc[-2] if len(exc) > 1 else exc_prev
-        side = P.side(v, i)
+        # the excursion polygon runs CCW on the right of the line, CW on
+        # the left: a convex turn at v puts w left of qv on the right side
+        convex += (left[q][v] >> w & 1) == (v >= i)
         e = seg(v, w)
-        if P.side(w, i) == side:
+        if P.side(w, i) == P.side(v, i):
             if w in exc:
                 return Check(False, "excursion_vertex_repeat")
-            if _convex_turn(q, v, w, side, P):
-                convex += 1
             exc.append(w)
             closed_at_end = False
         else:
             if not P.above(e, last):
                 return Check(False, "crossings_not_increasing")
-            if _convex_turn(q, v, w, side, P):
-                convex += 1
             if convex != 1:
                 return Check(False, "not_pseudo_triangle")
             if not _region_empty(P, i, exc_prev, exc, w):

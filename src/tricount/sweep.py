@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import ptpath, tpath
 from .errors import InternalInvariantViolation, MemoryBudgetExceeded
@@ -23,15 +23,18 @@ class PathSystem:
     family: str  # "tri" or "pt"
     # the path population at l_i
     chains: Callable[[PointSet, int], list[PathKey]]
-    # for each parent, its compatible children (both lists sorted)
+    # for each child in turn, the ascending indices of its compatible parents
     join: Callable[[PointSet, Sequence[PathKey], Sequence[PathKey]],
-                   list[list[PathKey]]]
+                   Iterable[list[int]]]
 
 
 @dataclass
 class SweepStats:
     t_per_line: list[int]
     line_seconds: list[float] = field(default_factory=list)
+    # per line from l_2 on: chains found, and parent -> child links kept
+    population: list[int] = field(default_factory=list)
+    join_pairs: list[int] = field(default_factory=list)
 
     @property
     def t_max(self) -> int:
@@ -98,24 +101,25 @@ def run_sweep(system: PathSystem, P: PointSet, record_parents: bool = False,
     for i in range(1, P.n - 1):
         t0 = time.perf_counter()
         parent_keys = sorted(counts)
+        parent_counts = [counts[k] for k in parent_keys]
         children = sorted(set(system.chains(P, i + 1)))
         nxt: dict[PathKey, TableEntry] = {}
-        for k, succs in zip(parent_keys,
-                            system.join(P, parent_keys, children)):
-            c = counts[k]
-            for s in succs:
-                entry = nxt.get(s)
-                if entry is None:
-                    entry = nxt[s] = TableEntry(0)
-                entry.count += c
-                if record_parents:
-                    entry.parents.append(k)
+        pairs = 0
+        for c, js in zip(children, system.join(P, parent_keys, children)):
+            if not js:
+                continue
+            entry = nxt[c] = TableEntry(sum(parent_counts[j] for j in js))
+            if record_parents:
+                entry.parents = [parent_keys[j] for j in js]
+            pairs += len(js)
         if not nxt:
             raise InternalInvariantViolation(
                 f"population at l_{i + 1} is empty")
         counts = {k: e.count for k, e in nxt.items()}
         stats.t_per_line.append(len(nxt))
         stats.line_seconds.append(time.perf_counter() - t0)
+        stats.population.append(len(children))
+        stats.join_pairs.append(pairs)
         if record_parents:
             total_entries += len(nxt)
             if max_table_entries is not None and total_entries > max_table_entries:

@@ -12,12 +12,17 @@ non-crossing one) and is then, by uniqueness, that triangulation's T-path.
 This is what lets extraction and population building share one
 constrained depth-first chain search instead of a case analysis, and lets
 successors be found by joining two populations instead of searching again.
+The join is child-major: each child gets the ascending indices of its
+compatible parents, read off per-segment bitmasks of the parents.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Optional, Sequence
+from functools import reduce
+from operator import or_
+from typing import FrozenSet, Iterable, Iterator, Optional, Sequence
 
 from . import geom
 from .errors import (
@@ -102,42 +107,51 @@ def tpath_chains(P: PointSet, i: int,
     """All valid T-path chains w.r.t. l_i: the path population.
 
     With a pool, candidate edges are restricted to it (extraction from a
-    triangulation).
+    triangulation).  The search carries one bitmask over the crossing
+    table's segments: the chain's edges and every segment crossing one.
     """
     lo, hi = geom.hull_crossing_edges(P, i)
+    cross = P.crossing_table()[1]
+    eid = P.segment_ids()
+    left, inside = P.left_table(), P.inside
+    left_of_line = (1 << i) - 1
     out: list[PathKey] = []
 
-    def extend(chain: list[int], used: set[Segment], last: Segment) -> None:
+    def extend(chain: list[int], blocked: int) -> None:
         v = chain[-1]
         prev = chain[-2]
-        for w in range(P.n):
-            if P.side(w, i) == P.side(v, i):
+        # the next edge vw crosses l_i above the last one, v prev, iff w is
+        # left of that edge directed rightwards (PointSet.above with a
+        # shared endpoint); the wedge at v is triangle (prev, v, w) clipped
+        # to v's side
+        if v < i:
+            cands, side = left[v][prev] & ~left_of_line, left_of_line
+        else:
+            cands, side = left[prev][v] & left_of_line, ~left_of_line
+        ids = eid[v]
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            w = low.bit_length() - 1
+            k = ids[w]
+            if blocked >> k & 1 or inside(prev, v, w) & side:
                 continue
-            e = seg(v, w)
-            if e in used or (pool is not None and e not in pool):
-                continue
-            if not P.above(e, last):
-                continue
-            if not geom.wedge_empty(prev, v, w, i, P):
-                continue
-            if pool is None and any(P.segments_cross(e, f) for f in used):
+            e = (v, w) if v < w else (w, v)
+            if pool is not None and e not in pool:
                 continue
             if e == hi:
                 out.append(tuple(chain) + (w,))
                 continue
             chain.append(w)
-            used.add(e)
-            extend(chain, used, e)
-            used.discard(e)
+            extend(chain, blocked | 1 << k | cross[k])
             chain.pop()
 
     if pool is not None and (lo not in pool or hi not in pool):
         return []
     a, b = lo
+    k = eid[a][b]
     for start in ((a, b), (b, a)):
-        if lo == hi:  # cannot happen: two distinct hull edges cross l_i
-            raise InternalInvariantViolation("hull crossing edges coincide")
-        extend([start[0], start[1]], {lo}, lo)
+        extend(list(start), 1 << k | cross[k])
     return out
 
 
@@ -151,27 +165,43 @@ def extract_tpath(T: EdgeSet, i: int, P: PointSet) -> TPath:
 
 
 def tpath_join(P: PointSet, parents: Sequence[PathKey],
-               children: Sequence[PathKey]) -> list[list[PathKey]]:
-    """For each parent, the children compatible with it, in children's order.
+               children: Sequence[PathKey]) -> Iterator[list[int]]:
+    """For each child in turn, the ascending indices of the parents
+    compatible with it.
 
     Two chains are compatible iff no edge of one properly crosses an edge of
-    the other.  Over bitmasks of all segments of P that is one AND per pair:
-    the child's crossing mask against the parent's edge mask.
+    the other.  Each segment gets the bitmask of the parents that use it;
+    the parents a child edge crosses are the OR of those masks over the
+    segments it crosses, and a child keeps the parents none of its edges
+    crosses.  A child costs one word-parallel OR per edge and one step per
+    compatible parent, not one test per parent.
     """
-    index, cross = P.crossing_table()
-    crossed = []
+    cross = P.crossing_table()[1]
+    eid = P.segment_ids()
+    # segment index -> bitmask of the parents using it, set bytewise:
+    # setting bit j of an int would copy the whole mask each time
+    rows = defaultdict(lambda: bytearray(len(parents) // 8 + 1))
+    for j, k in enumerate(parents):
+        for a, b in zip(k, k[1:]):
+            rows[eid[a][b]][j >> 3] |= 1 << (j & 7)
+    users = [(x, int.from_bytes(row, "little")) for x, row in rows.items()]
+    full = (1 << len(parents)) - 1
+    crossed: dict[int, int] = {}  # child edge -> the parents it crosses
     for c in children:
         m = 0
-        for e in chain_edges(c):
-            m |= cross[index[e]]
-        crossed.append(m)
-    out = []
-    for k in parents:
-        m = 0
-        for e in chain_edges(k):
-            m |= 1 << index[e]
-        out.append([c for c, cm in zip(children, crossed) if not cm & m])
-    return out
+        for a, b in zip(c, c[1:]):
+            x = eid[a][b]
+            if x not in crossed:
+                crossed[x] = reduce(or_, (u for y, u in users
+                                          if cross[x] >> y & 1), 0)
+            m |= crossed[x]
+        m = full & ~m
+        js = []
+        while m:
+            low = m & -m
+            js.append(low.bit_length() - 1)
+            m ^= low
+        yield js
 
 
 def tpath_successors(path: TPath, P: PointSet) -> set[PathKey]:
@@ -181,8 +211,10 @@ def tpath_successors(path: TPath, P: PointSet) -> set[PathKey]:
         raise PreconditionViolated(f"invalid parent T-path: {check.reason}")
     if path.line >= P.n - 1:
         raise PreconditionViolated("no line beyond the last sweep position")
-    (succ,) = tpath_join(P, [path.vertices], tpath_chains(P, path.line + 1))
-    return set(succ)
+    children = tpath_chains(P, path.line + 1)
+    return {c for c, js in zip(children,
+                               tpath_join(P, [path.vertices], children))
+            if js}
 
 
 # -- flips and good edges ------------------------------------------------

@@ -4,9 +4,10 @@ import sys
 
 import pytest
 
+import tricount as tc
 from tricount.cli import main
 
-from conftest import FAN5, conv_points, fan5_star_triangulation
+from conftest import FAN5, conv_points, fan5_star_triangulation, random_points
 
 
 def write_points(tmp_path, pts, name="pts.txt", as_json=False):
@@ -38,10 +39,35 @@ def test_count_stats_schema(tmp_path, capsys):
     capsys.readouterr()
     data = json.loads(out.read_text())
     assert set(data) == {"n", "family", "count", "t_per_line", "t_max",
-                         "elapsed_ms"}
+                         "elapsed_ms", "population", "join_pairs",
+                         "line_seconds"}
     assert data["count"] == "8"
     assert data["n"] == 5 and data["family"] == "pt"
     assert data["t_max"] == max(data["t_per_line"])
+
+
+@pytest.mark.parametrize("structure", ["tri", "pt"])
+def test_count_stats_per_line(tmp_path, capsys, structure):
+    pts = random_points(8, 42)
+    f = write_points(tmp_path, pts)
+    out = tmp_path / "stats.json"
+    assert main(["count", f, "--structure", structure,
+                 "--stats", str(out)]) == 0
+    capsys.readouterr()
+    data = json.loads(out.read_text())
+    # one entry per joined line l_2 .. l_{n-1}
+    for key in ("population", "join_pairs", "line_seconds"):
+        assert len(data[key]) == data["n"] - 2
+    kept = data["t_per_line"][1:]
+    assert all(p >= t for p, t in zip(data["population"], kept))
+    assert all(j >= t for j, t in zip(data["join_pairs"], kept))
+    # join_pairs counts exactly the parent links the sampler's tables keep
+    P = tc.validate_point_set(pts)
+    _, _, tables = tc.run_sweep(tc.system_for(structure), P,
+                                record_parents=True)
+    links = [sum(len(e.parents) for e in t.entries.values())
+             for t in tables[1:]]
+    assert data["join_pairs"] == links
 
 
 def test_count_collinear_exit2(tmp_path, capsys):

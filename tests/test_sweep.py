@@ -46,29 +46,45 @@ def test_initial_successor_compatible(fan5):
         assert not tc.paths_cross(k0, s, fan5)
 
 
-def test_parent_counts_add_up(fan5):
-    for family, P in itertools.product(("tri", "pt"),
-                                       (fan5, random_point_set(7, 42))):
-        _, _, tables = tc.run_sweep(tc.system_for(family), P,
-                                    record_parents=True)
-        assert set(tables[0].entries) == {tc.initial_path(P)}
-        assert tables[0].entries[tc.initial_path(P)].count == 1
-        for prev, cur in zip(tables, tables[1:]):
-            for key, entry in cur.entries.items():
+def _check_parent_tables(family, P):
+    system = tc.system_for(family)
+    _, _, tables = tc.run_sweep(system, P, record_parents=True)
+    assert set(tables[0].entries) == {tc.initial_path(P)}
+    assert tables[0].entries[tc.initial_path(P)].count == 1
+    for prev, cur in zip(tables, tables[1:]):
+        # every chain of the line is kept iff it has a compatible parent,
+        # and the join keeps exactly criterion 7's compatible parents
+        for key in set(system.chains(P, cur.line)):
+            expect = []
+            for k in sorted(prev.entries):
+                ok = not tc.paths_cross(k, key, P)
+                if family == "pt" and ok:
+                    union = set(tpath.chain_edges(k)) | \
+                        set(tpath.chain_edges(key))
+                    ok = ptpath._all_pointed(union, P)
+                if ok:
+                    expect.append(k)
+            entry = cur.entries.get(key)
+            assert (entry.parents if entry else []) == expect
+            if entry:
                 assert entry.count >= 1
                 assert entry.count == sum(
                     prev.entries[p].count for p in entry.parents)
-                # the join keeps exactly criterion 7's compatible parents
-                expect = []
-                for k in sorted(prev.entries):
-                    ok = not tc.paths_cross(k, key, P)
-                    if family == "pt" and ok:
-                        union = set(tpath.chain_edges(k)) | \
-                            set(tpath.chain_edges(key))
-                        ok = ptpath._all_pointed(union, P)
-                    if ok:
-                        expect.append(k)
-                assert entry.parents == expect
+    return tables
+
+
+def test_parent_counts_add_up(fan5):
+    for family, P in itertools.product(("tri", "pt"),
+                                       (fan5, random_point_set(7, 42))):
+        _check_parent_tables(family, P)
+
+
+@pytest.mark.parametrize("family,n,seed", [("tri", 10, 1028), ("pt", 8, 42)])
+def test_parent_bitsets_span_several_words(family, n, seed):
+    # some line holds more than 64 paths, so the join's per-segment parent
+    # masks are wider than one machine word
+    tables = _check_parent_tables(family, random_point_set(n, seed))
+    assert max(len(t.entries) for t in tables) > 64
 
 
 def _chain_variants(rng, P, i, population, count):
@@ -137,6 +153,7 @@ def test_sweep_matches_oracle_random(n, seed):
 @pytest.mark.parametrize("family,n,seed,count", [
     ("tri", 13, 513, 67647),
     ("tri", 14, 514, 386767),
+    ("tri", 16, 516, 5176695),
     ("pt", 9, 509, 2900),
     ("pt", 11, 511, 59836),
 ])
