@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from . import analysis, oracle, sampler, svg, sweep
 from .errors import InputError, TricountError
-from .geom import PointSet, validate_point_set
+from .geom import PointSet, bits, validate_point_set
 
 
 def parse_points(text: str) -> list:
@@ -57,10 +57,6 @@ def load_point_set(path: str) -> PointSet:
     return validate_point_set(parse_points(text))
 
 
-def _edges_as_lists(edges) -> list[list[int]]:
-    return [list(e) for e in sorted(edges)]
-
-
 def cmd_count(args) -> int:
     if args.threads < 1:
         raise InputError(f"--threads must be at least 1, got {args.threads}")
@@ -94,7 +90,7 @@ def cmd_enumerate(args) -> int:
     P = load_point_set(args.input)
     result = oracle.enumerate_structures(P, args.structure, cap=args.cap)
     if args.format == "json":
-        print(json.dumps([_edges_as_lists(S) for S in result.structures]))
+        print(json.dumps([sorted(map(list, S)) for S in result.structures]))
     else:
         for S in result.structures:
             print(" ".join(f"{a}-{b}" for a, b in sorted(S)))
@@ -111,7 +107,10 @@ def cmd_sample(args) -> int:
     run = sampler.sample(P, args.structure, args.seed, args.count,
                          max_table_entries=args.max_table_entries)
     if args.format == "json":
-        print(json.dumps([_edges_as_lists(s.edges) for s in run.structures]))
+        # json.dumps of the sorted edge lists: bits are in lexicographic order
+        text = [f"[{a}, {b}]" for a, b in P.crossing_table()[0]]
+        print("[" + ", ".join("[" + ", ".join([text[k] for k in bits(s.mask)])
+                              + "]" for s in run.structures) + "]")
     else:
         outdir = Path(args.format_dir or "samples")
         outdir.mkdir(parents=True, exist_ok=True)

@@ -14,7 +14,7 @@ exact orientations once per point set, so each is a few shifts and ANDs.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     CollinearTriple,
@@ -138,21 +138,41 @@ class PointSet:
         return not left[c][d] >> a & 1
 
     def crossing_table(self) -> tuple[dict[Segment, int], list[int]]:
-        """Bit index of each segment, and its crossing mask (cross_masks)."""
+        """Bit index of each segment, and its crossing mask.
+
+        cd crosses ab iff each separates the other's endpoints: with c left
+        of ab, iff d is left of ba and on different sides of ac and bc.
+        """
         if self._crossing is None:
+            left = self._left or self.left_table()
+            ids = self.segment_ids()
             edges = all_edges(self)
-            self._crossing = ({e: k for k, e in enumerate(edges)},
-                              cross_masks(edges, self))
+            masks = [sum(1 << ids[c][d] for c in bits(left[a][b])
+                         for d in bits(left[b][a] & (left[a][c] ^ left[b][c])))
+                     for a, b in edges]
+            self._crossing = ({e: k for k, e in enumerate(edges)}, masks)
         return self._crossing
 
     def segment_ids(self) -> list[list[Optional[int]]]:
         """ids[a][b]: the crossing table's bit index of segment ab, in
         either direction (None for a == b)."""
         if self._ids is None:
-            index = self.crossing_table()[0]
-            self._ids = [[index.get((a, b) if a < b else (b, a))
-                          for b in range(self.n)] for a in range(self.n)]
+            self._ids = [[None] * self.n for _ in range(self.n)]
+            for k, (a, b) in enumerate(all_edges(self)):
+                self._ids[a][b] = self._ids[b][a] = k
         return self._ids
+
+    def edge_masks(self, pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
+        """Bitmask of the segments between the given vertex pairs, and its
+        blocked mask: the segments that cross one of them."""
+        ids = self._ids or self.segment_ids()
+        cross = self.crossing_table()[1]
+        emask = blocked = 0
+        for a, b in pairs:
+            k = ids[a][b]
+            emask |= 1 << k
+            blocked |= cross[k]
+        return emask, blocked
 
     def inside(self, a: int, b: int, c: int) -> int:
         """Bitmask of the points strictly inside triangle abc."""
@@ -248,21 +268,17 @@ def convex_hull(P: PointSet) -> list[int]:
     return lower[:-1] + upper[:-1]
 
 
+def bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of mask, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def all_edges(P: PointSet) -> list[Segment]:
     """All n(n-1)/2 segments of P in lexicographic order."""
     return [seg(a, b) for a in range(P.n) for b in range(a + 1, P.n)]
-
-
-def cross_masks(edges: list[Segment], P: PointSet) -> list[int]:
-    """Bit b of masks[a] is set iff edges[a] and edges[b] properly cross."""
-    m = len(edges)
-    masks = [0] * m
-    for a in range(m):
-        for b in range(a + 1, m):
-            if P.segments_cross(edges[a], edges[b]):
-                masks[a] |= 1 << b
-                masks[b] |= 1 << a
-    return masks
 
 
 def edge_crosses_line(s: Segment, i: int) -> bool:

@@ -30,7 +30,7 @@ from .errors import (
     InternalInvariantViolation,
     PreconditionViolated,
 )
-from .geom import PointSet, Segment, seg
+from .geom import PointSet, Segment, bits, seg
 from .tpath import Check, EdgeSet, PathKey, chain_edges
 
 
@@ -88,19 +88,23 @@ def addable(P: PointSet, adj: list[int], a: int, b: int) -> bool:
 
 def validate_pseudotriangulation(edges: Iterable[Segment], P: PointSet) -> Check:
     """Maximal planar pointed edge set check."""
-    es = {seg(a, b) for a, b in edges}
-    index, cross = P.crossing_table()
-    emask = 0
-    for e in es:
-        emask |= 1 << index[e]
-    if any(cross[index[e]] & emask for e in es):
+    return validate_pt_mask(P, P.edge_masks(seg(a, b) for a, b in edges)[0])
+
+
+def validate_pt_mask(P: PointSet, emask: int) -> Check:
+    """validate_pseudotriangulation of emask, a bitmask over the crossing
+    table's segments; adjacency and blocked mask are derived from it alone."""
+    segs = list(P.crossing_table()[0])
+    edges = [segs[k] for k in bits(emask)]
+    blocked = P.edge_masks(edges)[1]
+    if blocked & emask:
         return Check(False, "edges_cross")
-    adj = adjacency(es, P.n)
+    adj = adjacency(edges, P.n)
     if not all(P.pointed(v, m) for v, m in enumerate(adj)):
         return Check(False, "not_pointed")
-    for (a, b), k in index.items():
-        if not (emask >> k & 1 or cross[k] & emask) and addable(P, adj, a, b):
-            return Check(False, "not_maximal")
+    free = ((1 << len(segs)) - 1) & ~(emask | blocked)
+    if any(addable(P, adj, *segs[k]) for k in bits(free)):
+        return Check(False, "not_maximal")
     return Check(True)
 
 
@@ -282,10 +286,9 @@ def validate_ptpath(path: PTPath, P: PointSet) -> Check:
             closed_at_end = True
     if not closed_at_end or edges[-1] != hi:
         return Check(False, "bad_endpoints")
-    for a in range(len(edges)):
-        for b in range(a + 1, len(edges)):
-            if P.segments_cross(edges[a], edges[b]):
-                return Check(False, "edges_cross")
+    emask, blocked = P.edge_masks(edges)
+    if emask & blocked:
+        return Check(False, "edges_cross")
     if not _all_pointed(set(edges), P):
         return Check(False, "not_pointed")
     return Check(True)

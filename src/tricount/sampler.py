@@ -5,27 +5,36 @@ chosen with probability count(pi)/count(pi') among the recorded parents of
 pi'.  The telescoping product makes every compatible path tuple, and hence
 every structure, equally likely.  Parent choice uses exact big-integer
 cumulative thresholds; no floating point is involved.
+
+A structure is one bitmask over the crossing table's (lexicographic)
+segment index: each table entry stores its path's edge and blocked masks
+and its cumulative parent counts, so a draw is a bisect and two ORs a line.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import FrozenSet, Optional
+from itertools import accumulate
+from typing import Optional
 
 from . import ptpath, tpath
 from .errors import IncompatibleTuple, InternalInvariantViolation
-from .geom import PointSet, Segment
-from .sweep import PathKey, PathTable, run_sweep, system_for
-from .tpath import chain_edges
-
-EdgeSet = FrozenSet[Segment]
+from .geom import PointSet, Segment, bits
+from .sweep import PathKey, run_sweep, system_for
+from .tpath import EdgeSet
 
 
 @dataclass
 class ReconstructedStructure:
     family: str
-    edges: EdgeSet
+    mask: int  # bit k: segments[k] is an edge
+    segments: list[Segment]  # the crossing table's segments, by bit
+
+    @property
+    def edges(self) -> EdgeSet:
+        return frozenset(self.segments[k] for k in bits(self.mask))
 
 
 @dataclass
@@ -36,83 +45,88 @@ class SampleRun:
     structures: list[ReconstructedStructure]
 
 
-def _draw_tuple(tables: list[PathTable], rng: random.Random) -> list[PathKey]:
-    last = tables[-1]
-    (key, entry), = last.entries.items()
-    chosen = [key]
-    for table in reversed(tables[:-1]):
-        r = rng.randrange(entry.count)
-        acc = 0
-        for parent in entry.parents:
-            acc += table.entries[parent].count
-            if r < acc:
-                break
-        else:
-            raise InternalInvariantViolation("parent counts do not add up")
-        key, entry = parent, table.entries[parent]
-        chosen.append(key)
-    chosen.reverse()
-    return chosen
+def _complete(P: PointSet, family: str, segs: list[Segment], emask: int,
+              blocked: int) -> int:
+    """Greedy completion of a tuple union to a maximal set, checked.
 
-
-def reconstruct(tuple_keys: list[PathKey], P: PointSet,
-                family: str) -> ReconstructedStructure:
-    """Union of the tuple's edges, greedily completed to a maximal set.
-
-    The completion is independent of the greedy order because a compatible
-    tuple determines its structure uniquely; lexicographic candidate order
-    is used for determinism anyway.  The edge set is kept as a bitmask over
-    the crossing table's segment index (which is in lexicographic order),
-    and for pt as each vertex's neighbour mask.
+    A compatible tuple determines its structure, so the greedy order does
+    not matter; ascending bit (lexicographic) order is used anyway.
     """
-    index, cross = P.crossing_table()
-    edges: set[Segment] = set()
-    for key in tuple_keys:
-        edges.update(chain_edges(key))
-    emask = 0
-    for e in edges:
-        emask |= 1 << index[e]
-    if any(cross[index[e]] & emask for e in edges):
+    if blocked & emask:
         raise IncompatibleTuple("tuple union has crossing edges")
-    adj = ptpath.adjacency(edges, P.n)
-    if family == "pt" and not all(P.pointed(v, m) for v, m in enumerate(adj)):
-        raise IncompatibleTuple("tuple union is not pointed")
-
-    for (a, b), k in index.items():
-        if emask >> k & 1 or cross[k] & emask:
-            continue
-        if family == "pt":
+    cross = P.crossing_table()[1]
+    adj = None
+    if family == "pt":
+        adj = ptpath.adjacency((segs[k] for k in bits(emask)), P.n)
+        if not all(P.pointed(v, m) for v, m in enumerate(adj)):
+            raise IncompatibleTuple("tuple union is not pointed")
+    free = ((1 << len(segs)) - 1) & ~(emask | blocked)
+    while free:
+        low = free & -free
+        free ^= low
+        k = low.bit_length() - 1
+        if adj is not None:
+            a, b = segs[k]
             if not ptpath.addable(P, adj, a, b):
                 continue
             adj[a] |= 1 << b
             adj[b] |= 1 << a
-        emask |= 1 << k
-        edges.add((a, b))
-
+        emask |= low
+        free &= ~cross[k]
     if family == "tri":
         target = tpath.triangulation_edge_target(P)
-        if len(edges) != target:
+        if emask.bit_count() != target:
             raise InternalInvariantViolation(
-                f"completed to {len(edges)} edges, expected {target}")
+                f"completed to {emask.bit_count()} edges, expected {target}")
     else:
-        check = ptpath.validate_pseudotriangulation(edges, P)
+        check = ptpath.validate_pt_mask(P, emask)
         if not check:
             raise InternalInvariantViolation(
                 f"completion is not a pseudo-triangulation: {check.reason}")
-    return ReconstructedStructure(family, frozenset(edges))
+    return emask
+
+
+def reconstruct(tuple_keys: list[PathKey], P: PointSet,
+                family: str) -> ReconstructedStructure:
+    """Union of the tuple's edges, greedily completed to a maximal set."""
+    segs = list(P.crossing_table()[0])
+    pairs = (e for key in tuple_keys for e in zip(key, key[1:]))
+    emask = _complete(P, family, segs, *P.edge_masks(pairs))
+    return ReconstructedStructure(family, emask, segs)
 
 
 def sample(P: PointSet, family: str, seed: int, m: int,
            max_table_entries: Optional[int] = None) -> SampleRun:
     """Draw m structures i.i.d. uniformly at random."""
-    system = system_for(family)
-    _, _, tables = run_sweep(system, P, record_parents=True,
+    _, _, tables = run_sweep(system_for(family), P, record_parents=True,
                              max_table_entries=max_table_entries)
+    # per entry: key, count, edge mask, blocked mask, cum. counts, parents
+    level: dict[PathKey, tuple] = {}
+    for table in tables:
+        below, level = level, {}
+        for key, entry in table.entries.items():
+            parents = [below[p] for p in entry.parents]
+            cum = list(accumulate(p[1] for p in parents))
+            if cum and cum[-1] != entry.count:
+                raise InternalInvariantViolation("parent counts do not add up")
+            level[key] = (key, entry.count, *P.edge_masks(zip(key, key[1:])),
+                          cum, parents)
+    (root,) = level.values()
+
+    segs = list(P.crossing_table()[0])
     rng = random.Random(seed)
-    tuples = []
-    structures = []
+    tuples, structures = [], []
     for _ in range(m):
-        chosen = _draw_tuple(tables, rng)
+        key, count, emask, blocked, cum, parents = root
+        chosen = [key]
+        while parents:
+            key, count, e, b, cum, parents = \
+                parents[bisect_right(cum, rng.randrange(count))]
+            chosen.append(key)
+            emask |= e
+            blocked |= b
+        chosen.reverse()
         tuples.append(chosen)
-        structures.append(reconstruct(chosen, P, family))
+        structures.append(ReconstructedStructure(
+            family, _complete(P, family, segs, emask, blocked), segs))
     return SampleRun(seed, family, tuples, structures)

@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from . import ptpath, tpath
 from .errors import InternalInvariantViolation, MemoryBudgetExceeded
 from .geom import PointSet, seg
-from .tpath import PathKey, chain_edges
+from .tpath import PathKey
 
 
 @dataclass(frozen=True)
@@ -65,9 +65,8 @@ def initial_path(P: PointSet) -> PathKey:
 
 
 def paths_cross(k1: PathKey, k2: PathKey, P: PointSet) -> bool:
-    e1 = chain_edges(k1)
-    e2 = chain_edges(k2)
-    return any(P.segments_cross(a, b) for a in e1 for b in e2)
+    blocked = P.edge_masks(zip(k1, k1[1:]))[1]
+    return bool(blocked & P.edge_masks(zip(k2, k2[1:]))[0])
 
 
 TRI_SYSTEM = PathSystem("tri", tpath.tpath_chains, tpath.tpath_join)

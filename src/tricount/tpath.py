@@ -93,10 +93,9 @@ def validate_tpath(path: TPath, P: PointSet) -> Check:
     for k in range(1, len(vs) - 1):
         if not geom.wedge_empty(vs[k - 1], vs[k], vs[k + 1], i, P):
             return Check(False, "wedge_not_empty")
-    for a in range(len(edges)):
-        for b in range(a + 1, len(edges)):
-            if P.segments_cross(edges[a], edges[b]):
-                return Check(False, "edges_cross")
+    emask, blocked = P.edge_masks(edges)
+    if emask & blocked:
+        return Check(False, "edges_cross")
     return Check(True)
 
 

@@ -169,6 +169,20 @@ def test_kernel_matches_orientation_scan():
                     scan.is_pointed(edges, v, P)
 
 
+def test_crossing_table_matches_pairwise():
+    # the table is read off left-of masks; compare every pair directly
+    for n in range(4, 13):
+        P = random_point_set(n, 1100 + n)
+        index, cross = P.crossing_table()
+        segs = geom.all_edges(P)
+        assert list(index) == segs
+        ids = P.segment_ids()
+        for k, (a, b) in enumerate(segs):
+            assert ids[a][b] == ids[b][a] == k
+            assert cross[k] == sum(1 << j for j, f in enumerate(segs)
+                                   if P.segments_cross((a, b), f))
+
+
 def test_above_matches_crossing_ordinate():
     # every non-crossing pair of segments crossing each line
     for n in range(5, 11):

@@ -33,6 +33,30 @@ def test_validate_pseudotriangulation(fan5, conv5):
     assert not r and r.reason == "edges_cross"
 
 
+@pytest.mark.parametrize("n,seed", [(5, 1205), (6, 1206), (7, 1207),
+                                    (7, 1217)])
+def test_validate_pseudotriangulation_matches_oracle(n, seed):
+    # accepts exactly the oracle's structures: each one, not each with one
+    # edge removed or one non-crossing edge added, and among the
+    # triangulations exactly those that are pseudo-triangulations
+    P = random_point_set(n, seed)
+    structures = set(oracle.enumerate_pointed_pseudotriangulations(P)
+                     .structures)
+    segs = geom.all_edges(P)
+    for S in structures:
+        assert tc.validate_pseudotriangulation(S, P)
+        for e in S:
+            r = tc.validate_pseudotriangulation(S - {e}, P)
+            assert not r and r.reason == "not_maximal"
+        for e in segs:
+            if e not in S and not any(P.segments_cross(e, f) for f in S):
+                r = tc.validate_pseudotriangulation(S | {e}, P)
+                assert not r and r.reason == "not_pointed"
+    for T in oracle.enumerate_triangulations(P).structures:
+        assert bool(tc.validate_pseudotriangulation(T, P)) == \
+            (T in structures)
+
+
 def test_oracle_structures_validate(fan5):
     for S in oracle.enumerate_pointed_pseudotriangulations(fan5).structures:
         assert tc.validate_pseudotriangulation(S, fan5)

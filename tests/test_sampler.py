@@ -5,11 +5,15 @@ from fractions import Fraction
 import pytest
 
 import tricount as tc
-from tricount import oracle
+from tricount import oracle, sampler
 from tricount.cli import main
-from tricount.errors import IncompatibleTuple, MemoryBudgetExceeded
+from tricount.errors import (
+    IncompatibleTuple,
+    InternalInvariantViolation,
+    MemoryBudgetExceeded,
+)
 
-from conftest import FAN5, conv_points, random_point_set
+from conftest import FAN5, conv_points, random_point_set, random_points
 
 
 def test_three_points_constant(tri3):
@@ -78,8 +82,11 @@ def test_reconstruct_rejects_pt_tuples(fan5):
         tc.reconstruct([(0, 2, 4), (2, 3)], fan5, "pt")
 
 
-# sha256 of `tricount sample F --structure S --count 50 --seed 3` stdout,
-# recorded before the predicates moved to the left-of mask kernel
+# sha256 of `tricount sample F --structure S --count C --seed 3` stdout.
+# FAN5 and conv6 (C = 50) were recorded before the predicates moved to the
+# left-of mask kernel; the random sets (C = 200, many parents per entry and
+# edges in every bit position) before the sampler drew, completed and
+# printed each structure as one segment bitmask.
 GOLDEN_SAMPLE_SHA256 = {
     ("fan5", "tri"):
         "70d1999ac9c76f7670728b98f7b3426e90f7d86f11bef186b75091e3faaacda9",
@@ -89,19 +96,55 @@ GOLDEN_SAMPLE_SHA256 = {
         "69323a0bcaebc4ff7be4f5424ff9947fd2eec9191126c1011d151b46294a9d7f",
     ("conv6", "pt"):
         "69323a0bcaebc4ff7be4f5424ff9947fd2eec9191126c1011d151b46294a9d7f",
+    ("random10", "tri"):
+        "0724927edcfcfc84077dd5ecb789085740d246559dc3f0d5576ab644e0ce37f2",
+    ("random7", "pt"):
+        "b764fa6304f6f58ce8153b7706fc0dad30bb50088f0492b21756d2b1172aa94c",
+}
+GOLDEN_INPUTS = {
+    "fan5": (FAN5, 50),
+    "conv6": (conv_points(6), 50),
+    "random10": (random_points(10, 510), 200),
+    "random7": (random_points(7, 507), 200),
 }
 
 
 @pytest.mark.parametrize("name,family", sorted(GOLDEN_SAMPLE_SHA256))
 def test_sample_stdout_golden(tmp_path, capsys, name, family):
-    pts = {"fan5": FAN5, "conv6": conv_points(6)}[name]
+    pts, count = GOLDEN_INPUTS[name]
     f = tmp_path / "pts.txt"
     f.write_text("".join(f"{x} {y}\n" for x, y in pts))
     assert main(["sample", str(f), "--structure", family,
-                 "--count", "50", "--seed", "3"]) == 0
+                 "--count", str(count), "--seed", "3"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == \
         GOLDEN_SAMPLE_SHA256[(name, family)]
+
+
+@pytest.mark.parametrize("family,n,seed", [("tri", 10, 510), ("pt", 7, 507)])
+def test_sampled_structures_match_reconstruct(family, n, seed):
+    # the mask walk completes each draw exactly as reconstruct does its tuple
+    P = random_point_set(n, seed)
+    run = tc.sample(P, family, seed=5, m=200)
+    assert len(run.tuples) == len(run.structures) == 200
+    for keys, s in zip(run.tuples, run.structures):
+        assert len(keys) == n - 1
+        assert tc.reconstruct(keys, P, family).edges == s.edges
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_corrupt_parent_count_raises(monkeypatch, delta):
+    # an excess would bias the draw, a shortfall leave draws with no parent
+    def corrupted(*args, **kwargs):
+        count, stats, tables = tc.run_sweep(*args, **kwargs)
+        entry = next(iter(tables[len(tables) // 2].entries.values()))
+        entry.count += delta
+        return count, stats, tables
+
+    monkeypatch.setattr(sampler, "run_sweep", corrupted)
+    with pytest.raises(InternalInvariantViolation,
+                       match="parent counts do not add up"):
+        tc.sample(random_point_set(8, 508), "tri", seed=0, m=1)
 
 
 def test_exact_decision_tree_uniformity():

@@ -156,6 +156,7 @@ def test_sweep_matches_oracle_random(n, seed):
     ("tri", 16, 516, 5176695),
     ("pt", 9, 509, 2900),
     ("pt", 11, 511, 59836),
+    ("pt", 12, 512, 977732),
 ])
 def test_count_invariant_under_rotation_and_reflection(family, n, seed, count):
     # above the oracle guards; each map reorders the sweep completely
