@@ -11,22 +11,19 @@ one-sided T-path signatures; f_k grows roughly like 8^k (OEIS A064062).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .geom import PointSet
 from .sweep import SweepStats
 
 
-@dataclass(frozen=True)
-class BoundSequence:
+class BoundSequence(NamedTuple):
     k: int
     f: int
     g: int
 
 
-@dataclass
-class SweepReport:
+class SweepReport(NamedTuple):
     n: int
     family: str
     count: int

@@ -18,7 +18,7 @@ import time
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import analysis, oracle, sampler, svg, sweep
+from . import sampler, sweep
 from .errors import InputError, TricountError
 from .geom import PointSet, bits, validate_point_set
 
@@ -52,9 +52,16 @@ def parse_points(text: str) -> list:
 def load_point_set(path: str) -> PointSet:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     return validate_point_set(parse_points(text))
+
+
+def write_text(path, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
 
 
 def cmd_count(args) -> int:
@@ -67,6 +74,7 @@ def cmd_count(args) -> int:
     elapsed_ms = (time.perf_counter() - t0) * 1000
     print(count)
     if args.stats:
+        from . import analysis
         rep = analysis.report(stats, P, args.structure, count, elapsed_ms)
         payload = {
             "n": rep.n,
@@ -80,13 +88,14 @@ def cmd_count(args) -> int:
             "join_pairs": stats.join_pairs,
             "line_seconds": stats.line_seconds,
         }
-        Path(args.stats).write_text(json.dumps(payload, indent=2) + "\n")
+        write_text(args.stats, json.dumps(payload, indent=2) + "\n")
     return 0
 
 
 def cmd_enumerate(args) -> int:
     if args.cap is not None and args.cap < 0:
         raise InputError(f"--cap must be nonnegative, got {args.cap}")
+    from . import oracle
     P = load_point_set(args.input)
     result = oracle.enumerate_structures(P, args.structure, cap=args.cap)
     if args.format == "json":
@@ -112,11 +121,15 @@ def cmd_sample(args) -> int:
         print("[" + ", ".join("[" + ", ".join([text[k] for k in bits(s.mask)])
                               + "]" for s in run.structures) + "]")
     else:
+        from . import svg
         outdir = Path(args.format_dir or "samples")
-        outdir.mkdir(parents=True, exist_ok=True)
-        for k, s in enumerate(run.structures):
-            doc = svg.render_svg(P.points, structure_edges=s.edges)
-            (outdir / f"sample-{k:05d}.svg").write_text(doc)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+            for k, s in enumerate(run.structures):
+                doc = svg.render_svg(P.points, structure_edges=s.edges)
+                (outdir / f"sample-{k:05d}.svg").write_text(doc)
+        except OSError as exc:
+            raise InputError(f"cannot write {outdir}: {exc}") from None
         print(str(outdir))
     return 0
 
@@ -124,6 +137,7 @@ def cmd_sample(args) -> int:
 def cmd_sequence(args) -> int:
     if args.k < 0:
         raise InputError(f"--k must be nonnegative, got {args.k}")
+    from . import analysis
     for row in analysis.bound_sequence(args.k):
         print(f"{row.k}\t{row.f}\t{row.g}")
     return 0
@@ -156,9 +170,10 @@ def cmd_render(args) -> int:
                 raise InputError(f"path vertex {v} out of range for n={P.n}")
     if args.line is not None and not 1 <= args.line <= P.n - 1:
         raise InputError(f"line index {args.line} out of range 1..{P.n - 1}")
+    from . import svg
     doc = svg.render_svg(P.points, structure_edges=edges,
                          path_vertices=path_vertices, line_index=args.line)
-    Path(args.out).write_text(doc)
+    write_text(args.out, doc)
     return 0
 
 

@@ -10,24 +10,22 @@ blocked by any remaining candidate.  Expected edge counts (3n-3-h and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb
-from typing import FrozenSet, Optional
+from typing import Optional
 
 from . import geom, ptpath, tpath
 from .errors import CapExceeded, InternalInvariantViolation, TooLarge
 from .geom import PointSet, Segment
+from .tpath import EdgeSet
 
 TRI_GUARD = 12
 PT_GUARD = 10
 
-EdgeSet = FrozenSet[Segment]
 
-
-@dataclass
 class EnumerationResult:
-    family: str  # "tri" or "pt"
-    structures: list[EdgeSet] = field(default_factory=list)
+    def __init__(self, family: str):
+        self.family = family  # "tri" or "pt"
+        self.structures: list[EdgeSet] = []
 
     @property
     def count(self) -> int:

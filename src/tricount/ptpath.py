@@ -20,9 +20,8 @@ where the union stays pointed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cmp_to_key
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import geom, tpath
 from .errors import (
@@ -34,8 +33,7 @@ from .geom import PointSet, Segment, bits, seg
 from .tpath import Check, EdgeSet, PathKey, chain_edges
 
 
-@dataclass(frozen=True)
-class PTPath:
+class PTPath(NamedTuple):
     vertices: PathKey
     line: int
 

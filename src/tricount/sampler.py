@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import ptpath, tpath
 from .errors import IncompatibleTuple, InternalInvariantViolation
@@ -26,8 +25,7 @@ from .sweep import PathKey, run_sweep, system_for
 from .tpath import EdgeSet
 
 
-@dataclass
-class ReconstructedStructure:
+class ReconstructedStructure(NamedTuple):
     family: str
     mask: int  # bit k: segments[k] is an edge
     segments: list[Segment]  # the crossing table's segments, by bit
@@ -37,8 +35,7 @@ class ReconstructedStructure:
         return frozenset(self.segments[k] for k in bits(self.mask))
 
 
-@dataclass
-class SampleRun:
+class SampleRun(NamedTuple):
     seed: int
     family: str
     tuples: list[list[PathKey]]

@@ -9,8 +9,7 @@ l_{n-1} holds a single entry whose count is the number of structures.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import ptpath, tpath
 from .errors import InternalInvariantViolation, MemoryBudgetExceeded
@@ -18,8 +17,7 @@ from .geom import PointSet, seg
 from .tpath import PathKey
 
 
-@dataclass(frozen=True)
-class PathSystem:
+class PathSystem(NamedTuple):
     family: str  # "tri" or "pt"
     # the path population at l_i
     chains: Callable[[PointSet, int], list[PathKey]]
@@ -28,27 +26,29 @@ class PathSystem:
                    Iterable[list[int]]]
 
 
-@dataclass
 class SweepStats:
-    t_per_line: list[int]
-    line_seconds: list[float] = field(default_factory=list)
-    # per line from l_2 on: chains found, and parent -> child links kept
-    population: list[int] = field(default_factory=list)
-    join_pairs: list[int] = field(default_factory=list)
+    def __init__(self, t_per_line: list[int]):
+        self.t_per_line = t_per_line
+        # per line from l_2 on: search and join time, chains found, and
+        # parent -> child links kept
+        self.line_seconds: list[float] = []
+        self.population: list[int] = []
+        self.join_pairs: list[int] = []
 
     @property
     def t_max(self) -> int:
         return max(self.t_per_line)
 
 
-@dataclass
 class TableEntry:
-    count: int
-    parents: list[PathKey] = field(default_factory=list)
+    __slots__ = ("count", "parents")
+
+    def __init__(self, count: int, parents: Sequence[PathKey] = ()):
+        self.count = count
+        self.parents = parents
 
 
-@dataclass
-class PathTable:
+class PathTable(NamedTuple):
     line: int
     entries: dict[PathKey, TableEntry]
 
@@ -95,7 +95,7 @@ def run_sweep(system: PathSystem, P: PointSet, record_parents: bool = False,
     total_entries = 1
     if record_parents:
         tables = [PathTable(1, {key0: TableEntry(1)})]
-    stats = SweepStats(t_per_line=[1])
+    stats = SweepStats([1])
 
     for i in range(1, P.n - 1):
         t0 = time.perf_counter()

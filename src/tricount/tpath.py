@@ -19,10 +19,9 @@ compatible parents, read off per-segment bitmasks of the parents.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import reduce
 from operator import or_
-from typing import FrozenSet, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import geom
 from .errors import (
@@ -35,11 +34,10 @@ from .errors import (
 from .geom import PointSet, Segment, seg
 
 PathKey = tuple[int, ...]
-EdgeSet = FrozenSet[Segment]
+EdgeSet = frozenset[Segment]
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """Validation outcome with a machine-readable reason code."""
     ok: bool
     reason: str = "ok"
@@ -48,8 +46,7 @@ class Check:
         return self.ok
 
 
-@dataclass(frozen=True)
-class TPath:
+class TPath(NamedTuple):
     vertices: PathKey
     line: int
 

@@ -109,6 +109,28 @@ def test_count_bad_file_exit2(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_count_non_utf8_file_exit2(tmp_path, capsys):
+    p = tmp_path / "bad.txt"
+    p.write_bytes(b"\xff\xfe 1 2\n")
+    assert main(["count", str(p)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: cannot read {p}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "FILE", "--stats", "OUT/s.json"],
+    ["render", "FILE", "--out", "OUT/x.svg"],
+    ["sample", "FILE", "--format", "svg-dir", "--format-dir", "OUT/svgs"],
+])
+def test_unwritable_output_exit2(tmp_path, capsys, argv):
+    f = write_points(tmp_path, FAN5)
+    blocker = tmp_path / "blocker"  # a file, so no path below it exists
+    blocker.write_text("")
+    argv = [a.replace("FILE", f).replace("OUT", str(blocker)) for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {blocker}")
+
+
 def test_enumerate(tmp_path, capsys):
     f = write_points(tmp_path, [(0, 0), (3, 1), (1, 4)])
     assert main(["enumerate", f]) == 0
