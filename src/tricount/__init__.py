@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 _SOURCE = {name: module for module, names in {
     "analysis": ("BoundSequence", "SweepReport", "bound_sequence", "report"),
     "errors": ("TricountError",),
-    "geom": ("PointSet", "convex_hull", "validate_point_set"),
+    "geom": ("PointSet", "validate_point_set"),
     "oracle": ("EnumerationResult", "catalan", "collect_paths",
                "enumerate_pointed_pseudotriangulations",
                "enumerate_triangulations"),

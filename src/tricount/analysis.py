@@ -13,8 +13,13 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
+from .errors import TooLarge
 from .geom import PointSet
 from .sweep import SweepStats
+
+# bound_sequence refuses K above this: the recurrence is O(K^2) products of
+# ever wider integers (K = 1000 takes about half a second, K = 2000 six)
+K_GUARD = 1000
 
 
 class BoundSequence(NamedTuple):
@@ -37,6 +42,8 @@ class SweepReport(NamedTuple):
 def bound_sequence(K: int) -> list[BoundSequence]:
     if K < 0:
         raise ValueError("K must be nonnegative")
+    if K > K_GUARD:
+        raise TooLarge(f"K={K} exceeds sequence guard {K_GUARD}")
     f = [0] * (K + 1)
     g = [0] * (K + 1)
     out = [BoundSequence(0, 0, 0)]

@@ -57,6 +57,14 @@ def load_point_set(path: str) -> PointSet:
     return validate_point_set(parse_points(text))
 
 
+def _vertex(v) -> int:
+    """A vertex index from a JSON file: an int and not a bool, the rule for
+    point coordinates too; floats and strings are refused, not coerced."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"non-integer vertex index {v!r}")
+    return v
+
+
 def write_text(path, text: str) -> None:
     try:
         Path(path).write_text(text)
@@ -117,7 +125,7 @@ def cmd_sample(args) -> int:
                          max_table_entries=args.max_table_entries)
     if args.format == "json":
         # json.dumps of the sorted edge lists: bits are in lexicographic order
-        text = [f"[{a}, {b}]" for a, b in P.crossing_table()[0]]
+        text = [f"[{a}, {b}]" for a, b in P.segments]
         print("[" + ", ".join("[" + ", ".join([text[k] for k in bits(s.mask)])
                               + "]" for s in run.structures) + "]")
     else:
@@ -149,7 +157,7 @@ def cmd_render(args) -> int:
     if args.structure_file:
         try:
             raw = json.loads(Path(args.structure_file).read_text())
-            edges = [(int(a), int(b)) for a, b in raw]
+            edges = [(_vertex(a), _vertex(b)) for a, b in raw]
         except (OSError, json.JSONDecodeError, TypeError,
                 ValueError) as exc:
             raise InputError(f"bad structure file: {exc}") from None
@@ -161,7 +169,7 @@ def cmd_render(args) -> int:
     if args.path_file:
         try:
             raw = json.loads(Path(args.path_file).read_text())
-            path_vertices = [int(v) for v in raw]
+            path_vertices = [_vertex(v) for v in raw]
         except (OSError, json.JSONDecodeError, TypeError,
                 ValueError) as exc:
             raise InputError(f"bad path file: {exc}") from None

@@ -7,14 +7,16 @@ l_i separates points 0..i-1 from i..n-1.  No predicate needs the line's
 position: sides are index comparisons, and the order in which segments
 cross a line is a left-of bit.
 
-Crossing, crossing order, triangle and wedge emptiness and pointedness are
-read off one table of left-of bitmasks (PointSet.left_table), filled from
-exact orientations once per point set, so each is a few shifts and ANDs.
+A PointSet builds its exact tables once, in its constructor: the left-of
+bitmasks (PointSet.left), filled from one orientation per triple, and from
+them the segment index, the crossing masks and the convex hull.  Crossing,
+crossing order, triangle and wedge emptiness and pointedness are read off
+the left-of masks, so each is a few shifts and ANDs.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     CollinearTriple,
@@ -53,22 +55,66 @@ def orientation(a: Point, b: Point, c: Point) -> int:
 
 
 class PointSet:
-    """A validated, lexicographically sorted planar point set.
+    """A lexicographically sorted planar point set in general position,
+    with its exact tables.
 
     Vertex indices are 0-based: index 0 is the leftmost point, index n-1 the
     rightmost.  SweepIndex i in 1..n-1 denotes the line l_i with points
     0..i-1 on its left and i..n-1 on its right.
+
+    The constructor builds every table once, from one exact orientation per
+    triple, and raises CollinearTriple on a zero orientation.  The tables
+    are read-only:
+
+    - left[a][b]: bitmask of the points strictly left of directed ab;
+    - segments: the n(n-1)/2 segments (a < b) in lexicographic order, so
+      segment k is bit k of every segment bitmask;
+    - ids[a][b]: k with segments[k] = ab, in either direction (None for
+      a == b);
+    - cross[k]: bitmask of the segments that properly cross segments[k];
+    - hull: the hull vertices in CCW order, starting at vertex 0.
     """
 
-    __slots__ = ("points", "n", "_hull", "_left", "_crossing", "_ids")
+    __slots__ = ("points", "n", "left", "segments", "ids", "cross", "hull")
 
     def __init__(self, points: Sequence[Point]):
-        self.points = tuple((int(x), int(y)) for x, y in points)
-        self.n = len(self.points)
-        self._hull: Optional[tuple[int, ...]] = None
-        self._left: Optional[list[list[int]]] = None
-        self._crossing: Optional[tuple[dict[Segment, int], list[int]]] = None
-        self._ids: Optional[list[list[Optional[int]]]] = None
+        self.points = pts = tuple((int(x), int(y)) for x, y in points)
+        self.n = n = len(pts)
+        # one orientation per triple a < b < c fills all six of its entries:
+        # cyclic order keeps the sign, a transposition flips it
+        self.left = left = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(a + 1, n):
+                for c in range(b + 1, n):
+                    o = orientation(pts[a], pts[b], pts[c])
+                    if o == CCW:
+                        left[a][b] |= 1 << c
+                        left[b][c] |= 1 << a
+                        left[c][a] |= 1 << b
+                    elif o == CW:
+                        left[b][a] |= 1 << c
+                        left[c][b] |= 1 << a
+                        left[a][c] |= 1 << b
+                    else:
+                        raise CollinearTriple(
+                            f"collinear triple {pts[a]}, {pts[b]}, {pts[c]}")
+        self.segments = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        self.ids = ids = [[None] * n for _ in range(n)]
+        for k, (a, b) in enumerate(self.segments):
+            ids[a][b] = ids[b][a] = k
+        # cd crosses ab iff each separates the other's endpoints: with c
+        # left of ab, iff d is left of ba and on different sides of ac and bc
+        self.cross = [sum(1 << ids[c][d] for c in bits(left[a][b])
+                          for d in bits(left[b][a] & (left[a][c] ^ left[b][c])))
+                      for a, b in self.segments]
+        # the CCW hull edge out of a is the ab with every other point left
+        full = (1 << n) - 1
+        succ = {a: b for a in range(n) for b in range(n)
+                if a != b and left[a][b] == full ^ (1 << a | 1 << b)}
+        hull = [0]
+        while succ[hull[-1]]:
+            hull.append(succ[hull[-1]])
+        self.hull = tuple(hull)
 
     def side(self, j: int, i: int) -> int:
         """Side of point j w.r.t. sweep line l_i."""
@@ -78,30 +124,6 @@ class PointSet:
 
     def orient(self, a: int, b: int, c: int) -> int:
         return orientation(self.points[a], self.points[b], self.points[c])
-
-    def left_table(self) -> list[list[int]]:
-        """left[a][b]: bitmask of the points strictly left of directed ab.
-
-        One exact orientation per triple a < b < c fills all six of its
-        entries: cyclic order keeps the sign, a transposition flips it.
-        """
-        if self._left is None:
-            n = self.n
-            left = [[0] * n for _ in range(n)]
-            for a in range(n):
-                for b in range(a + 1, n):
-                    for c in range(b + 1, n):
-                        o = self.orient(a, b, c)
-                        if o == CCW:
-                            left[a][b] |= 1 << c
-                            left[b][c] |= 1 << a
-                            left[c][a] |= 1 << b
-                        elif o == CW:
-                            left[b][a] |= 1 << c
-                            left[c][b] |= 1 << a
-                            left[a][c] |= 1 << b
-            self._left = left
-        return self._left
 
     def segments_cross(self, e: Segment, f: Segment) -> bool:
         """Proper crossing: each segment separates the other's endpoints.
@@ -114,7 +136,7 @@ class PointSet:
         c, d = f
         if a == c or a == d or b == c or b == d:
             return False
-        left = self._left or self.left_table()
+        left = self.left
         ab, cd = left[a][b], left[c][d]
         return bool((ab >> c ^ ab >> d) & (cd >> a ^ cd >> b) & 1)
 
@@ -130,43 +152,17 @@ class PointSet:
         """
         a, b = e
         c, d = f
-        left = self._left or self.left_table()
+        left = self.left
         if a == c:
             return bool(left[a][b] >> d & 1)
         if a < c:
             return bool(left[a][b] >> c & 1)
         return not left[c][d] >> a & 1
 
-    def crossing_table(self) -> tuple[dict[Segment, int], list[int]]:
-        """Bit index of each segment, and its crossing mask.
-
-        cd crosses ab iff each separates the other's endpoints: with c left
-        of ab, iff d is left of ba and on different sides of ac and bc.
-        """
-        if self._crossing is None:
-            left = self._left or self.left_table()
-            ids = self.segment_ids()
-            edges = all_edges(self)
-            masks = [sum(1 << ids[c][d] for c in bits(left[a][b])
-                         for d in bits(left[b][a] & (left[a][c] ^ left[b][c])))
-                     for a, b in edges]
-            self._crossing = ({e: k for k, e in enumerate(edges)}, masks)
-        return self._crossing
-
-    def segment_ids(self) -> list[list[Optional[int]]]:
-        """ids[a][b]: the crossing table's bit index of segment ab, in
-        either direction (None for a == b)."""
-        if self._ids is None:
-            self._ids = [[None] * self.n for _ in range(self.n)]
-            for k, (a, b) in enumerate(all_edges(self)):
-                self._ids[a][b] = self._ids[b][a] = k
-        return self._ids
-
     def edge_masks(self, pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
         """Bitmask of the segments between the given vertex pairs, and its
         blocked mask: the segments that cross one of them."""
-        ids = self._ids or self.segment_ids()
-        cross = self.crossing_table()[1]
+        ids, cross = self.ids, self.cross
         emask = blocked = 0
         for a, b in pairs:
             k = ids[a][b]
@@ -176,7 +172,7 @@ class PointSet:
 
     def inside(self, a: int, b: int, c: int) -> int:
         """Bitmask of the points strictly inside triangle abc."""
-        left = self._left or self.left_table()
+        left = self.left
         if left[a][b] >> c & 1:  # abc is counterclockwise
             return left[a][b] & left[b][c] & left[c][a]
         return left[b][a] & left[a][c] & left[c][b]
@@ -194,7 +190,7 @@ class PointSet:
         """
         if nbrs.bit_count() <= 2:
             return True
-        left = (self._left or self.left_table())[v]
+        left = self.left[v]
         rest = nbrs
         while rest:
             low = rest & -rest
@@ -203,13 +199,8 @@ class PointSet:
             rest ^= low
         return False
 
-    def convex_hull(self) -> tuple[int, ...]:
-        if self._hull is None:
-            self._hull = tuple(convex_hull(self))
-        return self._hull
-
     def interior_count(self) -> int:
-        return self.n - len(self.convex_hull())
+        return self.n - len(self.hull)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"PointSet(n={self.n}, points={list(self.points)})"
@@ -228,7 +219,8 @@ def _integer_point(q) -> Point:
 
 
 def validate_point_set(raw: Iterable[Point]) -> PointSet:
-    """Sort, deduplicate-check and general-position-check a raw point list.
+    """Sort and deduplicate-check a raw point list; PointSet then refuses
+    a collinear triple while it builds its tables.
 
     Coordinates must be Python ints; floats, bools and strings are refused
     rather than coerced.
@@ -239,33 +231,7 @@ def validate_point_set(raw: Iterable[Point]) -> PointSet:
     for k in range(1, len(pts)):
         if pts[k] == pts[k - 1]:
             raise DuplicatePoint(f"duplicate point {pts[k]}")
-    n = len(pts)
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c in range(b + 1, n):
-                if orientation(pts[a], pts[b], pts[c]) == COLLINEAR:
-                    raise CollinearTriple(
-                        f"collinear triple {pts[a]}, {pts[b]}, {pts[c]}")
     return PointSet(pts)
-
-
-def convex_hull(P: PointSet) -> list[int]:
-    """Indices of the hull in CCW order, by Andrew's monotone chain."""
-    idx = list(range(P.n))  # already lex sorted
-    if P.n == 3:
-        return idx if P.orient(0, 1, 2) == CCW else [0, 2, 1]
-
-    def half(indices: Iterable[int]) -> list[int]:
-        out: list[int] = []
-        for j in indices:
-            while len(out) >= 2 and P.orient(out[-2], out[-1], j) != CCW:
-                out.pop()
-            out.append(j)
-        return out
-
-    lower = half(idx)
-    upper = half(reversed(idx))
-    return lower[:-1] + upper[:-1]
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -274,11 +240,6 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def all_edges(P: PointSet) -> list[Segment]:
-    """All n(n-1)/2 segments of P in lexicographic order."""
-    return [seg(a, b) for a in range(P.n) for b in range(a + 1, P.n)]
 
 
 def edge_crosses_line(s: Segment, i: int) -> bool:
@@ -303,7 +264,7 @@ def wedge_empty(a: int, b: int, d: int, i: int, P: PointSet) -> bool:
 
 def hull_crossing_edges(P: PointSet, i: int) -> tuple[Segment, Segment]:
     """The two hull edges crossed by l_i, ordered by crossing height."""
-    hull = P.convex_hull()
+    hull = P.hull
     crossing = []
     h = len(hull)
     for k in range(h):

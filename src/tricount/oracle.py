@@ -13,7 +13,7 @@ from __future__ import annotations
 from math import comb
 from typing import Optional
 
-from . import geom, ptpath, tpath
+from . import ptpath, tpath
 from .errors import CapExceeded, InternalInvariantViolation, TooLarge
 from .geom import PointSet, Segment
 from .tpath import EdgeSet
@@ -51,9 +51,8 @@ def enumerate_triangulations(P: PointSet, cap: Optional[int] = None,
                              guard: int = TRI_GUARD) -> EnumerationResult:
     if P.n > guard:
         raise TooLarge(f"n={P.n} exceeds triangulation oracle guard {guard}")
-    edges = geom.all_edges(P)
+    edges, cross = P.segments, P.cross
     m = len(edges)
-    cross = P.crossing_table()[1]
     target = tpath.triangulation_edge_target(P)
     result = EnumerationResult("tri")
 
@@ -95,9 +94,8 @@ def enumerate_pointed_pseudotriangulations(
         guard: int = PT_GUARD) -> EnumerationResult:
     if P.n > guard:
         raise TooLarge(f"n={P.n} exceeds pseudo-triangulation oracle guard {guard}")
-    edges = geom.all_edges(P)
+    edges, cross = P.segments, P.cross
     m = len(edges)
-    cross = P.crossing_table()[1]
     target = ptpath.pseudotriangulation_edge_target(P)
     result = EnumerationResult("pt")
     # edges sharing an endpoint can change each other's pointedness

@@ -90,9 +90,9 @@ def validate_pseudotriangulation(edges: Iterable[Segment], P: PointSet) -> Check
 
 
 def validate_pt_mask(P: PointSet, emask: int) -> Check:
-    """validate_pseudotriangulation of emask, a bitmask over the crossing
-    table's segments; adjacency and blocked mask are derived from it alone."""
-    segs = list(P.crossing_table()[0])
+    """validate_pseudotriangulation of emask, a bitmask over P.segments;
+    adjacency and blocked mask are derived from it alone."""
+    segs = P.segments
     edges = [segs[k] for k in bits(emask)]
     blocked = P.edge_masks(edges)[1]
     if blocked & emask:
@@ -139,9 +139,7 @@ def ptpath_chains(P: PointSet, i: int,
     one bitmask carries the chain's edges and every segment crossing one.
     """
     lo, hi = geom.hull_crossing_edges(P, i)
-    cross = P.crossing_table()[1]
-    eid = P.segment_ids()
-    left = P.left_table()
+    cross, eid, left = P.cross, P.ids, P.left
     above = P.above
     full = (1 << P.n) - 1
     left_of_line = (1 << i) - 1
@@ -255,7 +253,7 @@ def validate_ptpath(path: PTPath, P: PointSet) -> Check:
     if not geom.edge_crosses_line(edges[0], i) or edges[0] != lo:
         return Check(False, "bad_endpoints")
 
-    left = P.left_table()
+    left = P.left
     last = lo
     exc_prev = vs[0]
     exc = [vs[1]]
@@ -305,7 +303,7 @@ def pt_good_edge(S: EdgeSet, e: Segment, i: int, P: PointSet) -> bool:
         raise EdgeDoesNotCrossLine(f"edge {e} does not cross l_{i}")
     if e not in S:
         raise PreconditionViolated(f"edge {e} not in the structure")
-    hull = P.convex_hull()
+    hull = P.hull
     h = len(hull)
     hull_edges = {seg(hull[k], hull[(k + 1) % h]) for k in range(h)}
     if e in hull_edges:

@@ -6,9 +6,9 @@ pi'.  The telescoping product makes every compatible path tuple, and hence
 every structure, equally likely.  Parent choice uses exact big-integer
 cumulative thresholds; no floating point is involved.
 
-A structure is one bitmask over the crossing table's (lexicographic)
-segment index: each table entry stores its path's edge and blocked masks
-and its cumulative parent counts, so a draw is a bisect and two ORs a line.
+A structure is one bitmask over P.segments (lexicographic order): each
+table entry stores its path's edge and blocked masks and its cumulative
+parent counts, so a draw is a bisect and two ORs a line.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .tpath import EdgeSet
 class ReconstructedStructure(NamedTuple):
     family: str
     mask: int  # bit k: segments[k] is an edge
-    segments: list[Segment]  # the crossing table's segments, by bit
+    segments: list[Segment]  # the point set's segments, by bit
 
     @property
     def edges(self) -> EdgeSet:
@@ -42,8 +42,7 @@ class SampleRun(NamedTuple):
     structures: list[ReconstructedStructure]
 
 
-def _complete(P: PointSet, family: str, segs: list[Segment], emask: int,
-              blocked: int) -> int:
+def _complete(P: PointSet, family: str, emask: int, blocked: int) -> int:
     """Greedy completion of a tuple union to a maximal set, checked.
 
     A compatible tuple determines its structure, so the greedy order does
@@ -51,7 +50,7 @@ def _complete(P: PointSet, family: str, segs: list[Segment], emask: int,
     """
     if blocked & emask:
         raise IncompatibleTuple("tuple union has crossing edges")
-    cross = P.crossing_table()[1]
+    segs, cross = P.segments, P.cross
     adj = None
     if family == "pt":
         adj = ptpath.adjacency((segs[k] for k in bits(emask)), P.n)
@@ -86,10 +85,9 @@ def _complete(P: PointSet, family: str, segs: list[Segment], emask: int,
 def reconstruct(tuple_keys: list[PathKey], P: PointSet,
                 family: str) -> ReconstructedStructure:
     """Union of the tuple's edges, greedily completed to a maximal set."""
-    segs = list(P.crossing_table()[0])
     pairs = (e for key in tuple_keys for e in zip(key, key[1:]))
-    emask = _complete(P, family, segs, *P.edge_masks(pairs))
-    return ReconstructedStructure(family, emask, segs)
+    emask = _complete(P, family, *P.edge_masks(pairs))
+    return ReconstructedStructure(family, emask, P.segments)
 
 
 def sample(P: PointSet, family: str, seed: int, m: int,
@@ -110,7 +108,6 @@ def sample(P: PointSet, family: str, seed: int, m: int,
                           cum, parents)
     (root,) = level.values()
 
-    segs = list(P.crossing_table()[0])
     rng = random.Random(seed)
     tuples, structures = [], []
     for _ in range(m):
@@ -125,5 +122,5 @@ def sample(P: PointSet, family: str, seed: int, m: int,
         chosen.reverse()
         tuples.append(chosen)
         structures.append(ReconstructedStructure(
-            family, _complete(P, family, segs, emask, blocked), segs))
+            family, _complete(P, family, emask, blocked), P.segments))
     return SampleRun(seed, family, tuples, structures)

@@ -55,7 +55,7 @@ class PathTable(NamedTuple):
 
 def initial_path(P: PointSet) -> PathKey:
     """The forced path at l_1: the two hull edges at the leftmost point."""
-    hull = P.convex_hull()
+    hull = P.hull
     pos = hull.index(0)
     b = hull[(pos - 1) % len(hull)]
     c = hull[(pos + 1) % len(hull)]

@@ -60,7 +60,7 @@ def chain_edges(vertices: Iterable[int]) -> list[Segment]:
 
 
 def triangulation_edge_target(P: PointSet) -> int:
-    return 3 * P.n - 3 - len(P.convex_hull())
+    return 3 * P.n - 3 - len(P.hull)
 
 
 # -- validation ----------------------------------------------------------
@@ -103,13 +103,11 @@ def tpath_chains(P: PointSet, i: int,
     """All valid T-path chains w.r.t. l_i: the path population.
 
     With a pool, candidate edges are restricted to it (extraction from a
-    triangulation).  The search carries one bitmask over the crossing
-    table's segments: the chain's edges and every segment crossing one.
+    triangulation).  The search carries one bitmask over P.segments: the
+    chain's edges and every segment crossing one.
     """
     lo, hi = geom.hull_crossing_edges(P, i)
-    cross = P.crossing_table()[1]
-    eid = P.segment_ids()
-    left, inside = P.left_table(), P.inside
+    cross, eid, left, inside = P.cross, P.ids, P.left, P.inside
     left_of_line = (1 << i) - 1
     out: list[PathKey] = []
 
@@ -172,8 +170,7 @@ def tpath_join(P: PointSet, parents: Sequence[PathKey],
     crosses.  A child costs one word-parallel OR per edge and one step per
     compatible parent, not one test per parent.
     """
-    cross = P.crossing_table()[1]
-    eid = P.segment_ids()
+    cross, eid = P.cross, P.ids
     # segment index -> bitmask of the parents using it, set bytewise:
     # setting bit j of an int would copy the whole mask each time
     rows = defaultdict(lambda: bytearray(len(parents) // 8 + 1))

@@ -2,8 +2,10 @@
 
 Each function decides its predicate straight from exact orientation signs
 or exact rational coordinates, one point or one direction at a time, the
-way the library did before its predicates were derived from
-PointSet.left_table().  The tests compare the kernel against them.
+way the library did before its predicates were derived from the left-of
+masks PointSet.left.  The convex hull reference sorts the points no
+triangle contains by orientation about vertex 0, independently of the
+hull walk over those masks.  The tests compare the kernel against them.
 
 The rational references work in sheared coordinates x' = 2*(M*x + y),
 y' = 2*y, with M large enough that the sheared x-order is the
@@ -15,9 +17,10 @@ line at an integer abscissa strictly between points i-1 and i.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Iterable, Sequence
 
-from tricount.geom import PointSet, Segment, edge_crosses_line, seg
+from tricount.geom import CCW, PointSet, Segment, edge_crosses_line, seg
 
 RPoint = tuple[Fraction, Fraction]
 
@@ -57,6 +60,22 @@ def point_in_triangle(q: int, a: int, b: int, c: int, P: PointSet) -> bool:
     o = P.orient(a, b, c)
     return (P.orient(a, b, q) == o and P.orient(b, c, q) == o
             and P.orient(c, a, q) == o)
+
+
+def convex_hull(P: PointSet) -> list[int]:
+    """Hull vertices in CCW order, starting at vertex 0.
+
+    A point is a hull vertex iff no triangle of other points contains it.
+    Vertex 0 is the leftmost point, so every other hull vertex lies in one
+    half-plane about it and orientation about 0 orders them.
+    """
+    n = P.n
+    corners = [v for v in range(1, n)
+               if not any(point_in_triangle(v, a, b, c, P)
+                          for a in range(n) for b in range(a + 1, n)
+                          for c in range(b + 1, n) if v not in (a, b, c))]
+    return [0] + sorted(corners, key=cmp_to_key(
+        lambda p, q: -1 if P.orient(0, p, q) == CCW else 1))
 
 
 def is_pointed(edges: Iterable[Segment], v: int, P: PointSet) -> bool:

@@ -191,6 +191,14 @@ def test_sequence(capsys):
     assert "e" not in out  # exact integers, never scientific notation
 
 
+def test_sequence_too_large_exit3(capsys):
+    # refused before the O(K) tables are allocated
+    assert main(["sequence", "--k", "100000000000"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: K=100000000000 exceeds sequence guard 1000\n"
+
+
 def test_render(tmp_path, capsys):
     f = write_points(tmp_path, FAN5)
     sf = tmp_path / "structure.json"
@@ -224,6 +232,26 @@ def test_render_bad_reference(tmp_path, capsys):
     pf.write_text(json.dumps([0, 9]))
     assert main(["render", f, "--path-file", str(pf),
                  "--out", str(tmp_path / "x.svg")]) == 2
+
+
+@pytest.mark.parametrize("flag,content", [
+    ("--structure-file", [[0, 1.9], [1, 3]]),
+    ("--structure-file", [[0, 1], [True, 3]]),
+    ("--structure-file", [[0, "1"], [1, 3]]),
+    ("--path-file", [1.5, 2, 3]),
+    ("--path-file", [1, "2", 3]),
+    ("--path-file", [1, 2, True]),
+])
+def test_render_non_integer_vertex_exit2(tmp_path, capsys, flag, content):
+    # vertex indices follow the coordinates' rule: refused, never coerced
+    f = write_points(tmp_path, FAN5)
+    rf = tmp_path / "ref.json"
+    rf.write_text(json.dumps(content))
+    out = tmp_path / "x.svg"
+    assert main(["render", f, flag, str(rf), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad ") and "non-integer vertex index" in err
+    assert not out.exists()
 
 
 def test_subprocess_byte_determinism(tmp_path):

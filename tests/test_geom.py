@@ -60,12 +60,12 @@ def test_validate_sorts_input():
 
 
 def test_convex_hull(fan5, conv5, tri3):
-    assert sorted(conv5.convex_hull()) == [0, 1, 2, 3, 4]
-    assert sorted(fan5.convex_hull()) == [0, 1, 3, 4]
+    assert sorted(conv5.hull) == [0, 1, 2, 3, 4]
+    assert sorted(fan5.hull) == [0, 1, 3, 4]
     assert fan5.interior_count() == 1
-    assert sorted(tri3.convex_hull()) == [0, 1, 2]
+    assert sorted(tri3.hull) == [0, 1, 2]
     # CCW orientation of consecutive hull triples
-    h = fan5.convex_hull()
+    h = fan5.hull
     for k in range(len(h)):
         assert fan5.orient(h[k], h[(k + 1) % len(h)], h[(k + 2) % len(h)]) == CCW
 
@@ -74,7 +74,26 @@ def test_hull_invariant_under_permutation():
     pts = random_points(7, 99)
     P1 = tc.validate_point_set(pts)
     P2 = tc.validate_point_set(list(reversed(pts)))
-    assert P1.convex_hull() == P2.convex_hull()
+    assert P1.hull == P2.hull
+
+
+def test_hull_matches_scan():
+    # CCW order starting at vertex 0, against an orientation-only scan
+    for n in range(3, 14):
+        for seed in range(3):
+            P = random_point_set(n, 1300 + 10 * n + seed)
+            assert P.hull[0] == 0
+            assert list(P.hull) == scan.convex_hull(P)
+        assert geom.PointSet(conv_points(n)).hull == tuple(range(n))
+
+
+def test_point_set_refuses_collinear_triple():
+    # the constructor itself, not only validate_point_set
+    with pytest.raises(CollinearTriple) as exc:
+        geom.PointSet([(0, 0), (1, 5), (2, 1), (4, 2)])
+    assert "(2, 1)" in str(exc.value)
+    with pytest.raises(CollinearTriple):
+        geom.PointSet([(0, 0), (0, 0), (1, 5)])  # a repeated point
 
 
 def test_triangle_empty(fan5, tri3):
@@ -140,7 +159,7 @@ def test_kernel_matches_orientation_scan():
     rng = random.Random(7)
     for n in range(5, 13):
         P = random_point_set(n, 700 + n)
-        segs = geom.all_edges(P)
+        segs = P.segments
         for e in segs:
             for f in segs:
                 assert P.segments_cross(e, f) == scan.segments_cross(e, f, P)
@@ -173,10 +192,8 @@ def test_crossing_table_matches_pairwise():
     # the table is read off left-of masks; compare every pair directly
     for n in range(4, 13):
         P = random_point_set(n, 1100 + n)
-        index, cross = P.crossing_table()
-        segs = geom.all_edges(P)
-        assert list(index) == segs
-        ids = P.segment_ids()
+        segs, ids, cross = P.segments, P.ids, P.cross
+        assert segs == [(a, b) for a in range(n) for b in range(a + 1, n)]
         for k, (a, b) in enumerate(segs):
             assert ids[a][b] == ids[b][a] == k
             assert cross[k] == sum(1 << j for j, f in enumerate(segs)
@@ -188,7 +205,7 @@ def test_above_matches_crossing_ordinate():
     for n in range(5, 11):
         P = random_point_set(n, 800 + n)
         for i in range(1, n):
-            crossing = [e for e in geom.all_edges(P)
+            crossing = [e for e in P.segments
                         if geom.edge_crosses_line(e, i)]
             ys = {e: scan.cross_y(P, e, i) for e in crossing}
             for e in crossing:

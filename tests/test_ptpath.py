@@ -42,7 +42,7 @@ def test_validate_pseudotriangulation_matches_oracle(n, seed):
     P = random_point_set(n, seed)
     structures = set(oracle.enumerate_pointed_pseudotriangulations(P)
                      .structures)
-    segs = geom.all_edges(P)
+    segs = P.segments
     for S in structures:
         assert tc.validate_pseudotriangulation(S, P)
         for e in S:
