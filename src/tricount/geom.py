@@ -62,9 +62,10 @@ class PointSet:
     rightmost.  SweepIndex i in 1..n-1 denotes the line l_i with points
     0..i-1 on its left and i..n-1 on its right.
 
-    The constructor builds every table once, from one exact orientation per
-    triple, and raises CollinearTriple on a zero orientation.  The tables
-    are read-only:
+    The constructor takes int points (not bools) in strictly increasing
+    lexicographic order and refuses any other input rather than coerce or
+    sort it.  It builds every table once, from one exact orientation per
+    triple, and raises CollinearTriple on a zero one.  Its read-only tables:
 
     - left[a][b]: bitmask of the points strictly left of directed ab;
     - segments: the n(n-1)/2 segments (a < b) in lexicographic order, so
@@ -78,7 +79,12 @@ class PointSet:
     __slots__ = ("points", "n", "left", "segments", "ids", "cross", "hull")
 
     def __init__(self, points: Sequence[Point]):
-        self.points = pts = tuple((int(x), int(y)) for x, y in points)
+        self.points = pts = tuple(map(_integer_point, points))
+        for p, q in zip(pts, pts[1:]):
+            if p == q:
+                raise DuplicatePoint(f"duplicate point {q}")
+            if p > q:
+                raise InputError(f"points out of order: {p} before {q}")
         self.n = n = len(pts)
         # one orientation per triple a < b < c fills all six of its entries:
         # cyclic order keeps the sign, a transposition flips it
@@ -219,8 +225,8 @@ def _integer_point(q) -> Point:
 
 
 def validate_point_set(raw: Iterable[Point]) -> PointSet:
-    """Sort and deduplicate-check a raw point list; PointSet then refuses
-    a collinear triple while it builds its tables.
+    """Type-check, sort and count a raw point list; PointSet then refuses
+    a repeated point or a collinear triple.
 
     Coordinates must be Python ints; floats, bools and strings are refused
     rather than coerced.
@@ -228,9 +234,6 @@ def validate_point_set(raw: Iterable[Point]) -> PointSet:
     pts = sorted(_integer_point(q) for q in raw)
     if len(pts) < 3:
         raise TooFewPoints(f"need at least 3 points, got {len(pts)}")
-    for k in range(1, len(pts)):
-        if pts[k] == pts[k - 1]:
-            raise DuplicatePoint(f"duplicate point {pts[k]}")
     return PointSet(pts)
 
 

@@ -7,8 +7,9 @@ every structure, equally likely.  Parent choice uses exact big-integer
 cumulative thresholds; no floating point is involved.
 
 A structure is one bitmask over P.segments (lexicographic order): each
-table entry stores its path's edge and blocked masks and its cumulative
-parent counts, so a draw is a bisect and two ORs a line.
+path becomes a node with its edge and blocked masks, its parents'
+cumulative counts and its parent nodes, found by index in the previous
+line, so a draw is a bisect and two ORs a line.
 """
 
 from __future__ import annotations
@@ -95,18 +96,18 @@ def sample(P: PointSet, family: str, seed: int, m: int,
     """Draw m structures i.i.d. uniformly at random."""
     _, _, tables = run_sweep(system_for(family), P, record_parents=True,
                              max_table_entries=max_table_entries)
-    # per entry: key, count, edge mask, blocked mask, cum. counts, parents
-    level: dict[PathKey, tuple] = {}
+    # per key: key, count, edge mask, blocked mask, cum. counts, parents
+    level: list[tuple] = []
     for table in tables:
-        below, level = level, {}
-        for key, entry in table.entries.items():
-            parents = [below[p] for p in entry.parents]
+        below, level = level, []
+        for key, count, js in zip(table.keys, table.counts, table.parents):
+            parents = [below[j] for j in js]
             cum = list(accumulate(p[1] for p in parents))
-            if cum and cum[-1] != entry.count:
+            if cum and cum[-1] != count:
                 raise InternalInvariantViolation("parent counts do not add up")
-            level[key] = (key, entry.count, *P.edge_masks(zip(key, key[1:])),
-                          cum, parents)
-    (root,) = level.values()
+            level.append((key, count, *P.edge_masks(zip(key, key[1:])),
+                          cum, parents))
+    (root,) = level
 
     rng = random.Random(seed)
     tuples, structures = [], []

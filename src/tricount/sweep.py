@@ -1,9 +1,11 @@
 """Sweep-line dynamic program over path families.
 
 The sweep walks the lines l_1 .. l_{n-1}, keeping for every path pi in the
-current population the number of compatible path prefixes T(pi).  Counts
-are merged by canonical path key (the vertex tuple), so the final table at
-l_{n-1} holds a single entry whose count is the number of structures.
+current population the number of compatible path prefixes T(pi).  A line
+is held as parallel lists in sorted key order (the key is the vertex
+tuple): the keys, their counts and, for the sampler, each key's parents as
+ascending indices into the previous line's keys.  The final line holds a
+single key whose count is the number of structures.
 """
 
 from __future__ import annotations
@@ -40,17 +42,11 @@ class SweepStats:
         return max(self.t_per_line)
 
 
-class TableEntry:
-    __slots__ = ("count", "parents")
-
-    def __init__(self, count: int, parents: Sequence[PathKey] = ()):
-        self.count = count
-        self.parents = parents
-
-
 class PathTable(NamedTuple):
     line: int
-    entries: dict[PathKey, TableEntry]
+    keys: list[PathKey]  # ascending
+    counts: list[int]  # counts[k] = T(keys[k])
+    parents: list[list[int]]  # ascending indices into the previous keys
 
 
 def initial_path(P: PointSet) -> PathKey:
@@ -86,48 +82,45 @@ def run_sweep(system: PathSystem, P: PointSet, record_parents: bool = False,
               ) -> tuple[int, SweepStats, Optional[list[PathTable]]]:
     """Count structures; optionally retain all tables for the sampler.
 
-    Each line's population is joined to the previous one's in sorted key
-    order, so every entry's parents list is sorted.
+    The children are sorted and kept in order, so every line's keys are
+    ascending and the join's index lists are its parents as they stand.
     """
-    key0 = initial_path(P)
-    counts: dict[PathKey, int] = {key0: 1}
+    keys, counts = [initial_path(P)], [1]
     tables: Optional[list[PathTable]] = None
     total_entries = 1
     if record_parents:
-        tables = [PathTable(1, {key0: TableEntry(1)})]
+        tables = [PathTable(1, keys, counts, [[]])]
     stats = SweepStats([1])
 
     for i in range(1, P.n - 1):
         t0 = time.perf_counter()
-        parent_keys = sorted(counts)
-        parent_counts = [counts[k] for k in parent_keys]
         children = sorted(set(system.chains(P, i + 1)))
-        nxt: dict[PathKey, TableEntry] = {}
+        kept, sums, parents = [], [], []
         pairs = 0
-        for c, js in zip(children, system.join(P, parent_keys, children)):
+        for c, js in zip(children, system.join(P, keys, children)):
             if not js:
                 continue
-            entry = nxt[c] = TableEntry(sum(parent_counts[j] for j in js))
+            kept.append(c)
+            sums.append(sum(counts[j] for j in js))
             if record_parents:
-                entry.parents = [parent_keys[j] for j in js]
+                parents.append(js)
             pairs += len(js)
-        if not nxt:
+        if not kept:
             raise InternalInvariantViolation(
                 f"population at l_{i + 1} is empty")
-        counts = {k: e.count for k, e in nxt.items()}
-        stats.t_per_line.append(len(nxt))
+        keys, counts = kept, sums
+        stats.t_per_line.append(len(keys))
         stats.line_seconds.append(time.perf_counter() - t0)
         stats.population.append(len(children))
         stats.join_pairs.append(pairs)
         if record_parents:
-            total_entries += len(nxt)
+            total_entries += len(keys)
             if max_table_entries is not None and total_entries > max_table_entries:
                 raise MemoryBudgetExceeded(
                     f"path tables exceed {max_table_entries} entries")
-            tables.append(PathTable(i + 1, nxt))
+            tables.append(PathTable(i + 1, keys, counts, parents))
 
-    if len(counts) != 1:
+    if len(keys) != 1:
         raise InternalInvariantViolation(
-            f"expected a single path at l_{P.n - 1}, got {len(counts)}")
-    final = next(iter(counts.values()))
-    return final, stats, tables
+            f"expected a single path at l_{P.n - 1}, got {len(keys)}")
+    return counts[0], stats, tables

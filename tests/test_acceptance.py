@@ -107,7 +107,7 @@ def test_criterion_5_path_population_equivalence():
                 system = tc.system_for(fam)
                 _, _, tables = tc.run_sweep(system, P, record_parents=True)
                 for tab in tables:
-                    assert set(tab.entries) == \
+                    assert set(tab.keys) == \
                         oracle.collect_paths(P, tab.line, fam)
 
 
@@ -210,19 +210,18 @@ def test_criterion_8_sampler_uniformity():
                 total, _, tables = tc.run_sweep(
                     tc.system_for(fam), P, record_parents=True)
 
-                def walk(idx, key, prob, out):
+                def walk(idx, k, prob, out):
                     if idx == 0:
                         out.append(prob)
                         return
-                    entry = tables[idx].entries[key]
-                    for parent in entry.parents:
-                        pc = tables[idx - 1].entries[parent].count
-                        walk(idx - 1, parent,
-                             prob * Fraction(pc, entry.count), out)
+                    tab, below = tables[idx], tables[idx - 1]
+                    for j in tab.parents[k]:
+                        walk(idx - 1, j, prob * Fraction(below.counts[j],
+                                                         tab.counts[k]), out)
 
-                (final_key,) = tables[-1].entries
+                assert len(tables[-1].keys) == 1
                 leaves = []
-                walk(len(tables) - 1, final_key, Fraction(1), leaves)
+                walk(len(tables) - 1, 0, Fraction(1), leaves)
                 assert leaves == [Fraction(1, total)] * total
 
 

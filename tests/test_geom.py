@@ -92,8 +92,20 @@ def test_point_set_refuses_collinear_triple():
     with pytest.raises(CollinearTriple) as exc:
         geom.PointSet([(0, 0), (1, 5), (2, 1), (4, 2)])
     assert "(2, 1)" in str(exc.value)
-    with pytest.raises(CollinearTriple):
-        geom.PointSet([(0, 0), (0, 0), (1, 5)])  # a repeated point
+
+
+def test_point_set_refuses_unsorted_or_non_integer_points():
+    # the constructor neither coerces nor sorts: every sweep predicate
+    # assumes integer points in strictly increasing lexicographic order
+    with pytest.raises(InputError, match="non-integer coordinate 1.5"):
+        geom.PointSet([(0, 0), (1.5, 5), (3, 1)])
+    with pytest.raises(InputError, match="non-integer coordinate True"):
+        geom.PointSet([(0, 0), (True, 5), (3, 1)])
+    with pytest.raises(InputError, match="out of order"):
+        geom.PointSet([(3, 1), (0, 0), (1, 5)])
+    with pytest.raises(DuplicatePoint):
+        geom.PointSet([(0, 0), (0, 0), (1, 5)])
+    assert geom.PointSet([(0, 0), (1, 5), (3, 1)]).hull == (0, 2, 1)
 
 
 def test_triangle_empty(fan5, tri3):

@@ -49,27 +49,34 @@ def test_initial_successor_compatible(fan5):
 def _check_parent_tables(family, P):
     system = tc.system_for(family)
     _, _, tables = tc.run_sweep(system, P, record_parents=True)
-    assert set(tables[0].entries) == {tc.initial_path(P)}
-    assert tables[0].entries[tc.initial_path(P)].count == 1
+    assert tables[0].keys == [tc.initial_path(P)]
+    assert tables[0].counts == [1]
+    for tab in tables:
+        # the sweep keeps keys and parent lists ascending instead of
+        # re-sorting them
+        assert len(tab.keys) == len(tab.counts) == len(tab.parents)
+        assert all(a < b for a, b in zip(tab.keys, tab.keys[1:]))
+        for js in tab.parents:
+            assert all(a < b for a, b in zip(js, js[1:]))
     for prev, cur in zip(tables, tables[1:]):
         # every chain of the line is kept iff it has a compatible parent,
         # and the join keeps exactly criterion 7's compatible parents
+        row = dict(zip(cur.keys, zip(cur.counts, cur.parents)))
         for key in set(system.chains(P, cur.line)):
             expect = []
-            for k in sorted(prev.entries):
+            for j, k in enumerate(prev.keys):
                 ok = not tc.paths_cross(k, key, P)
                 if family == "pt" and ok:
                     union = set(tpath.chain_edges(k)) | \
                         set(tpath.chain_edges(key))
                     ok = ptpath._all_pointed(union, P)
                 if ok:
-                    expect.append(k)
-            entry = cur.entries.get(key)
-            assert (entry.parents if entry else []) == expect
-            if entry:
-                assert entry.count >= 1
-                assert entry.count == sum(
-                    prev.entries[p].count for p in entry.parents)
+                    expect.append(j)
+            count, js = row.get(key, (None, []))
+            assert js == expect
+            if count is not None:
+                assert count >= 1
+                assert count == sum(prev.counts[j] for j in js)
     return tables
 
 
@@ -84,7 +91,7 @@ def test_parent_bitsets_span_several_words(family, n, seed):
     # some line holds more than 64 paths, so the join's per-segment parent
     # masks are wider than one machine word
     tables = _check_parent_tables(family, random_point_set(n, seed))
-    assert max(len(t.entries) for t in tables) > 64
+    assert max(len(t.keys) for t in tables) > 64
 
 
 def _chain_variants(rng, P, i, population, count):
