@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 # public name -> defining submodule
 _SOURCE = {name: module for module, names in {
-    "analysis": ("BoundSequence", "SweepReport", "bound_sequence", "report"),
+    "analysis": ("BoundSequence", "bound_sequence"),
     "errors": ("TricountError",),
     "geom": ("PointSet", "validate_point_set"),
     "oracle": ("EnumerationResult", "catalan", "collect_paths",
@@ -23,8 +23,8 @@ _SOURCE = {name: module for module, names in {
                "validate_ptpath"),
     "sampler": ("ReconstructedStructure", "SampleRun", "reconstruct",
                 "sample"),
-    "sweep": ("PT_SYSTEM", "TRI_SYSTEM", "SweepStats", "initial_path",
-              "paths_cross", "run_sweep", "system_for"),
+    "sweep": ("PT_SYSTEM", "TRI_SYSTEM", "SweepStats", "paths_cross",
+              "run_sweep", "system_for"),
     "tpath": ("TPath", "extract_tpath", "flip", "is_flippable",
               "is_good_edge", "tpath_successors", "validate_tpath"),
 }.items() for name in names}

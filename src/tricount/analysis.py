@@ -1,4 +1,4 @@
-"""T-path-bound recurrence and sweep reports.
+"""T-path-bound recurrence.
 
 The pair of sequences
 
@@ -7,15 +7,15 @@ The pair of sequences
 
 with f_0 = g_0 = h_0 = 0 and h_k = 1 iff k = 1 bounds the number of
 one-sided T-path signatures; f_k grows roughly like 8^k (OEIS A064062).
+The sweep's own per-line record is sweep.SweepStats, which `count --stats`
+writes as it stands.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .errors import TooLarge
-from .geom import PointSet
-from .sweep import SweepStats
 
 # bound_sequence refuses K above this: the recurrence is O(K^2) products of
 # ever wider integers (K = 1000 takes about half a second, K = 2000 six)
@@ -26,17 +26,6 @@ class BoundSequence(NamedTuple):
     k: int
     f: int
     g: int
-
-
-class SweepReport(NamedTuple):
-    n: int
-    family: str
-    count: int
-    t_per_line: list[int]
-    t_max: int
-    elapsed_ms: float
-    t_max_within_nine_pow_n: Optional[bool]  # tri only; no pt bound exists
-    t_max_vs_count: int  # -1, 0 or 1
 
 
 def bound_sequence(K: int) -> list[BoundSequence]:
@@ -55,19 +44,3 @@ def bound_sequence(K: int) -> list[BoundSequence]:
         out.append(BoundSequence(k, f[k], g[k]))
     return out
 
-
-def report(stats: SweepStats, P: PointSet, family: str, count: int,
-           elapsed_ms: float) -> SweepReport:
-    t_max = stats.t_max
-    within = t_max <= 9 ** P.n if family == "tri" else None
-    cmp = (t_max > count) - (t_max < count)
-    return SweepReport(
-        n=P.n,
-        family=family,
-        count=count,
-        t_per_line=list(stats.t_per_line),
-        t_max=t_max,
-        elapsed_ms=elapsed_ms,
-        t_max_within_nine_pow_n=within,
-        t_max_vs_count=cmp,
-    )

@@ -82,15 +82,14 @@ def cmd_count(args) -> int:
     elapsed_ms = (time.perf_counter() - t0) * 1000
     print(count)
     if args.stats:
-        from . import analysis
-        rep = analysis.report(stats, P, args.structure, count, elapsed_ms)
         payload = {
-            "n": rep.n,
-            "family": rep.family,
-            "count": str(rep.count),
-            "t_per_line": rep.t_per_line,
-            "t_max": rep.t_max,
-            "elapsed_ms": rep.elapsed_ms,
+            "n": P.n,
+            "family": args.structure,
+            "count": str(count),
+            # per line l_1 .. l_{n-1}
+            "t_per_line": stats.t_per_line,
+            "t_max": stats.t_max,
+            "elapsed_ms": elapsed_ms,
             # per line l_2 .. l_{n-1}
             "population": stats.population,
             "join_pairs": stats.join_pairs,
@@ -164,7 +163,7 @@ def cmd_render(args) -> int:
         for a, b in edges:
             if not (0 <= a < P.n and 0 <= b < P.n and a != b):
                 raise InputError(f"edge ({a}, {b}) out of range for n={P.n}")
-        edges = [tuple(sorted(e)) for e in edges]
+        edges = {tuple(sorted(e)) for e in edges}
     path_vertices: list[int] = []
     if args.path_file:
         try:

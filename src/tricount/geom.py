@@ -62,10 +62,11 @@ class PointSet:
     rightmost.  SweepIndex i in 1..n-1 denotes the line l_i with points
     0..i-1 on its left and i..n-1 on its right.
 
-    The constructor takes int points (not bools) in strictly increasing
-    lexicographic order and refuses any other input rather than coerce or
-    sort it.  It builds every table once, from one exact orientation per
-    triple, and raises CollinearTriple on a zero one.  Its read-only tables:
+    The constructor takes at least three int points (not bools) in strictly
+    increasing lexicographic order and refuses any other input rather than
+    coerce or sort it.  It builds every table once, from one exact
+    orientation per triple, and raises CollinearTriple on a zero one.  Its
+    read-only tables:
 
     - left[a][b]: bitmask of the points strictly left of directed ab;
     - segments: the n(n-1)/2 segments (a < b) in lexicographic order, so
@@ -80,6 +81,8 @@ class PointSet:
 
     def __init__(self, points: Sequence[Point]):
         self.points = pts = tuple(map(_integer_point, points))
+        if len(pts) < 3:
+            raise TooFewPoints(f"need at least 3 points, got {len(pts)}")
         for p, q in zip(pts, pts[1:]):
             if p == q:
                 raise DuplicatePoint(f"duplicate point {q}")
@@ -225,16 +228,13 @@ def _integer_point(q) -> Point:
 
 
 def validate_point_set(raw: Iterable[Point]) -> PointSet:
-    """Type-check, sort and count a raw point list; PointSet then refuses
-    a repeated point or a collinear triple.
+    """Type-check and sort a raw point list; PointSet then refuses fewer
+    than three points, a repeated point or a collinear triple.
 
     Coordinates must be Python ints; floats, bools and strings are refused
     rather than coerced.
     """
-    pts = sorted(_integer_point(q) for q in raw)
-    if len(pts) < 3:
-        raise TooFewPoints(f"need at least 3 points, got {len(pts)}")
-    return PointSet(pts)
+    return PointSet(sorted(_integer_point(q) for q in raw))
 
 
 def bits(mask: int) -> Iterator[int]:

@@ -132,11 +132,14 @@ def _region_empty(P: PointSet, i: int, u: int, exc: list[int],
 
 def ptpath_chains(P: PointSet, i: int,
                   pool: Optional[EdgeSet] = None) -> list[PathKey]:
-    """All valid PT-path chains w.r.t. l_i: the path population.
+    """All valid PT-path chains w.r.t. l_i, strictly ascending: the path
+    population (at l_1 the forced chain, the hull edges at vertex 0).
 
-    With a pool, edges are restricted to it and the final pointedness check
-    is skipped (a subset of a pointed set is pointed).  As in tpath_chains,
-    one bitmask carries the chain's edges and every segment crossing one.
+    As in tpath_chains, one bitmask carries the chain's edges and every
+    segment crossing one, and the ascending search yields ascending
+    chains.  With a pool (extraction from a pseudo-triangulation), every
+    segment outside it starts out blocked; the final pointedness check
+    still runs, and a subset of a pointed set passes it.
     """
     lo, hi = geom.hull_crossing_edges(P, i)
     cross, eid, left = P.cross, P.ids, P.left
@@ -170,29 +173,32 @@ def ptpath_chains(P: PointSet, i: int,
             k = ids[w]
             if blocked >> k & 1:
                 continue
-            e = (v, w) if v < w else (w, v)
-            if pool is not None and e not in pool:
-                continue
             chain.append(w)
             if low & here:
                 extend(chain, blocked | 1 << k | cross[k], start,
                        exc | 1 << w, convex + (turn >> w & 1), last)
-            elif above(e, last) and _region_empty(
-                    P, i, chain[start - 1], chain[start:-1], w):
-                # the excursion closes as an empty pseudo-triangle
-                if e != hi:
-                    extend(chain, blocked | 1 << k | cross[k],
-                           len(chain) - 1, 1 << w, 0, e)
-                elif pool is not None or _all_pointed(chain_edges(chain), P):
-                    out.append(tuple(chain))
+            else:
+                e = (v, w) if v < w else (w, v)
+                if above(e, last) and _region_empty(
+                        P, i, chain[start - 1], chain[start:-1], w):
+                    # the excursion closes as an empty pseudo-triangle
+                    if e != hi:
+                        extend(chain, blocked | 1 << k | cross[k],
+                               len(chain) - 1, 1 << w, 0, e)
+                    elif _all_pointed(chain_edges(chain), P):
+                        out.append(tuple(chain))
             chain.pop()
 
-    if pool is not None and (lo not in pool or hi not in pool):
-        return []
     a, b = lo
     k = eid[a][b]
+    blocked = 1 << k | cross[k]
+    if pool is not None:
+        outside = ~P.edge_masks(pool)[0]
+        if outside >> k & 1:
+            return out
+        blocked |= outside
     for (v0, v1) in ((a, b), (b, a)):
-        extend([v0, v1], 1 << k | cross[k], 1, 1 << v1, 0, lo)
+        extend([v0, v1], blocked, 1, 1 << v1, 0, lo)
     return out
 
 

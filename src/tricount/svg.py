@@ -21,7 +21,9 @@ def render_svg(points: Sequence[Point],
                structure_edges: Iterable[Segment] = (),
                path_vertices: Sequence[int] = (),
                line_index: Optional[int] = None) -> str:
-    """Render to an SVG string; y grows upward (flipped from SVG space)."""
+    """Render to an SVG string; y grows upward (flipped from SVG space).
+
+    structure_edges are distinct (a < b) pairs, drawn in sorted order."""
     xs = [Fraction(x) for x, _ in points]
     ys = [Fraction(-y) for _, y in points]  # flip so larger y is higher
     minx, maxx = min(xs), max(xs)
@@ -40,7 +42,7 @@ def render_svg(points: Sequence[Point],
         f'<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="{_fmt(vb[0])} {_fmt(vb[1])} {_fmt(vb[2])} {_fmt(vb[3])}">',
     ]
-    for e in sorted(set(structure_edges)):
+    for e in sorted(structure_edges):
         (x1, y1), (x2, y2) = pt(e[0]), pt(e[1])
         lines.append(
             f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" '

@@ -1,11 +1,14 @@
 """Sweep-line dynamic program over path families.
 
 The sweep walks the lines l_1 .. l_{n-1}, keeping for every path pi in the
-current population the number of compatible path prefixes T(pi).  A line
-is held as parallel lists in sorted key order (the key is the vertex
-tuple): the keys, their counts and, for the sampler, each key's parents as
-ascending indices into the previous line's keys.  The final line holds a
-single key whose count is the number of structures.
+current population the number of compatible path prefixes T(pi).  The
+population search is the only source of paths: it returns each line's
+chains strictly ascending (the key is the vertex tuple), and at l_1 just
+the forced path, the two hull edges at the leftmost point.  A line is held
+as parallel lists in that order: the keys, their counts and, for the
+sampler, each key's parents as ascending indices into the previous line's
+keys.  The final line holds a single key whose count is the number of
+structures.
 """
 
 from __future__ import annotations
@@ -15,13 +18,12 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import ptpath, tpath
 from .errors import InternalInvariantViolation, MemoryBudgetExceeded
-from .geom import PointSet, seg
+from .geom import PointSet
 from .tpath import PathKey
 
 
 class PathSystem(NamedTuple):
-    family: str  # "tri" or "pt"
-    # the path population at l_i
+    # the path population at l_i, strictly ascending
     chains: Callable[[PointSet, int], list[PathKey]]
     # for each child in turn, the ascending indices of its compatible parents
     join: Callable[[PointSet, Sequence[PathKey], Sequence[PathKey]],
@@ -49,24 +51,13 @@ class PathTable(NamedTuple):
     parents: list[list[int]]  # ascending indices into the previous keys
 
 
-def initial_path(P: PointSet) -> PathKey:
-    """The forced path at l_1: the two hull edges at the leftmost point."""
-    hull = P.hull
-    pos = hull.index(0)
-    b = hull[(pos - 1) % len(hull)]
-    c = hull[(pos + 1) % len(hull)]
-    if P.above(seg(0, b), seg(0, c)):
-        b, c = c, b
-    return (b, 0, c)
-
-
 def paths_cross(k1: PathKey, k2: PathKey, P: PointSet) -> bool:
     blocked = P.edge_masks(zip(k1, k1[1:]))[1]
     return bool(blocked & P.edge_masks(zip(k2, k2[1:]))[0])
 
 
-TRI_SYSTEM = PathSystem("tri", tpath.tpath_chains, tpath.tpath_join)
-PT_SYSTEM = PathSystem("pt", ptpath.ptpath_chains, ptpath.ptpath_join)
+TRI_SYSTEM = PathSystem(tpath.tpath_chains, tpath.tpath_join)
+PT_SYSTEM = PathSystem(ptpath.ptpath_chains, ptpath.ptpath_join)
 
 
 def system_for(family: str) -> PathSystem:
@@ -82,19 +73,21 @@ def run_sweep(system: PathSystem, P: PointSet, record_parents: bool = False,
               ) -> tuple[int, SweepStats, Optional[list[PathTable]]]:
     """Count structures; optionally retain all tables for the sampler.
 
-    The children are sorted and kept in order, so every line's keys are
-    ascending and the join's index lists are its parents as they stand.
+    Every line starts from the search's own ascending population and keeps
+    it in order, so every line's keys are ascending and the join's index
+    lists are its parents as they stand.
     """
-    keys, counts = [initial_path(P)], [1]
+    keys = system.chains(P, 1)
+    counts = [1] * len(keys)
     tables: Optional[list[PathTable]] = None
-    total_entries = 1
+    total_entries = len(keys)
     if record_parents:
-        tables = [PathTable(1, keys, counts, [[]])]
-    stats = SweepStats([1])
+        tables = [PathTable(1, keys, counts, [[] for _ in keys])]
+    stats = SweepStats([len(keys)])
 
     for i in range(1, P.n - 1):
         t0 = time.perf_counter()
-        children = sorted(set(system.chains(P, i + 1)))
+        children = system.chains(P, i + 1)
         kept, sums, parents = [], [], []
         pairs = 0
         for c, js in zip(children, system.join(P, keys, children)):

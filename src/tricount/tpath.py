@@ -100,14 +100,18 @@ def validate_tpath(path: TPath, P: PointSet) -> Check:
 
 def tpath_chains(P: PointSet, i: int,
                  pool: Optional[EdgeSet] = None) -> list[PathKey]:
-    """All valid T-path chains w.r.t. l_i: the path population.
+    """All valid T-path chains w.r.t. l_i, strictly ascending: the path
+    population (at l_1 the forced chain, the hull edges at vertex 0).
 
-    With a pool, candidate edges are restricted to it (extraction from a
-    triangulation).  The search carries one bitmask over P.segments: the
-    chain's edges and every segment crossing one.
+    The search carries one bitmask over P.segments: the chain's edges and
+    every segment crossing one.  It tries vertices in ascending order and
+    ends every chain at the upper hull edge, hence the order.  With a pool
+    (extraction from a triangulation), every segment outside it starts out
+    blocked.
     """
     lo, hi = geom.hull_crossing_edges(P, i)
     cross, eid, left, inside = P.cross, P.ids, P.left, P.inside
+    top = eid[hi[0]][hi[1]]
     left_of_line = (1 << i) - 1
     out: list[PathKey] = []
 
@@ -130,22 +134,23 @@ def tpath_chains(P: PointSet, i: int,
             k = ids[w]
             if blocked >> k & 1 or inside(prev, v, w) & side:
                 continue
-            e = (v, w) if v < w else (w, v)
-            if pool is not None and e not in pool:
-                continue
-            if e == hi:
+            if k == top:
                 out.append(tuple(chain) + (w,))
                 continue
             chain.append(w)
             extend(chain, blocked | 1 << k | cross[k])
             chain.pop()
 
-    if pool is not None and (lo not in pool or hi not in pool):
-        return []
     a, b = lo
     k = eid[a][b]
+    blocked = 1 << k | cross[k]
+    if pool is not None:
+        outside = ~P.edge_masks(pool)[0]
+        if outside >> k & 1:
+            return out
+        blocked |= outside
     for start in ((a, b), (b, a)):
-        extend(list(start), 1 << k | cross[k])
+        extend(list(start), blocked)
     return out
 
 

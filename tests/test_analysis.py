@@ -3,7 +3,7 @@ from math import comb
 import pytest
 
 import tricount as tc
-from tricount.analysis import bound_sequence, report
+from tricount.analysis import bound_sequence
 
 
 def test_golden_values():
@@ -32,23 +32,6 @@ def test_growth_ratio():
 def test_binomial_identity():
     for a in range(31):
         assert sum(comb(a, i) * 8 ** i for i in range(a + 1)) == 9 ** a
-
-
-def test_report(tri3, conv5):
-    count, stats, _ = tc.run_sweep(tc.TRI_SYSTEM, tri3)
-    rep = report(stats, tri3, "tri", count, 1.0)
-    assert rep.t_per_line == [1, 1]
-    assert rep.t_max == 1
-    assert rep.t_max_within_nine_pow_n is True
-
-    count, stats, _ = tc.run_sweep(tc.TRI_SYSTEM, conv5)
-    rep = report(stats, conv5, "tri", count, 1.0)
-    assert rep.t_max <= count  # small convex case
-    assert rep.count == 5 and rep.n == 5 and rep.family == "tri"
-
-    count, stats, _ = tc.run_sweep(tc.PT_SYSTEM, conv5)
-    rep = report(stats, conv5, "pt", count, 1.0)
-    assert rep.t_max_within_nine_pow_n is None  # no pt bound exists
 
 
 def test_fan5_t_per_line_golden(fan5):

@@ -108,6 +108,17 @@ def test_point_set_refuses_unsorted_or_non_integer_points():
     assert geom.PointSet([(0, 0), (1, 5), (3, 1)]).hull == (0, 2, 1)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_point_set_refuses_fewer_than_three_points(n):
+    # the constructor itself: with fewer points there is no hull to walk
+    # and no sweep line with two hull crossings
+    pts = conv_points(n)
+    with pytest.raises(TooFewPoints, match=f"got {n}"):
+        geom.PointSet(pts)
+    with pytest.raises(TooFewPoints, match=f"got {n}"):
+        tc.validate_point_set(pts)
+
+
 def test_triangle_empty(fan5, tri3):
     assert fan5.triangle_empty(0, 1, 3)       # (3,7) above chord (2,2)-(4,8)
     assert not fan5.triangle_empty(0, 3, 4)   # contains (3,7)

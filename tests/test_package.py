@@ -29,7 +29,7 @@ def test_cli_import_loads_only_the_engine():
 
 
 def test_lazy_exports_are_the_module_bindings():
-    assert len(tc.__all__) == len(set(tc.__all__)) == 37
+    assert len(tc.__all__) == len(set(tc.__all__)) == 34
     for name in tc.__all__:
         module = importlib.import_module(f"tricount.{tc._SOURCE[name]}")
         assert getattr(tc, name) is getattr(module, name), name

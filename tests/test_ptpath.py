@@ -78,6 +78,9 @@ def test_extract_ptpath(fan5, tri3):
             path = tc.extract_ptpath(S, i, fan5)
             assert tc.validate_ptpath(path, fan5)
             assert len(ptpath_chains(fan5, i, pool=S)) == 1
+            # without either hull crossing edge nothing is extracted
+            for e in geom.hull_crossing_edges(fan5, i):
+                assert ptpath_chains(fan5, i, pool=S - {e}) == []
 
 
 def test_convex_position_pt_equals_t(conv5):
@@ -136,12 +139,13 @@ def test_every_edge_on_some_ptpath(fan5):
 
 
 def test_successors_forced(tri3):
-    succ = tc.ptpath_successors(PTPath(tc.initial_path(tri3), 1), tri3)
+    k0 = (tri3.hull[1], 0, tri3.hull[-1])
+    succ = tc.ptpath_successors(PTPath(k0, 1), tri3)
     assert len(succ) == 1
 
 
 def test_successors_match_oracle(fan5):
-    k0 = tc.initial_path(fan5)
+    k0 = (fan5.hull[1], 0, fan5.hull[-1])
     succ = tc.ptpath_successors(PTPath(k0, 1), fan5)
     assert succ == oracle.collect_paths(fan5, 2, "pt")
 

@@ -9,11 +9,20 @@ from tricount import geom, oracle, ptpath, tpath
 from conftest import random_point_set, random_points
 
 
-def test_initial_path(fan5, conv5, tri3):
-    assert tc.initial_path(fan5) == (1, 0, 4)
-    assert tc.initial_path(conv5) == (1, 0, 4)
-    key = tc.initial_path(tri3)
-    assert key[1] == 0 and sorted(key) == [0, 1, 2]
+def first_path(P):
+    """The forced path at l_1: the two hull edges at the leftmost point,
+    lower one first (the hull runs CCW from vertex 0)."""
+    return (P.hull[1], 0, P.hull[-1])
+
+
+def test_first_line_is_the_hull_path(fan5, conv5, tri3):
+    # the sweep's l_1 comes from the population search alone
+    assert first_path(fan5) == first_path(conv5) == (1, 0, 4)
+    sets = [fan5, conv5, tri3] + [random_point_set(n, 300 + n)
+                                  for n in range(3, 11)]
+    for P in sets:
+        for system in (tc.TRI_SYSTEM, tc.PT_SYSTEM):
+            assert system.chains(P, 1) == [first_path(P)]
 
 
 def test_run_sweep_basics(fan5, conv5, tri3):
@@ -22,13 +31,17 @@ def test_run_sweep_basics(fan5, conv5, tri3):
     assert tc.run_sweep(tc.TRI_SYSTEM, fan5)[0] == 3
 
 
-def test_stats_boundaries(fan5):
-    for system in (tc.TRI_SYSTEM, tc.PT_SYSTEM):
-        _, stats, _ = tc.run_sweep(system, fan5)
-        assert stats.t_per_line[0] == 1
-        assert stats.t_per_line[-1] == 1
-        assert len(stats.t_per_line) == fan5.n - 1
-        assert stats.t_max == max(stats.t_per_line)
+def test_stats_boundaries(fan5, conv5, tri3):
+    for P in (fan5, conv5, tri3):
+        for system in (tc.TRI_SYSTEM, tc.PT_SYSTEM):
+            _, stats, _ = tc.run_sweep(system, P)
+            assert stats.t_per_line[0] == 1
+            assert stats.t_per_line[-1] == 1
+            assert len(stats.t_per_line) == P.n - 1
+            assert stats.t_max == max(stats.t_per_line)
+            if system is tc.TRI_SYSTEM:
+                # the paper's bound on the T-paths per line
+                assert stats.t_max <= 9 ** P.n
 
 
 def test_paths_cross(conv5):
@@ -41,7 +54,7 @@ def test_paths_cross(conv5):
 
 
 def test_initial_successor_compatible(fan5):
-    k0 = tc.initial_path(fan5)
+    k0 = first_path(fan5)
     for s in tc.tpath_successors(tc.TPath(k0, 1), fan5):
         assert not tc.paths_cross(k0, s, fan5)
 
@@ -49,7 +62,7 @@ def test_initial_successor_compatible(fan5):
 def _check_parent_tables(family, P):
     system = tc.system_for(family)
     _, _, tables = tc.run_sweep(system, P, record_parents=True)
-    assert tables[0].keys == [tc.initial_path(P)]
+    assert tables[0].keys == [first_path(P)]
     assert tables[0].counts == [1]
     for tab in tables:
         # the sweep keeps keys and parent lists ascending instead of
@@ -134,6 +147,8 @@ def test_validator_agrees_with_population(family):
             P = random_point_set(n, 1000 * n + s)
             for i in range(1, n):
                 population = tc.system_for(family).chains(P, i)
+                # strictly ascending: the sweep keeps it without sorting
+                assert all(a < b for a, b in zip(population, population[1:]))
                 members = set(population)
                 for vs in population:
                     assert validate(path(vs, i), P)

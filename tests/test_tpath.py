@@ -1,7 +1,7 @@
 import pytest
 
 import tricount as tc
-from tricount import oracle, tpath
+from tricount import geom, oracle, tpath
 from tricount.errors import (
     EdgeNotInTriangulation,
     EdgeDoesNotCrossLine,
@@ -56,6 +56,9 @@ def test_uniqueness_over_oracle(fan5, conv5):
         for T in oracle.enumerate_triangulations(P).structures:
             for i in range(1, P.n):
                 assert len(tpath_chains(P, i, pool=T)) == 1
+                # without either hull crossing edge nothing is extracted
+                for e in geom.hull_crossing_edges(P, i):
+                    assert tpath_chains(P, i, pool=T - {e}) == []
 
 
 def test_is_flippable(fan5, conv5):
@@ -101,12 +104,13 @@ def test_good_edges_lie_on_tpath():
 
 
 def test_successors_forced(tri3):
-    succ = tc.tpath_successors(TPath(tc.initial_path(tri3), 1), tri3)
+    k0 = (tri3.hull[1], 0, tri3.hull[-1])
+    succ = tc.tpath_successors(TPath(k0, 1), tri3)
     assert len(succ) == 1
 
 
 def test_successors_match_oracle(fan5):
-    k0 = tc.initial_path(fan5)
+    k0 = (fan5.hull[1], 0, fan5.hull[-1])
     succ = tc.tpath_successors(TPath(k0, 1), fan5)
     expect = oracle.collect_paths(fan5, 2, "tri")
     assert (3, 1, 2, 0, 4) in succ
