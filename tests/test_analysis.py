@@ -34,6 +34,25 @@ def test_binomial_identity():
         assert sum(comb(a, i) * 8 ** i for i in range(a + 1)) == 9 ** a
 
 
+def test_report(tri3, conv5):
+    # the sweep's per-line report is its SweepStats, written as it stands
+    # by `count --stats`
+    count, stats, _ = tc.run_sweep(tc.TRI_SYSTEM, tri3)
+    assert count == 1
+    assert stats.t_per_line == [1, 1]
+    assert stats.t_max == 1
+    assert stats.t_max <= 9 ** tri3.n  # the paper's bound on T-paths per line
+
+    count, stats, _ = tc.run_sweep(tc.TRI_SYSTEM, conv5)
+    assert count == 5
+    assert stats.t_max <= count  # small convex case
+    assert stats.t_max <= 9 ** conv5.n
+
+    count, stats, _ = tc.run_sweep(tc.PT_SYSTEM, conv5)
+    assert len(stats.t_per_line) == conv5.n - 1
+    assert stats.t_max == max(stats.t_per_line)
+
+
 def test_fan5_t_per_line_golden(fan5):
     # values pinned after the oracle-validated first run
     _, stats, _ = tc.run_sweep(tc.TRI_SYSTEM, fan5)
