@@ -46,10 +46,6 @@ class PTPath(NamedTuple):
                 if geom.edge_crosses_line(e, self.line)]
 
 
-def pseudotriangulation_edge_target(P: PointSet) -> int:
-    return 2 * P.n - 3
-
-
 # -- pointedness ---------------------------------------------------------
 
 def adjacency(edges: Iterable[Segment], n: int) -> list[int]:
@@ -138,8 +134,15 @@ def ptpath_chains(P: PointSet, i: int,
     As in tpath_chains, one bitmask carries the chain's edges and every
     segment crossing one, and the ascending search yields ascending
     chains.  With a pool (extraction from a pseudo-triangulation), every
-    segment outside it starts out blocked; the final pointedness check
-    still runs, and a subset of a pointed set passes it.
+    segment outside it starts out blocked.
+
+    Every chain found is pointed, so no final check runs.  The regions
+    that a vertex v's excursions close on its side are interior-disjoint,
+    and no chain edge enters one.  If v is reflex in one, its angle at v is
+    an edge-free gap larger than pi.  Otherwise v is the convex corner of
+    each, which then lies in the triangle of v and its two crossing points
+    on the line, so all of v's edges point strictly toward the line.  The
+    end vertices are hull vertices, which are always pointed.
     """
     lo, hi = geom.hull_crossing_edges(P, i)
     cross, eid, left = P.cross, P.ids, P.left
@@ -185,7 +188,7 @@ def ptpath_chains(P: PointSet, i: int,
                     if e != hi:
                         extend(chain, blocked | 1 << k | cross[k],
                                len(chain) - 1, 1 << w, 0, e)
-                    elif _all_pointed(chain_edges(chain), P):
+                    else:
                         out.append(tuple(chain))
             chain.pop()
 

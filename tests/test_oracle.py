@@ -3,6 +3,7 @@ import pytest
 import tricount as tc
 from tricount import oracle
 from tricount.errors import CapExceeded, TooLarge
+from tricount.geom import seg
 
 from conftest import conv_points, random_point_set
 
@@ -26,21 +27,40 @@ def test_pt_counts(fan5, conv5, tri3):
 
 
 def test_convex_position_catalan():
-    for n in range(3, 9):
-        P = tc.validate_point_set(conv_points(n))
-        assert oracle.enumerate_triangulations(P).count == tc.catalan(n - 2)
+    # in convex position every pointed pseudo-triangulation is a
+    # triangulation; each family runs up to its oracle guard
+    for fam, guard in (("tri", oracle.TRI_GUARD), ("pt", oracle.PT_GUARD)):
+        for n in range(3, guard + 1):
+            P = tc.validate_point_set(conv_points(n))
+            assert oracle.enumerate_structures(P, fam).count == \
+                tc.catalan(n - 2)
 
 
 def test_structure_invariants(fan5):
-    tri = oracle.enumerate_triangulations(fan5)
-    assert len(set(tri.structures)) == tri.count
-    for T in tri.structures:
-        assert len(T) == 3 * fan5.n - 3 - 4
-    pt = oracle.enumerate_pointed_pseudotriangulations(fan5)
-    assert len(set(pt.structures)) == pt.count
-    for S in pt.structures:
-        assert len(S) == 2 * fan5.n - 3
-        assert tc.validate_pseudotriangulation(S, fan5)
+    for P in [fan5] + [random_point_set(n, 300 + n) for n in range(5, 10)]:
+        n, hull = P.n, P.hull
+        hull_edges = {seg(a, b) for a, b in zip(hull, hull[1:] + hull[:1])}
+        tri = oracle.enumerate_triangulations(P)
+        assert len(set(tri.structures)) == tri.count
+        for T in tri.structures:
+            assert hull_edges <= T
+            assert len(T) == 3 * n - 3 - len(hull)
+            assert not any(P.segments_cross(e, f) for e in T for f in T)
+        pt = oracle.enumerate_pointed_pseudotriangulations(P)
+        assert len(set(pt.structures)) == pt.count
+        for S in pt.structures:
+            assert hull_edges <= S
+            assert len(S) == 2 * n - 3
+            assert tc.validate_pseudotriangulation(S, P)
+
+
+@pytest.mark.parametrize("fam,n", [("tri", 11), ("tri", 12), ("pt", 9),
+                                   ("pt", 10)])
+def test_oracle_matches_sweep_at_guard(fam, n):
+    for seed in range(3):
+        P = random_point_set(n, 400 + 10 * n + seed)
+        assert oracle.enumerate_structures(P, fam).count == \
+            tc.run_sweep(tc.system_for(fam), P)[0]
 
 
 def test_guards():

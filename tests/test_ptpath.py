@@ -5,6 +5,7 @@ import tricount.geom as geom
 from tricount import oracle, ptpath
 from tricount.errors import EdgeDoesNotCrossLine, PreconditionViolated
 from tricount.ptpath import PTPath, ptpath_chains
+from tricount.tpath import chain_edges
 
 import scan_predicates as scan
 from conftest import fan5_star_triangulation, random_point_set
@@ -164,9 +165,12 @@ def test_successor_count_quartic():
 
 
 def test_validate_rejects_unpointed_chain():
-    # a chain whose own edges surround one of its vertices is never a PT-path
-    for n, seed in ((6, 31), (6, 32), (7, 33)):
-        P = random_point_set(n, seed)
-        for i in range(1, P.n):
-            for key in ptpath_chains(P, i):
-                assert ptpath._all_pointed(set(tc.TPath(key, i).edges()), P)
+    # a chain whose own edges surround one of its vertices is never a
+    # PT-path; the search has no pointedness check of its own, so each
+    # chain it finds must pass the validator's
+    for n in range(5, 11):
+        for seed in (31, 32, 33):
+            P = random_point_set(n, 100 * n + seed)
+            for i in range(1, P.n):
+                for key in ptpath_chains(P, i):
+                    assert ptpath._all_pointed(chain_edges(key), P)
