@@ -65,6 +65,14 @@ def _vertex(v) -> int:
     return v
 
 
+def _read_json(path: str, what: str, parse):
+    """parse of a JSON input file; any failure is an InputError."""
+    try:
+        return parse(json.loads(Path(path).read_text()))
+    except (OSError, TypeError, ValueError) as exc:
+        raise InputError(f"bad {what} file: {exc}") from None
+
+
 def write_text(path, text: str) -> None:
     try:
         Path(path).write_text(text)
@@ -154,24 +162,16 @@ def cmd_render(args) -> int:
     P = load_point_set(args.input)
     edges = []
     if args.structure_file:
-        try:
-            raw = json.loads(Path(args.structure_file).read_text())
-            edges = [(_vertex(a), _vertex(b)) for a, b in raw]
-        except (OSError, json.JSONDecodeError, TypeError,
-                ValueError) as exc:
-            raise InputError(f"bad structure file: {exc}") from None
+        edges = _read_json(args.structure_file, "structure", lambda raw: [
+            (_vertex(a), _vertex(b)) for a, b in raw])
         for a, b in edges:
             if not (0 <= a < P.n and 0 <= b < P.n and a != b):
                 raise InputError(f"edge ({a}, {b}) out of range for n={P.n}")
         edges = {tuple(sorted(e)) for e in edges}
     path_vertices: list[int] = []
     if args.path_file:
-        try:
-            raw = json.loads(Path(args.path_file).read_text())
-            path_vertices = [_vertex(v) for v in raw]
-        except (OSError, json.JSONDecodeError, TypeError,
-                ValueError) as exc:
-            raise InputError(f"bad path file: {exc}") from None
+        path_vertices = _read_json(args.path_file, "path",
+                                   lambda raw: [_vertex(v) for v in raw])
         for v in path_vertices:
             if not 0 <= v < P.n:
                 raise InputError(f"path vertex {v} out of range for n={P.n}")

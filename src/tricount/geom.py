@@ -10,8 +10,8 @@ cross a line is a left-of bit.
 A PointSet builds its exact tables once, in its constructor: the left-of
 bitmasks (PointSet.left), filled from one orientation per triple, and from
 them the segment index, the crossing masks and the convex hull.  Crossing,
-crossing order, triangle and wedge emptiness and pointedness are read off
-the left-of masks, so each is a few shifts and ANDs.
+crossing order, triangle, wedge and region emptiness and pointedness are
+read off the left-of masks, so each is a few shifts and ANDs.
 """
 
 from __future__ import annotations
@@ -131,9 +131,6 @@ class PointSet:
 
     # -- basic predicates on vertex indices ------------------------------
 
-    def orient(self, a: int, b: int, c: int) -> int:
-        return orientation(self.points[a], self.points[b], self.points[c])
-
     def segments_cross(self, e: Segment, f: Segment) -> bool:
         """Proper crossing: each segment separates the other's endpoints.
 
@@ -208,9 +205,6 @@ class PointSet:
             rest ^= low
         return False
 
-    def interior_count(self) -> int:
-        return self.n - len(self.hull)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"PointSet(n={self.n}, points={list(self.points)})"
 
@@ -265,15 +259,30 @@ def wedge_empty(a: int, b: int, d: int, i: int, P: PointSet) -> bool:
     return not P.inside(a, b, d) & side
 
 
+def region_empty(P: PointSet, i: int, u: int, exc: list[int],
+                 w: int) -> bool:
+    """Whether no point lies between l_i and the excursion u, *exc, w.
+
+    The polygon u, *exc, w differs from the region closed along the line
+    only by a closed curve on the other side of l_i, so every point on
+    exc's side has the same even-odd parity for both.  That parity is the
+    XOR of the fan triangles from u: general position keeps every point off
+    the fan diagonals.
+    """
+    odd = 0
+    for p, q in zip(exc, exc[1:] + [w]):
+        odd ^= P.inside(u, p, q)
+    for v in exc:
+        odd &= ~(1 << v)
+    left_of_line = (1 << i) - 1
+    return not odd & (left_of_line if exc[0] < i else ~left_of_line)
+
+
 def hull_crossing_edges(P: PointSet, i: int) -> tuple[Segment, Segment]:
     """The two hull edges crossed by l_i, ordered by crossing height."""
     hull = P.hull
-    crossing = []
-    h = len(hull)
-    for k in range(h):
-        e = seg(hull[k], hull[(k + 1) % h])
-        if edge_crosses_line(e, i):
-            crossing.append(e)
+    crossing = [e for e in map(seg, hull, hull[1:] + hull[:1])
+                if edge_crosses_line(e, i)]
     if len(crossing) != 2:
         raise PreconditionViolated(
             f"expected exactly 2 hull edges crossing l_{i}, got {crossing}")

@@ -123,17 +123,3 @@ def collect_paths(P: PointSet, i: int, family: str) -> set[tuple[int, ...]]:
     return {extract(S, i, P).vertices
             for S in enumerate_structures(P, family).structures}
 
-
-def triangulations_via_flips(P: PointSet, start: EdgeSet) -> set[EdgeSet]:
-    """Closure of a triangulation under diagonal flips (test cross-check)."""
-    seen = {start}
-    queue = [start]
-    while queue:
-        T = queue.pop()
-        for e in T:
-            if tpath.is_flippable(T, e, P):
-                T2 = tpath.flip(T, e, P)
-                if T2 not in seen:
-                    seen.add(T2)
-                    queue.append(T2)
-    return seen

@@ -12,10 +12,10 @@ convex turn among the excursion vertices" plus region emptiness.
 
 As with T-paths, validity coincides with membership in the population: a
 valid chain completes to a maximal planar pointed edge set, of which it is
-the unique PT-path.  Extraction and population building are therefore one
-constrained depth-first search, and successors come from a join of two
-populations: the T-path join's non-crossing parents of each child, kept
-where the union stays pointed.
+the unique PT-path.  Extraction and population building are the T-path
+chain search, tpath.path_chains, with same-side moves allowed, and
+successors come from a join of two populations: the T-path join's
+non-crossing parents of each child, kept where the union stays pointed.
 """
 
 from __future__ import annotations
@@ -39,11 +39,6 @@ class PTPath(NamedTuple):
 
     def edges(self) -> list[Segment]:
         return chain_edges(self.vertices)
-
-    def crossing_positions(self) -> list[int]:
-        """Indices k such that edge (v_k, v_{k+1}) crosses the line."""
-        return [k for k, e in enumerate(self.edges())
-                if geom.edge_crosses_line(e, self.line)]
 
 
 # -- pointedness ---------------------------------------------------------
@@ -102,107 +97,12 @@ def validate_pt_mask(P: PointSet, emask: int) -> Check:
     return Check(True)
 
 
-# -- excursion geometry --------------------------------------------------
-
-def _region_empty(P: PointSet, i: int, u: int, exc: list[int],
-                  w: int) -> bool:
-    """Whether no point lies between l_i and the excursion u, *exc, w.
-
-    The polygon u, *exc, w differs from the region closed along the line
-    only by a closed curve on the other side of l_i, so every point on
-    exc's side has the same even-odd parity for both.  That parity is the
-    XOR of the fan triangles from u: general position keeps every point off
-    the fan diagonals.
-    """
-    odd = 0
-    ring = exc + [w]
-    for p, q in zip(ring, ring[1:]):
-        odd ^= P.inside(u, p, q)
-    for v in exc:
-        odd &= ~(1 << v)
-    left_of_line = (1 << i) - 1
-    return not odd & (left_of_line if exc[0] < i else ~left_of_line)
-
-
 # -- chain search --------------------------------------------------------
 
 def ptpath_chains(P: PointSet, i: int,
                   pool: Optional[EdgeSet] = None) -> list[PathKey]:
-    """All valid PT-path chains w.r.t. l_i, strictly ascending: the path
-    population (at l_1 the forced chain, the hull edges at vertex 0).
-
-    As in tpath_chains, one bitmask carries the chain's edges and every
-    segment crossing one, and the ascending search yields ascending
-    chains.  With a pool (extraction from a pseudo-triangulation), every
-    segment outside it starts out blocked.
-
-    Every chain found is pointed, so no final check runs.  The regions
-    that a vertex v's excursions close on its side are interior-disjoint,
-    and no chain edge enters one.  If v is reflex in one, its angle at v is
-    an edge-free gap larger than pi.  Otherwise v is the convex corner of
-    each, which then lies in the triangle of v and its two crossing points
-    on the line, so all of v's edges point strictly toward the line.  The
-    end vertices are hull vertices, which are always pointed.
-    """
-    lo, hi = geom.hull_crossing_edges(P, i)
-    cross, eid, left = P.cross, P.ids, P.left
-    above = P.above
-    full = (1 << P.n) - 1
-    left_of_line = (1 << i) - 1
-    out: list[PathKey] = []
-
-    def extend(chain: list[int], blocked: int, start: int, exc: int,
-               convex: int, last: Segment) -> None:
-        # the open excursion is chain[start:] (exc as a vertex mask),
-        # entered from chain[start - 1]
-        v, q = chain[-1], chain[-2]
-        # turn: the w that make v a convex corner (as in validate_ptpath)
-        if v >= i:
-            here, turn = full ^ left_of_line, left[q][v]
-        else:
-            here, turn = left_of_line, full ^ left[q][v]
-        # stay on this side (at most one convex turn, no vertex twice), or
-        # cross back after exactly one convex turn
-        stay = here & ~exc
-        if convex:
-            cands = (stay | full & ~here) & ~turn
-        else:
-            cands = stay | turn & ~here
-        ids = eid[v]
-        while cands:
-            low = cands & -cands
-            cands ^= low
-            w = low.bit_length() - 1
-            k = ids[w]
-            if blocked >> k & 1:
-                continue
-            chain.append(w)
-            if low & here:
-                extend(chain, blocked | 1 << k | cross[k], start,
-                       exc | 1 << w, convex + (turn >> w & 1), last)
-            else:
-                e = (v, w) if v < w else (w, v)
-                if above(e, last) and _region_empty(
-                        P, i, chain[start - 1], chain[start:-1], w):
-                    # the excursion closes as an empty pseudo-triangle
-                    if e != hi:
-                        extend(chain, blocked | 1 << k | cross[k],
-                               len(chain) - 1, 1 << w, 0, e)
-                    else:
-                        out.append(tuple(chain))
-            chain.pop()
-
-    a, b = lo
-    k = eid[a][b]
-    blocked = 1 << k | cross[k]
-    if pool is not None:
-        outside = ~P.edge_masks(pool)[0]
-        if outside >> k & 1:
-            return out
-        blocked |= outside
-    for (v0, v1) in ((a, b), (b, a)):
-        extend([v0, v1], blocked, 1, 1 << v1, 0, lo)
-    return out
+    """The PT-path population at l_i (tpath.path_chains with zigzag)."""
+    return tpath.path_chains(P, i, True, pool)
 
 
 def extract_ptpath(S: EdgeSet, i: int, P: PointSet) -> PTPath:
@@ -285,7 +185,7 @@ def validate_ptpath(path: PTPath, P: PointSet) -> Check:
                 return Check(False, "crossings_not_increasing")
             if convex != 1:
                 return Check(False, "not_pseudo_triangle")
-            if not _region_empty(P, i, exc_prev, exc, w):
+            if not geom.region_empty(P, i, exc_prev, exc, w):
                 return Check(False, "region_not_empty")
             exc_prev, exc, convex, last = v, [w], 0, e
             closed_at_end = True

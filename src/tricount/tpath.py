@@ -9,11 +9,12 @@ wedge spanned by two consecutive edges is empty.
 Validity is exactly membership in the path population: a valid chain
 extends to some triangulation (complete its edge set to a maximal
 non-crossing one) and is then, by uniqueness, that triangulation's T-path.
-This is what lets extraction and population building share one
-constrained depth-first chain search instead of a case analysis, and lets
-successors be found by joining two populations instead of searching again.
-The join is child-major: each child gets the ascending indices of its
-compatible parents, read off per-segment bitmasks of the parents.
+So extraction and population building are one constrained depth-first
+chain search, path_chains, which also finds PT-paths: a T-path is a
+PT-path whose excursions are single vertices, and its wedges are their
+regions.  Successors come from joining two populations, child-major: each
+child gets the ascending indices of its compatible parents, read off
+per-segment bitmasks of the parents.
 """
 
 from __future__ import annotations
@@ -98,47 +99,94 @@ def validate_tpath(path: TPath, P: PointSet) -> Check:
 
 # -- chain search --------------------------------------------------------
 
-def tpath_chains(P: PointSet, i: int,
-                 pool: Optional[EdgeSet] = None) -> list[PathKey]:
-    """All valid T-path chains w.r.t. l_i, strictly ascending: the path
-    population (at l_1 the forced chain, the hull edges at vertex 0).
+def path_chains(P: PointSet, i: int, zigzag: bool,
+                pool: Optional[EdgeSet] = None) -> list[PathKey]:
+    """The path population at l_i, strictly ascending: every valid PT-path
+    chain if zigzag, else every valid T-path chain (at l_1 the forced
+    chain, the hull edges at vertex 0).
 
-    The search carries one bitmask over P.segments: the chain's edges and
-    every segment crossing one.  It tries vertices in ascending order and
-    ends every chain at the upper hull edge, hence the order.  With a pool
-    (extraction from a triangulation), every segment outside it starts out
-    blocked.
+    A T-path is a PT-path whose excursions are single vertices, so without
+    zigzag the search never moves along one side of l_i.  It carries one
+    bitmask over P.segments, the chain's edges and every segment crossing
+    one, and the open excursion as a vertex mask with its convex-turn count
+    and entry edge.  With a pool (extraction from a structure), every
+    segment outside it starts out blocked.  The output is ascending: the
+    next vertex is tried in ascending order, same-side and cross-back
+    candidates in one loop, and every chain ends at the upper hull edge.
+
+    A one-vertex excursion v, entered from q, closes at a w that makes v a
+    convex corner.  Such a w is left of qv directed rightwards, so vw
+    crosses l_i above qv (PointSet.above with a shared endpoint), and the
+    region is triangle q v w clipped to v's side: a T-path's wedge.  A
+    longer excursion must close above its entry edge around an empty
+    region (geom.region_empty).
+
+    Every chain found is pointed, so no final check runs.  The regions
+    that a vertex v's excursions close on its side are interior-disjoint,
+    and no chain edge enters one.  If v is reflex in one, its angle at v is
+    an edge-free gap larger than pi.  Otherwise v is the convex corner of
+    each, which then lies in the triangle of v and its two crossing points
+    on the line, so all of v's edges point strictly toward the line.  The
+    end vertices are hull vertices, which are always pointed.
     """
     lo, hi = geom.hull_crossing_edges(P, i)
-    cross, eid, left, inside = P.cross, P.ids, P.left, P.inside
+    cross, eid, left, above = P.cross, P.ids, P.left, P.above
     top = eid[hi[0]][hi[1]]
+    full = (1 << P.n) - 1
     left_of_line = (1 << i) - 1
+    right_of_line = full ^ left_of_line
     out: list[PathKey] = []
 
-    def extend(chain: list[int], blocked: int) -> None:
-        v = chain[-1]
-        prev = chain[-2]
-        # the next edge vw crosses l_i above the last one, v prev, iff w is
-        # left of that edge directed rightwards (PointSet.above with a
-        # shared endpoint); the wedge at v is triangle (prev, v, w) clipped
-        # to v's side
-        if v < i:
-            cands, side = left[v][prev] & ~left_of_line, left_of_line
+    def extend(chain: list[int], blocked: int, exc: int, convex: int,
+               last: Segment) -> None:
+        v, q = chain[-1], chain[-2]
+        # turn: the w that make v a convex corner, left of directed xy; the
+        # excursion polygon runs CCW on the right of the line, CW on the left
+        if v >= i:
+            here, x, y = right_of_line, q, v
         else:
-            cands, side = left[prev][v] & left_of_line, ~left_of_line
+            here, x, y = left_of_line, v, q
+        turn = left[x][y]
+        # stay on this side (at most one convex turn, no vertex twice), or
+        # cross back after exactly one convex turn
+        if not zigzag:
+            cands = turn & ~here
+        elif convex:
+            cands = (here & ~exc | full & ~here) & ~turn
+        else:
+            cands = here & ~exc | turn & ~here
+        # the open excursion is the chain's last m vertices, entered by the
+        # crossing edge last
+        m = exc.bit_count()
+        if m == 1:
+            # a one-vertex close at w: triangle x y w (CCW) empty on v's side
+            tri, ly = turn & here, left[y]
         ids = eid[v]
         while cands:
             low = cands & -cands
             cands ^= low
             w = low.bit_length() - 1
             k = ids[w]
-            if blocked >> k & 1 or inside(prev, v, w) & side:
+            if blocked >> k & 1:
+                continue
+            if low & here:
+                chain.append(w)
+                extend(chain, blocked | 1 << k | cross[k], exc | low,
+                       convex + (turn >> w & 1), last)
+                chain.pop()
+                continue
+            e = (v, w) if v < w else (w, v)
+            if m == 1:
+                if tri & ly[w] & left[w][x]:
+                    continue
+            elif not (above(e, last) and geom.region_empty(
+                    P, i, chain[-m - 1], chain[-m:], w)):
                 continue
             if k == top:
                 out.append(tuple(chain) + (w,))
                 continue
             chain.append(w)
-            extend(chain, blocked | 1 << k | cross[k])
+            extend(chain, blocked | 1 << k | cross[k], low, 0, e)
             chain.pop()
 
     a, b = lo
@@ -149,9 +197,15 @@ def tpath_chains(P: PointSet, i: int,
         if outside >> k & 1:
             return out
         blocked |= outside
-    for start in ((a, b), (b, a)):
-        extend(list(start), blocked)
+    for v0, v1 in ((a, b), (b, a)):
+        extend([v0, v1], blocked, 1 << v1, 0, lo)
     return out
+
+
+def tpath_chains(P: PointSet, i: int,
+                 pool: Optional[EdgeSet] = None) -> list[PathKey]:
+    """The T-path population at l_i (path_chains without zigzag)."""
+    return path_chains(P, i, False, pool)
 
 
 def extract_tpath(T: EdgeSet, i: int, P: PointSet) -> TPath:

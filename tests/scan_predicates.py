@@ -20,18 +20,23 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Iterable, Sequence
 
-from tricount.geom import CCW, PointSet, Segment, edge_crosses_line, seg
+from tricount.geom import (
+    CCW, PointSet, Segment, edge_crosses_line, orientation, seg)
 
 RPoint = tuple[Fraction, Fraction]
 
 
+def orient(P: PointSet, a: int, b: int, c: int) -> int:
+    return orientation(P.points[a], P.points[b], P.points[c])
+
+
 def _triangle_empty_scan(a: int, b: int, c: int, P: PointSet) -> bool:
-    o = P.orient(a, b, c)
+    o = orient(P, a, b, c)
     for q in range(P.n):
         if q in (a, b, c):
             continue
-        if (P.orient(a, b, q) == o and P.orient(b, c, q) == o
-                and P.orient(c, a, q) == o):
+        if (orient(P, a, b, q) == o and orient(P, b, c, q) == o
+                and orient(P, c, a, q) == o):
             return False
     return True
 
@@ -47,19 +52,19 @@ def segments_cross(s1: Segment, s2: Segment, P: PointSet) -> bool:
     c, d = s2
     if a in s2 or b in s2:
         return False
-    o1 = P.orient(a, b, c)
-    o2 = P.orient(a, b, d)
+    o1 = orient(P, a, b, c)
+    o2 = orient(P, a, b, d)
     if o1 == o2:
         return False
-    o3 = P.orient(c, d, a)
-    o4 = P.orient(c, d, b)
+    o3 = orient(P, c, d, a)
+    o4 = orient(P, c, d, b)
     return o3 != o4
 
 
 def point_in_triangle(q: int, a: int, b: int, c: int, P: PointSet) -> bool:
-    o = P.orient(a, b, c)
-    return (P.orient(a, b, q) == o and P.orient(b, c, q) == o
-            and P.orient(c, a, q) == o)
+    o = orient(P, a, b, c)
+    return (orient(P, a, b, q) == o and orient(P, b, c, q) == o
+            and orient(P, c, a, q) == o)
 
 
 def convex_hull(P: PointSet) -> list[int]:
@@ -75,7 +80,7 @@ def convex_hull(P: PointSet) -> list[int]:
                           for a in range(n) for b in range(a + 1, n)
                           for c in range(b + 1, n) if v not in (a, b, c))]
     return [0] + sorted(corners, key=cmp_to_key(
-        lambda p, q: -1 if P.orient(0, p, q) == CCW else 1))
+        lambda p, q: -1 if orient(P, 0, p, q) == CCW else 1))
 
 
 def is_pointed(edges: Iterable[Segment], v: int, P: PointSet) -> bool:

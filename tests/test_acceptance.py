@@ -233,7 +233,7 @@ def test_criterion_9_count_inequality():
         for P in insts:
             tri_count, _, _ = tc.run_sweep(tc.TRI_SYSTEM, P)
             pt_count, _, _ = tc.run_sweep(tc.PT_SYSTEM, P)
-            assert pt_count <= 3 ** P.interior_count() * tri_count
+            assert pt_count <= 3 ** (P.n - len(P.hull)) * tri_count
 
 
 def test_criterion_10_determinism(tmp_path):

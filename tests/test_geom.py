@@ -19,7 +19,6 @@ from tricount.geom import (
     seg,
 )
 import tricount as tc
-from tricount import ptpath
 
 import scan_predicates as scan
 from conftest import FAN5, conv_points, random_point_set, random_points
@@ -62,12 +61,13 @@ def test_validate_sorts_input():
 def test_convex_hull(fan5, conv5, tri3):
     assert sorted(conv5.hull) == [0, 1, 2, 3, 4]
     assert sorted(fan5.hull) == [0, 1, 3, 4]
-    assert fan5.interior_count() == 1
+    assert fan5.n - len(fan5.hull) == 1
     assert sorted(tri3.hull) == [0, 1, 2]
     # CCW orientation of consecutive hull triples
     h = fan5.hull
     for k in range(len(h)):
-        assert fan5.orient(h[k], h[(k + 1) % len(h)], h[(k + 2) % len(h)]) == CCW
+        assert scan.orient(fan5, h[k], h[(k + 1) % len(h)],
+                          h[(k + 2) % len(h)]) == CCW
 
 
 def test_hull_invariant_under_permutation():
@@ -248,5 +248,5 @@ def test_region_empty_matches_polygon_scan():
                 near, far = sides if rng.random() < 0.5 else sides[::-1]
                 u, w = rng.choice(far), rng.choice(far)
                 exc = rng.sample(near, rng.randint(1, len(near)))
-                assert ptpath._region_empty(P, i, u, exc, w) == \
+                assert geom.region_empty(P, i, u, exc, w) == \
                     scan.region_empty(P, i, u, exc, w)

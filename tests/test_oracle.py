@@ -85,10 +85,25 @@ def test_collect_paths(fan5, conv5):
         assert len(oracle.collect_paths(conv5, i, "tri")) <= tri.count
 
 
+def triangulations_via_flips(P, start):
+    """Closure of a triangulation under diagonal flips."""
+    seen = {start}
+    queue = [start]
+    while queue:
+        T = queue.pop()
+        for e in T:
+            if tc.is_flippable(T, e, P):
+                T2 = tc.flip(T, e, P)
+                if T2 not in seen:
+                    seen.add(T2)
+                    queue.append(T2)
+    return seen
+
+
 def test_flip_closure_matches_enumeration(fan5):
     for P in (fan5, random_point_set(6, 5), random_point_set(7, 6)):
         res = oracle.enumerate_triangulations(P)
-        closure = oracle.triangulations_via_flips(P, res.structures[0])
+        closure = triangulations_via_flips(P, res.structures[0])
         assert closure == set(res.structures)
 
 

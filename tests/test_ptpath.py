@@ -99,8 +99,9 @@ def test_crossing_positions(fan5):
     S = next(iter(oracle.enumerate_pointed_pseudotriangulations(
         fan5).structures))
     path = tc.extract_ptpath(S, 2, fan5)
-    ys = [scan.cross_y(fan5, path.edges()[k], 2)
-          for k in path.crossing_positions()]
+    crossing = [k for k, e in enumerate(path.edges())
+                if geom.edge_crosses_line(e, path.line)]
+    ys = [scan.cross_y(fan5, path.edges()[k], 2) for k in crossing]
     assert ys == sorted(ys)
     assert len(ys) >= 2
 

@@ -8,9 +8,10 @@ from tricount.errors import (
     NotFlippable,
     PreconditionViolated,
 )
-from tricount.tpath import TPath, tpath_chains
+from tricount.ptpath import ptpath_chains
+from tricount.tpath import TPath, chain_edges, tpath_chains
 
-from conftest import fan5_star_triangulation, random_point_set
+from conftest import conv_points, fan5_star_triangulation, random_point_set
 
 
 def test_validate_tpath(fan5):
@@ -59,6 +60,19 @@ def test_uniqueness_over_oracle(fan5, conv5):
                 # without either hull crossing edge nothing is extracted
                 for e in geom.hull_crossing_edges(P, i):
                     assert tpath_chains(P, i, pool=T - {e}) == []
+
+
+def test_tpaths_are_ptpaths_of_one_vertex_excursions():
+    # one search serves both families: the T-path population is the
+    # PT-path population's chains whose every edge crosses the line
+    sets = [tc.validate_point_set(conv_points(n)) for n in range(3, 12)]
+    sets += [random_point_set(n, 100 * n + s)
+             for n in range(3, 12) for s in (1, 2, 3)]
+    for P in sets:
+        for i in range(1, P.n):
+            assert tpath_chains(P, i) == [
+                c for c in ptpath_chains(P, i)
+                if all(geom.edge_crosses_line(e, i) for e in chain_edges(c))]
 
 
 def test_is_flippable(fan5, conv5):
