@@ -9,7 +9,9 @@ cumulative thresholds; no floating point is involved.
 A structure is one bitmask over P.segments (lexicographic order): each
 path becomes a node with its edge and blocked masks, its parents'
 cumulative counts and its parent nodes, found by index in the previous
-line, so a draw is a bisect and two ORs a line.
+line, so a draw is a bisect and two ORs a line.  A pt draw is its union,
+as every pt edge lies on a PT-path (the covering lemma, acceptance
+criterion 6) and validate_pt_mask checks it; tri draws are completed.
 """
 
 from __future__ import annotations
@@ -20,10 +22,14 @@ from itertools import accumulate
 from typing import NamedTuple, Optional
 
 from . import ptpath, tpath
-from .errors import IncompatibleTuple, InternalInvariantViolation
+from .errors import IncompatibleTuple, InternalInvariantViolation, TooLarge
 from .geom import PointSet, Segment, bits
 from .sweep import PathKey, run_sweep, system_for
 from .tpath import EdgeSet
+
+# sample keeps every draw, and the CLI joins their JSON whole: about 0.8 KB a
+# draw at tri n=14 (80 MB at this guard); m above it is refused
+M_GUARD = 100_000
 
 
 class ReconstructedStructure(NamedTuple):
@@ -44,48 +50,37 @@ class SampleRun(NamedTuple):
 
 
 def _complete(P: PointSet, family: str, emask: int, blocked: int) -> int:
-    """Greedy completion of a tuple union to a maximal set, checked.
-
-    A compatible tuple determines its structure, so the greedy order does
-    not matter; ascending bit (lexicographic) order is used anyway.
-    """
+    """The structure of a full tuple's union, checked.  pt: the union
+    itself, by the covering lemma, which validate_pt_mask guards; a partial
+    tuple is not maximal and raises InternalInvariantViolation.  tri: the
+    union's greedy completion in bit order; a compatible tuple determines
+    its triangulation, so the order does not matter."""
     if blocked & emask:
         raise IncompatibleTuple("tuple union has crossing edges")
-    segs, cross = P.segments, P.cross
-    adj = None
     if family == "pt":
-        adj = ptpath.adjacency((segs[k] for k in bits(emask)), P.n)
-        if not all(P.pointed(v, m) for v, m in enumerate(adj)):
-            raise IncompatibleTuple("tuple union is not pointed")
-    free = ((1 << len(segs)) - 1) & ~(emask | blocked)
-    while free:
-        low = free & -free
-        free ^= low
-        k = low.bit_length() - 1
-        if adj is not None:
-            a, b = segs[k]
-            if not ptpath.addable(P, adj, a, b):
-                continue
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-        emask |= low
-        free &= ~cross[k]
-    if family == "tri":
-        target = tpath.triangulation_edge_target(P)
-        if emask.bit_count() != target:
-            raise InternalInvariantViolation(
-                f"completed to {emask.bit_count()} edges, expected {target}")
-    else:
         check = ptpath.validate_pt_mask(P, emask)
+        if check.reason == "not_pointed":
+            raise IncompatibleTuple("tuple union is not pointed")
         if not check:
             raise InternalInvariantViolation(
-                f"completion is not a pseudo-triangulation: {check.reason}")
+                f"tuple union is not a pseudo-triangulation: {check.reason}")
+        return emask
+    cross = P.cross
+    free = ((1 << len(P.segments)) - 1) & ~(emask | blocked)
+    while free:
+        low = free & -free
+        emask |= low
+        free &= ~(low | cross[low.bit_length() - 1])
+    target = tpath.triangulation_edge_target(P)
+    if emask.bit_count() != target:
+        raise InternalInvariantViolation(
+            f"completed to {emask.bit_count()} edges, expected {target}")
     return emask
 
 
 def reconstruct(tuple_keys: list[PathKey], P: PointSet,
                 family: str) -> ReconstructedStructure:
-    """Union of the tuple's edges, greedily completed to a maximal set."""
+    """Structure of a full tuple; a partial pt tuple raises (not_maximal)."""
     pairs = (e for key in tuple_keys for e in zip(key, key[1:]))
     emask = _complete(P, family, *P.edge_masks(pairs))
     return ReconstructedStructure(family, emask, P.segments)
@@ -94,6 +89,10 @@ def reconstruct(tuple_keys: list[PathKey], P: PointSet,
 def sample(P: PointSet, family: str, seed: int, m: int,
            max_table_entries: Optional[int] = None) -> SampleRun:
     """Draw m structures i.i.d. uniformly at random."""
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    if m > M_GUARD:
+        raise TooLarge(f"m={m} exceeds sample guard {M_GUARD}")
     _, _, tables = run_sweep(system_for(family), P, record_parents=True,
                              max_table_entries=max_table_entries)
     # per key: key, count, edge mask, blocked mask, cum. counts, parents

@@ -198,6 +198,15 @@ def test_sequence_too_large_exit3(capsys):
     assert err == "error: K=100000000000 exceeds sequence guard 1000\n"
 
 
+def test_sample_too_large_exit3(tmp_path, capsys):
+    # refused before the sweep and the first draw
+    f = write_points(tmp_path, FAN5)
+    assert main(["sample", f, "--count", "100000000000"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: m=100000000000 exceeds sample guard 100000\n"
+
+
 def test_render(tmp_path, capsys):
     f = write_points(tmp_path, FAN5)
     sf = tmp_path / "structure.json"

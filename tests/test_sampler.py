@@ -10,6 +10,7 @@ from tricount.errors import (
     IncompatibleTuple,
     InternalInvariantViolation,
     MemoryBudgetExceeded,
+    TooLarge,
 )
 
 from conftest import FAN5, conv_points, random_point_set, random_points
@@ -79,6 +80,9 @@ def test_reconstruct_rejects_pt_tuples(fan5):
     # spokes from interior point 2 to 0, 3 and 4 leave no gap above pi
     with pytest.raises(IncompatibleTuple, match="not pointed"):
         tc.reconstruct([(0, 2, 4), (2, 3)], fan5, "pt")
+    # one line's path is no pseudo-triangulation, and it is not completed
+    with pytest.raises(InternalInvariantViolation, match="not_maximal"):
+        tc.reconstruct([(fan5.hull[1], 0, fan5.hull[-1])], fan5, "pt")
 
 
 # sha256 of `tricount sample F --structure S --count C --seed 3` stdout.
@@ -129,6 +133,10 @@ def test_sampled_structures_match_reconstruct(family, n, seed):
     for keys, s in zip(run.tuples, run.structures):
         assert len(keys) == n - 1
         assert tc.reconstruct(keys, P, family).edges == s.edges
+        if family == "pt":
+            # a pt draw is its tuple's union, with nothing completed
+            pairs = (e for key in keys for e in zip(key, key[1:]))
+            assert P.edge_masks(pairs)[0] == s.mask
 
 
 @pytest.mark.parametrize("delta", [1, -1])
@@ -152,6 +160,18 @@ def test_chi_square_uniformity(conv5):
     counter = collections.Counter(s.edges for s in run.structures)
     observed = [counter[S] for S in cats]
     assert chisquare(observed).pvalue > 1e-3
+
+
+def test_draw_count_guard(monkeypatch, conv5):
+    # both refused before the sweep, so nothing is drawn
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(sampler, "run_sweep", no_sweep)
+    with pytest.raises(TooLarge, match="sample guard"):
+        tc.sample(conv5, "tri", seed=0, m=sampler.M_GUARD + 1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        tc.sample(conv5, "tri", seed=0, m=-1)
 
 
 def test_memory_budget(conv5):
