@@ -15,12 +15,15 @@ import argparse
 import json
 import sys
 import time
+from itertools import islice
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import sampler, sweep
+from . import sweep
 from .errors import InputError, TricountError
 from .geom import PointSet, bits, validate_point_set
+
+WRITE_BATCH = 256  # sampled structures per stdout write
 
 
 def parse_points(text: str) -> list:
@@ -127,20 +130,30 @@ def cmd_sample(args) -> int:
     if args.max_table_entries is not None and args.max_table_entries < 0:
         raise InputError("--max-table-entries must be nonnegative, "
                          f"got {args.max_table_entries}")
+    from . import sampler
     P = load_point_set(args.input)
-    run = sampler.sample(P, args.structure, args.seed, args.count,
-                         max_table_entries=args.max_table_entries)
+    # refusals come here, before any output; a failure inside the stream
+    # (exit 4, never expected) leaves what was written, so a JSON array may
+    # then be cut short
+    draws = sampler.draws(P, args.structure, args.seed, args.count,
+                          max_table_entries=args.max_table_entries)
     if args.format == "json":
-        # json.dumps of the sorted edge lists: bits are in lexicographic order
+        # the bytes of json.dumps on the sorted edge lists (bits are in
+        # lexicographic order), written WRITE_BATCH draws at a time
         text = [f"[{a}, {b}]" for a, b in P.segments]
-        print("[" + ", ".join("[" + ", ".join([text[k] for k in bits(s.mask)])
-                              + "]" for s in run.structures) + "]")
+        items = ("[" + ", ".join([text[k] for k in bits(s.mask)]) + "]"
+                 for _, s in draws)
+        sep = "["
+        while batch := list(islice(items, WRITE_BATCH)):
+            sys.stdout.write(sep + ", ".join(batch))
+            sep = ", "
+        sys.stdout.write("[]\n" if sep == "[" else "]\n")
     else:
         from . import svg
         outdir = Path(args.format_dir or "samples")
         try:
             outdir.mkdir(parents=True, exist_ok=True)
-            for k, s in enumerate(run.structures):
+            for k, (_, s) in enumerate(draws):
                 doc = svg.render_svg(P.points, structure_edges=s.edges)
                 (outdir / f"sample-{k:05d}.svg").write_text(doc)
         except OSError as exc:

@@ -12,6 +12,11 @@ cumulative counts and its parent nodes, found by index in the previous
 line, so a draw is a bisect and two ORs a line.  A pt draw is its union,
 as every pt edge lies on a PT-path (the covering lemma, acceptance
 criterion 6) and validate_pt_mask checks it; tri draws are completed.
+
+draws is a stream.  Each sweep table is dropped once its nodes are built,
+only the last line's node and the nodes it reaches are kept, and no past
+draw is, so memory does not grow with the number of draws.  sample
+collects the stream.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from itertools import accumulate
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from . import ptpath, tpath
 from .errors import IncompatibleTuple, InternalInvariantViolation, TooLarge
@@ -27,8 +32,9 @@ from .geom import PointSet, Segment, bits
 from .sweep import PathKey, run_sweep, system_for
 from .tpath import EdgeSet
 
-# sample keeps every draw, and the CLI joins their JSON whole: about 0.8 KB a
-# draw at tri n=14 (80 MB at this guard); m above it is refused
+# draws are streamed, so m bounds time and output size, not memory: about
+# 0.8 KB of JSON a draw at tri n=14 (80 MB at this guard); m above it is
+# refused
 M_GUARD = 100_000
 
 
@@ -86,18 +92,17 @@ def reconstruct(tuple_keys: list[PathKey], P: PointSet,
     return ReconstructedStructure(family, emask, P.segments)
 
 
-def sample(P: PointSet, family: str, seed: int, m: int,
-           max_table_entries: Optional[int] = None) -> SampleRun:
-    """Draw m structures i.i.d. uniformly at random."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if m > M_GUARD:
-        raise TooLarge(f"m={m} exceeds sample guard {M_GUARD}")
+def _root(P: PointSet, family: str,
+          max_table_entries: Optional[int]) -> tuple:
+    """The node of the path at l_{n-1}; a node is (key, count, edge mask,
+    blocked mask, cumulative parent counts, parent nodes)."""
     _, _, tables = run_sweep(system_for(family), P, record_parents=True,
                              max_table_entries=max_table_entries)
-    # per key: key, count, edge mask, blocked mask, cum. counts, parents
     level: list[tuple] = []
-    for table in tables:
+    # a table's index lists are dropped once its nodes are built
+    tables.reverse()
+    while tables:
+        table = tables.pop()
         below, level = level, []
         for key, count, js in zip(table.keys, table.counts, table.parents):
             parents = [below[j] for j in js]
@@ -107,20 +112,44 @@ def sample(P: PointSet, family: str, seed: int, m: int,
             level.append((key, count, *P.edge_masks(zip(key, key[1:])),
                           cum, parents))
     (root,) = level
+    return root
 
-    rng = random.Random(seed)
+
+def draws(P: PointSet, family: str, seed: int, m: int,
+          max_table_entries: Optional[int] = None
+          ) -> Iterator[tuple[list[PathKey], ReconstructedStructure]]:
+    """m i.i.d. uniform draws, each its path tuple (l_1 first) and its
+    structure, yielded one at a time.  The guards, the sweep and the nodes
+    run at the call, so a refusal comes before any draw."""
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    if m > M_GUARD:
+        raise TooLarge(f"m={m} exceeds sample guard {M_GUARD}")
+    root = _root(P, family, max_table_entries)
+
+    def walk():
+        rng = random.Random(seed)
+        for _ in range(m):
+            key, count, emask, blocked, cum, parents = root
+            chosen = [key]
+            while parents:
+                key, count, e, b, cum, parents = \
+                    parents[bisect_right(cum, rng.randrange(count))]
+                chosen.append(key)
+                emask |= e
+                blocked |= b
+            chosen.reverse()
+            yield chosen, ReconstructedStructure(
+                family, _complete(P, family, emask, blocked), P.segments)
+
+    return walk()
+
+
+def sample(P: PointSet, family: str, seed: int, m: int,
+           max_table_entries: Optional[int] = None) -> SampleRun:
+    """Draw m structures i.i.d. uniformly at random, all kept."""
     tuples, structures = [], []
-    for _ in range(m):
-        key, count, emask, blocked, cum, parents = root
-        chosen = [key]
-        while parents:
-            key, count, e, b, cum, parents = \
-                parents[bisect_right(cum, rng.randrange(count))]
-            chosen.append(key)
-            emask |= e
-            blocked |= b
-        chosen.reverse()
-        tuples.append(chosen)
-        structures.append(ReconstructedStructure(
-            family, _complete(P, family, emask, blocked), P.segments))
+    for keys, structure in draws(P, family, seed, m, max_table_entries):
+        tuples.append(keys)
+        structures.append(structure)
     return SampleRun(seed, family, tuples, structures)

@@ -14,9 +14,10 @@ structures.
 from __future__ import annotations
 
 import time
+from functools import cache
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from . import ptpath, tpath
+from . import tpath
 from .errors import InternalInvariantViolation, MemoryBudgetExceeded
 from .geom import PointSet
 from .tpath import PathKey
@@ -57,14 +58,27 @@ def paths_cross(k1: PathKey, k2: PathKey, P: PointSet) -> bool:
 
 
 TRI_SYSTEM = PathSystem(tpath.tpath_chains, tpath.tpath_join)
-PT_SYSTEM = PathSystem(ptpath.ptpath_chains, ptpath.ptpath_join)
+
+
+@cache
+def _pt_system() -> PathSystem:
+    # ptpath is imported on first use, so a tri count never loads it
+    from . import ptpath
+    return PathSystem(ptpath.ptpath_chains, ptpath.ptpath_join)
+
+
+def __getattr__(name: str):
+    # PT_SYSTEM, built with ptpath on first access (PEP 562)
+    if name == "PT_SYSTEM":
+        return _pt_system()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def system_for(family: str) -> PathSystem:
     if family == "tri":
         return TRI_SYSTEM
     if family == "pt":
-        return PT_SYSTEM
+        return _pt_system()
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -76,6 +90,15 @@ def run_sweep(system: PathSystem, P: PointSet, record_parents: bool = False,
     Every line starts from the search's own ascending population and keeps
     it in order, so every line's keys are ascending and the join's index
     lists are its parents as they stand.
+
+    Every chain of a population has a compatible parent, so a child with
+    none raises InternalInvariantViolation instead of being dropped (an
+    empty line then fails at the next line or at the end).  A chain is in
+    the population only if it is valid, and a valid chain at l_{i+1}
+    extends to a structure whose path there it is (tpath, ptpath).  That
+    structure's path at l_i is in the population at l_i, and the two paths
+    are compatible, as both are edges of one structure: the join must
+    report it.
     """
     keys = system.chains(P, 1)
     counts = [1] * len(keys)
@@ -88,20 +111,17 @@ def run_sweep(system: PathSystem, P: PointSet, record_parents: bool = False,
     for i in range(1, P.n - 1):
         t0 = time.perf_counter()
         children = system.chains(P, i + 1)
-        kept, sums, parents = [], [], []
+        sums, parents = [], []
         pairs = 0
         for c, js in zip(children, system.join(P, keys, children)):
             if not js:
-                continue
-            kept.append(c)
+                raise InternalInvariantViolation(
+                    f"path {c} at l_{i + 1} has no parent")
             sums.append(sum(counts[j] for j in js))
             if record_parents:
                 parents.append(js)
             pairs += len(js)
-        if not kept:
-            raise InternalInvariantViolation(
-                f"population at l_{i + 1} is empty")
-        keys, counts = kept, sums
+        keys, counts = children, sums
         stats.t_per_line.append(len(keys))
         stats.line_seconds.append(time.perf_counter() - t0)
         stats.population.append(len(children))

@@ -5,7 +5,9 @@ import sys
 import pytest
 
 import tricount as tc
-from tricount.cli import main
+from tricount import sampler
+from tricount.cli import WRITE_BATCH, main
+from tricount.errors import InternalInvariantViolation
 
 from conftest import FAN5, conv_points, fan5_star_triangulation, random_points
 
@@ -178,6 +180,51 @@ def test_sample_svg_dir(tmp_path, capsys):
                  "--format", "svg-dir", "--format-dir", str(outdir)]) == 0
     files = sorted(outdir.iterdir())
     assert [p.name for p in files] == [f"sample-{k:05d}.svg" for k in range(3)]
+
+
+@pytest.mark.parametrize("count", [0, 1, WRITE_BATCH + 1])
+def test_sample_stream_is_json_of_sample(tmp_path, capsys, count):
+    # written in batches, the stream is the whole run's json.dumps
+    pts = random_points(8, 508)
+    f = write_points(tmp_path, pts)
+    assert main(["sample", f, "--structure", "pt", "--count", str(count),
+                 "--seed", "6"]) == 0
+    run = tc.sample(tc.validate_point_set(pts), "pt", seed=6, m=count)
+    assert capsys.readouterr().out == json.dumps(
+        [sorted(map(list, s.edges)) for s in run.structures]) + "\n"
+
+
+def test_sample_refusal_before_output(tmp_path, capsys):
+    # the table budget is checked before the first draw, even for none
+    f = write_points(tmp_path, FAN5)
+    assert main(["sample", f, "--count", "0", "--max-table-entries", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: path tables exceed 1 entries")
+
+
+@pytest.mark.parametrize("fail_at", [3, WRITE_BATCH + 2])
+def test_sample_failure_mid_stream_exit4(tmp_path, capsys, monkeypatch,
+                                         fail_at):
+    # an invariant violation at draw fail_at keeps its exit code and error
+    # line; the batches before it stay written, an array cut short
+    calls = []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == fail_at:
+            raise InternalInvariantViolation("draw broke")
+        return complete(*args)
+
+    complete = sampler._complete
+    monkeypatch.setattr(sampler, "_complete", failing)
+    f = write_points(tmp_path, conv_points(6))
+    assert main(["sample", f, "--count", str(WRITE_BATCH + 3)]) == 4
+    out, err = capsys.readouterr()
+    assert err == "error: draw broke\n"
+    assert len(calls) == fail_at
+    written = (fail_at - 1) // WRITE_BATCH * WRITE_BATCH
+    assert (len(json.loads(out + "]")) if out else 0) == written
 
 
 def test_sequence(capsys):

@@ -7,9 +7,10 @@ import pytest
 
 import tricount as tc
 
-# modules a CLI process must not load for count and sample
+# modules `import tricount.cli` must not load: a count loads only its own
+# family's engine, and sample its sampler
 LAZY = ("tricount.oracle", "tricount.analysis", "tricount.svg",
-        "fractions", "dataclasses")
+        "tricount.sampler", "tricount.ptpath", "fractions", "dataclasses")
 
 
 def _loaded_modules(code: str) -> set[str]:
@@ -24,7 +25,7 @@ def test_cli_import_loads_only_the_engine():
     # whatever the interpreter preloads on this host (site hooks) is ignored
     preloaded = _loaded_modules("pass")
     loaded = _loaded_modules("import tricount.cli") - preloaded
-    assert {"tricount.sweep", "tricount.sampler"} <= loaded
+    assert {"tricount.sweep", "tricount.tpath"} <= loaded
     assert loaded.isdisjoint(LAZY), sorted(loaded & set(LAZY))
 
 

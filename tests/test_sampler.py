@@ -1,5 +1,6 @@
 import collections
 import hashlib
+import weakref
 
 import pytest
 
@@ -163,15 +164,49 @@ def test_chi_square_uniformity(conv5):
 
 
 def test_draw_count_guard(monkeypatch, conv5):
-    # both refused before the sweep, so nothing is drawn
+    # both refused before the sweep, so nothing is drawn; draws refuses at
+    # the call, not at the first draw
     def no_sweep(*args, **kwargs):
         raise AssertionError("the sweep ran")
 
     monkeypatch.setattr(sampler, "run_sweep", no_sweep)
-    with pytest.raises(TooLarge, match="sample guard"):
-        tc.sample(conv5, "tri", seed=0, m=sampler.M_GUARD + 1)
-    with pytest.raises(ValueError, match="nonnegative"):
-        tc.sample(conv5, "tri", seed=0, m=-1)
+    for draw in (tc.sample, sampler.draws):
+        with pytest.raises(TooLarge, match="sample guard"):
+            draw(conv5, "tri", 0, sampler.M_GUARD + 1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            draw(conv5, "tri", 0, -1)
+
+
+def test_draws_is_the_sample_stream(conv6):
+    # the sweep runs at the call, even for no draws
+    with pytest.raises(MemoryBudgetExceeded):
+        sampler.draws(conv6, "tri", 0, 0, max_table_entries=1)
+    run = tc.sample(conv6, "pt", seed=4, m=30)
+    stream = sampler.draws(conv6, "pt", 4, 30)
+    assert list(stream) == list(zip(run.tuples, run.structures))
+    # seeded draws are one stream: fewer draws are a prefix of more
+    assert tc.sample(conv6, "pt", seed=4, m=12).structures == \
+        run.structures[:12]
+
+
+def test_draws_drop_the_tables(monkeypatch, conv6):
+    # only the nodes outlive the call: no table stays referenced while
+    # drawing
+    class Parents(list):  # a list that takes weak references
+        pass
+
+    refs = []
+
+    def tracked(*args, **kwargs):
+        count, stats, tables = tc.run_sweep(*args, **kwargs)
+        tables = [t._replace(parents=Parents(t.parents)) for t in tables]
+        refs.extend(weakref.ref(t.parents) for t in tables)
+        return count, stats, tables
+
+    monkeypatch.setattr(sampler, "run_sweep", tracked)
+    stream = sampler.draws(conv6, "tri", 0, 3)
+    assert len(refs) == 5 and all(ref() is None for ref in refs)
+    assert len(list(stream)) == 3
 
 
 def test_memory_budget(conv5):

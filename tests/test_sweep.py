@@ -69,10 +69,11 @@ def _check_parent_tables(family, P):
         for js in tab.parents:
             assert all(a < b for a, b in zip(js, js[1:]))
     for prev, cur in zip(tables, tables[1:]):
-        # every chain of the line is kept iff it has a compatible parent,
+        # every chain of the line is kept, as each has a compatible parent,
         # and the join keeps exactly criterion 7's compatible parents
+        assert cur.keys == system.chains(P, cur.line)
         row = dict(zip(cur.keys, zip(cur.counts, cur.parents)))
-        for key in set(system.chains(P, cur.line)):
+        for key in cur.keys:
             expect = []
             for j, k in enumerate(prev.keys):
                 ok = not tc.paths_cross(k, key, P)
@@ -82,11 +83,10 @@ def _check_parent_tables(family, P):
                     ok = ptpath._all_pointed(union, P)
                 if ok:
                     expect.append(j)
-            count, js = row.get(key, (None, []))
+            count, js = row[key]
             assert js == expect
-            if count is not None:
-                assert count >= 1
-                assert count == sum(prev.counts[j] for j in js)
+            assert count >= 1
+            assert count == sum(prev.counts[j] for j in js)
     return tables
 
 
