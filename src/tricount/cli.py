@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from . import sweep
 from .errors import InputError, TricountError
-from .geom import PointSet, bits, validate_point_set
+from .geom import PointSet, validate_point_set
 
 WRITE_BATCH = 256  # sampled structures per stdout write
 
@@ -130,6 +130,8 @@ def cmd_sample(args) -> int:
     if args.max_table_entries is not None and args.max_table_entries < 0:
         raise InputError("--max-table-entries must be nonnegative, "
                          f"got {args.max_table_entries}")
+    if args.format_dir is not None and args.format != "svg-dir":
+        raise InputError("--format-dir needs --format svg-dir")
     from . import sampler
     P = load_point_set(args.input)
     # refusals come here, before any output; a failure inside the stream
@@ -139,9 +141,11 @@ def cmd_sample(args) -> int:
                           max_table_entries=args.max_table_entries)
     if args.format == "json":
         # the bytes of json.dumps on the sorted edge lists (bits are in
-        # lexicographic order), written WRITE_BATCH draws at a time
+        # lexicographic order), written WRITE_BATCH draws at a time; a
+        # draw's texts are picked by its mask's binary digits, lowest first
         text = [f"[{a}, {b}]" for a, b in P.segments]
-        items = ("[" + ", ".join([text[k] for k in bits(s.mask)]) + "]"
+        items = ("[" + ", ".join([t for t, d in zip(text, bin(s.mask)[:1:-1])
+                                  if d == "1"]) + "]"
                  for _, s in draws)
         sep = "["
         while batch := list(islice(items, WRITE_BATCH)):

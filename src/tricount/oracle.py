@@ -64,7 +64,7 @@ def enumerate_structures(P: PointSet, family: str,
     # block[k]: the segments whose inclusion can rule segment k out
     block = [cross[k] | inner[a] | inner[b] for k, (a, b) in enumerate(edges)]
     hull_edges = list(zip(hull, hull[1:] + hull[:1]))
-    adj = ptpath.adjacency(hull_edges, n)  # of the included segments
+    adj = tpath.adjacency(hull_edges, n)  # of the included segments
     result = EnumerationResult(family)
 
     def rec(imask: int, xmask: int, addable: int) -> None:

@@ -16,21 +16,25 @@ the unique PT-path.  Extraction and population building are the T-path
 chain search, tpath.path_chains, with same-side moves allowed, and
 successors come from a join of two populations: the T-path join's
 non-crossing parents of each child, kept where the union stays pointed.
+Both live in tpath (ptpath_chains, ptpath_join), beside the T-path
+engine, so counting and sampling never load this module.
 """
 
 from __future__ import annotations
 
 from functools import cmp_to_key
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple
 
-from . import geom, tpath
+from . import geom
 from .errors import (
     EdgeDoesNotCrossLine,
     InternalInvariantViolation,
     PreconditionViolated,
 )
 from .geom import PointSet, Segment, bits, seg
-from .tpath import Check, EdgeSet, PathKey, chain_edges
+# the engine's PT half lives in tpath, re-exported here for the PT-path API
+from .tpath import (Check, EdgeSet, PathKey, adjacency, chain_edges,
+                    ptpath_chains, ptpath_join)
 
 
 class PTPath(NamedTuple):
@@ -43,27 +47,12 @@ class PTPath(NamedTuple):
 
 # -- pointedness ---------------------------------------------------------
 
-def adjacency(edges: Iterable[Segment], n: int) -> list[int]:
-    """Bitmask of each vertex's neighbours in the edge set."""
-    adj = [0] * n
-    for a, b in edges:
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
-    return adj
-
-
 def is_pointed(edges: Iterable[Segment], v: int, P: PointSet) -> bool:
     """True iff v's incident edges leave an angular gap larger than pi.
 
     Isolated vertices are pointed by convention.
     """
-    nbrs = 0
-    for (a, b) in edges:
-        if v == a:
-            nbrs |= 1 << b
-        elif v == b:
-            nbrs |= 1 << a
-    return P.pointed(v, nbrs)
+    return P.pointed(v, adjacency(edges, P.n)[v])
 
 
 def _all_pointed(edges: Iterable[Segment], P: PointSet) -> bool:
@@ -97,13 +86,7 @@ def validate_pt_mask(P: PointSet, emask: int) -> Check:
     return Check(True)
 
 
-# -- chain search --------------------------------------------------------
-
-def ptpath_chains(P: PointSet, i: int,
-                  pool: Optional[EdgeSet] = None) -> list[PathKey]:
-    """The PT-path population at l_i (tpath.path_chains with zigzag)."""
-    return tpath.path_chains(P, i, True, pool)
-
+# -- extraction and successors ------------------------------------------
 
 def extract_ptpath(S: EdgeSet, i: int, P: PointSet) -> PTPath:
     """The unique PT-path of pseudo-triangulation S w.r.t. l_i."""
@@ -112,24 +95,6 @@ def extract_ptpath(S: EdgeSet, i: int, P: PointSet) -> PTPath:
         raise InternalInvariantViolation(
             f"expected exactly one PT-path at l_{i}, found {len(chains)}")
     return PTPath(chains[0], i)
-
-
-def ptpath_join(P: PointSet, parents: Sequence[PathKey],
-                children: Sequence[PathKey]) -> Iterator[list[int]]:
-    """For each child in turn, the ascending indices of the parents
-    compatible with it.
-
-    Compatible means non-crossing (tpath_join) with a pointed edge union.
-    Each chain of a population is pointed on its own, so only the vertices
-    both chains touch can fail; they are checked on tpath_join's
-    candidates only.
-    """
-    adj = [adjacency(chain_edges(k), P.n) for k in parents]
-    for c, js in zip(children, tpath.tpath_join(P, parents, children)):
-        ac = adjacency(chain_edges(c), P.n)
-        vs = set(c)
-        yield [j for j in js if all(P.pointed(v, adj[j][v] | ac[v])
-                                    for v in vs.intersection(parents[j]))]
 
 
 def ptpath_successors(path: PTPath, P: PointSet) -> set[PathKey]:

@@ -4,14 +4,15 @@ Walking backwards from the unique path at l_{n-1}, a parent pi at l_i is
 chosen with probability count(pi)/count(pi') among the recorded parents of
 pi'.  The telescoping product makes every compatible path tuple, and hence
 every structure, equally likely.  Parent choice uses exact big-integer
-cumulative thresholds; no floating point is involved.
+cumulative thresholds, drawn as randrange(count(pi')) draws them (by
+rejection from getrandbits of the count's bit length); no floating point.
 
 A structure is one bitmask over P.segments (lexicographic order): each
 path becomes a node with its edge and blocked masks, its parents'
 cumulative counts and its parent nodes, found by index in the previous
 line, so a draw is a bisect and two ORs a line.  A pt draw is its union,
 as every pt edge lies on a PT-path (the covering lemma, acceptance
-criterion 6) and validate_pt_mask checks it; tri draws are completed.
+criterion 6), checked by Streinu's edge count; tri draws are completed.
 
 draws is a stream.  Each sweep table is dropped once its nodes are built,
 only the last line's node and the nodes it reaches are kept, and no past
@@ -26,7 +27,7 @@ from bisect import bisect_right
 from itertools import accumulate
 from typing import Iterator, NamedTuple, Optional
 
-from . import ptpath, tpath
+from . import tpath
 from .errors import IncompatibleTuple, InternalInvariantViolation, TooLarge
 from .geom import PointSet, Segment, bits
 from .sweep import PathKey, run_sweep, system_for
@@ -57,19 +58,22 @@ class SampleRun(NamedTuple):
 
 def _complete(P: PointSet, family: str, emask: int, blocked: int) -> int:
     """The structure of a full tuple's union, checked.  pt: the union
-    itself, by the covering lemma, which validate_pt_mask guards; a partial
-    tuple is not maximal and raises InternalInvariantViolation.  tri: the
-    union's greedy completion in bit order; a compatible tuple determines
-    its triangulation, so the order does not matter."""
+    itself, by the covering lemma, guarded by Streinu's count: a planar
+    pointed graph has at most 2n - 3 edges and exactly the pointed
+    pseudo-triangulations have 2n - 3, so a partial tuple is not maximal
+    and raises InternalInvariantViolation (ptpath.validate_pt_mask gives
+    the same verdicts).  tri: the union's greedy completion in bit order;
+    a compatible tuple determines its triangulation, so the order does not
+    matter."""
     if blocked & emask:
         raise IncompatibleTuple("tuple union has crossing edges")
     if family == "pt":
-        check = ptpath.validate_pt_mask(P, emask)
-        if check.reason == "not_pointed":
+        adj = tpath.adjacency(map(P.segments.__getitem__, bits(emask)), P.n)
+        if not all(map(P.pointed, range(P.n), adj)):
             raise IncompatibleTuple("tuple union is not pointed")
-        if not check:
+        if emask.bit_count() != 2 * P.n - 3:
             raise InternalInvariantViolation(
-                f"tuple union is not a pseudo-triangulation: {check.reason}")
+                "tuple union is not a pseudo-triangulation: not_maximal")
         return emask
     cross = P.cross
     free = ((1 << len(P.segments)) - 1) & ~(emask | blocked)
@@ -94,8 +98,9 @@ def reconstruct(tuple_keys: list[PathKey], P: PointSet,
 
 def _root(P: PointSet, family: str,
           max_table_entries: Optional[int]) -> tuple:
-    """The node of the path at l_{n-1}; a node is (key, count, edge mask,
-    blocked mask, cumulative parent counts, parent nodes)."""
+    """The node of the path at l_{n-1}; a node is (key, count, count's bit
+    length, edge mask, blocked mask, cumulative parent counts, parent
+    nodes)."""
     _, _, tables = run_sweep(system_for(family), P, record_parents=True,
                              max_table_entries=max_table_entries)
     level: list[tuple] = []
@@ -109,8 +114,8 @@ def _root(P: PointSet, family: str,
             cum = list(accumulate(p[1] for p in parents))
             if cum and cum[-1] != count:
                 raise InternalInvariantViolation("parent counts do not add up")
-            level.append((key, count, *P.edge_masks(zip(key, key[1:])),
-                          cum, parents))
+            level.append((key, count, count.bit_length(),
+                          *P.edge_masks(zip(key, key[1:])), cum, parents))
     (root,) = level
     return root
 
@@ -128,13 +133,17 @@ def draws(P: PointSet, family: str, seed: int, m: int,
     root = _root(P, family, max_table_entries)
 
     def walk():
-        rng = random.Random(seed)
+        getrandbits = random.Random(seed).getrandbits
         for _ in range(m):
-            key, count, emask, blocked, cum, parents = root
+            key, count, k, emask, blocked, cum, parents = root
             chosen = [key]
             while parents:
-                key, count, e, b, cum, parents = \
-                    parents[bisect_right(cum, rng.randrange(count))]
+                # randrange(count), inlined
+                r = getrandbits(k)
+                while r >= count:
+                    r = getrandbits(k)
+                key, count, k, e, b, cum, parents = \
+                    parents[bisect_right(cum, r)]
                 chosen.append(key)
                 emask |= e
                 blocked |= b

@@ -14,7 +14,6 @@ structures.
 from __future__ import annotations
 
 import time
-from functools import cache
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import tpath
@@ -58,27 +57,14 @@ def paths_cross(k1: PathKey, k2: PathKey, P: PointSet) -> bool:
 
 
 TRI_SYSTEM = PathSystem(tpath.tpath_chains, tpath.tpath_join)
-
-
-@cache
-def _pt_system() -> PathSystem:
-    # ptpath is imported on first use, so a tri count never loads it
-    from . import ptpath
-    return PathSystem(ptpath.ptpath_chains, ptpath.ptpath_join)
-
-
-def __getattr__(name: str):
-    # PT_SYSTEM, built with ptpath on first access (PEP 562)
-    if name == "PT_SYSTEM":
-        return _pt_system()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+PT_SYSTEM = PathSystem(tpath.ptpath_chains, tpath.ptpath_join)
 
 
 def system_for(family: str) -> PathSystem:
     if family == "tri":
         return TRI_SYSTEM
     if family == "pt":
-        return _pt_system()
+        return PT_SYSTEM
     raise ValueError(f"unknown family {family!r}")
 
 

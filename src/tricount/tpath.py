@@ -14,7 +14,8 @@ chain search, path_chains, which also finds PT-paths: a T-path is a
 PT-path whose excursions are single vertices, and its wedges are their
 regions.  Successors come from joining two populations, child-major: each
 child gets the ascending indices of its compatible parents, read off
-per-segment bitmasks of the parents.
+per-segment bitmasks of the parents; the PT-path join adds a pointedness
+filter.  Both families' engine lives here, ptpath keeps the PT-path API.
 """
 
 from __future__ import annotations
@@ -62,6 +63,15 @@ def chain_edges(vertices: Iterable[int]) -> list[Segment]:
 
 def triangulation_edge_target(P: PointSet) -> int:
     return 3 * P.n - 3 - len(P.hull)
+
+
+def adjacency(edges: Iterable[Segment], n: int) -> list[int]:
+    """Bitmask of each vertex's neighbours in the edge set."""
+    adj = [0] * n
+    for a, b in edges:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return adj
 
 
 # -- validation ----------------------------------------------------------
@@ -208,6 +218,12 @@ def tpath_chains(P: PointSet, i: int,
     return path_chains(P, i, False, pool)
 
 
+def ptpath_chains(P: PointSet, i: int,
+                  pool: Optional[EdgeSet] = None) -> list[PathKey]:
+    """The PT-path population at l_i (path_chains with zigzag)."""
+    return path_chains(P, i, True, pool)
+
+
 def extract_tpath(T: EdgeSet, i: int, P: PointSet) -> TPath:
     """The unique T-path of triangulation T w.r.t. l_i."""
     chains = tpath_chains(P, i, pool=frozenset(T))
@@ -254,6 +270,24 @@ def tpath_join(P: PointSet, parents: Sequence[PathKey],
             js.append(low.bit_length() - 1)
             m ^= low
         yield js
+
+
+def ptpath_join(P: PointSet, parents: Sequence[PathKey],
+                children: Sequence[PathKey]) -> Iterator[list[int]]:
+    """For each child in turn, the ascending indices of the parents
+    compatible with it as PT-paths.
+
+    Compatible means non-crossing (tpath_join) with a pointed edge union.
+    Each chain of a population is pointed on its own, so only the vertices
+    both chains touch can fail; they are checked on tpath_join's
+    candidates only.
+    """
+    adj = [adjacency(chain_edges(k), P.n) for k in parents]
+    for c, js in zip(children, tpath_join(P, parents, children)):
+        ac = adjacency(chain_edges(c), P.n)
+        vs = set(c)
+        yield [j for j in js if all(P.pointed(v, adj[j][v] | ac[v])
+                                    for v in vs.intersection(parents[j]))]
 
 
 def tpath_successors(path: TPath, P: PointSet) -> set[PathKey]:

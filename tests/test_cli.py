@@ -182,6 +182,18 @@ def test_sample_svg_dir(tmp_path, capsys):
     assert [p.name for p in files] == [f"sample-{k:05d}.svg" for k in range(3)]
 
 
+def test_sample_format_dir_needs_svg_dir(tmp_path, capsys):
+    # --format-dir with the default JSON format is refused, not ignored
+    f = write_points(tmp_path, FAN5)
+    outdir = tmp_path / "xx"
+    assert main(["sample", f, "--count", "2", "--format-dir",
+                 str(outdir)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --format-dir needs --format svg-dir\n"
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("count", [0, 1, WRITE_BATCH + 1])
 def test_sample_stream_is_json_of_sample(tmp_path, capsys, count):
     # written in batches, the stream is the whole run's json.dumps

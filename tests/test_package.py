@@ -7,8 +7,10 @@ import pytest
 
 import tricount as tc
 
-# modules `import tricount.cli` must not load: a count loads only its own
-# family's engine, and sample its sampler
+from conftest import FAN5
+
+# modules `import tricount.cli` must not load: the engine (sweep, tpath,
+# geom) serves both families, and sample loads its sampler
 LAZY = ("tricount.oracle", "tricount.analysis", "tricount.svg",
         "tricount.sampler", "tricount.ptpath", "fractions", "dataclasses")
 
@@ -27,6 +29,24 @@ def test_cli_import_loads_only_the_engine():
     loaded = _loaded_modules("import tricount.cli") - preloaded
     assert {"tricount.sweep", "tricount.tpath"} <= loaded
     assert loaded.isdisjoint(LAZY), sorted(loaded & set(LAZY))
+
+
+@pytest.mark.parametrize("command,family", [("count", "pt"),
+                                            ("sample", "tri"),
+                                            ("sample", "pt")])
+def test_count_and_sample_do_not_load_ptpath(tmp_path, command, family):
+    # the pt engine lives in tpath, and the sampler checks pt draws itself
+    f = tmp_path / "pts.txt"
+    f.write_text("".join(f"{x} {y}\n" for x, y in FAN5))
+    argv = [command, str(f), "--structure", family]
+    # the command's own output goes to a buffer, not into the module list
+    loaded = _loaded_modules(
+        "import io, sys; from tricount.cli import main; "
+        "out, sys.stdout = sys.stdout, io.StringIO(); "
+        f"assert main({argv!r}) == 0; sys.stdout = out")
+    assert f"tricount.{'sampler' if command == 'sample' else 'sweep'}" \
+        in loaded
+    assert "tricount.ptpath" not in loaded
 
 
 def test_lazy_exports_are_the_module_bindings():

@@ -1,11 +1,13 @@
 import collections
 import hashlib
+import random
 import weakref
+from bisect import bisect_right
 
 import pytest
 
 import tricount as tc
-from tricount import oracle, sampler
+from tricount import oracle, ptpath, sampler
 from tricount.cli import main
 from tricount.errors import (
     IncompatibleTuple,
@@ -84,6 +86,67 @@ def test_reconstruct_rejects_pt_tuples(fan5):
     # one line's path is no pseudo-triangulation, and it is not completed
     with pytest.raises(InternalInvariantViolation, match="not_maximal"):
         tc.reconstruct([(fan5.hull[1], 0, fan5.hull[-1])], fan5, "pt")
+
+
+def _guard_reason(P, emask):
+    """The sampler's pt check of a union, as a validate_pt_mask reason."""
+    blocked = P.edge_masks(P.segments[k] for k in tc.geom.bits(emask))[1]
+    try:
+        sampler._complete(P, "pt", emask, blocked)
+    except IncompatibleTuple as exc:
+        return "edges_cross" if "crossing" in str(exc) else "not_pointed"
+    except InternalInvariantViolation as exc:
+        return str(exc).rsplit(": ", 1)[1]
+    return "ok"
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_pt_guard_matches_validate_pt_mask(n):
+    # the guard (no crossing, every vertex pointed, 2n - 3 edges) gives
+    # validate_pt_mask's verdict and reason on every sampled union, on each
+    # union with one segment toggled, and on random masks of mixed density
+    rng = random.Random(n)
+    reasons = collections.Counter()
+    for seed in (500 + n, 600 + n):
+        P = random_point_set(n, seed)
+        s = len(P.segments)
+        unions = {x.mask for x in tc.sample(P, "pt", seed, 40).structures}
+        masks = unions | {u ^ 1 << k for u in unions for k in range(s)}
+        for _ in range(400):
+            m = rng.getrandbits(s)
+            for _ in range(rng.randrange(4)):
+                m &= rng.getrandbits(s)
+            masks.add(m)
+        for m in masks:
+            want = ptpath.validate_pt_mask(P, m).reason
+            assert _guard_reason(P, m) == want, (seed, bin(m))
+            reasons[want] += 1
+    assert set(reasons) == {"ok", "edges_cross", "not_pointed",
+                            "not_maximal"}, reasons
+
+
+def test_walk_draws_as_randrange(monkeypatch, tri3):
+    # the walk's getrandbits rejection draws what randrange(count) draws
+    # from one shared stream: a chain of nodes, one per count, each with
+    # thresholds cum over its parents; small counts get one parent per
+    # value, so the drawn integer itself is seen
+    counts = [1, 2, 3, 7, 8, 9, 31, 32, 33, 2**99 + 12345]
+
+    def cum_of(c):
+        return list(range(1, c + 1)) if c < 64 else [c // 3, c - c // 5, c]
+
+    node = (1, 1, 0, 0, [], [])  # count, bit length, masks, no parents
+    for depth in reversed(range(len(counts))):
+        c = counts[depth]
+        parents = [((depth, j),) + node for j in range(len(cum_of(c)))]
+        node = (c, c.bit_length(), 0, 0, cum_of(c), parents)
+    monkeypatch.setattr(sampler, "_root", lambda *args: ("root",) + node)
+    drawn = [keys for keys, _ in sampler.draws(tri3, "tri", 17, 300)]
+    rng = random.Random(17)
+    expected = [[(d, bisect_right(cum_of(c), rng.randrange(c)))
+                 for d, c in enumerate(counts)][::-1] + ["root"]
+                for _ in range(300)]
+    assert drawn == expected
 
 
 # sha256 of `tricount sample F --structure S --count C --seed 3` stdout.
