@@ -12,7 +12,6 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from itertools import islice
@@ -29,6 +28,7 @@ WRITE_BATCH = 256  # sampled structures per stdout write
 def parse_points(text: str) -> list:
     stripped = text.lstrip()
     if stripped.startswith("{"):
+        import json
         try:
             pts = json.loads(text)["points"]
         except (json.JSONDecodeError, KeyError) as exc:
@@ -70,6 +70,7 @@ def _vertex(v) -> int:
 
 def _read_json(path: str, what: str, parse):
     """parse of a JSON input file; any failure is an InputError."""
+    import json
     try:
         return parse(json.loads(Path(path).read_text()))
     except (OSError, TypeError, ValueError) as exc:
@@ -93,6 +94,7 @@ def cmd_count(args) -> int:
     elapsed_ms = (time.perf_counter() - t0) * 1000
     print(count)
     if args.stats:
+        import json
         payload = {
             "n": P.n,
             "family": args.structure,
@@ -117,6 +119,7 @@ def cmd_enumerate(args) -> int:
     P = load_point_set(args.input)
     result = oracle.enumerate_structures(P, args.structure, cap=args.cap)
     if args.format == "json":
+        import json
         print(json.dumps([sorted(map(list, S)) for S in result.structures]))
     else:
         for S in result.structures:

@@ -1,37 +1,36 @@
-"""Uniform random generation by reverse sweep over recorded path tables.
+"""Uniform random generation by reverse sweep over the sweep's lines.
 
 Walking backwards from the unique path at l_{n-1}, a parent pi at l_i is
-chosen with probability count(pi)/count(pi') among the recorded parents of
-pi'.  The telescoping product makes every compatible path tuple, and hence
+chosen with probability count(pi)/count(pi') among the parents of pi'.
+The telescoping product makes every compatible path tuple, and hence
 every structure, equally likely.  Parent choice uses exact big-integer
 cumulative thresholds, drawn as randrange(count(pi')) draws them (by
 rejection from getrandbits of the count's bit length); no floating point.
 
-A structure is one bitmask over P.segments (lexicographic order): each
-path becomes a node with its edge and blocked masks, its parents'
-cumulative counts and its parent nodes, found by index in the previous
-line, so a draw is a bisect and two ORs a line.  A pt draw is its union,
-as every pt edge lies on a PT-path (the covering lemma, acceptance
-criterion 6), checked by Streinu's edge count; tri draws are completed.
-
-draws is a stream.  Each sweep table is dropped once its nodes are built,
-only the last line's node and the nodes it reaches are kept, and no past
-draw is, so memory does not grow with the number of draws.  sample
-collects the stream.
+A structure is one bitmask over P.segments (lexicographic order).  Each
+path becomes a node as its line arrives from sweep.sweep_lines: its edge
+and blocked masks, its parents' cumulative counts and its parent nodes,
+found by index in the previous line, so a draw is a bisect and two ORs a
+line.  Only the nodes the last line's node reaches outlive the sweep, and
+draws is a stream, so memory does not grow with the number of draws.  A
+pt draw is its union, as every pt edge lies on a PT-path (the covering
+lemma, acceptance criterion 6), checked by Streinu's edge count; tri
+draws are completed.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_right
+from functools import lru_cache
 from itertools import accumulate
 from typing import Iterator, NamedTuple, Optional
 
-from . import tpath
-from .errors import IncompatibleTuple, InternalInvariantViolation, TooLarge
+from .errors import (IncompatibleTuple, InternalInvariantViolation,
+                     MemoryBudgetExceeded, TooLarge)
 from .geom import PointSet, Segment, bits
-from .sweep import PathKey, run_sweep, system_for
-from .tpath import EdgeSet
+from .sweep import PathKey, sweep_lines, system_for
+from .tpath import EdgeSet, triangulation_edge_target
 
 # draws are streamed, so m bounds time and output size, not memory: about
 # 0.8 KB of JSON a draw at tri n=14 (80 MB at this guard); m above it is
@@ -56,21 +55,31 @@ class SampleRun(NamedTuple):
     structures: list[ReconstructedStructure]
 
 
+@lru_cache(maxsize=1)
+def _interior_stars(P: PointSet) -> list[tuple[int, int, dict[int, int]]]:
+    """Each interior vertex, the mask of its segments, their other ends."""
+    stars = {v: {P.ids[v][u]: 1 << u for u in range(P.n) if u != v}
+             for v in set(range(P.n)).difference(P.hull)}
+    return [(v, sum(1 << k for k in ends), ends) for v, ends in stars.items()]
+
+
 def _complete(P: PointSet, family: str, emask: int, blocked: int) -> int:
     """The structure of a full tuple's union, checked.  pt: the union
     itself, by the covering lemma, guarded by Streinu's count: a planar
     pointed graph has at most 2n - 3 edges and exactly the pointed
     pseudo-triangulations have 2n - 3, so a partial tuple is not maximal
-    and raises InternalInvariantViolation (ptpath.validate_pt_mask gives
-    the same verdicts).  tri: the union's greedy completion in bit order;
-    a compatible tuple determines its triangulation, so the order does not
-    matter."""
+    (ptpath.validate_pt_mask gives the same verdicts).  A hull vertex is
+    pointed whatever its edges, so only interior ones are tested.  tri: the
+    union's greedy completion in bit order; a compatible tuple determines
+    its triangulation, so the order does not matter."""
     if blocked & emask:
         raise IncompatibleTuple("tuple union has crossing edges")
     if family == "pt":
-        adj = tpath.adjacency(map(P.segments.__getitem__, bits(emask)), P.n)
-        if not all(map(P.pointed, range(P.n), adj)):
-            raise IncompatibleTuple("tuple union is not pointed")
+        for v, star, ends in _interior_stars(P):
+            at_v = emask & star
+            if at_v.bit_count() > 2 and not P.pointed(
+                    v, sum(map(ends.__getitem__, bits(at_v)))):
+                raise IncompatibleTuple("tuple union is not pointed")
         if emask.bit_count() != 2 * P.n - 3:
             raise InternalInvariantViolation(
                 "tuple union is not a pseudo-triangulation: not_maximal")
@@ -81,7 +90,7 @@ def _complete(P: PointSet, family: str, emask: int, blocked: int) -> int:
         low = free & -free
         emask |= low
         free &= ~(low | cross[low.bit_length() - 1])
-    target = tpath.triangulation_edge_target(P)
+    target = triangulation_edge_target(P)
     if emask.bit_count() != target:
         raise InternalInvariantViolation(
             f"completed to {emask.bit_count()} edges, expected {target}")
@@ -100,24 +109,21 @@ def _root(P: PointSet, family: str,
           max_table_entries: Optional[int]) -> tuple:
     """The node of the path at l_{n-1}; a node is (key, count, count's bit
     length, edge mask, blocked mask, cumulative parent counts, parent
-    nodes)."""
-    _, _, tables = run_sweep(system_for(family), P, record_parents=True,
-                             max_table_entries=max_table_entries)
-    level: list[tuple] = []
-    # a table's index lists are dropped once its nodes are built
-    tables.reverse()
-    while tables:
-        table = tables.pop()
+    nodes), whose count is the last cumulative count (cum is [1] at l_1).
+    Nodes are built as their line arrives; the budget is checked there."""
+    level, entries = [], 0
+    for keys, parents in sweep_lines(system_for(family), P):
+        entries += len(keys)
+        if max_table_entries is not None and entries > max_table_entries:
+            raise MemoryBudgetExceeded(
+                f"path tables exceed {max_table_entries} entries")
         below, level = level, []
-        for key, count, js in zip(table.keys, table.counts, table.parents):
-            parents = [below[j] for j in js]
-            cum = list(accumulate(p[1] for p in parents))
-            if cum and cum[-1] != count:
-                raise InternalInvariantViolation("parent counts do not add up")
-            level.append((key, count, count.bit_length(),
-                          *P.edge_masks(zip(key, key[1:])), cum, parents))
-    (root,) = level
-    return root
+        for key, js in zip(keys, parents):
+            nodes = [below[j] for j in js]
+            cum = list(accumulate(p[1] for p in nodes)) or [1]
+            level.append((key, cum[-1], cum[-1].bit_length(),
+                          *P.edge_masks(zip(key, key[1:])), cum, nodes))
+    return level[0]  # the stream has checked that l_{n-1} holds one path
 
 
 def draws(P: PointSet, family: str, seed: int, m: int,
@@ -157,8 +163,5 @@ def draws(P: PointSet, family: str, seed: int, m: int,
 def sample(P: PointSet, family: str, seed: int, m: int,
            max_table_entries: Optional[int] = None) -> SampleRun:
     """Draw m structures i.i.d. uniformly at random, all kept."""
-    tuples, structures = [], []
-    for keys, structure in draws(P, family, seed, m, max_table_entries):
-        tuples.append(keys)
-        structures.append(structure)
-    return SampleRun(seed, family, tuples, structures)
+    run = list(draws(P, family, seed, m, max_table_entries))
+    return SampleRun(seed, family, [t for t, _ in run], [s for _, s in run])

@@ -1,23 +1,20 @@
 """Sweep-line dynamic program over path families.
 
-The sweep walks the lines l_1 .. l_{n-1}, keeping for every path pi in the
-current population the number of compatible path prefixes T(pi).  The
-population search is the only source of paths: it returns each line's
-chains strictly ascending (the key is the vertex tuple), and at l_1 just
-the forced path, the two hull edges at the leftmost point.  A line is held
-as parallel lists in that order: the keys, their counts and, for the
-sampler, each key's parents as ascending indices into the previous line's
-keys.  The final line holds a single key whose count is the number of
-structures.
+sweep_lines is the sweep's only loop: a stream of the lines l_1 .. l_{n-1},
+each the search's strictly ascending population (the key is the vertex
+tuple; at l_1 just the forced path, the two hull edges at the leftmost
+point) with each chain's parents, as ascending indices into the previous
+line.  Its consumers act between two lines: run_sweep keeps each chain's
+count of compatible path prefixes T(pi), the sampler its nodes.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import tpath
-from .errors import InternalInvariantViolation, MemoryBudgetExceeded
+from .errors import InternalInvariantViolation
 from .geom import PointSet
 from .tpath import PathKey
 
@@ -33,22 +30,17 @@ class PathSystem(NamedTuple):
 class SweepStats:
     def __init__(self, t_per_line: list[int]):
         self.t_per_line = t_per_line
-        # per line from l_2 on: search and join time, chains found, and
-        # parent -> child links kept
+        # per line from l_2 on: search and join seconds, parent links kept
         self.line_seconds: list[float] = []
-        self.population: list[int] = []
         self.join_pairs: list[int] = []
 
     @property
     def t_max(self) -> int:
         return max(self.t_per_line)
 
-
-class PathTable(NamedTuple):
-    line: int
-    keys: list[PathKey]  # ascending
-    counts: list[int]  # counts[k] = T(keys[k])
-    parents: list[list[int]]  # ascending indices into the previous keys
+    @property
+    def population(self) -> list[int]:  # chains found from l_2 on, all kept
+        return self.t_per_line[1:]
 
 
 def paths_cross(k1: PathKey, k2: PathKey, P: PointSet) -> bool:
@@ -68,14 +60,21 @@ def system_for(family: str) -> PathSystem:
     raise ValueError(f"unknown family {family!r}")
 
 
-def run_sweep(system: PathSystem, P: PointSet, record_parents: bool = False,
-              max_table_entries: Optional[int] = None
-              ) -> tuple[int, SweepStats, Optional[list[PathTable]]]:
-    """Count structures; optionally retain all tables for the sampler.
+def _linked(i: int, children: Sequence[PathKey],
+            parents: Iterable[list[int]]) -> Iterator[list[int]]:
+    for c, js in zip(children, parents):
+        if not js:
+            raise InternalInvariantViolation(
+                f"path {c} at l_{i} has no parent")
+        yield js
 
-    Every line starts from the search's own ascending population and keeps
-    it in order, so every line's keys are ascending and the join's index
-    lists are its parents as they stand.
+
+def sweep_lines(system: PathSystem, P: PointSet
+                ) -> Iterator[tuple[list[PathKey], Iterator[list[int]]]]:
+    """Each line l_1 .. l_{n-1} in turn: its ascending population and a
+    lazy iterator over each chain's ascending parent indices (none at l_1).
+    A line is searched only when asked for and joined only as its parents
+    are read, so no line's parent lists outlive their reading.
 
     Every chain of a population has a compatible parent, so a child with
     none raises InternalInvariantViolation instead of being dropped (an
@@ -87,39 +86,33 @@ def run_sweep(system: PathSystem, P: PointSet, record_parents: bool = False,
     report it.
     """
     keys = system.chains(P, 1)
-    counts = [1] * len(keys)
-    tables: Optional[list[PathTable]] = None
-    total_entries = len(keys)
-    if record_parents:
-        tables = [PathTable(1, keys, counts, [[] for _ in keys])]
-    stats = SweepStats([len(keys)])
-
-    for i in range(1, P.n - 1):
-        t0 = time.perf_counter()
-        children = system.chains(P, i + 1)
-        sums, parents = [], []
-        pairs = 0
-        for c, js in zip(children, system.join(P, keys, children)):
-            if not js:
-                raise InternalInvariantViolation(
-                    f"path {c} at l_{i + 1} has no parent")
-            sums.append(sum(counts[j] for j in js))
-            if record_parents:
-                parents.append(js)
-            pairs += len(js)
-        keys, counts = children, sums
-        stats.t_per_line.append(len(keys))
-        stats.line_seconds.append(time.perf_counter() - t0)
-        stats.population.append(len(children))
-        stats.join_pairs.append(pairs)
-        if record_parents:
-            total_entries += len(keys)
-            if max_table_entries is not None and total_entries > max_table_entries:
-                raise MemoryBudgetExceeded(
-                    f"path tables exceed {max_table_entries} entries")
-            tables.append(PathTable(i + 1, keys, counts, parents))
-
+    yield keys, ([] for _ in keys)
+    for i in range(2, P.n):
+        children = system.chains(P, i)
+        yield children, _linked(i, children, system.join(P, keys, children))
+        keys = children
     if len(keys) != 1:
         raise InternalInvariantViolation(
             f"expected a single path at l_{P.n - 1}, got {len(keys)}")
-    return counts[0], stats, tables
+
+
+def run_sweep(system: PathSystem, P: PointSet
+              ) -> tuple[int, SweepStats, None]:
+    """The number of structures and the sweep's per-line stats.  The third
+    value is always None, kept for callers that unpack three values (the
+    benchmark's tracer)."""
+    lines = sweep_lines(system, P)
+    counts = [1] * len(next(lines)[0])
+    stats = SweepStats([len(counts)])
+    t0 = time.perf_counter()
+    for keys, parents in lines:
+        sums, pairs = [], 0
+        for js in parents:
+            sums.append(sum(counts[j] for j in js))
+            pairs += len(js)
+        counts = sums
+        stats.t_per_line.append(len(keys))
+        stats.line_seconds.append(time.perf_counter() - t0)
+        stats.join_pairs.append(pairs)
+        t0 = time.perf_counter()
+    return counts[0], stats, None

@@ -1,6 +1,7 @@
 import os
 import random
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -39,6 +40,25 @@ def random_points(n, seed, span=40):
 
 def random_point_set(n, seed):
     return tc.validate_point_set(random_points(n, seed))
+
+
+class Table(NamedTuple):
+    line: int
+    keys: list  # ascending
+    counts: list  # counts[k] = T(keys[k])
+    parents: list  # ascending indices into the previous keys
+
+
+def line_tables(lines):
+    """Each line of a sweep stream (sweep.sweep_lines) as a table, yielded
+    as the line arrives, l_1 first: its keys, their counts and its parent
+    lists, which the stream gives lazily and the table keeps."""
+    counts = None
+    for line, (keys, parents) in enumerate(lines, 1):
+        parents = list(parents)
+        counts = ([1] * len(keys) if counts is None else
+                  [sum(counts[j] for j in js) for js in parents])
+        yield Table(line, keys, counts, parents)
 
 
 @pytest.fixture(scope="session")

@@ -12,8 +12,8 @@ from fractions import Fraction
 
 import tricount as tc
 import tricount.geom as geom
-from tricount import oracle, ptpath, tpath
-from conftest import FAN5, conv_points, random_point_set
+from tricount import oracle, ptpath, sweep, tpath
+from conftest import FAN5, conv_points, line_tables, random_point_set
 
 
 @contextmanager
@@ -105,8 +105,7 @@ def test_criterion_5_path_population_equivalence():
         for P in instances_structural(max_n=8):
             for fam in ("tri", "pt"):
                 system = tc.system_for(fam)
-                _, _, tables = tc.run_sweep(system, P, record_parents=True)
-                for tab in tables:
+                for tab in line_tables(sweep.sweep_lines(system, P)):
                     assert set(tab.keys) == \
                         oracle.collect_paths(P, tab.line, fam)
 
@@ -207,8 +206,9 @@ def test_criterion_8_sampler_uniformity():
                 tc.validate_point_set([(0, 0), (5, 1), (4, 3), (2, 1)])]
         for P in tiny:
             for fam in ("tri", "pt"):
-                total, _, tables = tc.run_sweep(
-                    tc.system_for(fam), P, record_parents=True)
+                system = tc.system_for(fam)
+                total = tc.run_sweep(system, P)[0]
+                tables = list(line_tables(sweep.sweep_lines(system, P)))
 
                 def walk(idx, k, prob, out):
                     if idx == 0:

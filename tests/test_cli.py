@@ -63,12 +63,13 @@ def test_count_stats_per_line(tmp_path, capsys, structure):
     kept = data["t_per_line"][1:]
     assert all(p >= t for p, t in zip(data["population"], kept))
     assert all(j >= t for j, t in zip(data["join_pairs"], kept))
-    # join_pairs counts exactly the parent links the sampler's tables keep
-    P = tc.validate_point_set(pts)
-    _, _, tables = tc.run_sweep(tc.system_for(structure), P,
-                                record_parents=True)
-    links = [sum(map(len, t.parents)) for t in tables[1:]]
-    assert data["join_pairs"] == links
+    # the per-line lists are run_sweep's (test_sweep checks them against
+    # the sweep stream's populations and parent links)
+    _, stats, _ = tc.run_sweep(tc.system_for(structure),
+                               tc.validate_point_set(pts))
+    assert data["t_per_line"] == stats.t_per_line
+    assert data["population"] == stats.population == kept
+    assert data["join_pairs"] == stats.join_pairs
 
 
 def test_count_collinear_exit2(tmp_path, capsys):

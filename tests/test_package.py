@@ -16,11 +16,27 @@ LAZY = ("tricount.oracle", "tricount.analysis", "tricount.svg",
 
 
 def _loaded_modules(code: str) -> set[str]:
+    # the list is taken before json is imported to print it
     out = subprocess.run(
         [sys.executable, "-c",
-         code + "; import json, sys; print(json.dumps(sorted(sys.modules)))"],
+         code + "; import sys; loaded = sorted(sys.modules); "
+         "import json; print(json.dumps(loaded))"],
         capture_output=True, text=True, check=True).stdout
     return set(json.loads(out))
+
+
+def _cli_modules(tmp_path, argv) -> set[str]:
+    """Modules loaded by a fresh process running the CLI on FAN5 as a text
+    point file, beyond what the interpreter preloads (site hooks)."""
+    f = tmp_path / "pts.txt"
+    f.write_text("".join(f"{x} {y}\n" for x, y in FAN5))
+    argv = [argv[0], str(f), *argv[1:]]
+    # the command's own output goes to a buffer, not into the module list
+    return _loaded_modules(
+        "import io, sys; from tricount.cli import main; "
+        "out, sys.stdout = sys.stdout, io.StringIO(); "
+        f"assert main({argv!r}) == 0; sys.stdout = out"
+    ) - _loaded_modules("pass")
 
 
 def test_cli_import_loads_only_the_engine():
@@ -36,17 +52,22 @@ def test_cli_import_loads_only_the_engine():
                                             ("sample", "pt")])
 def test_count_and_sample_do_not_load_ptpath(tmp_path, command, family):
     # the pt engine lives in tpath, and the sampler checks pt draws itself
-    f = tmp_path / "pts.txt"
-    f.write_text("".join(f"{x} {y}\n" for x, y in FAN5))
-    argv = [command, str(f), "--structure", family]
-    # the command's own output goes to a buffer, not into the module list
-    loaded = _loaded_modules(
-        "import io, sys; from tricount.cli import main; "
-        "out, sys.stdout = sys.stdout, io.StringIO(); "
-        f"assert main({argv!r}) == 0; sys.stdout = out")
+    loaded = _cli_modules(tmp_path, [command, "--structure", family])
     assert f"tricount.{'sampler' if command == 'sample' else 'sweep'}" \
         in loaded
     assert "tricount.ptpath" not in loaded
+
+
+@pytest.mark.parametrize("argv", [["count"], ["count", "--structure", "pt"],
+                                  ["sample", "--count", "3"],
+                                  ["sample", "--structure", "pt"]])
+def test_count_and_sample_do_not_load_json(tmp_path, argv):
+    # json is imported only where JSON is read or written: a JSON point
+    # file, render's input files, count --stats and enumerate; sample
+    # writes its JSON by hand
+    loaded = _cli_modules(tmp_path, argv)
+    assert "tricount.sweep" in loaded
+    assert "json" not in loaded
 
 
 def test_lazy_exports_are_the_module_bindings():

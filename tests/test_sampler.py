@@ -7,7 +7,7 @@ from bisect import bisect_right
 import pytest
 
 import tricount as tc
-from tricount import oracle, ptpath, sampler
+from tricount import oracle, ptpath, sampler, sweep
 from tricount.cli import main
 from tricount.errors import (
     IncompatibleTuple,
@@ -16,7 +16,8 @@ from tricount.errors import (
     TooLarge,
 )
 
-from conftest import FAN5, conv_points, random_point_set, random_points
+from conftest import (FAN5, conv_points, line_tables, random_point_set,
+                      random_points)
 
 
 def test_three_points_constant(tri3):
@@ -203,20 +204,6 @@ def test_sampled_structures_match_reconstruct(family, n, seed):
             assert P.edge_masks(pairs)[0] == s.mask
 
 
-@pytest.mark.parametrize("delta", [1, -1])
-def test_corrupt_parent_count_raises(monkeypatch, delta):
-    # an excess would bias the draw, a shortfall leave draws with no parent
-    def corrupted(*args, **kwargs):
-        count, stats, tables = tc.run_sweep(*args, **kwargs)
-        tables[len(tables) // 2].counts[0] += delta
-        return count, stats, tables
-
-    monkeypatch.setattr(sampler, "run_sweep", corrupted)
-    with pytest.raises(InternalInvariantViolation,
-                       match="parent counts do not add up"):
-        tc.sample(random_point_set(8, 508), "tri", seed=0, m=1)
-
-
 def test_chi_square_uniformity(conv5):
     from scipy.stats import chisquare
     cats = oracle.enumerate_triangulations(conv5).structures
@@ -232,7 +219,7 @@ def test_draw_count_guard(monkeypatch, conv5):
     def no_sweep(*args, **kwargs):
         raise AssertionError("the sweep ran")
 
-    monkeypatch.setattr(sampler, "run_sweep", no_sweep)
+    monkeypatch.setattr(sampler, "sweep_lines", no_sweep)
     for draw in (tc.sample, sampler.draws):
         with pytest.raises(TooLarge, match="sample guard"):
             draw(conv5, "tri", 0, sampler.M_GUARD + 1)
@@ -253,23 +240,49 @@ def test_draws_is_the_sample_stream(conv6):
 
 
 def test_draws_drop_the_tables(monkeypatch, conv6):
-    # only the nodes outlive the call: no table stays referenced while
-    # drawing
-    class Parents(list):  # a list that takes weak references
+    # only the nodes outlive the call: no line's keys or parent lists stay
+    # referenced while drawing
+    class Kept(list):  # a list that takes weak references
         pass
 
     refs = []
 
-    def tracked(*args, **kwargs):
-        count, stats, tables = tc.run_sweep(*args, **kwargs)
-        tables = [t._replace(parents=Parents(t.parents)) for t in tables]
-        refs.extend(weakref.ref(t.parents) for t in tables)
-        return count, stats, tables
+    def tracked(*args):
+        for table in line_tables(sweep.sweep_lines(*args)):
+            keys, parents = Kept(table.keys), Kept(map(Kept, table.parents))
+            refs.extend(map(weakref.ref, [keys, parents, *parents]))
+            yield keys, iter(parents)
 
-    monkeypatch.setattr(sampler, "run_sweep", tracked)
+    monkeypatch.setattr(sampler, "sweep_lines", tracked)
     stream = sampler.draws(conv6, "tri", 0, 3)
-    assert len(refs) == 5 and all(ref() is None for ref in refs)
+    assert len(refs) > 5 and all(ref() is None for ref in refs)
     assert len(list(stream)) == 3
+
+
+def test_budget_refusal_stops_the_sweep(monkeypatch):
+    # the budget is checked as each line arrives: the line that crosses it
+    # is the last one searched
+    P = random_point_set(8, 508)
+    sizes = [len(tc.TRI_SYSTEM.chains(P, i)) for i in range(1, P.n)]
+    searched = []
+
+    def chains(P, i):
+        searched.append(i)
+        return tc.TRI_SYSTEM.chains(P, i)
+
+    system = sweep.PathSystem(chains, tc.TRI_SYSTEM.join)
+    monkeypatch.setattr(sampler, "system_for", lambda family: system)
+    for last in range(1, P.n - 1):
+        budget = sum(sizes[:last]) - 1
+        searched.clear()
+        with pytest.raises(MemoryBudgetExceeded,
+                           match=f"path tables exceed {budget} entries"):
+            sampler.draws(P, "tri", 0, 1, max_table_entries=budget)
+        assert searched == list(range(1, last + 1))
+    searched.clear()
+    assert len(tc.sample(P, "tri", seed=0, m=2,
+                         max_table_entries=sum(sizes)).structures) == 2
+    assert searched == list(range(1, P.n))
 
 
 def test_memory_budget(conv5):

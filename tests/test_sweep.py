@@ -4,9 +4,10 @@ import random
 import pytest
 
 import tricount as tc
-from tricount import geom, oracle, ptpath, tpath
+from tricount import geom, oracle, ptpath, sampler, sweep, tpath
+from tricount.errors import InternalInvariantViolation
 
-from conftest import random_point_set, random_points
+from conftest import line_tables, random_point_set, random_points
 
 
 def first_path(P):
@@ -58,7 +59,9 @@ def test_initial_successor_compatible(fan5):
 
 def _check_parent_tables(family, P):
     system = tc.system_for(family)
-    _, _, tables = tc.run_sweep(system, P, record_parents=True)
+    tables = list(line_tables(sweep.sweep_lines(system, P)))
+    assert len(tables) == P.n - 1
+    assert tables[-1].counts == [tc.run_sweep(system, P)[0]]
     assert tables[0].keys == [first_path(P)]
     assert tables[0].counts == [1]
     for tab in tables:
@@ -102,6 +105,68 @@ def test_parent_bitsets_span_several_words(family, n, seed):
     # masks are wider than one machine word
     tables = _check_parent_tables(family, random_point_set(n, seed))
     assert max(len(t.keys) for t in tables) > 64
+
+
+@pytest.mark.parametrize("family,n,seed", [
+    ("tri", 5, 3), ("tri", 9, 909), ("tri", 10, 1028),
+    ("pt", 6, 606), ("pt", 8, 42),
+])
+def test_run_sweep_reads_the_stream(family, n, seed):
+    # the stream's populations are the search's, l_1 first; run_sweep's
+    # stats are the stream's populations and its parent-link totals
+    system = tc.system_for(family)
+    P = random_point_set(n, seed)
+    populations, links = [], []
+    for i, (keys, parents) in enumerate(sweep.sweep_lines(system, P), 1):
+        assert keys == system.chains(P, i)
+        populations.append(len(keys))
+        links.append(sum(map(len, parents)))
+    assert len(populations) == n - 1 and links[0] == 0
+    _, stats, third = tc.run_sweep(system, P)
+    assert third is None
+    assert stats.t_per_line == populations
+    assert stats.population == populations[1:]
+    assert stats.join_pairs == links[1:]
+    assert len(stats.line_seconds) == n - 2
+
+
+def test_sweep_lines_search_a_line_when_asked(conv5):
+    # no line is searched before it is asked for, and no join runs before
+    # its parents are read
+    calls = []
+
+    def chains(P, i):
+        calls.append(i)
+        return tc.TRI_SYSTEM.chains(P, i)
+
+    def join(P, parents, children):
+        calls.append("join")
+        yield from tc.TRI_SYSTEM.join(P, parents, children)
+
+    lines = sweep.sweep_lines(sweep.PathSystem(chains, join), conv5)
+    assert calls == []
+    next(lines)
+    _, parents = next(lines)
+    assert calls == [1, 2]
+    assert next(parents) == [0] and calls == [1, 2, "join"]
+    assert [keys for keys, _ in lines] == \
+        [tc.TRI_SYSTEM.chains(conv5, i) for i in (3, 4)]
+    assert calls == [1, 2, "join", 3, 4]
+
+
+def test_child_without_parent_raises(monkeypatch, conv6):
+    # a join that loses the last child's parents stops the sweep (and the
+    # sampler, which reads the same stream)
+    def lossy(P, parents, children):
+        js = list(tc.TRI_SYSTEM.join(P, parents, children))
+        return js[:-1] + [[]]
+
+    system = sweep.PathSystem(tc.TRI_SYSTEM.chains, lossy)
+    with pytest.raises(InternalInvariantViolation, match="at l_2 has no parent"):
+        tc.run_sweep(system, conv6)
+    monkeypatch.setattr(sampler, "system_for", lambda family: system)
+    with pytest.raises(InternalInvariantViolation, match="has no parent"):
+        tc.sample(conv6, "tri", seed=0, m=1)
 
 
 def _chain_variants(rng, P, i, population, count):
