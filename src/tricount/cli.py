@@ -22,7 +22,11 @@ from . import sweep
 from .errors import InputError, TricountError
 from .geom import PointSet, validate_point_set
 
-WRITE_BATCH = 256  # sampled structures per stdout write
+# sampled structures per stdout write.  Not redundant with stdout's buffer:
+# under PYTHONUNBUFFERED=1 every write is a syscall.  On a 2-core Xeon host,
+# writing 1000 draws into a pipe one at a time took 2.4-2.6 ms, against
+# 0.3 ms in batches of 256 (0.6 ms one at a time when buffered)
+WRITE_BATCH = 256
 
 
 def parse_points(text: str) -> list:

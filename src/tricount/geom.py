@@ -35,6 +35,7 @@ RIGHT = 1
 
 Point = tuple[int, int]
 Segment = tuple[int, int]  # pair of vertex indices, normalized a < b
+EdgeSet = frozenset[Segment]
 
 
 def seg(a: int, b: int) -> Segment:

@@ -14,13 +14,12 @@ every emitted structure.
 
 from __future__ import annotations
 
-from math import comb
 from typing import Optional
 
 from . import ptpath, tpath
 from .errors import CapExceeded, InternalInvariantViolation, TooLarge
-from .geom import PointSet, bits
-from .tpath import EdgeSet
+from .geom import EdgeSet, PointSet, bits
+from .sweep import adjacency
 
 TRI_GUARD = 12
 PT_GUARD = 10
@@ -36,17 +35,13 @@ class EnumerationResult:
         return len(self.structures)
 
 
-def catalan(m: int) -> int:
-    return comb(2 * m, m) // (m + 1)
-
-
 def enumerate_structures(P: PointSet, family: str,
                          cap: Optional[int] = None) -> EnumerationResult:
     """Every triangulation ("tri") or pointed pseudo-triangulation ("pt")
     of P as a set of segments, in sorted order."""
     if family == "tri":
         guard, name = TRI_GUARD, "triangulation"
-        target = tpath.triangulation_edge_target(P)
+        target = 3 * P.n - 3 - len(P.hull)
     elif family == "pt":
         guard, name = PT_GUARD, "pseudo-triangulation"
         target = 2 * P.n - 3
@@ -64,7 +59,7 @@ def enumerate_structures(P: PointSet, family: str,
     # block[k]: the segments whose inclusion can rule segment k out
     block = [cross[k] | inner[a] | inner[b] for k, (a, b) in enumerate(edges)]
     hull_edges = list(zip(hull, hull[1:] + hull[:1]))
-    adj = tpath.adjacency(hull_edges, n)  # of the included segments
+    adj = adjacency(hull_edges, n)  # of the included segments
     result = EnumerationResult(family)
 
     def rec(imask: int, xmask: int, addable: int) -> None:
@@ -105,16 +100,6 @@ def enumerate_structures(P: PointSet, family: str,
     rec(hmask, 0, ((1 << len(edges)) - 1) ^ hmask)
     result.structures.sort(key=sorted)
     return result
-
-
-def enumerate_triangulations(P: PointSet,
-                             cap: Optional[int] = None) -> EnumerationResult:
-    return enumerate_structures(P, "tri", cap)
-
-
-def enumerate_pointed_pseudotriangulations(
-        P: PointSet, cap: Optional[int] = None) -> EnumerationResult:
-    return enumerate_structures(P, "pt", cap)
 
 
 def collect_paths(P: PointSet, i: int, family: str) -> set[tuple[int, ...]]:

@@ -12,12 +12,10 @@ convex turn among the excursion vertices" plus region emptiness.
 
 As with T-paths, validity coincides with membership in the population: a
 valid chain completes to a maximal planar pointed edge set, of which it is
-the unique PT-path.  Extraction and population building are the T-path
-chain search, tpath.path_chains, with same-side moves allowed, and
-successors come from a join of two populations: the T-path join's
-non-crossing parents of each child, kept where the union stays pointed.
-Both live in tpath (ptpath_chains, ptpath_join), beside the T-path
-engine, so counting and sampling never load this module.
+the unique PT-path.  So extraction is the engine's chain search with
+same-side moves allowed (sweep.ptpath_chains), and successors are the
+engine's join (sweep.ptpath_join): the T-path join's non-crossing parents
+of each child, kept where the union stays pointed.
 """
 
 from __future__ import annotations
@@ -31,10 +29,9 @@ from .errors import (
     InternalInvariantViolation,
     PreconditionViolated,
 )
-from .geom import PointSet, Segment, bits, seg
-# the engine's PT half lives in tpath, re-exported here for the PT-path API
-from .tpath import (Check, EdgeSet, PathKey, adjacency, chain_edges,
-                    ptpath_chains, ptpath_join)
+from .geom import EdgeSet, PointSet, Segment, bits, seg
+from .sweep import PathKey, adjacency, ptpath_chains, ptpath_join
+from .tpath import Check, chain_edges
 
 
 class PTPath(NamedTuple):

@@ -28,9 +28,8 @@ from typing import Iterator, NamedTuple, Optional
 
 from .errors import (IncompatibleTuple, InternalInvariantViolation,
                      MemoryBudgetExceeded, TooLarge)
-from .geom import PointSet, Segment, bits
+from .geom import EdgeSet, PointSet, Segment, bits
 from .sweep import PathKey, sweep_lines, system_for
-from .tpath import EdgeSet, triangulation_edge_target
 
 # draws are streamed, so m bounds time and output size, not memory: about
 # 0.8 KB of JSON a draw at tri n=14 (80 MB at this guard); m above it is
@@ -46,13 +45,6 @@ class ReconstructedStructure(NamedTuple):
     @property
     def edges(self) -> EdgeSet:
         return frozenset(self.segments[k] for k in bits(self.mask))
-
-
-class SampleRun(NamedTuple):
-    seed: int
-    family: str
-    tuples: list[list[PathKey]]
-    structures: list[ReconstructedStructure]
 
 
 @lru_cache(maxsize=1)
@@ -90,7 +82,7 @@ def _complete(P: PointSet, family: str, emask: int, blocked: int) -> int:
         low = free & -free
         emask |= low
         free &= ~(low | cross[low.bit_length() - 1])
-    target = triangulation_edge_target(P)
+    target = 3 * P.n - 3 - len(P.hull)
     if emask.bit_count() != target:
         raise InternalInvariantViolation(
             f"completed to {emask.bit_count()} edges, expected {target}")
@@ -158,10 +150,3 @@ def draws(P: PointSet, family: str, seed: int, m: int,
                 family, _complete(P, family, emask, blocked), P.segments)
 
     return walk()
-
-
-def sample(P: PointSet, family: str, seed: int, m: int,
-           max_table_entries: Optional[int] = None) -> SampleRun:
-    """Draw m structures i.i.d. uniformly at random, all kept."""
-    run = list(draws(P, family, seed, m, max_table_entries))
-    return SampleRun(seed, family, [t for t, _ in run], [s for _, s in run])

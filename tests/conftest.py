@@ -1,5 +1,6 @@
 import os
 import random
+from math import comb
 from pathlib import Path
 from typing import NamedTuple
 
@@ -40,6 +41,21 @@ def random_points(n, seed, span=40):
 
 def random_point_set(n, seed):
     return tc.validate_point_set(random_points(n, seed))
+
+
+def catalan(m):
+    return comb(2 * m, m) // (m + 1)
+
+
+class Sample(NamedTuple):
+    tuples: list  # each draw's path keys, l_1 first
+    structures: list  # each draw's ReconstructedStructure
+
+
+def sample(P, family, seed, m, max_table_entries=None):
+    """m seeded draws of the sampler's stream (tricount.draws), all kept."""
+    run = list(tc.draws(P, family, seed, m, max_table_entries))
+    return Sample([t for t, _ in run], [s for _, s in run])
 
 
 class Table(NamedTuple):

@@ -13,7 +13,8 @@ from fractions import Fraction
 import tricount as tc
 import tricount.geom as geom
 from tricount import oracle, ptpath, sweep, tpath
-from conftest import FAN5, conv_points, line_tables, random_point_set
+from conftest import (FAN5, catalan, conv_points, line_tables,
+                      random_point_set, sample)
 
 
 @contextmanager
@@ -59,11 +60,11 @@ def test_criterion_1_oracle_equivalence_tri(tmp_path):
             for s in SEEDS:
                 pts = random_point_set(n, 1000 * n + s).points
                 got, P = count_inprocess(pts, "tri")
-                assert got == oracle.enumerate_triangulations(P).count
+                assert got == oracle.enumerate_structures(P, "tri").count
         for n in range(3, 11):
             pts = conv_points(n)
             got, P = count_inprocess(pts, "tri")
-            assert got == oracle.enumerate_triangulations(P).count
+            assert got == oracle.enumerate_structures(P, "tri").count
         # the CLI path itself, spot-checked end to end
         assert cli_count(tmp_path, FAN5, "tri") == 3
         assert cli_count(tmp_path, conv_points(6), "tri") == 14
@@ -76,18 +77,18 @@ def test_criterion_2_oracle_equivalence_pt(tmp_path):
                 pts = random_point_set(n, 2000 * n + s).points
                 got, P = count_inprocess(pts, "pt")
                 assert got == \
-                    oracle.enumerate_pointed_pseudotriangulations(P).count
+                    oracle.enumerate_structures(P, "pt").count
         for n in range(3, 9):
             got, P = count_inprocess(conv_points(n), "pt")
             assert got == \
-                oracle.enumerate_pointed_pseudotriangulations(P).count
+                oracle.enumerate_structures(P, "pt").count
         assert cli_count(tmp_path, FAN5, "pt") == 8
 
 
 def test_criterion_3_convex_catalan():
     with criterion(3, "convex-position closed form"):
         for n in range(3, 11):
-            expect = tc.catalan(n - 2)
+            expect = catalan(n - 2)
             for fam in ("tri", "pt"):
                 got, _ = count_inprocess(conv_points(n), fam)
                 assert got == expect
@@ -113,7 +114,7 @@ def test_criterion_5_path_population_equivalence():
 def test_criterion_6_structural_lemmas():
     with criterion(6, "structural lemma suite"):
         for P in instances_structural(max_n=8):
-            tris = oracle.enumerate_triangulations(P).structures
+            tris = oracle.enumerate_structures(P, "tri").structures
             sigs = set()
             for T in tris:
                 covered = set()
@@ -144,8 +145,7 @@ def test_criterion_6_structural_lemmas():
                             assert keys[a] == keys[b] or \
                                 tc.paths_cross(keys[a], keys[b], P)
 
-            pts_structs = oracle.enumerate_pointed_pseudotriangulations(
-                P).structures
+            pts_structs = oracle.enumerate_structures(P, "pt").structures
             sigs = set()
             for S in pts_structs:
                 covered = set()
@@ -194,7 +194,7 @@ def test_criterion_8_sampler_uniformity():
         for pts, fam, m in jobs:
             P = tc.validate_point_set(pts)
             cats = oracle.enumerate_structures(P, fam).structures
-            run = tc.sample(P, fam, seed=20260824, m=m)
+            run = sample(P, fam, seed=20260824, m=m)
             counter = collections.Counter(s.edges for s in run.structures)
             observed = [counter[S] for S in cats]
             assert sum(observed) == m  # every sample is a known category

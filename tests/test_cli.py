@@ -9,7 +9,8 @@ from tricount import sampler
 from tricount.cli import WRITE_BATCH, main
 from tricount.errors import InternalInvariantViolation
 
-from conftest import FAN5, conv_points, fan5_star_triangulation, random_points
+from conftest import (FAN5, conv_points, fan5_star_triangulation,
+                      random_points, sample)
 
 
 def write_points(tmp_path, pts, name="pts.txt", as_json=False):
@@ -202,7 +203,7 @@ def test_sample_stream_is_json_of_sample(tmp_path, capsys, count):
     f = write_points(tmp_path, pts)
     assert main(["sample", f, "--structure", "pt", "--count", str(count),
                  "--seed", "6"]) == 0
-    run = tc.sample(tc.validate_point_set(pts), "pt", seed=6, m=count)
+    run = sample(tc.validate_point_set(pts), "pt", seed=6, m=count)
     assert capsys.readouterr().out == json.dumps(
         [sorted(map(list, s.edges)) for s in run.structures]) + "\n"
 

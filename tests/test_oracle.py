@@ -5,25 +5,25 @@ from tricount import oracle
 from tricount.errors import CapExceeded, TooLarge
 from tricount.geom import seg
 
-from conftest import conv_points, random_point_set
+from conftest import catalan, conv_points, random_point_set
 
 
 def test_catalan():
-    assert [tc.catalan(m) for m in range(9)] == \
+    assert [catalan(m) for m in range(9)] == \
         [1, 1, 2, 5, 14, 42, 132, 429, 1430]
 
 
 def test_triangulation_counts(fan5, conv6, tri3):
-    assert oracle.enumerate_triangulations(tri3).count == 1
-    assert oracle.enumerate_triangulations(conv6).count == 14
-    assert oracle.enumerate_triangulations(fan5).count == 3
+    assert oracle.enumerate_structures(tri3, "tri").count == 1
+    assert oracle.enumerate_structures(conv6, "tri").count == 14
+    assert oracle.enumerate_structures(fan5, "tri").count == 3
 
 
 def test_pt_counts(fan5, conv5, tri3):
-    assert oracle.enumerate_pointed_pseudotriangulations(tri3).count == 1
-    assert oracle.enumerate_pointed_pseudotriangulations(conv5).count == 5
+    assert oracle.enumerate_structures(tri3, "pt").count == 1
+    assert oracle.enumerate_structures(conv5, "pt").count == 5
     # golden value pinned by this enumerator
-    assert oracle.enumerate_pointed_pseudotriangulations(fan5).count == 8
+    assert oracle.enumerate_structures(fan5, "pt").count == 8
 
 
 def test_convex_position_catalan():
@@ -33,20 +33,20 @@ def test_convex_position_catalan():
         for n in range(3, guard + 1):
             P = tc.validate_point_set(conv_points(n))
             assert oracle.enumerate_structures(P, fam).count == \
-                tc.catalan(n - 2)
+                catalan(n - 2)
 
 
 def test_structure_invariants(fan5):
     for P in [fan5] + [random_point_set(n, 300 + n) for n in range(5, 10)]:
         n, hull = P.n, P.hull
         hull_edges = {seg(a, b) for a, b in zip(hull, hull[1:] + hull[:1])}
-        tri = oracle.enumerate_triangulations(P)
+        tri = oracle.enumerate_structures(P, "tri")
         assert len(set(tri.structures)) == tri.count
         for T in tri.structures:
             assert hull_edges <= T
             assert len(T) == 3 * n - 3 - len(hull)
             assert not any(P.segments_cross(e, f) for e in T for f in T)
-        pt = oracle.enumerate_pointed_pseudotriangulations(P)
+        pt = oracle.enumerate_structures(P, "pt")
         assert len(set(pt.structures)) == pt.count
         for S in pt.structures:
             assert hull_edges <= S
@@ -66,21 +66,21 @@ def test_oracle_matches_sweep_at_guard(fam, n):
 def test_guards():
     P = random_point_set(13, 1)
     with pytest.raises(TooLarge):
-        oracle.enumerate_triangulations(P)
+        oracle.enumerate_structures(P, "tri")
     Q = random_point_set(11, 2)
     with pytest.raises(TooLarge):
-        oracle.enumerate_pointed_pseudotriangulations(Q)
+        oracle.enumerate_structures(Q, "pt")
 
 
 def test_cap(conv6):
     with pytest.raises(CapExceeded):
-        oracle.enumerate_triangulations(conv6, cap=5)
+        oracle.enumerate_structures(conv6, "tri", cap=5)
 
 
 def test_collect_paths(fan5, conv5):
     for fam in ("tri", "pt"):
         assert len(oracle.collect_paths(fan5, 1, fam)) == 1
-    tri = oracle.enumerate_triangulations(conv5)
+    tri = oracle.enumerate_structures(conv5, "tri")
     for i in range(1, conv5.n):
         assert len(oracle.collect_paths(conv5, i, "tri")) <= tri.count
 
@@ -102,7 +102,7 @@ def triangulations_via_flips(P, start):
 
 def test_flip_closure_matches_enumeration(fan5):
     for P in (fan5, random_point_set(6, 5), random_point_set(7, 6)):
-        res = oracle.enumerate_triangulations(P)
+        res = oracle.enumerate_structures(P, "tri")
         closure = triangulations_via_flips(P, res.structures[0])
         assert closure == set(res.structures)
 

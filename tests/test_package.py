@@ -1,7 +1,9 @@
+import ast
 import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,10 +11,21 @@ import tricount as tc
 
 from conftest import FAN5
 
-# modules `import tricount.cli` must not load: the engine (sweep, tpath,
-# geom) serves both families, and sample loads its sampler
+SRC = Path(tc.__file__).parent
+
+# modules `import tricount.cli` must not load: the engine (sweep, geom)
+# serves both families, and sample loads its sampler
 LAZY = ("tricount.oracle", "tricount.analysis", "tricount.svg",
-        "tricount.sampler", "tricount.ptpath", "fractions", "dataclasses")
+        "tricount.sampler", "tricount.ptpath", "tricount.tpath", "fractions",
+        "dataclasses")
+
+# exports that nothing in src/ calls: the paper's per-path and
+# per-structure lemmas, kept as the tests' reference (README "Library"),
+# and the pt validator that the benchmark's sample checker calls
+NO_CALLER_IN_SRC = {
+    "tpath_successors", "ptpath_successors", "paths_cross", "is_good_edge",
+    "is_flippable", "pt_good_edge", "flip", "is_pointed", "reconstruct",
+    "collect_paths", "validate_pseudotriangulation"}
 
 
 def _loaded_modules(code: str) -> set[str]:
@@ -43,19 +56,22 @@ def test_cli_import_loads_only_the_engine():
     # whatever the interpreter preloads on this host (site hooks) is ignored
     preloaded = _loaded_modules("pass")
     loaded = _loaded_modules("import tricount.cli") - preloaded
-    assert {"tricount.sweep", "tricount.tpath"} <= loaded
+    assert {"tricount.sweep", "tricount.geom"} <= loaded
     assert loaded.isdisjoint(LAZY), sorted(loaded & set(LAZY))
 
 
-@pytest.mark.parametrize("command,family", [("count", "pt"),
+@pytest.mark.parametrize("command,family", [("count", "tri"),
+                                            ("count", "pt"),
                                             ("sample", "tri"),
                                             ("sample", "pt")])
 def test_count_and_sample_do_not_load_ptpath(tmp_path, command, family):
-    # the pt engine lives in tpath, and the sampler checks pt draws itself
+    # the whole engine lives in sweep, and the sampler checks pt draws
+    # itself: neither path module's lemma API is loaded
     loaded = _cli_modules(tmp_path, [command, "--structure", family])
     assert f"tricount.{'sampler' if command == 'sample' else 'sweep'}" \
         in loaded
     assert "tricount.ptpath" not in loaded
+    assert "tricount.tpath" not in loaded
 
 
 @pytest.mark.parametrize("argv", [["count"], ["count", "--structure", "pt"],
@@ -71,10 +87,44 @@ def test_count_and_sample_do_not_load_json(tmp_path, argv):
 
 
 def test_lazy_exports_are_the_module_bindings():
-    assert len(tc.__all__) == len(set(tc.__all__)) == 34
+    assert len(tc.__all__) == len(set(tc.__all__)) == 30
     for name in tc.__all__:
         module = importlib.import_module(f"tricount.{tc._SOURCE[name]}")
         assert getattr(tc, name) is getattr(module, name), name
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    """Names and attributes a module reads, each module-level definition
+    left out of its own references (a recursive call is no caller)."""
+    names = set()
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            own = {stmt.name}
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) \
+                else [stmt.target]
+            own = {t.id for t in targets if isinstance(t, ast.Name)}
+        else:
+            own = set()
+        found = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+        names |= found - own
+    return names
+
+
+def test_every_export_has_a_caller():
+    # ROADMAP's design aim: no public helper without a caller in src/
+    used = set()
+    for path in SRC.glob("*.py"):
+        if path.name != "__init__.py":
+            used |= _referenced_names(ast.parse(path.read_text()))
+    assert NO_CALLER_IN_SRC <= set(tc.__all__)
+    orphans = set(tc.__all__) - used - NO_CALLER_IN_SRC
+    assert not orphans, sorted(orphans)
 
 
 def test_star_import_binds_every_export():

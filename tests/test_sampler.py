@@ -17,26 +17,26 @@ from tricount.errors import (
 )
 
 from conftest import (FAN5, conv_points, line_tables, random_point_set,
-                      random_points)
+                      random_points, sample)
 
 
 def test_three_points_constant(tri3):
-    run = tc.sample(tri3, "tri", seed=1, m=5)
+    run = sample(tri3, "tri", seed=1, m=5)
     T = frozenset({(0, 1), (0, 2), (1, 2)})
     assert all(s.edges == T for s in run.structures)
 
 
 def test_seed_determinism(conv5):
-    a = tc.sample(conv5, "tri", seed=9, m=20)
-    b = tc.sample(conv5, "tri", seed=9, m=20)
+    a = sample(conv5, "tri", seed=9, m=20)
+    b = sample(conv5, "tri", seed=9, m=20)
     assert [s.edges for s in a.structures] == [s.edges for s in b.structures]
-    c = tc.sample(conv5, "tri", seed=10, m=20)
+    c = sample(conv5, "tri", seed=10, m=20)
     assert [s.edges for s in a.structures] != [s.edges for s in c.structures]
 
 
 def test_samples_are_valid_structures(fan5):
     for fam in ("tri", "pt"):
-        run = tc.sample(fan5, fam, seed=3, m=30)
+        run = sample(fan5, fam, seed=3, m=30)
         valid = set(oracle.enumerate_structures(fan5, fam).structures)
         for s in run.structures:
             assert s.edges in valid
@@ -56,7 +56,7 @@ def test_reconstruct_round_trip(fan5, conv5):
 
 
 def test_reconstruct_order_independent(conv5):
-    S = oracle.enumerate_triangulations(conv5).structures[0]
+    S = oracle.enumerate_structures(conv5, "tri").structures[0]
     keys = [tc.extract_tpath(S, i, conv5).vertices for i in range(1, conv5.n)]
     base = tc.reconstruct(keys, conv5, "tri").edges
     # reversed greedy candidate order must complete to the same set
@@ -111,7 +111,7 @@ def test_pt_guard_matches_validate_pt_mask(n):
     for seed in (500 + n, 600 + n):
         P = random_point_set(n, seed)
         s = len(P.segments)
-        unions = {x.mask for x in tc.sample(P, "pt", seed, 40).structures}
+        unions = {x.mask for x in sample(P, "pt", seed, 40).structures}
         masks = unions | {u ^ 1 << k for u in unions for k in range(s)}
         for _ in range(400):
             m = rng.getrandbits(s)
@@ -193,7 +193,7 @@ def test_sample_stdout_golden(tmp_path, capsys, name, family):
 def test_sampled_structures_match_reconstruct(family, n, seed):
     # the mask walk completes each draw exactly as reconstruct does its tuple
     P = random_point_set(n, seed)
-    run = tc.sample(P, family, seed=5, m=200)
+    run = sample(P, family, seed=5, m=200)
     assert len(run.tuples) == len(run.structures) == 200
     for keys, s in zip(run.tuples, run.structures):
         assert len(keys) == n - 1
@@ -206,37 +206,34 @@ def test_sampled_structures_match_reconstruct(family, n, seed):
 
 def test_chi_square_uniformity(conv5):
     from scipy.stats import chisquare
-    cats = oracle.enumerate_triangulations(conv5).structures
-    run = tc.sample(conv5, "tri", seed=11, m=2000)
+    cats = oracle.enumerate_structures(conv5, "tri").structures
+    run = sample(conv5, "tri", seed=11, m=2000)
     counter = collections.Counter(s.edges for s in run.structures)
     observed = [counter[S] for S in cats]
     assert chisquare(observed).pvalue > 1e-3
 
 
 def test_draw_count_guard(monkeypatch, conv5):
-    # both refused before the sweep, so nothing is drawn; draws refuses at
-    # the call, not at the first draw
+    # m above the guard and a negative m are refused at the call, before
+    # the sweep and the first draw
     def no_sweep(*args, **kwargs):
         raise AssertionError("the sweep ran")
 
     monkeypatch.setattr(sampler, "sweep_lines", no_sweep)
-    for draw in (tc.sample, sampler.draws):
-        with pytest.raises(TooLarge, match="sample guard"):
-            draw(conv5, "tri", 0, sampler.M_GUARD + 1)
-        with pytest.raises(ValueError, match="nonnegative"):
-            draw(conv5, "tri", 0, -1)
+    with pytest.raises(TooLarge, match="sample guard"):
+        sampler.draws(conv5, "tri", 0, sampler.M_GUARD + 1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        sampler.draws(conv5, "tri", 0, -1)
 
 
 def test_draws_is_the_sample_stream(conv6):
     # the sweep runs at the call, even for no draws
     with pytest.raises(MemoryBudgetExceeded):
         sampler.draws(conv6, "tri", 0, 0, max_table_entries=1)
-    run = tc.sample(conv6, "pt", seed=4, m=30)
-    stream = sampler.draws(conv6, "pt", 4, 30)
-    assert list(stream) == list(zip(run.tuples, run.structures))
+    stream = list(sampler.draws(conv6, "pt", 4, 30))
+    assert list(sampler.draws(conv6, "pt", 4, 30)) == stream
     # seeded draws are one stream: fewer draws are a prefix of more
-    assert tc.sample(conv6, "pt", seed=4, m=12).structures == \
-        run.structures[:12]
+    assert list(sampler.draws(conv6, "pt", 4, 12)) == stream[:12]
 
 
 def test_draws_drop_the_tables(monkeypatch, conv6):
@@ -280,11 +277,11 @@ def test_budget_refusal_stops_the_sweep(monkeypatch):
             sampler.draws(P, "tri", 0, 1, max_table_entries=budget)
         assert searched == list(range(1, last + 1))
     searched.clear()
-    assert len(tc.sample(P, "tri", seed=0, m=2,
+    assert len(sample(P, "tri", seed=0, m=2,
                          max_table_entries=sum(sizes)).structures) == 2
     assert searched == list(range(1, P.n))
 
 
 def test_memory_budget(conv5):
     with pytest.raises(MemoryBudgetExceeded):
-        tc.sample(conv5, "tri", seed=0, m=1, max_table_entries=2)
+        sample(conv5, "tri", seed=0, m=1, max_table_entries=2)

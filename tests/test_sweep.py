@@ -7,7 +7,7 @@ import tricount as tc
 from tricount import geom, oracle, ptpath, sampler, sweep, tpath
 from tricount.errors import InternalInvariantViolation
 
-from conftest import line_tables, random_point_set, random_points
+from conftest import line_tables, random_point_set, random_points, sample
 
 
 def first_path(P):
@@ -166,7 +166,7 @@ def test_child_without_parent_raises(monkeypatch, conv6):
         tc.run_sweep(system, conv6)
     monkeypatch.setattr(sampler, "system_for", lambda family: system)
     with pytest.raises(InternalInvariantViolation, match="has no parent"):
-        tc.sample(conv6, "tri", seed=0, m=1)
+        sample(conv6, "tri", seed=0, m=1)
 
 
 def _chain_variants(rng, P, i, population, count):
@@ -229,9 +229,9 @@ def test_system_for():
 def test_sweep_matches_oracle_random(n, seed):
     P = random_point_set(n, seed)
     assert tc.run_sweep(tc.TRI_SYSTEM, P)[0] == \
-        oracle.enumerate_triangulations(P).count
+        oracle.enumerate_structures(P, "tri").count
     assert tc.run_sweep(tc.PT_SYSTEM, P)[0] == \
-        oracle.enumerate_pointed_pseudotriangulations(P).count
+        oracle.enumerate_structures(P, "pt").count
 
 
 @pytest.mark.parametrize("family,n,seed,count", [
