@@ -35,7 +35,7 @@ def parse_points(text: str) -> list:
         import json
         try:
             pts = json.loads(text)["points"]
-        except (json.JSONDecodeError, KeyError) as exc:
+        except (ValueError, KeyError, RecursionError) as exc:
             raise InputError(f"bad JSON point file: {exc}") from None
         if not isinstance(pts, list):
             raise InputError("bad JSON point file: 'points' is not a list")
@@ -77,7 +77,7 @@ def _read_json(path: str, what: str, parse):
     import json
     try:
         return parse(json.loads(Path(path).read_text()))
-    except (OSError, TypeError, ValueError) as exc:
+    except (OSError, TypeError, ValueError, RecursionError) as exc:
         raise InputError(f"bad {what} file: {exc}") from None
 
 

@@ -9,7 +9,8 @@ cross a line is a left-of bit.
 
 A PointSet builds its exact tables once, in its constructor: the left-of
 bitmasks (PointSet.left), filled from one orientation per triple, and from
-them the segment index, the crossing masks and the convex hull.  Crossing,
+them the segment index, the crossing masks, the segments at each vertex
+and the convex hull with its edges and interior vertices.  Crossing,
 crossing order, triangle, wedge and region emptiness and pointedness are
 read off the left-of masks, so each is a few shifts and ANDs.
 """
@@ -29,9 +30,6 @@ from .errors import (
 CW = -1
 COLLINEAR = 0
 CCW = 1
-
-LEFT = -1
-RIGHT = 1
 
 Point = tuple[int, int]
 Segment = tuple[int, int]  # pair of vertex indices, normalized a < b
@@ -75,10 +73,14 @@ class PointSet:
     - ids[a][b]: k with segments[k] = ab, in either direction (None for
       a == b);
     - cross[k]: bitmask of the segments that properly cross segments[k];
-    - hull: the hull vertices in CCW order, starting at vertex 0.
+    - star[v]: bitmask of the segments at vertex v;
+    - hull: the hull vertices in CCW order, starting at vertex 0;
+    - hull_edges: the hull segments (a < b), CCW from vertex 0;
+    - interior: the vertices not on the hull, ascending.
     """
 
-    __slots__ = ("points", "n", "left", "segments", "ids", "cross", "hull")
+    __slots__ = ("points", "n", "left", "segments", "ids", "cross", "star",
+                 "hull", "hull_edges", "interior")
 
     def __init__(self, points: Sequence[Point]):
         self.points = pts = tuple(map(_integer_point, points))
@@ -112,6 +114,7 @@ class PointSet:
         self.ids = ids = [[None] * n for _ in range(n)]
         for k, (a, b) in enumerate(self.segments):
             ids[a][b] = ids[b][a] = k
+        self.star = [sum(1 << k for k in row if k is not None) for row in ids]
         # cd crosses ab iff each separates the other's endpoints: with c
         # left of ab, iff d is left of ba and on different sides of ac and bc
         self.cross = [sum(1 << ids[c][d] for c in bits(left[a][b])
@@ -124,11 +127,9 @@ class PointSet:
         hull = [0]
         while succ[hull[-1]]:
             hull.append(succ[hull[-1]])
-        self.hull = tuple(hull)
-
-    def side(self, j: int, i: int) -> int:
-        """Side of point j w.r.t. sweep line l_i."""
-        return LEFT if j < i else RIGHT
+        self.hull = hull = tuple(hull)
+        self.hull_edges = tuple(map(seg, hull, hull[1:] + hull[:1]))
+        self.interior = tuple(v for v in range(n) if v not in hull)
 
     # -- basic predicates on vertex indices ------------------------------
 
@@ -281,9 +282,7 @@ def region_empty(P: PointSet, i: int, u: int, exc: list[int],
 
 def hull_crossing_edges(P: PointSet, i: int) -> tuple[Segment, Segment]:
     """The two hull edges crossed by l_i, ordered by crossing height."""
-    hull = P.hull
-    crossing = [e for e in map(seg, hull, hull[1:] + hull[:1])
-                if edge_crosses_line(e, i)]
+    crossing = [e for e in P.hull_edges if edge_crosses_line(e, i)]
     if len(crossing) != 2:
         raise PreconditionViolated(
             f"expected exactly 2 hull edges crossing l_{i}, got {crossing}")

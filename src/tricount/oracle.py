@@ -49,17 +49,16 @@ def enumerate_structures(P: PointSet, family: str,
         raise ValueError(f"unknown family {family!r}")
     if P.n > guard:
         raise TooLarge(f"n={P.n} exceeds {name} oracle guard {guard}")
-    n, edges, cross, ids, hull = P.n, P.segments, P.cross, P.ids, P.hull
+    n, edges, cross = P.n, P.segments, P.cross
     # inner[v]: the segments at v if including one can break v's
     # pointedness, i.e. at an interior vertex in pt; none in tri
     inner = [0] * n
     if family == "pt":
-        for v in set(range(n)).difference(hull):
-            inner[v] = sum(1 << ids[v][u] for u in range(n) if u != v)
+        for v in P.interior:
+            inner[v] = P.star[v]
     # block[k]: the segments whose inclusion can rule segment k out
     block = [cross[k] | inner[a] | inner[b] for k, (a, b) in enumerate(edges)]
-    hull_edges = list(zip(hull, hull[1:] + hull[:1]))
-    adj = adjacency(hull_edges, n)  # of the included segments
+    adj = adjacency(P.hull_edges, n)  # of the included segments
     result = EnumerationResult(family)
 
     def rec(imask: int, xmask: int, addable: int) -> None:
@@ -96,7 +95,7 @@ def enumerate_structures(P: PointSet, family: str,
         adj[b] ^= 1 << a
         rec(imask, xmask | e, addable)
 
-    hmask = P.edge_masks(hull_edges)[0]
+    hmask = P.edge_masks(P.hull_edges)[0]
     rec(hmask, 0, ((1 << len(edges)) - 1) ^ hmask)
     result.structures.sort(key=sorted)
     return result

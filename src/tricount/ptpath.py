@@ -137,7 +137,7 @@ def validate_ptpath(path: PTPath, P: PointSet) -> Check:
         # the left: a convex turn at v puts w left of qv on the right side
         convex += (left[q][v] >> w & 1) == (v >= i)
         e = seg(v, w)
-        if P.side(w, i) == P.side(v, i):
+        if (w < i) == (v < i):
             if w in exc:
                 return Check(False, "excursion_vertex_repeat")
             exc.append(w)
@@ -174,10 +174,7 @@ def pt_good_edge(S: EdgeSet, e: Segment, i: int, P: PointSet) -> bool:
         raise EdgeDoesNotCrossLine(f"edge {e} does not cross l_{i}")
     if e not in S:
         raise PreconditionViolated(f"edge {e} not in the structure")
-    hull = P.hull
-    h = len(hull)
-    hull_edges = {seg(hull[k], hull[(k + 1) % h]) for k in range(h)}
-    if e in hull_edges:
+    if e in P.hull_edges:
         return True
     crossing = sorted((f for f in S if geom.edge_crosses_line(f, i)),
                       key=cmp_to_key(lambda f, g: 1 if P.above(f, g) else -1))

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from functools import lru_cache
 from itertools import accumulate
 from typing import Iterator, NamedTuple, Optional
 
@@ -47,27 +46,28 @@ class ReconstructedStructure(NamedTuple):
         return frozenset(self.segments[k] for k in bits(self.mask))
 
 
-@lru_cache(maxsize=1)
-def _interior_stars(P: PointSet) -> list[tuple[int, int, dict[int, int]]]:
-    """Each interior vertex, the mask of its segments, their other ends."""
-    stars = {v: {P.ids[v][u]: 1 << u for u in range(P.n) if u != v}
-             for v in set(range(P.n)).difference(P.hull)}
-    return [(v, sum(1 << k for k in ends), ends) for v, ends in stars.items()]
+def _stars(P: PointSet) -> list[tuple[int, int, dict[int, int]]]:
+    """Each interior vertex, its segments' mask and, by segment, the bit of
+    the other end: the pt check's lookup, built per draws or reconstruct."""
+    ids = P.ids
+    return [(v, P.star[v], {ids[v][u]: 1 << u for u in range(P.n) if u != v})
+            for v in P.interior]
 
 
-def _complete(P: PointSet, family: str, emask: int, blocked: int) -> int:
+def _complete(P: PointSet, family: str, emask: int, blocked: int,
+              stars: list[tuple[int, int, dict[int, int]]]) -> int:
     """The structure of a full tuple's union, checked.  pt: the union
     itself, by the covering lemma, guarded by Streinu's count: a planar
     pointed graph has at most 2n - 3 edges and exactly the pointed
     pseudo-triangulations have 2n - 3, so a partial tuple is not maximal
     (ptpath.validate_pt_mask gives the same verdicts).  A hull vertex is
-    pointed whatever its edges, so only interior ones are tested.  tri: the
-    union's greedy completion in bit order; a compatible tuple determines
-    its triangulation, so the order does not matter."""
+    pointed whatever its edges, so only the interior vertices of stars are
+    tested.  tri: the union's greedy completion in bit order; a compatible
+    tuple determines its triangulation, so the order does not matter."""
     if blocked & emask:
         raise IncompatibleTuple("tuple union has crossing edges")
     if family == "pt":
-        for v, star, ends in _interior_stars(P):
+        for v, star, ends in stars:
             at_v = emask & star
             if at_v.bit_count() > 2 and not P.pointed(
                     v, sum(map(ends.__getitem__, bits(at_v)))):
@@ -93,7 +93,7 @@ def reconstruct(tuple_keys: list[PathKey], P: PointSet,
                 family: str) -> ReconstructedStructure:
     """Structure of a full tuple; a partial pt tuple raises (not_maximal)."""
     pairs = (e for key in tuple_keys for e in zip(key, key[1:]))
-    emask = _complete(P, family, *P.edge_masks(pairs))
+    emask = _complete(P, family, *P.edge_masks(pairs), _stars(P))
     return ReconstructedStructure(family, emask, P.segments)
 
 
@@ -129,6 +129,7 @@ def draws(P: PointSet, family: str, seed: int, m: int,
     if m > M_GUARD:
         raise TooLarge(f"m={m} exceeds sample guard {M_GUARD}")
     root = _root(P, family, max_table_entries)
+    stars = _stars(P)
 
     def walk():
         getrandbits = random.Random(seed).getrandbits
@@ -147,6 +148,7 @@ def draws(P: PointSet, family: str, seed: int, m: int,
                 blocked |= b
             chosen.reverse()
             yield chosen, ReconstructedStructure(
-                family, _complete(P, family, emask, blocked), P.segments)
+                family, _complete(P, family, emask, blocked, stars),
+                P.segments)
 
     return walk()

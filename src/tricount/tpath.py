@@ -147,7 +147,7 @@ def is_good_edge(T: EdgeSet, e: Segment, i: int, P: PointSet) -> bool:
     if not is_flippable(T, e, P):
         return False
     r, s = _opposite_vertices(T, e, P)
-    return P.side(r, i) != P.side(s, i)
+    return (r < i) != (s < i)
 
 
 def flip(T: EdgeSet, e: Segment, P: PointSet) -> EdgeSet:

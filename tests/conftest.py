@@ -39,6 +39,23 @@ def random_points(n, seed, span=40):
     return pts
 
 
+def double_chain(n):
+    """p = n // 2 points on a lower chain bulging up and q = n - p on an
+    upper chain bulging down, alternating in x.  Its triangulations are one
+    of each outer pocket (a convex polygon on one chain) times one of the
+    middle region, whose reflex chains interleave, so its tri count is
+    C(n - 2, p - 1) * Cat(p - 2) * Cat(q - 2) (double_chain_tri_count)."""
+    p = n // 2
+    q = n - p
+    return ([(2 * k, k * (p - 1 - k)) for k in range(p)] +
+            [(2 * k + 1, 1000 - k * (q - 1 - k)) for k in range(q)])
+
+
+def double_chain_tri_count(n):
+    p = n // 2
+    return comb(n - 2, p - 1) * catalan(p - 2) * catalan(n - p - 2)
+
+
 def random_point_set(n, seed):
     return tc.validate_point_set(random_points(n, seed))
 

@@ -155,9 +155,9 @@ def region_empty(P: PointSet, i: int, u: int, exc: list[int], w: int) -> bool:
     poly += [(Fraction(spoint(P, v)[0]), Fraction(spoint(P, v)[1]))
              for v in exc]
     poly.append((c, cross_y(P, seg(exc[-1], w), i)))
-    side = P.side(exc[0], i)
+    side = exc[0] < i
     for q in range(P.n):
-        if q in exc or P.side(q, i) != side:
+        if q in exc or (q < i) != side:
             continue
         sq = spoint(P, q)
         if point_in_polygon_strict((Fraction(sq[0]), Fraction(sq[1])), poly):

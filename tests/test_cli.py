@@ -80,15 +80,50 @@ def test_count_collinear_exit2(tmp_path, capsys):
     assert "(1, 1)" in err and "(2, 2)" in err
 
 
+# JSON that json.loads refuses with ValueError (a number past int's
+# 4300-digit string conversion limit) and with RecursionError (nesting
+# past the recursion limit)
+LONG_INT = "[[0, 0], [1" + "0" * 4300 + ", 5], [3, 1]]"
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
 @pytest.mark.parametrize("pts", [
     [[0, 0], [2.7, 2], [3, 7], [4, 8], [6, 18]],
     [[0, 0], [True, 5], [3, 1]],
+    pytest.param(LONG_INT, id="long-int"),
+    pytest.param(DEEP, id="deep"),
 ])
 def test_count_non_integer_json_exit2(tmp_path, capsys, pts):
     p = tmp_path / "pts.json"
-    p.write_text(json.dumps({"points": pts}))
+    p.write_text('{"points": ' + (pts if isinstance(pts, str)
+                                  else json.dumps(pts)) + "}")
     assert main(["count", str(p)]) == 2
-    assert capsys.readouterr().out == ""
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("text", [LONG_INT, DEEP], ids=["long-int", "deep"])
+@pytest.mark.parametrize("argv,what", [
+    (["sample", "JSON"], "JSON point"),
+    (["enumerate", "JSON"], "JSON point"),
+    (["render", "JSON", "--out", "SVG"], "JSON point"),
+    (["render", "FILE", "--structure-file", "REF", "--out", "SVG"],
+     "structure"),
+    (["render", "FILE", "--path-file", "REF", "--out", "SVG"], "path"),
+], ids=["sample", "enumerate", "render", "render-structure", "render-path"])
+def test_malformed_json_exit2(tmp_path, capsys, argv, what, text):
+    # the cases of test_count_non_integer_json_exit2 in the other commands'
+    # point files and in render's reference files: exit 2, no output
+    (tmp_path / "pts.json").write_text('{"points": ' + text + "}")
+    (tmp_path / "ref.json").write_text(text)
+    names = {"FILE": write_points(tmp_path, FAN5),
+             "JSON": str(tmp_path / "pts.json"),
+             "REF": str(tmp_path / "ref.json"),
+             "SVG": str(tmp_path / "x.svg")}
+    assert main([names.get(a, a) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: bad {what} file: ")
+    assert not (tmp_path / "x.svg").exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -87,6 +87,17 @@ def test_hull_matches_scan():
         assert geom.PointSet(conv_points(n)).hull == tuple(range(n))
 
 
+def test_hull_edges_interior_and_star():
+    for n in range(3, 11):
+        P = random_point_set(n, 1300 + 10 * n)
+        h = P.hull
+        assert P.hull_edges == tuple(seg(h[k], h[(k + 1) % len(h)])
+                                     for k in range(len(h)))
+        assert P.interior == tuple(v for v in range(n) if v not in h)
+        assert P.star == [sum(1 << k for k, e in enumerate(P.segments)
+                              if v in e) for v in range(n)]
+
+
 def test_point_set_refuses_collinear_triple():
     # the constructor itself, not only validate_point_set
     with pytest.raises(CollinearTriple) as exc:
@@ -171,7 +182,7 @@ def test_wedge_empty_matches_scan():
                                 and geom.edge_crosses_line(seg(b, d), i)):
                             continue
                         expect = not any(
-                            P.side(q, i) == P.side(b, i)
+                            (q < i) == (b < i)
                             and scan.point_in_triangle(q, a, b, d, P)
                             for q in range(n) if q not in (a, b, d))
                         assert geom.wedge_empty(a, b, d, i, P) == expect
@@ -193,13 +204,13 @@ def test_kernel_matches_orientation_scan():
                         scan._triangle_empty_scan(a, b, c, P)
         for i in range(1, n):
             for b in range(n):
-                across = [q for q in range(n) if P.side(q, i) != P.side(b, i)]
+                across = [q for q in range(n) if (q < i) != (b < i)]
                 for a in across:
                     for d in across:
                         if a == d:
                             continue
                         expect = not any(
-                            P.side(q, i) == P.side(b, i)
+                            (q < i) == (b < i)
                             and scan.point_in_triangle(q, a, b, d, P)
                             for q in range(n) if q not in (a, b, d))
                         assert geom.wedge_empty(a, b, d, i, P) == expect

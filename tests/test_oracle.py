@@ -3,7 +3,6 @@ import pytest
 import tricount as tc
 from tricount import oracle
 from tricount.errors import CapExceeded, TooLarge
-from tricount.geom import seg
 
 from conftest import catalan, conv_points, random_point_set
 
@@ -38,8 +37,7 @@ def test_convex_position_catalan():
 
 def test_structure_invariants(fan5):
     for P in [fan5] + [random_point_set(n, 300 + n) for n in range(5, 10)]:
-        n, hull = P.n, P.hull
-        hull_edges = {seg(a, b) for a, b in zip(hull, hull[1:] + hull[:1])}
+        n, hull, hull_edges = P.n, P.hull, set(P.hull_edges)
         tri = oracle.enumerate_structures(P, "tri")
         assert len(set(tri.structures)) == tri.count
         for T in tri.structures:

@@ -1,5 +1,6 @@
 import collections
 import hashlib
+import math
 import random
 import weakref
 from bisect import bisect_right
@@ -93,7 +94,7 @@ def _guard_reason(P, emask):
     """The sampler's pt check of a union, as a validate_pt_mask reason."""
     blocked = P.edge_masks(P.segments[k] for k in tc.geom.bits(emask))[1]
     try:
-        sampler._complete(P, "pt", emask, blocked)
+        sampler._complete(P, "pt", emask, blocked, sampler._stars(P))
     except IncompatibleTuple as exc:
         return "edges_cross" if "crossing" in str(exc) else "not_pointed"
     except InternalInvariantViolation as exc:
@@ -211,6 +212,66 @@ def test_chi_square_uniformity(conv5):
     counter = collections.Counter(s.edges for s in run.structures)
     observed = [counter[S] for S in cats]
     assert chisquare(observed).pvalue > 1e-3
+
+
+def hull_chords(P, family):
+    """Each segment ab between non-adjacent hull vertices, with its exact
+    marginal: the number of structures that contain it.  These are the
+    pairs of a structure of each side, where a side is the points on it
+    plus a and b.  tri: ab cuts the hull into two convex regions.  pt: a
+    and b are hull vertices of P, so the union of a pseudo-triangulation of
+    each side is planar and pointed with 2n - 3 edges; conversely each side
+    of a structure that contains ab is planar and pointed, so it has at
+    most 2|side| - 3 edges, and the total forces equality."""
+    def count(mask):
+        side = tc.validate_point_set([P.points[v]
+                                      for v in tc.geom.bits(mask)])
+        return tc.run_sweep(tc.system_for(family), side)[0]
+
+    h = P.hull
+    for s in range(len(h)):
+        for t in range(s + 2, len(h) - (s == 0)):
+            a, b = sorted((h[s], h[t]))
+            ends = 1 << a | 1 << b
+            yield (a, b), count(P.left[a][b] | ends) * count(
+                P.left[b][a] | ends)
+
+
+@pytest.mark.parametrize("family,max_n", [("tri", 10), ("pt", 9)])
+def test_hull_chord_marginals_match_oracle(family, max_n):
+    for n in range(5, max_n + 1):
+        for seed in range(4):
+            P = random_point_set(n, 500 + 100 * seed + n)
+            structures = oracle.enumerate_structures(P, family).structures
+            for e, marginal in hull_chords(P, family):
+                assert sum(e in S for S in structures) == marginal, (n, e)
+
+
+@pytest.mark.parametrize("family,n", [("tri", 14), ("pt", 11)])
+def test_hull_chord_frequencies_of_draws(family, n):
+    # above the oracle range: every chord's frequency in 20,000 draws lies
+    # within |z| <= 5 of its exact marginal, safe over all its chords
+    P = random_point_set(n, 500 + n)
+    total = tc.run_sweep(tc.system_for(family), P)[0]
+    m = 20_000
+    chords = list(hull_chords(P, family))
+    hits = collections.Counter()
+    for _, s in sampler.draws(P, family, 0, m):
+        hits.update(e for e, _ in chords if s.mask >> P.ids[e[0]][e[1]] & 1)
+    for e, marginal in chords:
+        p = marginal / total
+        z = (hits[e] - m * p) / math.sqrt(m * p * (1 - p))
+        assert abs(z) <= 5, (e, hits[e], m * p)
+
+
+def test_interleaved_pt_streams_are_independent():
+    # two pt streams on different point sets share no state: drawn in
+    # turns, each yields exactly what it yields alone
+    P, Q = random_point_set(8, 808), random_point_set(9, 909)
+    alone = [list(sampler.draws(X, "pt", 2, 200)) for X in (P, Q)]
+    turns = list(zip(sampler.draws(P, "pt", 2, 200),
+                     sampler.draws(Q, "pt", 2, 200)))
+    assert [list(t) for t in zip(*turns)] == alone
 
 
 def test_draw_count_guard(monkeypatch, conv5):

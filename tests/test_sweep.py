@@ -7,7 +7,8 @@ import tricount as tc
 from tricount import geom, oracle, ptpath, sampler, sweep, tpath
 from tricount.errors import InternalInvariantViolation
 
-from conftest import line_tables, random_point_set, random_points, sample
+from conftest import (double_chain, double_chain_tri_count, line_tables,
+                      random_point_set, random_points, sample)
 
 
 def first_path(P):
@@ -191,7 +192,7 @@ def _chain_variants(rng, P, i, population, count):
                 v = vs[-1]
                 across = rng.random() < 0.5
                 vs.append(rng.choice([w for w in range(P.n) if w != v and (
-                    not across or P.side(w, i) != P.side(v, i))]))
+                    not across or (w < i) != (v < i))]))
             if rng.random() < 0.5 and vs[-1] in hi:
                 vs.append(hi[1] if vs[-1] == hi[0] else hi[0])
         yield tuple(vs)
@@ -241,12 +242,28 @@ def test_sweep_matches_oracle_random(n, seed):
     ("pt", 9, 509, 2900),
     ("pt", 11, 511, 59836),
     ("pt", 12, 512, 977732),
+    ("tri", 14, None, 1629936),  # the double chain, its closed form below
 ])
 def test_count_invariant_under_rotation_and_reflection(family, n, seed, count):
     # above the oracle guards; each map reorders the sweep completely
-    pts = random_points(n, seed)
+    pts = double_chain(n) if seed is None else random_points(n, seed)
     maps = [lambda x, y: (x, y), lambda x, y: (-y, x),
             lambda x, y: (-x, y), lambda x, y: (y, x)]
     for f in maps:
         P = tc.validate_point_set([f(x, y) for x, y in pts])
         assert tc.run_sweep(tc.system_for(family), P)[0] == count
+
+
+def test_double_chain_tri_closed_form():
+    # above the oracle guard too; n=16 is the heaviest x-sweep here
+    for n in range(6, 17):
+        P = tc.validate_point_set(double_chain(n))
+        assert tc.run_sweep(tc.TRI_SYSTEM, P)[0] == double_chain_tri_count(n)
+
+
+def test_double_chain_pt_matches_oracle():
+    # no closed form is known for pt
+    for n in range(5, 10):
+        P = tc.validate_point_set(double_chain(n))
+        assert tc.run_sweep(tc.PT_SYSTEM, P)[0] == \
+            oracle.enumerate_structures(P, "pt").count
