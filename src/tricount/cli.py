@@ -12,6 +12,7 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 from itertools import islice
@@ -27,6 +28,9 @@ from .geom import PointSet, validate_point_set
 # writing 1000 draws into a pipe one at a time took 2.4-2.6 ms, against
 # 0.3 ms in batches of 256 (0.6 ms one at a time when buffered)
 WRITE_BATCH = 256
+
+# a coordinate in a text point file
+INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def parse_points(text: str) -> list:
@@ -48,7 +52,10 @@ def parse_points(text: str) -> list:
         parts = body.split()
         if len(parts) != 2:
             raise InputError(f"line {lineno}: expected 'x y', got {body!r}")
+        # int() alone would also take '1_0' and non-ASCII digits
         try:
+            if not all(map(INTEGER.fullmatch, parts)):
+                raise ValueError
             out.append((int(parts[0]), int(parts[1])))
         except ValueError:
             raise InputError(

@@ -10,9 +10,10 @@ cross a line is a left-of bit.
 A PointSet builds its exact tables once, in its constructor: the left-of
 bitmasks (PointSet.left), filled from one orientation per triple, and from
 them the segment index, the crossing masks, the segments at each vertex
-and the convex hull with its edges and interior vertices.  Crossing,
-crossing order, triangle, wedge and region emptiness and pointedness are
-read off the left-of masks, so each is a few shifts and ANDs.
+and the convex hull with its edges and interior vertices.  Crossing is a
+bit of the crossing masks; crossing order, triangle, wedge and region
+emptiness and pointedness are read off the left-of masks, so each is a few
+shifts and ANDs.
 """
 
 from __future__ import annotations
@@ -134,19 +135,10 @@ class PointSet:
     # -- basic predicates on vertex indices ------------------------------
 
     def segments_cross(self, e: Segment, f: Segment) -> bool:
-        """Proper crossing: each segment separates the other's endpoints.
-
-        Sharing an endpoint is never a crossing.  Under general position no
-        endpoint can lie in the other segment's interior, so the test is
-        two bit parities of the left-of masks.
-        """
-        a, b = e
-        c, d = f
-        if a == c or a == d or b == c or b == d:
-            return False
-        left = self.left
-        ab, cd = left[a][b], left[c][d]
-        return bool((ab >> c ^ ab >> d) & (cd >> a ^ cd >> b) & 1)
+        """Proper crossing, read off the crossing table (sharing an endpoint
+        is never a crossing)."""
+        ids = self.ids
+        return bool(self.cross[ids[e[0]][e[1]]] >> ids[f[0]][f[1]] & 1)
 
     def above(self, f: Segment, e: Segment) -> bool:
         """Whether f crosses the sweep line above e.
@@ -184,9 +176,6 @@ class PointSet:
         if left[a][b] >> c & 1:  # abc is counterclockwise
             return left[a][b] & left[b][c] & left[c][a]
         return left[b][a] & left[a][c] & left[c][b]
-
-    def triangle_empty(self, a: int, b: int, c: int) -> bool:
-        return not self.inside(a, b, c)
 
     def pointed(self, v: int, nbrs: int) -> bool:
         """True iff the edges from v to the points of bitmask nbrs leave an
@@ -281,10 +270,10 @@ def region_empty(P: PointSet, i: int, u: int, exc: list[int],
 
 
 def hull_crossing_edges(P: PointSet, i: int) -> tuple[Segment, Segment]:
-    """The two hull edges crossed by l_i, ordered by crossing height."""
+    """The two hull edges crossed by l_i, the lower one first."""
     crossing = [e for e in P.hull_edges if edge_crosses_line(e, i)]
     if len(crossing) != 2:
         raise PreconditionViolated(
             f"expected exactly 2 hull edges crossing l_{i}, got {crossing}")
-    lo, hi = crossing
-    return (hi, lo) if P.above(lo, hi) else (lo, hi)
+    # hull_edges run CCW from vertex 0, lower chain first
+    return crossing[0], crossing[1]

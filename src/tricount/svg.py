@@ -23,7 +23,9 @@ def render_svg(points: Sequence[Point],
                line_index: Optional[int] = None) -> str:
     """Render to an SVG string; y grows upward (flipped from SVG space).
 
-    structure_edges are distinct (a < b) pairs, drawn in sorted order."""
+    points are in lexicographic order (PointSet.points), so l_i runs
+    between points i-1 and i; structure_edges are distinct (a < b) pairs,
+    drawn in sorted order."""
     xs = [Fraction(x) for x, _ in points]
     ys = [Fraction(-y) for _, y in points]  # flip so larger y is higher
     minx, maxx = min(xs), max(xs)
@@ -53,8 +55,7 @@ def render_svg(points: Sequence[Point],
             f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" '
             f'y2="{_fmt(y2)}" stroke="red" stroke-width="{_fmt(unit)}"/>')
     if line_index is not None:
-        order = sorted(range(len(points)), key=lambda j: points[j])
-        xm = (xs[order[line_index - 1]] + xs[order[line_index]]) / 2
+        xm = (xs[line_index - 1] + xs[line_index]) / 2
         lines.append(
             f'<line x1="{_fmt(xm)}" y1="{_fmt(vb[1])}" x2="{_fmt(xm)}" '
             f'y2="{_fmt(vb[1] + vb[3])}" stroke="blue" '

@@ -205,14 +205,14 @@ def ptpath_join(P: PointSet, parents: Sequence[PathKey],
     compatible with it as PT-paths.
 
     Compatible means non-crossing (tpath_join) with a pointed edge union.
-    Each chain of a population is pointed on its own, so only the vertices
-    both chains touch can fail; they are checked on tpath_join's
-    candidates only.
+    Each chain of a population is pointed on its own, and a hull vertex is
+    pointed whatever its edges, so only the interior vertices both chains
+    touch can fail; they are checked on tpath_join's candidates only.
     """
     adj = [adjacency(zip(k, k[1:]), P.n) for k in parents]
     for c, js in zip(children, tpath_join(P, parents, children)):
         ac = adjacency(zip(c, c[1:]), P.n)
-        vs = set(c)
+        vs = set(c).difference(P.hull)
         yield [j for j in js if all(P.pointed(v, adj[j][v] | ac[v])
                                     for v in vs.intersection(parents[j]))]
 

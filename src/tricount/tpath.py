@@ -16,7 +16,7 @@ engine's join (sweep.tpath_join) of one parent with the next population.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Optional
 
 from . import geom
 from .errors import (
@@ -116,44 +116,36 @@ def tpath_successors(path: TPath, P: PointSet) -> set[PathKey]:
 
 # -- flips and good edges ------------------------------------------------
 
-def _opposite_vertices(T: EdgeSet, e: Segment, P: PointSet) -> list[int]:
+def _flip_diagonal(T: EdgeSet, e: Segment, P: PointSet) -> Optional[Segment]:
+    """The diagonal rs that replaces e in a flip, or None if e is not
+    flippable (a hull edge, or its two faces form a reflex quadrilateral)."""
+    if e not in T:
+        raise EdgeNotInTriangulation(f"edge {e} not in triangulation")
     # c spans a face with e iff both side edges exist and abc is empty
     a, b = e
-    out = []
-    for c in range(P.n):
-        if c in e:
-            continue
-        if seg(a, c) in T and seg(b, c) in T and P.triangle_empty(a, b, c):
-            out.append(c)
-    return out
+    opp = [c for c in range(P.n) if c not in e and seg(a, c) in T
+           and seg(b, c) in T and not P.inside(a, b, c)]
+    if len(opp) < 2:
+        return None  # hull edge
+    r, s = opp
+    rs = seg(r, s)
+    return rs if P.segments_cross(rs, e) else None
 
 
 def is_flippable(T: EdgeSet, e: Segment, P: PointSet) -> bool:
-    if e not in T:
-        raise EdgeNotInTriangulation(f"edge {e} not in triangulation")
-    opp = _opposite_vertices(T, e, P)
-    if len(opp) < 2:
-        return False  # hull edge
-    r, s = opp
-    return P.segments_cross(seg(r, s), e)
+    return _flip_diagonal(T, e, P) is not None
 
 
 def is_good_edge(T: EdgeSet, e: Segment, i: int, P: PointSet) -> bool:
     """Flippable and the two opposite vertices straddle l_i."""
-    if e not in T:
-        raise EdgeNotInTriangulation(f"edge {e} not in triangulation")
+    rs = _flip_diagonal(T, e, P)
     if not geom.edge_crosses_line(e, i):
         raise EdgeDoesNotCrossLine(f"edge {e} does not cross l_{i}")
-    if not is_flippable(T, e, P):
-        return False
-    r, s = _opposite_vertices(T, e, P)
-    return (r < i) != (s < i)
+    return rs is not None and geom.edge_crosses_line(rs, i)
 
 
 def flip(T: EdgeSet, e: Segment, P: PointSet) -> EdgeSet:
-    if e not in T:
-        raise EdgeNotInTriangulation(f"edge {e} not in triangulation")
-    if not is_flippable(T, e, P):
+    rs = _flip_diagonal(T, e, P)
+    if rs is None:
         raise NotFlippable(f"edge {e} is not flippable")
-    r, s = _opposite_vertices(T, e, P)
-    return frozenset(T - {e} | {seg(r, s)})
+    return frozenset(T - {e} | {rs})

@@ -142,9 +142,37 @@ def test_out_of_range_argument_exit2(tmp_path, capsys, argv):
 
 def test_count_bad_file_exit2(tmp_path, capsys):
     p = tmp_path / "bad.txt"
-    p.write_text("0 0\n1 a\n")
-    assert main(["count", str(p)]) == 2
-    assert "line 2" in capsys.readouterr().err
+    # int() takes the last three (an underscore, a fullwidth and an
+    # Arabic-Indic digit); a coordinate is ASCII digits only
+    for token in ("a", "1_0", "５", "٣"):
+        p.write_text(f"0 0\n{token} 5\n3 1\n", encoding="utf-8")
+        assert main(["count", str(p)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: line 2: non-integer coordinate")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "FILE"],
+    ["enumerate", "FILE"],
+    ["render", "FILE", "--out", "SVG"],
+])
+def test_non_ascii_integer_token_exit2(tmp_path, capsys, argv):
+    # every subcommand reads its point file through load_point_set
+    p = tmp_path / "bad.txt"
+    p.write_text("0 0\n1_0 5\n3 1\n")
+    names = {"FILE": str(p), "SVG": str(tmp_path / "x.svg")}
+    assert main([names.get(a, a) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "non-integer coordinate" in err
+    assert not (tmp_path / "x.svg").exists()
+
+
+def test_signed_coordinates_parse(tmp_path, capsys):
+    p = tmp_path / "signed.txt"
+    p.write_text("+0 -3\n+5 +1\n-2 4\n")
+    assert main(["count", str(p)]) == 0
+    assert capsys.readouterr().out == "1\n"
 
 
 def test_count_non_utf8_file_exit2(tmp_path, capsys):

@@ -21,7 +21,8 @@ from tricount.geom import (
 import tricount as tc
 
 import scan_predicates as scan
-from conftest import FAN5, conv_points, random_point_set, random_points
+from conftest import (FAN5, conv_points, double_chain, random_point_set,
+                      random_points)
 
 
 def test_orientation_basic():
@@ -131,9 +132,9 @@ def test_point_set_refuses_fewer_than_three_points(n):
 
 
 def test_triangle_empty(fan5, tri3):
-    assert fan5.triangle_empty(0, 1, 3)       # (3,7) above chord (2,2)-(4,8)
-    assert not fan5.triangle_empty(0, 3, 4)   # contains (3,7)
-    assert tri3.triangle_empty(0, 1, 2)
+    assert not fan5.inside(0, 1, 3)           # (3,7) above chord (2,2)-(4,8)
+    assert fan5.inside(0, 3, 4) == 1 << 2     # contains (3,7)
+    assert not tri3.inside(0, 1, 2)
 
 
 def test_triangle_empty_table_matches_scan():
@@ -142,7 +143,7 @@ def test_triangle_empty_table_matches_scan():
         for a in range(n):
             for b in range(a + 1, n):
                 for c in range(b + 1, n):
-                    assert P.triangle_empty(a, b, c) == \
+                    assert (not P.inside(a, b, c)) == \
                         scan._triangle_empty_scan(a, b, c, P)
 
 
@@ -200,7 +201,7 @@ def test_kernel_matches_orientation_scan():
         for a in range(n):
             for b in range(a + 1, n):
                 for c in range(b + 1, n):
-                    assert P.triangle_empty(a, b, c) == \
+                    assert (not P.inside(a, b, c)) == \
                         scan._triangle_empty_scan(a, b, c, P)
         for i in range(1, n):
             for b in range(n):
@@ -223,7 +224,8 @@ def test_kernel_matches_orientation_scan():
 
 
 def test_crossing_table_matches_pairwise():
-    # the table is read off left-of masks; compare every pair directly
+    # the table is read off left-of masks, and P.segments_cross reads the
+    # table; compare every pair with the orientation scan
     for n in range(4, 13):
         P = random_point_set(n, 1100 + n)
         segs, ids, cross = P.segments, P.ids, P.cross
@@ -231,7 +233,7 @@ def test_crossing_table_matches_pairwise():
         for k, (a, b) in enumerate(segs):
             assert ids[a][b] == ids[b][a] == k
             assert cross[k] == sum(1 << j for j, f in enumerate(segs)
-                                   if P.segments_cross((a, b), f))
+                                   if scan.segments_cross((a, b), f, P))
 
 
 def test_above_matches_crossing_ordinate():
@@ -246,6 +248,22 @@ def test_above_matches_crossing_ordinate():
                 for f in crossing:
                     if f != e and not P.segments_cross(e, f):
                         assert P.above(f, e) == (ys[f] > ys[e])
+
+
+def test_hull_crossing_edges_lower_first():
+    # hull_crossing_edges takes the hull order (lower chain first); the
+    # reference orders the two crossing hull edges by P.above
+    sets = [random_points(n, 1300 + 10 * n + s)
+            for n in range(3, 25) for s in range(4)]
+    sets += [conv_points(n) for n in range(3, 25)]
+    sets += [[(x, -y) for x, y in conv_points(n)] for n in range(3, 25)]
+    sets += [double_chain(n) for n in range(3, 25)]
+    for pts in sets:
+        P = tc.validate_point_set(pts)
+        for i in range(1, P.n):
+            lo, hi = [e for e in P.hull_edges if geom.edge_crosses_line(e, i)]
+            expect = (hi, lo) if P.above(lo, hi) else (lo, hi)
+            assert geom.hull_crossing_edges(P, i) == expect
 
 
 def test_region_empty_matches_polygon_scan():
