@@ -11,9 +11,9 @@ A PointSet builds its exact tables once, in its constructor: the left-of
 bitmasks (PointSet.left), filled from one orientation per triple, and from
 them the segment index, the crossing masks, the segments at each vertex
 and the convex hull with its edges and interior vertices.  Crossing is a
-bit of the crossing masks; crossing order, triangle, wedge and region
-emptiness and pointedness are read off the left-of masks, so each is a few
-shifts and ANDs.
+bit of the crossing masks; crossing order, triangle and region emptiness
+(a T-path's wedge is a one-vertex region) and pointedness are read off the
+left-of masks, so each is a few shifts and ANDs.
 """
 
 from __future__ import annotations
@@ -234,20 +234,6 @@ def edge_crosses_line(s: Segment, i: int) -> bool:
     """True iff segment s has one endpoint left of l_i and one right."""
     a, b = s
     return a < i <= b if a < b else b < i <= a
-
-
-def wedge_empty(a: int, b: int, d: int, i: int, P: PointSet) -> bool:
-    """Emptiness of the wedge of consecutive path edges ba, bd w.r.t. l_i.
-
-    The wedge (apex b) is exactly triangle abd clipped to b's side of l_i,
-    because l_i separates {a, d} from b.  Points 0..i-1 are left of l_i.
-    """
-    if not edge_crosses_line(seg(a, b), i) or not edge_crosses_line(seg(b, d), i):
-        raise PreconditionViolated(
-            f"edges {seg(a, b)} and {seg(b, d)} must both cross l_{i}")
-    left_of_line = (1 << i) - 1
-    side = left_of_line if b < i else ~left_of_line
-    return not P.inside(a, b, d) & side
 
 
 def region_empty(P: PointSet, i: int, u: int, exc: list[int],

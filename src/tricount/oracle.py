@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from . import ptpath, tpath
+from . import ptpath
 from .errors import CapExceeded, InternalInvariantViolation, TooLarge
 from .geom import EdgeSet, PointSet, bits
 from .sweep import adjacency
@@ -103,7 +103,6 @@ def enumerate_structures(P: PointSet, family: str,
 
 def collect_paths(P: PointSet, i: int, family: str) -> set[tuple[int, ...]]:
     """Reference path population: extract from every enumerated structure."""
-    extract = tpath.extract_tpath if family == "tri" else ptpath.extract_ptpath
-    return {extract(S, i, P).vertices
+    return {ptpath.extract_path(S, i, P, family == "pt")
             for S in enumerate_structures(P, family).structures}
 

@@ -10,28 +10,35 @@ A pseudo-triangle has exactly three convex corners; two of them always sit
 at the line crossings, so the structural test reduces to "exactly one
 convex turn among the excursion vertices" plus region emptiness.
 
-As with T-paths, validity coincides with membership in the population: a
-valid chain completes to a maximal planar pointed edge set, of which it is
-the unique PT-path.  So extraction is the engine's chain search with
-same-side moves allowed (sweep.ptpath_chains), and successors are the
-engine's join (sweep.ptpath_join): the T-path join's non-crossing parents
-of each child, kept where the union stays pointed.
+Validity coincides with membership in the population: a valid chain
+completes to a maximal planar pointed edge set, of which it is the unique
+PT-path.  So extraction is the engine's chain search with every segment
+outside the structure blocked, and successors are the engine's join of one
+parent with the next population.  Both bodies serve tpath too, whose
+T-paths are PT-paths with one-vertex excursions.
 """
 
 from __future__ import annotations
 
 from functools import cmp_to_key
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from . import geom
-from .errors import (
-    EdgeDoesNotCrossLine,
-    InternalInvariantViolation,
-    PreconditionViolated,
-)
+from .errors import (EdgeDoesNotCrossLine, InternalInvariantViolation,
+                     PreconditionViolated)
 from .geom import EdgeSet, PointSet, Segment, bits, seg
-from .sweep import PathKey, adjacency, ptpath_chains, ptpath_join
-from .tpath import Check, chain_edges
+# ptpath_chains: the PT-path population, importable beside its lemmas
+from .sweep import (PT_SYSTEM, PathKey, PathSystem, adjacency, path_chains,
+                    ptpath_chains)
+
+
+class Check(NamedTuple):
+    """Validation outcome with a machine-readable reason code."""
+    ok: bool
+    reason: str = "ok"
+
+    def __bool__(self) -> bool:
+        return self.ok
 
 
 class PTPath(NamedTuple):
@@ -40,6 +47,11 @@ class PTPath(NamedTuple):
 
     def edges(self) -> list[Segment]:
         return chain_edges(self.vertices)
+
+
+def chain_edges(vertices: Iterable[int]) -> list[Segment]:
+    vs = list(vertices)
+    return [seg(vs[k], vs[k + 1]) for k in range(len(vs) - 1)]
 
 
 # -- pointedness ---------------------------------------------------------
@@ -85,43 +97,53 @@ def validate_pt_mask(P: PointSet, emask: int) -> Check:
 
 # -- extraction and successors ------------------------------------------
 
-def extract_ptpath(S: EdgeSet, i: int, P: PointSet) -> PTPath:
-    """The unique PT-path of pseudo-triangulation S w.r.t. l_i."""
-    chains = ptpath_chains(P, i, pool=frozenset(S))
+def extract_path(S: EdgeSet, i: int, P: PointSet, zigzag: bool) -> PathKey:
+    """The vertices of structure S's unique path w.r.t. l_i: its PT-path
+    if zigzag, else (S a triangulation) its T-path."""
+    chains = path_chains(P, i, zigzag, pool=frozenset(S))
     if len(chains) != 1:
         raise InternalInvariantViolation(
-            f"expected exactly one PT-path at l_{i}, found {len(chains)}")
-    return PTPath(chains[0], i)
+            f"expected exactly one path at l_{i}, found {len(chains)}")
+    return chains[0]
+
+
+def path_successors(path: PTPath, P: PointSet, system: PathSystem,
+                    validate: Callable) -> set[PathKey]:
+    """The paths at l_{i+1} compatible with a valid path of system's
+    family: the family's join of the one parent with the next population."""
+    check = validate(path, P)
+    if not check:
+        raise PreconditionViolated(f"invalid parent path: {check.reason}")
+    if path.line >= P.n - 1:
+        raise PreconditionViolated("no line beyond the last sweep position")
+    children = system.chains(P, path.line + 1)
+    joined = system.join(P, [path.vertices], children)
+    return {c for c, js in zip(children, joined) if js}
+
+
+def extract_ptpath(S: EdgeSet, i: int, P: PointSet) -> PTPath:
+    """The unique PT-path of pseudo-triangulation S w.r.t. l_i."""
+    return PTPath(extract_path(S, i, P, True), i)
 
 
 def ptpath_successors(path: PTPath, P: PointSet) -> set[PathKey]:
     """PT-paths at l_{i+1} non-crossing with path and jointly pointed."""
-    check = validate_ptpath(path, P)
-    if not check:
-        raise PreconditionViolated(f"invalid parent PT-path: {check.reason}")
-    if path.line >= P.n - 1:
-        raise PreconditionViolated("no line beyond the last sweep position")
-    children = ptpath_chains(P, path.line + 1)
-    return {c for c, js in zip(children,
-                               ptpath_join(P, [path.vertices], children))
-            if js}
+    return path_successors(path, P, PT_SYSTEM, validate_ptpath)
 
 
 # -- validation ----------------------------------------------------------
 
 def validate_ptpath(path: PTPath, P: PointSet) -> Check:
-    vs = path.vertices
-    i = path.line
+    vs, i = path.vertices, path.line
     if not 1 <= i <= P.n - 1:
         return Check(False, "bad_line_index")
     if len(vs) < 3:
         return Check(False, "too_short")
-    for k in range(len(vs) - 1):
-        if vs[k] == vs[k + 1]:
-            return Check(False, "degenerate_edge")
+    if any(a == b for a, b in zip(vs, vs[1:])):
+        return Check(False, "degenerate_edge")
     edges = chain_edges(vs)
     lo, hi = geom.hull_crossing_edges(P, i)
-    if not geom.edge_crosses_line(edges[0], i) or edges[0] != lo:
+    if edges[0] != lo:
         return Check(False, "bad_endpoints")
 
     left = P.left

@@ -92,6 +92,8 @@ def _complete(P: PointSet, family: str, emask: int, blocked: int,
 def reconstruct(tuple_keys: list[PathKey], P: PointSet,
                 family: str) -> ReconstructedStructure:
     """Structure of a full tuple; a partial pt tuple raises (not_maximal)."""
+    if family not in ("tri", "pt"):
+        raise ValueError(f"unknown family {family!r}")
     pairs = (e for key in tuple_keys for e in zip(key, key[1:]))
     emask = _complete(P, family, *P.edge_masks(pairs), _stars(P))
     return ReconstructedStructure(family, emask, P.segments)

@@ -6,50 +6,28 @@ crossed by l_i (lowest crossing first), the crossing ordinates strictly
 increase, no edge repeats, the edges are pairwise non-crossing, and every
 wedge spanned by two consecutive edges is empty.
 
-Validity is exactly membership in the path population: a valid chain
-extends to some triangulation (complete its edge set to a maximal
-non-crossing one) and is then, by uniqueness, that triangulation's T-path.
-So extraction is the engine's chain search (sweep.tpath_chains) with
-every segment outside the triangulation blocked, and successors are the
-engine's join (sweep.tpath_join) of one parent with the next population.
+A T-path is a PT-path whose excursions are single vertices, so validation
+adds the T-only checks to validate_ptpath, and extraction and successors
+are ptpath's bodies with zigzag off and the triangulation's PathSystem.
+Its own lemmas are paths_cross, flips and good edges.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional
+from typing import Optional
 
 from . import geom
-from .errors import (
-    EdgeNotInTriangulation,
-    EdgeDoesNotCrossLine,
-    InternalInvariantViolation,
-    NotFlippable,
-    PreconditionViolated,
-)
+from .errors import EdgeDoesNotCrossLine, EdgeNotInTriangulation, NotFlippable
 from .geom import EdgeSet, PointSet, Segment, seg
-from .sweep import PathKey, tpath_chains, tpath_join
+# chain_edges, tpath_chains: importable beside the T-path lemmas
+from .ptpath import (Check, PTPath, chain_edges, extract_path,
+                     path_successors, validate_ptpath)
+from .sweep import TRI_SYSTEM, PathKey, tpath_chains
 
 
-class Check(NamedTuple):
-    """Validation outcome with a machine-readable reason code."""
-    ok: bool
-    reason: str = "ok"
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-class TPath(NamedTuple):
-    vertices: PathKey
-    line: int
-
-    def edges(self) -> list[Segment]:
-        return chain_edges(self.vertices)
-
-
-def chain_edges(vertices: Iterable[int]) -> list[Segment]:
-    vs = list(vertices)
-    return [seg(vs[k], vs[k + 1]) for k in range(len(vs) - 1)]
+class TPath(PTPath):
+    """A PT-path whose excursions are single vertices."""
+    __slots__ = ()
 
 
 def paths_cross(k1: PathKey, k2: PathKey, P: PointSet) -> bool:
@@ -60,8 +38,17 @@ def paths_cross(k1: PathKey, k2: PathKey, P: PointSet) -> bool:
 # -- validation ----------------------------------------------------------
 
 def validate_tpath(path: TPath, P: PointSet) -> Check:
-    vs = path.vertices
-    i = path.line
+    """The T-only checks, then validate_ptpath, which decides the rest:
+
+    - every edge crosses l_i, so each excursion is one vertex v, entered
+      from q and left to w;
+    - vw crosses the line above qv iff v is a convex corner, so
+      not_pseudo_triangle cannot fire once the order check passes;
+    - region_empty(P, i, q, [v], w) is the wedge;
+    - all of v's edges cross to the other side of l_i, so the union is
+      pointed.
+    """
+    vs, i = path.vertices, path.line
     if not 1 <= i <= P.n - 1:
         return Check(False, "bad_line_index")
     if len(vs) < 3:
@@ -76,42 +63,19 @@ def validate_tpath(path: TPath, P: PointSet) -> Check:
         edges.append(e)
     if len(set(edges)) != len(edges):
         return Check(False, "repeated_edge")
-    lo, hi = geom.hull_crossing_edges(P, i)
-    if edges[0] != lo or edges[-1] != hi:
-        return Check(False, "bad_endpoints")
-    if not all(P.above(f, e) for e, f in zip(edges, edges[1:])):
-        return Check(False, "crossings_not_increasing")
-    for k in range(1, len(vs) - 1):
-        if not geom.wedge_empty(vs[k - 1], vs[k], vs[k + 1], i, P):
-            return Check(False, "wedge_not_empty")
-    emask, blocked = P.edge_masks(edges)
-    if emask & blocked:
-        return Check(False, "edges_cross")
-    return Check(True)
+    return validate_ptpath(path, P)
 
 
 # -- extraction and successors ------------------------------------------
 
 def extract_tpath(T: EdgeSet, i: int, P: PointSet) -> TPath:
     """The unique T-path of triangulation T w.r.t. l_i."""
-    chains = tpath_chains(P, i, pool=frozenset(T))
-    if len(chains) != 1:
-        raise InternalInvariantViolation(
-            f"expected exactly one T-path at l_{i}, found {len(chains)}")
-    return TPath(chains[0], i)
+    return TPath(extract_path(T, i, P, False), i)
 
 
 def tpath_successors(path: TPath, P: PointSet) -> set[PathKey]:
     """All T-paths at l_{i+1} compatible (non-crossing) with the given path."""
-    check = validate_tpath(path, P)
-    if not check:
-        raise PreconditionViolated(f"invalid parent T-path: {check.reason}")
-    if path.line >= P.n - 1:
-        raise PreconditionViolated("no line beyond the last sweep position")
-    children = tpath_chains(P, path.line + 1)
-    return {c for c, js in zip(children,
-                               tpath_join(P, [path.vertices], children))
-            if js}
+    return path_successors(path, P, TRI_SYSTEM, validate_tpath)
 
 
 # -- flips and good edges ------------------------------------------------

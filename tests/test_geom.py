@@ -8,7 +8,6 @@ from tricount.errors import (
     CollinearTriple,
     DuplicatePoint,
     InputError,
-    PreconditionViolated,
     TooFewPoints,
 )
 from tricount.geom import (
@@ -162,11 +161,10 @@ def test_edge_crosses_line():
 
 
 def test_wedge_empty(fan5):
-    assert geom.wedge_empty(3, 1, 2, 2, fan5)
-    assert geom.wedge_empty(2, 0, 4, 2, fan5)
-    assert geom.wedge_empty(1, 0, 4, 1, fan5)
-    with pytest.raises(PreconditionViolated):
-        geom.wedge_empty(0, 1, 3, 2, fan5)  # edge (0,1) does not cross l_2
+    # the wedge of path edges ba, bd is the one-vertex excursion's region
+    assert geom.region_empty(fan5, 2, 3, [1], 2)
+    assert geom.region_empty(fan5, 2, 2, [0], 4)
+    assert geom.region_empty(fan5, 1, 1, [0], 4)
 
 
 def test_wedge_empty_matches_scan():
@@ -186,7 +184,7 @@ def test_wedge_empty_matches_scan():
                             (q < i) == (b < i)
                             and scan.point_in_triangle(q, a, b, d, P)
                             for q in range(n) if q not in (a, b, d))
-                        assert geom.wedge_empty(a, b, d, i, P) == expect
+                        assert geom.region_empty(P, i, a, [b], d) == expect
 
 
 def test_kernel_matches_orientation_scan():
@@ -214,7 +212,7 @@ def test_kernel_matches_orientation_scan():
                             (q < i) == (b < i)
                             and scan.point_in_triangle(q, a, b, d, P)
                             for q in range(n) if q not in (a, b, d))
-                        assert geom.wedge_empty(a, b, d, i, P) == expect
+                        assert geom.region_empty(P, i, a, [b], d) == expect
         for v in range(n):
             incident = [seg(v, u) for u in range(n) if u != v]
             for _ in range(30):

@@ -25,7 +25,8 @@ LAZY = ("tricount.oracle", "tricount.analysis", "tricount.svg",
 NO_CALLER_IN_SRC = {
     "tpath_successors", "ptpath_successors", "paths_cross", "is_good_edge",
     "is_flippable", "pt_good_edge", "flip", "is_pointed", "reconstruct",
-    "collect_paths", "validate_pseudotriangulation"}
+    "collect_paths", "extract_tpath", "extract_ptpath",
+    "validate_pseudotriangulation"}
 
 
 def _loaded_modules(code: str) -> set[str]:

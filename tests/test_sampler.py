@@ -88,6 +88,10 @@ def test_reconstruct_rejects_pt_tuples(fan5):
     # one line's path is no pseudo-triangulation, and it is not completed
     with pytest.raises(InternalInvariantViolation, match="not_maximal"):
         tc.reconstruct([(fan5.hull[1], 0, fan5.hull[-1])], fan5, "pt")
+    # an unknown family is refused, not completed as a triangulation
+    for family in ("xyz", "PT"):
+        with pytest.raises(ValueError, match="unknown family"):
+            tc.reconstruct([(1, 0, 4)], fan5, family)
 
 
 def _guard_reason(P, emask):

@@ -205,18 +205,20 @@ def test_validator_agrees_with_population(family):
     path, validate = ((tc.TPath, tc.validate_tpath) if family == "tri"
                       else (tc.PTPath, tc.validate_ptpath))
     rng = random.Random(5)
-    for n in (6, 7, 8):
-        for s in range(4):
-            P = random_point_set(n, 1000 * n + s)
-            for i in range(1, n):
-                population = tc.system_for(family).chains(P, i)
-                # strictly ascending: the sweep keeps it without sorting
-                assert all(a < b for a, b in zip(population, population[1:]))
-                members = set(population)
-                for vs in population:
-                    assert validate(path(vs, i), P)
-                for vs in _chain_variants(rng, P, i, population, 400):
-                    assert bool(validate(path(vs, i), P)) == (vs in members)
+    sets = [random_point_set(n, 1000 * n + s) for n in (6, 7, 8)
+            for s in range(4)]
+    # the double chain is the densest family measured
+    sets += [tc.validate_point_set(double_chain(n)) for n in (6, 7, 8)]
+    for P in sets:
+        for i in range(1, P.n):
+            population = tc.system_for(family).chains(P, i)
+            # strictly ascending: the sweep keeps it without sorting
+            assert all(a < b for a, b in zip(population, population[1:]))
+            members = set(population)
+            for vs in population:
+                assert validate(path(vs, i), P)
+            for vs in _chain_variants(rng, P, i, population, 400):
+                assert bool(validate(path(vs, i), P)) == (vs in members)
 
 
 def test_system_for():
