@@ -19,7 +19,7 @@ from typing import Optional
 from . import ptpath
 from .errors import CapExceeded, InternalInvariantViolation, TooLarge
 from .geom import EdgeSet, PointSet, bits
-from .sweep import adjacency
+from .sweep import adjacency, system_for
 
 TRI_GUARD = 12
 PT_GUARD = 10
@@ -103,6 +103,7 @@ def enumerate_structures(P: PointSet, family: str,
 
 def collect_paths(P: PointSet, i: int, family: str) -> set[tuple[int, ...]]:
     """Reference path population: extract from every enumerated structure."""
-    return {ptpath.extract_path(S, i, P, family == "pt")
+    zigzag = system_for(family).zigzag
+    return {ptpath.extract_path(S, i, P, zigzag)
             for S in enumerate_structures(P, family).structures}
 

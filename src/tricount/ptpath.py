@@ -27,9 +27,7 @@ from . import geom
 from .errors import (EdgeDoesNotCrossLine, InternalInvariantViolation,
                      PreconditionViolated)
 from .geom import EdgeSet, PointSet, Segment, bits, seg
-# ptpath_chains: the PT-path population, importable beside its lemmas
-from .sweep import (PT_SYSTEM, PathKey, PathSystem, adjacency, path_chains,
-                    ptpath_chains)
+from .sweep import PT_SYSTEM, PathKey, PathSystem, adjacency, path_chains
 
 
 class Check(NamedTuple):
@@ -99,9 +97,17 @@ def validate_pt_mask(P: PointSet, emask: int) -> Check:
 
 def extract_path(S: EdgeSet, i: int, P: PointSet, zigzag: bool) -> PathKey:
     """The vertices of structure S's unique path w.r.t. l_i: its PT-path
-    if zigzag, else (S a triangulation) its T-path."""
+    if zigzag, else (S a triangulation) its T-path.  S is checked only when
+    the search does not find one path, to tell a bad S from a bug."""
     chains = path_chains(P, i, zigzag, pool=frozenset(S))
     if len(chains) != 1:
+        emask, blocked = P.edge_masks(S)
+        # non-crossing with 3n - 3 - h edges: a triangulation
+        ok = validate_pt_mask(P, emask).ok if zigzag else not (
+            emask & blocked or emask.bit_count() != 3 * P.n - 3 - len(P.hull))
+        if not ok:
+            raise PreconditionViolated(
+                f"edge set is not a {'pseudo-' * zigzag}triangulation")
         raise InternalInvariantViolation(
             f"expected exactly one path at l_{i}, found {len(chains)}")
     return chains[0]
@@ -116,7 +122,7 @@ def path_successors(path: PTPath, P: PointSet, system: PathSystem,
         raise PreconditionViolated(f"invalid parent path: {check.reason}")
     if path.line >= P.n - 1:
         raise PreconditionViolated("no line beyond the last sweep position")
-    children = system.chains(P, path.line + 1)
+    children = path_chains(P, path.line + 1, system.zigzag)
     joined = system.join(P, [path.vertices], children)
     return {c for c, js in zip(children, joined) if js}
 

@@ -28,7 +28,7 @@ from typing import Iterator, NamedTuple, Optional
 from .errors import (IncompatibleTuple, InternalInvariantViolation,
                      MemoryBudgetExceeded, TooLarge)
 from .geom import EdgeSet, PointSet, Segment, bits
-from .sweep import PathKey, sweep_lines, system_for
+from .sweep import PathKey, PathSystem, sweep_lines, system_for
 
 # draws are streamed, so m bounds time and output size, not memory: about
 # 0.8 KB of JSON a draw at tri n=14 (80 MB at this guard); m above it is
@@ -54,7 +54,7 @@ def _stars(P: PointSet) -> list[tuple[int, int, dict[int, int]]]:
             for v in P.interior]
 
 
-def _complete(P: PointSet, family: str, emask: int, blocked: int,
+def _complete(P: PointSet, zigzag: bool, emask: int, blocked: int,
               stars: list[tuple[int, int, dict[int, int]]]) -> int:
     """The structure of a full tuple's union, checked.  pt: the union
     itself, by the covering lemma, guarded by Streinu's count: a planar
@@ -66,7 +66,7 @@ def _complete(P: PointSet, family: str, emask: int, blocked: int,
     tuple determines its triangulation, so the order does not matter."""
     if blocked & emask:
         raise IncompatibleTuple("tuple union has crossing edges")
-    if family == "pt":
+    if zigzag:
         for v, star, ends in stars:
             at_v = emask & star
             if at_v.bit_count() > 2 and not P.pointed(
@@ -92,21 +92,20 @@ def _complete(P: PointSet, family: str, emask: int, blocked: int,
 def reconstruct(tuple_keys: list[PathKey], P: PointSet,
                 family: str) -> ReconstructedStructure:
     """Structure of a full tuple; a partial pt tuple raises (not_maximal)."""
-    if family not in ("tri", "pt"):
-        raise ValueError(f"unknown family {family!r}")
+    zigzag = system_for(family).zigzag
     pairs = (e for key in tuple_keys for e in zip(key, key[1:]))
-    emask = _complete(P, family, *P.edge_masks(pairs), _stars(P))
+    emask = _complete(P, zigzag, *P.edge_masks(pairs), _stars(P))
     return ReconstructedStructure(family, emask, P.segments)
 
 
-def _root(P: PointSet, family: str,
+def _root(P: PointSet, system: PathSystem,
           max_table_entries: Optional[int]) -> tuple:
     """The node of the path at l_{n-1}; a node is (key, count, count's bit
     length, edge mask, blocked mask, cumulative parent counts, parent
     nodes), whose count is the last cumulative count (cum is [1] at l_1).
     Nodes are built as their line arrives; the budget is checked there."""
     level, entries = [], 0
-    for keys, parents in sweep_lines(system_for(family), P):
+    for keys, parents in sweep_lines(system, P):
         entries += len(keys)
         if max_table_entries is not None and entries > max_table_entries:
             raise MemoryBudgetExceeded(
@@ -130,7 +129,8 @@ def draws(P: PointSet, family: str, seed: int, m: int,
         raise ValueError("m must be nonnegative")
     if m > M_GUARD:
         raise TooLarge(f"m={m} exceeds sample guard {M_GUARD}")
-    root = _root(P, family, max_table_entries)
+    system = system_for(family)
+    root = _root(P, system, max_table_entries)
     stars = _stars(P)
 
     def walk():
@@ -149,8 +149,11 @@ def draws(P: PointSet, family: str, seed: int, m: int,
                 emask |= e
                 blocked |= b
             chosen.reverse()
-            yield chosen, ReconstructedStructure(
-                family, _complete(P, family, emask, blocked, stars),
-                P.segments)
+            # the tuple is the engine's own: a failed check is a bug
+            try:
+                emask = _complete(P, system.zigzag, emask, blocked, stars)
+            except IncompatibleTuple as exc:
+                raise InternalInvariantViolation(f"a drawn {exc}") from exc
+            yield chosen, ReconstructedStructure(family, emask, P.segments)
 
     return walk()

@@ -146,18 +146,6 @@ def path_chains(P: PointSet, i: int, zigzag: bool,
     return out
 
 
-def tpath_chains(P: PointSet, i: int,
-                 pool: Optional[EdgeSet] = None) -> list[PathKey]:
-    """The T-path population at l_i (path_chains without zigzag)."""
-    return path_chains(P, i, False, pool)
-
-
-def ptpath_chains(P: PointSet, i: int,
-                  pool: Optional[EdgeSet] = None) -> list[PathKey]:
-    """The PT-path population at l_i (path_chains with zigzag)."""
-    return path_chains(P, i, True, pool)
-
-
 # -- joins ---------------------------------------------------------------
 
 def tpath_join(P: PointSet, parents: Sequence[PathKey],
@@ -220,15 +208,15 @@ def ptpath_join(P: PointSet, parents: Sequence[PathKey],
 # -- the sweep -----------------------------------------------------------
 
 class PathSystem(NamedTuple):
-    # the path population at l_i, strictly ascending
-    chains: Callable[[PointSet, int], list[PathKey]]
+    # the family's population search: path_chains with this zigzag
+    zigzag: bool
     # for each child in turn, the ascending indices of its compatible parents
     join: Callable[[PointSet, Sequence[PathKey], Sequence[PathKey]],
                    Iterable[list[int]]]
 
 
-TRI_SYSTEM = PathSystem(tpath_chains, tpath_join)
-PT_SYSTEM = PathSystem(ptpath_chains, ptpath_join)
+TRI_SYSTEM = PathSystem(False, tpath_join)
+PT_SYSTEM = PathSystem(True, ptpath_join)
 
 
 def system_for(family: str) -> PathSystem:
@@ -280,10 +268,10 @@ def sweep_lines(system: PathSystem, P: PointSet
     are compatible, as both are edges of one structure: the join must
     report it.
     """
-    keys = system.chains(P, 1)
+    keys = path_chains(P, 1, system.zigzag)
     yield keys, ([] for _ in keys)
     for i in range(2, P.n):
-        children = system.chains(P, i)
+        children = path_chains(P, i, system.zigzag)
         yield children, _linked(i, children, system.join(P, keys, children))
         keys = children
     if len(keys) != 1:

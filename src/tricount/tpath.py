@@ -19,10 +19,10 @@ from typing import Optional
 from . import geom
 from .errors import EdgeDoesNotCrossLine, EdgeNotInTriangulation, NotFlippable
 from .geom import EdgeSet, PointSet, Segment, seg
-# chain_edges, tpath_chains: importable beside the T-path lemmas
+# chain_edges: importable beside the T-path lemmas
 from .ptpath import (Check, PTPath, chain_edges, extract_path,
                      path_successors, validate_ptpath)
-from .sweep import TRI_SYSTEM, PathKey, tpath_chains
+from .sweep import TRI_SYSTEM, PathKey
 
 
 class TPath(PTPath):

@@ -135,6 +135,19 @@ def test_star_import_binds_every_export():
         assert namespace[name] is getattr(tc, name)
 
 
+def test_readme_library_block_runs(capsys):
+    # README's Library example, run as written
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    code = readme.split("\n## Library\n", 1)[1] \
+        .split("```python\n", 1)[1].split("```", 1)[0]
+    scope: dict = {}
+    exec(code, scope)
+    assert scope["count"] == 8
+    assert tc.run_sweep(tc.TRI_SYSTEM, scope["P"])[0] == 3
+    assert [r.f for r in scope["rows"]] == [0, 1, 3, 13, 67, 381, 2307]
+    assert len(capsys.readouterr().out.splitlines()) == 10
+
+
 def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         tc.no_such_name

@@ -2,9 +2,10 @@ import pytest
 
 import tricount as tc
 import tricount.geom as geom
-from tricount import oracle, ptpath
-from tricount.errors import EdgeDoesNotCrossLine, PreconditionViolated
-from tricount.ptpath import PTPath, ptpath_chains
+from tricount import oracle, ptpath, sweep
+from tricount.errors import (EdgeDoesNotCrossLine, InternalInvariantViolation,
+                             PreconditionViolated)
+from tricount.ptpath import PTPath
 from tricount.tpath import chain_edges
 
 import scan_predicates as scan
@@ -77,10 +78,31 @@ def test_extract_ptpath(fan5, tri3):
         for i in range(1, fan5.n):
             path = tc.extract_ptpath(S, i, fan5)
             assert tc.validate_ptpath(path, fan5)
-            assert len(ptpath_chains(fan5, i, pool=S)) == 1
+            assert len(sweep.path_chains(fan5, i, True, pool=S)) == 1
             # without either hull crossing edge nothing is extracted
             for e in geom.hull_crossing_edges(fan5, i):
-                assert ptpath_chains(fan5, i, pool=S - {e}) == []
+                assert sweep.path_chains(fan5, i, True, pool=S - {e}) == []
+
+
+# a pseudo-triangulation of FAN5 that is not a triangulation
+FAN5_PT = frozenset({(0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (2, 3), (3, 4)})
+
+
+@pytest.mark.parametrize("family", ["tri", "pt"])
+def test_extraction_blames_a_bad_edge_set(monkeypatch, fan5, family):
+    # an edge set in which the search finds no single path is bad input
+    # (exit 2) unless it is a structure: then the engine is at fault
+    extract = tc.extract_tpath if family == "tri" else tc.extract_ptpath
+    star = fan5_star_triangulation()  # not pointed at vertex 2
+    own, other = (star, FAN5_PT) if family == "tri" else (FAN5_PT, star)
+    for S, i in ((frozenset(), 1), (frozenset(fan5.segments), 2),
+                 (other, 3)):
+        with pytest.raises(PreconditionViolated):
+            extract(S, i, fan5)
+    assert extract(own, 2, fan5)
+    monkeypatch.setattr(ptpath, "path_chains", lambda *args, **kw: [])
+    with pytest.raises(InternalInvariantViolation):
+        extract(own, 2, fan5)
 
 
 def test_convex_position_pt_equals_t(conv5):
@@ -171,5 +193,5 @@ def test_validate_rejects_unpointed_chain():
         for seed in (31, 32, 33):
             P = random_point_set(n, 100 * n + seed)
             for i in range(1, P.n):
-                for key in ptpath_chains(P, i):
+                for key in sweep.path_chains(P, i, True):
                     assert ptpath._all_pointed(chain_edges(key), P)

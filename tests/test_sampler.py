@@ -321,19 +321,44 @@ def test_draws_drop_the_tables(monkeypatch, conv6):
     assert len(list(stream)) == 3
 
 
+def _keep_every_parent(P, parents, children):
+    return ([*range(len(parents))] for _ in children)
+
+
+@pytest.mark.parametrize("family,system,seed", [
+    # a join that keeps crossing parents
+    ("tri", sweep.PathSystem(False, _keep_every_parent), 6000),
+    # the pt search without the join's pointedness filter
+    ("pt", sweep.PathSystem(True, sweep.tpath_join), 6001),
+])
+def test_failed_draw_check_is_internal(monkeypatch, tmp_path, capsys,
+                                       family, system, seed):
+    # a draw's tuple is the engine's own, so a union that fails its check
+    # is a bug (exit 4), not bad input (exit 2)
+    monkeypatch.setattr(sampler, "system_for", lambda family: system)
+    P = random_point_set(6, seed)
+    with pytest.raises(InternalInvariantViolation):
+        list(sampler.draws(P, family, 0, 10))
+    f = tmp_path / "pts.txt"
+    f.write_text("".join(f"{x} {y}\n" for x, y in random_points(6, seed)))
+    assert main(["sample", str(f), "--structure", family,
+                 "--count", "10"]) == 4
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_budget_refusal_stops_the_sweep(monkeypatch):
     # the budget is checked as each line arrives: the line that crosses it
     # is the last one searched
     P = random_point_set(8, 508)
-    sizes = [len(tc.TRI_SYSTEM.chains(P, i)) for i in range(1, P.n)]
+    path_chains = sweep.path_chains
+    sizes = [len(path_chains(P, i, False)) for i in range(1, P.n)]
     searched = []
 
-    def chains(P, i):
+    def spy(P, i, zigzag, pool=None):
         searched.append(i)
-        return tc.TRI_SYSTEM.chains(P, i)
+        return path_chains(P, i, zigzag, pool)
 
-    system = sweep.PathSystem(chains, tc.TRI_SYSTEM.join)
-    monkeypatch.setattr(sampler, "system_for", lambda family: system)
+    monkeypatch.setattr(sweep, "path_chains", spy)
     for last in range(1, P.n - 1):
         budget = sum(sizes[:last]) - 1
         searched.clear()

@@ -24,7 +24,7 @@ def test_first_line_is_the_hull_path(fan5, conv5, tri3):
                                   for n in range(3, 11)]
     for P in sets:
         for system in (tc.TRI_SYSTEM, tc.PT_SYSTEM):
-            assert system.chains(P, 1) == [first_path(P)]
+            assert sweep.path_chains(P, 1, system.zigzag) == [first_path(P)]
 
 
 def test_run_sweep_basics(fan5, conv5, tri3):
@@ -75,7 +75,7 @@ def _check_parent_tables(family, P):
     for prev, cur in zip(tables, tables[1:]):
         # every chain of the line is kept, as each has a compatible parent,
         # and the join keeps exactly criterion 7's compatible parents
-        assert cur.keys == system.chains(P, cur.line)
+        assert cur.keys == sweep.path_chains(P, cur.line, system.zigzag)
         row = dict(zip(cur.keys, zip(cur.counts, cur.parents)))
         for key in cur.keys:
             expect = []
@@ -119,7 +119,7 @@ def test_run_sweep_reads_the_stream(family, n, seed):
     P = random_point_set(n, seed)
     populations, links = [], []
     for i, (keys, parents) in enumerate(sweep.sweep_lines(system, P), 1):
-        assert keys == system.chains(P, i)
+        assert keys == sweep.path_chains(P, i, system.zigzag)
         populations.append(len(keys))
         links.append(sum(map(len, parents)))
     assert len(populations) == n - 1 and links[0] == 0
@@ -131,27 +131,29 @@ def test_run_sweep_reads_the_stream(family, n, seed):
     assert len(stats.line_seconds) == n - 2
 
 
-def test_sweep_lines_search_a_line_when_asked(conv5):
+def test_sweep_lines_search_a_line_when_asked(monkeypatch, conv5):
     # no line is searched before it is asked for, and no join runs before
     # its parents are read
     calls = []
+    path_chains = sweep.path_chains
 
-    def chains(P, i):
+    def spy(P, i, zigzag, pool=None):
         calls.append(i)
-        return tc.TRI_SYSTEM.chains(P, i)
+        return path_chains(P, i, zigzag, pool)
 
     def join(P, parents, children):
         calls.append("join")
         yield from tc.TRI_SYSTEM.join(P, parents, children)
 
-    lines = sweep.sweep_lines(sweep.PathSystem(chains, join), conv5)
+    monkeypatch.setattr(sweep, "path_chains", spy)
+    lines = sweep.sweep_lines(sweep.PathSystem(False, join), conv5)
     assert calls == []
     next(lines)
     _, parents = next(lines)
     assert calls == [1, 2]
     assert next(parents) == [0] and calls == [1, 2, "join"]
     assert [keys for keys, _ in lines] == \
-        [tc.TRI_SYSTEM.chains(conv5, i) for i in (3, 4)]
+        [path_chains(conv5, i, False) for i in (3, 4)]
     assert calls == [1, 2, "join", 3, 4]
 
 
@@ -162,7 +164,7 @@ def test_child_without_parent_raises(monkeypatch, conv6):
         js = list(tc.TRI_SYSTEM.join(P, parents, children))
         return js[:-1] + [[]]
 
-    system = sweep.PathSystem(tc.TRI_SYSTEM.chains, lossy)
+    system = sweep.PathSystem(False, lossy)
     with pytest.raises(InternalInvariantViolation, match="at l_2 has no parent"):
         tc.run_sweep(system, conv6)
     monkeypatch.setattr(sampler, "system_for", lambda family: system)
@@ -211,7 +213,8 @@ def test_validator_agrees_with_population(family):
     sets += [tc.validate_point_set(double_chain(n)) for n in (6, 7, 8)]
     for P in sets:
         for i in range(1, P.n):
-            population = tc.system_for(family).chains(P, i)
+            population = sweep.path_chains(P, i,
+                                           tc.system_for(family).zigzag)
             # strictly ascending: the sweep keeps it without sorting
             assert all(a < b for a, b in zip(population, population[1:]))
             members = set(population)

@@ -1,15 +1,14 @@
 import pytest
 
 import tricount as tc
-from tricount import geom, oracle, tpath
+from tricount import geom, oracle, sweep, tpath
 from tricount.errors import (
     EdgeNotInTriangulation,
     EdgeDoesNotCrossLine,
     NotFlippable,
     PreconditionViolated,
 )
-from tricount.ptpath import ptpath_chains
-from tricount.tpath import TPath, chain_edges, tpath_chains
+from tricount.tpath import TPath, chain_edges
 
 from conftest import conv_points, fan5_star_triangulation, random_point_set
 
@@ -49,17 +48,17 @@ def test_extract_tpath_fan_conv5(conv5):
     path = tc.extract_tpath(fan, 3, conv5)
     assert tc.validate_tpath(path, conv5)
     # uniqueness: the exhaustive chain search finds exactly this chain
-    assert tpath_chains(conv5, 3, pool=fan) == [path.vertices]
+    assert sweep.path_chains(conv5, 3, False, pool=fan) == [path.vertices]
 
 
 def test_uniqueness_over_oracle(fan5, conv5):
     for P in (fan5, conv5):
         for T in oracle.enumerate_structures(P, "tri").structures:
             for i in range(1, P.n):
-                assert len(tpath_chains(P, i, pool=T)) == 1
+                assert len(sweep.path_chains(P, i, False, pool=T)) == 1
                 # without either hull crossing edge nothing is extracted
                 for e in geom.hull_crossing_edges(P, i):
-                    assert tpath_chains(P, i, pool=T - {e}) == []
+                    assert sweep.path_chains(P, i, False, pool=T - {e}) == []
 
 
 def test_tpaths_are_ptpaths_of_one_vertex_excursions():
@@ -70,8 +69,8 @@ def test_tpaths_are_ptpaths_of_one_vertex_excursions():
              for n in range(3, 12) for s in (1, 2, 3)]
     for P in sets:
         for i in range(1, P.n):
-            assert tpath_chains(P, i) == [
-                c for c in ptpath_chains(P, i)
+            assert sweep.path_chains(P, i, False) == [
+                c for c in sweep.path_chains(P, i, True)
                 if all(geom.edge_crosses_line(e, i) for e in chain_edges(c))]
 
 
