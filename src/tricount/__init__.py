@@ -15,16 +15,16 @@ _SOURCE = {name: module for module, names in {
     "analysis": ("BoundSequence", "bound_sequence"),
     "errors": ("TricountError",),
     "geom": ("PointSet", "validate_point_set"),
-    "oracle": ("EnumerationResult", "collect_paths"),
-    "ptpath": ("PTPath", "extract_ptpath", "is_pointed", "pt_good_edge",
-               "ptpath_successors", "validate_pseudotriangulation",
-               "validate_ptpath"),
+    "oracle": ("EnumerationResult",),
+    "ptpath": ("PTPath", "TPath", "collect_paths", "extract_ptpath",
+               "extract_tpath", "flip", "is_flippable", "is_good_edge",
+               "is_pointed", "paths_cross", "pt_good_edge",
+               "ptpath_successors", "tpath_successors",
+               "validate_pseudotriangulation", "validate_ptpath",
+               "validate_tpath"),
     "sampler": ("ReconstructedStructure", "draws", "reconstruct"),
     "sweep": ("PT_SYSTEM", "TRI_SYSTEM", "SweepStats", "run_sweep",
               "system_for"),
-    "tpath": ("TPath", "extract_tpath", "flip", "is_flippable",
-              "is_good_edge", "paths_cross", "tpath_successors",
-              "validate_tpath"),
 }.items() for name in names}
 
 __all__ = list(_SOURCE)

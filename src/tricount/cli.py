@@ -12,6 +12,7 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 import time
@@ -269,10 +270,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except TricountError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 3
+    except OSError as exc:  # the commands map every other file's to InputError
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        # what stdout still buffers would fail again at the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

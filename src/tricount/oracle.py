@@ -16,13 +16,17 @@ from __future__ import annotations
 
 from typing import Optional
 
-from . import ptpath
 from .errors import CapExceeded, InternalInvariantViolation, TooLarge
 from .geom import EdgeSet, PointSet, bits
-from .sweep import adjacency, system_for
+from .sweep import adjacency
 
 TRI_GUARD = 12
 PT_GUARD = 10
+
+
+def addable(P: PointSet, adj: list[int], a: int, b: int) -> bool:
+    """Whether edge ab keeps both endpoints pointed, given adjacency adj."""
+    return P.pointed(a, adj[a] | 1 << b) and P.pointed(b, adj[b] | 1 << a)
 
 
 class EnumerationResult:
@@ -61,10 +65,10 @@ def enumerate_structures(P: PointSet, family: str,
     adj = adjacency(P.hull_edges, n)  # of the included segments
     result = EnumerationResult(family)
 
-    def rec(imask: int, xmask: int, addable: int) -> None:
-        free = addable & ~xmask
+    def rec(imask: int, xmask: int, avail: int) -> None:
+        free = avail & ~xmask
         if free == 0:
-            if addable == 0:
+            if avail == 0:
                 chosen = frozenset(edges[k] for k in bits(imask))
                 if len(chosen) != target:
                     raise InternalInvariantViolation(
@@ -75,7 +79,7 @@ def enumerate_structures(P: PointSet, family: str,
                     raise CapExceeded(f"more than {cap} structures")
             return
         # an excluded but still addable segment must be ruled out later
-        dead = addable & xmask
+        dead = avail & xmask
         while dead:
             x = dead & -dead
             if block[x.bit_length() - 1] & free == 0:
@@ -86,24 +90,17 @@ def enumerate_structures(P: PointSet, family: str,
         a, b = edges[k]
         adj[a] ^= 1 << b
         adj[b] ^= 1 << a
-        rest = addable & ~(e | cross[k])
+        rest = avail & ~(e | cross[k])
         for j in bits(rest & (inner[a] | inner[b])):
-            if not ptpath.addable(P, adj, *edges[j]):
+            if not addable(P, adj, *edges[j]):
                 rest ^= 1 << j
         rec(imask | e, xmask, rest)
         adj[a] ^= 1 << b
         adj[b] ^= 1 << a
-        rec(imask, xmask | e, addable)
+        rec(imask, xmask | e, avail)
 
     hmask = P.edge_masks(P.hull_edges)[0]
     rec(hmask, 0, ((1 << len(edges)) - 1) ^ hmask)
     result.structures.sort(key=sorted)
     return result
-
-
-def collect_paths(P: PointSet, i: int, family: str) -> set[tuple[int, ...]]:
-    """Reference path population: extract from every enumerated structure."""
-    zigzag = system_for(family).zigzag
-    return {ptpath.extract_path(S, i, P, zigzag)
-            for S in enumerate_structures(P, family).structures}
 

@@ -1,4 +1,6 @@
-"""PT-paths: zig-zag chains of pointed pseudo-triangulation edges.
+"""PT-paths and T-paths: the paper's lemma API for both families.
+
+PT-paths are zig-zag chains of pointed pseudo-triangulation edges.
 
 A chain is a valid PT-path w.r.t. l_i when its crossing edges have strictly
 increasing ordinates with the two hull crossing edges first and last, each
@@ -14,20 +16,31 @@ Validity coincides with membership in the population: a valid chain
 completes to a maximal planar pointed edge set, of which it is the unique
 PT-path.  So extraction is the engine's chain search with every segment
 outside the structure blocked, and successors are the engine's join of one
-parent with the next population.  Both bodies serve tpath too, whose
-T-paths are PT-paths with one-vertex excursions.
+parent with the next population.
+
+T-paths are the PT-paths whose excursions are single vertices: every edge
+crosses l_i, and every wedge spanned by two consecutive edges is empty.
+Their validation adds those checks to validate_ptpath, and extraction and
+successors are the same bodies with zigzag off and the triangulation's
+PathSystem.  Their own lemmas are paths_cross, flips and good edges.
+
+Nothing in the package imports this module: count and sample run the
+engine alone, and the oracle is the reference it is tested against.
 """
 
 from __future__ import annotations
 
 from functools import cmp_to_key
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import geom
-from .errors import (EdgeDoesNotCrossLine, InternalInvariantViolation,
+from .errors import (EdgeDoesNotCrossLine, EdgeNotInTriangulation,
+                     InternalInvariantViolation, NotFlippable,
                      PreconditionViolated)
 from .geom import EdgeSet, PointSet, Segment, bits, seg
-from .sweep import PT_SYSTEM, PathKey, PathSystem, adjacency, path_chains
+from .oracle import addable, enumerate_structures
+from .sweep import (PT_SYSTEM, TRI_SYSTEM, PathKey, PathSystem, adjacency,
+                    path_chains, system_for)
 
 
 class Check(NamedTuple):
@@ -66,11 +79,6 @@ def _all_pointed(edges: Iterable[Segment], P: PointSet) -> bool:
     return all(P.pointed(v, m) for v, m in enumerate(adjacency(edges, P.n)))
 
 
-def addable(P: PointSet, adj: list[int], a: int, b: int) -> bool:
-    """Whether edge ab keeps both endpoints pointed, given adjacency adj."""
-    return P.pointed(a, adj[a] | 1 << b) and P.pointed(b, adj[b] | 1 << a)
-
-
 def validate_pseudotriangulation(edges: Iterable[Segment], P: PointSet) -> Check:
     """Maximal planar pointed edge set check."""
     return validate_pt_mask(P, P.edge_masks(seg(a, b) for a, b in edges)[0])
@@ -97,20 +105,28 @@ def validate_pt_mask(P: PointSet, emask: int) -> Check:
 
 def extract_path(S: EdgeSet, i: int, P: PointSet, zigzag: bool) -> PathKey:
     """The vertices of structure S's unique path w.r.t. l_i: its PT-path
-    if zigzag, else (S a triangulation) its T-path.  S is checked only when
-    the search does not find one path, to tell a bad S from a bug."""
+    if zigzag, else (S a triangulation) its T-path.  S is checked first,
+    since a non-structure can hold exactly one chain too; a structure
+    without exactly one is a bug."""
+    emask, blocked = P.edge_masks(S)
+    # non-crossing with 3n - 3 - h edges: a triangulation
+    ok = validate_pt_mask(P, emask).ok if zigzag else not (
+        emask & blocked or emask.bit_count() != 3 * P.n - 3 - len(P.hull))
+    if not ok:
+        raise PreconditionViolated(
+            f"edge set is not a {'pseudo-' * zigzag}triangulation")
     chains = path_chains(P, i, zigzag, pool=frozenset(S))
     if len(chains) != 1:
-        emask, blocked = P.edge_masks(S)
-        # non-crossing with 3n - 3 - h edges: a triangulation
-        ok = validate_pt_mask(P, emask).ok if zigzag else not (
-            emask & blocked or emask.bit_count() != 3 * P.n - 3 - len(P.hull))
-        if not ok:
-            raise PreconditionViolated(
-                f"edge set is not a {'pseudo-' * zigzag}triangulation")
         raise InternalInvariantViolation(
             f"expected exactly one path at l_{i}, found {len(chains)}")
     return chains[0]
+
+
+def collect_paths(P: PointSet, i: int, family: str) -> set[PathKey]:
+    """Reference path population: extract from every enumerated structure."""
+    zigzag = system_for(family).zigzag
+    return {extract_path(S, i, P, zigzag)
+            for S in enumerate_structures(P, family).structures}
 
 
 def path_successors(path: PTPath, P: PointSet, system: PathSystem,
@@ -157,7 +173,6 @@ def validate_ptpath(path: PTPath, P: PointSet) -> Check:
     exc_prev = vs[0]
     exc = [vs[1]]
     convex = 0
-    closed_at_end = False
     for k in range(1, len(vs) - 1):
         v, w = vs[k], vs[k + 1]
         q = exc[-2] if len(exc) > 1 else exc_prev
@@ -169,7 +184,6 @@ def validate_ptpath(path: PTPath, P: PointSet) -> Check:
             if w in exc:
                 return Check(False, "excursion_vertex_repeat")
             exc.append(w)
-            closed_at_end = False
         else:
             if not P.above(e, last):
                 return Check(False, "crossings_not_increasing")
@@ -178,8 +192,8 @@ def validate_ptpath(path: PTPath, P: PointSet) -> Check:
             if not geom.region_empty(P, i, exc_prev, exc, w):
                 return Check(False, "region_not_empty")
             exc_prev, exc, convex, last = v, [w], 0, e
-            closed_at_end = True
-    if not closed_at_end or edges[-1] != hi:
+    # hi crosses l_i, so ending on it closes the last excursion
+    if edges[-1] != hi:
         return Check(False, "bad_endpoints")
     emask, blocked = P.edge_masks(edges)
     if emask & blocked:
@@ -221,3 +235,91 @@ def pt_good_edge(S: EdgeSet, e: Segment, i: int, P: PointSet) -> bool:
     # a line above e meets it right of l_i iff it turns clockwise from e,
     # a line below iff counterclockwise; parallel lines meet on the right
     return (turn(crossing[pos + 1]) <= 0) != (turn(crossing[pos - 1]) >= 0)
+
+
+# -- T-paths -------------------------------------------------------------
+
+class TPath(PTPath):
+    """A PT-path whose excursions are single vertices."""
+    __slots__ = ()
+
+
+def paths_cross(k1: PathKey, k2: PathKey, P: PointSet) -> bool:
+    blocked = P.edge_masks(zip(k1, k1[1:]))[1]
+    return bool(blocked & P.edge_masks(zip(k2, k2[1:]))[0])
+
+
+def validate_tpath(path: TPath, P: PointSet) -> Check:
+    """The T-only checks, then validate_ptpath, which decides the rest:
+
+    - every edge crosses l_i, so each excursion is one vertex v, entered
+      from q and left to w;
+    - vw crosses the line above qv iff v is a convex corner, so
+      not_pseudo_triangle cannot fire once the order check passes;
+    - region_empty(P, i, q, [v], w) is the wedge;
+    - all of v's edges cross to the other side of l_i, so the union is
+      pointed.
+    """
+    vs, i = path.vertices, path.line
+    if not 1 <= i <= P.n - 1:
+        return Check(False, "bad_line_index")
+    if len(vs) < 3:
+        return Check(False, "too_short")
+    for a, b in zip(vs, vs[1:]):
+        # a degenerate edge crosses no line either
+        if not geom.edge_crosses_line((a, b), i):
+            return Check(False, "degenerate_edge" if a == b
+                         else "edge_not_crossing_line")
+    edges = chain_edges(vs)
+    if len(set(edges)) != len(edges):
+        return Check(False, "repeated_edge")
+    return validate_ptpath(path, P)
+
+
+# -- T-path extraction and successors ------------------------------------
+
+def extract_tpath(T: EdgeSet, i: int, P: PointSet) -> TPath:
+    """The unique T-path of triangulation T w.r.t. l_i."""
+    return TPath(extract_path(T, i, P, False), i)
+
+
+def tpath_successors(path: TPath, P: PointSet) -> set[PathKey]:
+    """All T-paths at l_{i+1} compatible (non-crossing) with the given path."""
+    return path_successors(path, P, TRI_SYSTEM, validate_tpath)
+
+
+# -- flips and good edges ------------------------------------------------
+
+def _flip_diagonal(T: EdgeSet, e: Segment, P: PointSet) -> Optional[Segment]:
+    """The diagonal rs that replaces e in a flip, or None if e is not
+    flippable (a hull edge, or its two faces form a reflex quadrilateral)."""
+    if e not in T:
+        raise EdgeNotInTriangulation(f"edge {e} not in triangulation")
+    # c spans a face with e iff both side edges exist and abc is empty
+    a, b = e
+    opp = [c for c in range(P.n) if c not in e and seg(a, c) in T
+           and seg(b, c) in T and not P.inside(a, b, c)]
+    if len(opp) < 2:
+        return None  # hull edge
+    r, s = opp
+    rs = seg(r, s)
+    return rs if P.segments_cross(rs, e) else None
+
+
+def is_flippable(T: EdgeSet, e: Segment, P: PointSet) -> bool:
+    return _flip_diagonal(T, e, P) is not None
+
+
+def is_good_edge(T: EdgeSet, e: Segment, i: int, P: PointSet) -> bool:
+    """Flippable and the two opposite vertices straddle l_i."""
+    rs = _flip_diagonal(T, e, P)
+    if not geom.edge_crosses_line(e, i):
+        raise EdgeDoesNotCrossLine(f"edge {e} does not cross l_{i}")
+    return rs is not None and geom.edge_crosses_line(rs, i)
+
+
+def flip(T: EdgeSet, e: Segment, P: PointSet) -> EdgeSet:
+    rs = _flip_diagonal(T, e, P)
+    if rs is None:
+        raise NotFlippable(f"edge {e} is not flippable")
+    return frozenset(T - {e} | {rs})

@@ -3,7 +3,7 @@
 A path population is found by one constrained depth-first chain search,
 path_chains, for both families: a T-path is a PT-path whose excursions
 are single vertices, and its wedges are their regions.  Validity is
-exactly membership in the population (tpath, ptpath): a valid chain
+exactly membership in the population (ptpath): a valid chain
 extends to a structure and is then, by uniqueness, that structure's path.
 Two populations are joined child-major: each child gets the ascending
 indices of its compatible parents, read off per-segment bitmasks of the
@@ -230,7 +230,8 @@ def system_for(family: str) -> PathSystem:
 class SweepStats:
     def __init__(self, t_per_line: list[int]):
         self.t_per_line = t_per_line
-        # per line from l_2 on: search and join seconds, parent links kept
+        # per line from l_2 on: search, join and aggregation seconds, and
+        # parent links kept
         self.line_seconds: list[float] = []
         self.join_pairs: list[int] = []
 
@@ -263,7 +264,7 @@ def sweep_lines(system: PathSystem, P: PointSet
     none raises InternalInvariantViolation instead of being dropped (an
     empty line then fails at the next line or at the end).  A chain is in
     the population only if it is valid, and a valid chain at l_{i+1}
-    extends to a structure whose path there it is (tpath, ptpath).  That
+    extends to a structure whose path there it is (ptpath).  That
     structure's path at l_i is in the population at l_i, and the two paths
     are compatible, as both are edges of one structure: the join must
     report it.

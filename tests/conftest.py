@@ -24,12 +24,13 @@ def conv_points(n):
     return [(k, k * k) for k in range(n)]
 
 
-def random_points(n, seed, span=40):
-    """Seeded general-position integer points via rejection."""
+def random_points(n, seed, span=40, columns=None):
+    """Seeded general-position integer points via rejection; with columns,
+    x takes only that many values, so that points share x."""
     rng = random.Random(seed)
     pts = []
     while len(pts) < n:
-        q = (rng.randrange(span), rng.randrange(span))
+        q = (rng.randrange(columns or span), rng.randrange(span))
         if q in pts:
             continue
         if any(orientation(a, b, q) == 0

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import tricount as tc
 import tricount.geom as geom
-from tricount import oracle, ptpath, sweep, tpath
+from tricount import oracle, ptpath, sweep
 from conftest import (FAN5, catalan, conv_points, line_tables,
                       random_point_set, sample)
 
@@ -108,7 +108,7 @@ def test_criterion_5_path_population_equivalence():
                 system = tc.system_for(fam)
                 for tab in line_tables(sweep.sweep_lines(system, P)):
                     assert set(tab.keys) == \
-                        oracle.collect_paths(P, tab.line, fam)
+                        ptpath.collect_paths(P, tab.line, fam)
 
 
 def test_criterion_6_structural_lemmas():
@@ -166,7 +166,7 @@ def test_criterion_7_successor_soundness():
                  random_point_set(6, 71), random_point_set(7, 72)]
         for P in insts:
             for fam in ("tri", "pt"):
-                pops = {i: oracle.collect_paths(P, i, fam)
+                pops = {i: ptpath.collect_paths(P, i, fam)
                         for i in range(1, P.n)}
                 for i in range(1, P.n - 1):
                     for k in pops[i]:
@@ -178,8 +178,8 @@ def test_criterion_7_successor_soundness():
                         for k2 in pops[i + 1]:
                             compat = not tc.paths_cross(k, k2, P)
                             if fam == "pt" and compat:
-                                union = set(tpath.chain_edges(k)) | \
-                                    set(tpath.chain_edges(k2))
+                                union = set(ptpath.chain_edges(k)) | \
+                                    set(ptpath.chain_edges(k2))
                                 compat = ptpath._all_pointed(union, P)
                             assert (k2 in succ) == compat
 

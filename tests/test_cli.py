@@ -1,11 +1,15 @@
+import errno
+import io
 import json
+import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
 import tricount as tc
-from tricount import sampler
+from tricount import cli, sampler, sweep
 from tricount.cli import WRITE_BATCH, main
 from tricount.errors import InternalInvariantViolation
 
@@ -195,6 +199,78 @@ def test_unwritable_output_exit2(tmp_path, capsys, argv):
     argv = [a.replace("FILE", f).replace("OUT", str(blocker)) for a in argv]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot write {blocker}")
+
+
+PRINTING = [["count", "FILE"], ["enumerate", "FILE"], ["sample", "FILE"],
+            ["sequence", "--k", "5"]]
+NO_SPACE = f"error: cannot write stdout: [Errno 28] {os.strerror(28)}\n"
+
+
+class FullStdout(io.StringIO):
+    """A stdout on a full disk."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("argv", PRINTING)
+def test_unwritable_stdout_exit2(tmp_path, capsys, monkeypatch, argv):
+    # one error line and exit 2, not a traceback; fd 1 is then pointed
+    # elsewhere, so that the interpreter's exit flush fails no more
+    f = write_points(tmp_path, FAN5)
+    targets = []
+
+    def dup2(fd, fd2):
+        targets.append(fd2)
+        os.close(fd)
+
+    # the test process's own fd 1 stays as it is
+    monkeypatch.setattr(cli, "os", SimpleNamespace(
+        dup2=dup2, open=os.open, devnull=os.devnull, O_WRONLY=os.O_WRONLY),
+        raising=False)
+    monkeypatch.setattr(sys, "stdout", FullStdout())
+    assert main([a.replace("FILE", f) for a in argv]) == 2
+    assert capsys.readouterr().err == NO_SPACE
+    assert targets == [1]
+
+
+def test_out_of_memory_exit3(tmp_path, capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(sweep, "run_sweep", exhausted)
+    assert main(["count", write_points(tmp_path, FAN5)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: out of memory\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", PRINTING)
+def test_stdout_to_dev_full_exit2(tmp_path, argv):
+    f = write_points(tmp_path, FAN5)
+    with open("/dev/full", "w") as full:
+        r = subprocess.run([sys.executable, "-m", "tricount.cli",
+                            *(a.replace("FILE", f) for a in argv)],
+                           stdout=full, stderr=subprocess.PIPE, text=True)
+    assert (r.returncode, r.stderr) == (2, NO_SPACE)
+
+
+@pytest.mark.parametrize("argv", [["sample", "FILE", "--count", "50000"],
+                                  ["sequence", "--k", "1000"]])
+def test_stdout_closed_early_exit2(tmp_path, argv):
+    # both print far more than a pipe holds, so the reader's close is seen
+    f = write_points(tmp_path, FAN5)
+    proc = subprocess.Popen([sys.executable, "-m", "tricount.cli",
+                             *(a.replace("FILE", f) for a in argv)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 2
+    assert err == \
+        f"error: cannot write stdout: [Errno 32] {os.strerror(32)}\n"
 
 
 def test_enumerate(tmp_path, capsys):

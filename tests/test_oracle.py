@@ -1,7 +1,7 @@
 import pytest
 
 import tricount as tc
-from tricount import oracle
+from tricount import oracle, ptpath
 from tricount.errors import CapExceeded, TooLarge
 
 from conftest import catalan, conv_points, random_point_set
@@ -77,10 +77,10 @@ def test_cap(conv6):
 
 def test_collect_paths(fan5, conv5):
     for fam in ("tri", "pt"):
-        assert len(oracle.collect_paths(fan5, 1, fam)) == 1
+        assert len(ptpath.collect_paths(fan5, 1, fam)) == 1
     tri = oracle.enumerate_structures(conv5, "tri")
     for i in range(1, conv5.n):
-        assert len(oracle.collect_paths(conv5, i, "tri")) <= tri.count
+        assert len(ptpath.collect_paths(conv5, i, "tri")) <= tri.count
 
 
 def triangulations_via_flips(P, start):

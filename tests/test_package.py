@@ -16,8 +16,7 @@ SRC = Path(tc.__file__).parent
 # modules `import tricount.cli` must not load: the engine (sweep, geom)
 # serves both families, and sample loads its sampler
 LAZY = ("tricount.oracle", "tricount.analysis", "tricount.svg",
-        "tricount.sampler", "tricount.ptpath", "tricount.tpath", "fractions",
-        "dataclasses")
+        "tricount.sampler", "tricount.ptpath", "fractions", "dataclasses")
 
 # exports that nothing in src/ calls: the paper's per-path and
 # per-structure lemmas, kept as the tests' reference (README "Library"),
@@ -61,18 +60,22 @@ def test_cli_import_loads_only_the_engine():
     assert loaded.isdisjoint(LAZY), sorted(loaded & set(LAZY))
 
 
+RUNS = {"count": "sweep", "sample": "sampler", "enumerate": "oracle"}
+
+
 @pytest.mark.parametrize("command,family", [("count", "tri"),
                                             ("count", "pt"),
                                             ("sample", "tri"),
-                                            ("sample", "pt")])
+                                            ("sample", "pt"),
+                                            ("enumerate", "tri"),
+                                            ("enumerate", "pt")])
 def test_count_and_sample_do_not_load_ptpath(tmp_path, command, family):
-    # the whole engine lives in sweep, and the sampler checks pt draws
-    # itself: neither path module's lemma API is loaded
+    # the whole engine lives in sweep, the sampler checks pt draws itself,
+    # and the oracle is the reference the lemma API is tested against: no
+    # command loads the lemma API
     loaded = _cli_modules(tmp_path, [command, "--structure", family])
-    assert f"tricount.{'sampler' if command == 'sample' else 'sweep'}" \
-        in loaded
+    assert f"tricount.{RUNS[command]}" in loaded
     assert "tricount.ptpath" not in loaded
-    assert "tricount.tpath" not in loaded
 
 
 @pytest.mark.parametrize("argv", [["count"], ["count", "--structure", "pt"],

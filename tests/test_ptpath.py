@@ -5,8 +5,7 @@ import tricount.geom as geom
 from tricount import oracle, ptpath, sweep
 from tricount.errors import (EdgeDoesNotCrossLine, InternalInvariantViolation,
                              PreconditionViolated)
-from tricount.ptpath import PTPath
-from tricount.tpath import chain_edges
+from tricount.ptpath import PTPath, chain_edges
 
 import scan_predicates as scan
 from conftest import fan5_star_triangulation, random_point_set
@@ -95,8 +94,11 @@ def test_extraction_blames_a_bad_edge_set(monkeypatch, fan5, family):
     extract = tc.extract_tpath if family == "tri" else tc.extract_ptpath
     star = fan5_star_triangulation()  # not pointed at vertex 2
     own, other = (star, FAN5_PT) if family == "tri" else (FAN5_PT, star)
+    # a structure less one edge in which the search finds exactly one chain
+    less_one = (star - {(2, 3)}, 1) if family == "tri" else \
+        (FAN5_PT - {(0, 1)}, 2)
     for S, i in ((frozenset(), 1), (frozenset(fan5.segments), 2),
-                 (other, 3)):
+                 (other, 3), less_one):
         with pytest.raises(PreconditionViolated):
             extract(S, i, fan5)
     assert extract(own, 2, fan5)
@@ -169,7 +171,7 @@ def test_successors_forced(tri3):
 def test_successors_match_oracle(fan5):
     k0 = (fan5.hull[1], 0, fan5.hull[-1])
     succ = tc.ptpath_successors(PTPath(k0, 1), fan5)
-    assert succ == oracle.collect_paths(fan5, 2, "pt")
+    assert succ == ptpath.collect_paths(fan5, 2, "pt")
 
 
 def test_successors_reject_invalid_parent(fan5):
@@ -181,7 +183,7 @@ def test_successor_count_quartic():
     P = random_point_set(7, 23)
     c = 2  # generous constant for the O(n^4) population bound
     for i in range(1, P.n - 1):
-        for k in oracle.collect_paths(P, i, "pt"):
+        for k in ptpath.collect_paths(P, i, "pt"):
             assert len(tc.ptpath_successors(PTPath(k, i), P)) <= c * P.n ** 4
 
 

@@ -98,7 +98,7 @@ def _guard_reason(P, emask):
     """The sampler's pt check of a union, as a validate_pt_mask reason."""
     blocked = P.edge_masks(P.segments[k] for k in tc.geom.bits(emask))[1]
     try:
-        sampler._complete(P, "pt", emask, blocked, sampler._stars(P))
+        sampler._complete(P, True, emask, blocked, sampler._stars(P))
     except IncompatibleTuple as exc:
         return "edges_cross" if "crossing" in str(exc) else "not_pointed"
     except InternalInvariantViolation as exc:

@@ -2,13 +2,16 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tricount as tc
-from tricount import geom, oracle, ptpath, sampler, sweep, tpath
+from tricount import geom, oracle, ptpath, sampler, sweep
 from tricount.errors import InternalInvariantViolation
 
 from conftest import (double_chain, double_chain_tri_count, line_tables,
                       random_point_set, random_points, sample)
+from flip_reference import count_pseudotriangulations
+from monotone_reference import count_triangulations
 
 
 def first_path(P):
@@ -44,7 +47,7 @@ def test_stats_boundaries(fan5, conv5, tri3):
 
 
 def test_paths_cross(conv5):
-    keys = sorted(oracle.collect_paths(conv5, 2, "tri"))
+    keys = sorted(ptpath.collect_paths(conv5, 2, "tri"))
     for k in keys:
         assert not tc.paths_cross(k, k, conv5)
     for a in range(len(keys)):
@@ -82,8 +85,8 @@ def _check_parent_tables(family, P):
             for j, k in enumerate(prev.keys):
                 ok = not tc.paths_cross(k, key, P)
                 if family == "pt" and ok:
-                    union = set(tpath.chain_edges(k)) | \
-                        set(tpath.chain_edges(key))
+                    union = set(ptpath.chain_edges(k)) | \
+                        set(ptpath.chain_edges(key))
                     ok = ptpath._all_pointed(union, P)
                 if ok:
                     expect.append(j)
@@ -257,6 +260,34 @@ def test_count_invariant_under_rotation_and_reflection(family, n, seed, count):
     for f in maps:
         P = tc.validate_point_set([f(x, y) for x, y in pts])
         assert tc.run_sweep(tc.system_for(family), P)[0] == count
+
+
+def _coefficient(bound):
+    return st.integers(-bound, bound)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(n=st.integers(4, 9), seed=st.integers(0, 2 ** 32), grid=st.booleans(),
+       linear=st.tuples(*[_coefficient(10 ** 18)] * 4).filter(
+           lambda m: m[0] * m[3] != m[1] * m[2]),
+       shift=st.tuples(_coefficient(10 ** 20), _coefficient(10 ** 20)))
+def test_counters_agree_under_large_affine_maps(n, seed, grid, linear, shift):
+    # an integer affine map keeps every orientation's sign up to one global
+    # flip, so the structures, but it reorders the sweep; on a grid of
+    # n // 2 + 1 columns, points share x and ties are broken by index
+    pts = random_points(n, seed, columns=n // 2 + 1 if grid else None)
+    (a, b, c, d), (u, v) = linear, shift
+    P = tc.validate_point_set(pts)
+    Q = tc.validate_point_set([(a * x + b * y + u, c * x + d * y + v)
+                               for x, y in pts])
+    counts = {}
+    for family in ("tri", "pt"):
+        counts[family] = tc.run_sweep(tc.system_for(family), P)[0]
+        assert tc.run_sweep(tc.system_for(family), Q)[0] == counts[family]
+        assert oracle.enumerate_structures(Q, family).count == counts[family]
+    assert count_triangulations(Q) == counts["tri"]
+    if n <= 8:
+        assert count_pseudotriangulations(Q) == counts["pt"]
 
 
 def test_double_chain_tri_closed_form():

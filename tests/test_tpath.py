@@ -1,14 +1,14 @@
 import pytest
 
 import tricount as tc
-from tricount import geom, oracle, sweep, tpath
+from tricount import geom, oracle, ptpath, sweep
 from tricount.errors import (
     EdgeNotInTriangulation,
     EdgeDoesNotCrossLine,
     NotFlippable,
     PreconditionViolated,
 )
-from tricount.tpath import TPath, chain_edges
+from tricount.ptpath import TPath, chain_edges
 
 from conftest import conv_points, fan5_star_triangulation, random_point_set
 
@@ -125,7 +125,7 @@ def test_successors_forced(tri3):
 def test_successors_match_oracle(fan5):
     k0 = (fan5.hull[1], 0, fan5.hull[-1])
     succ = tc.tpath_successors(TPath(k0, 1), fan5)
-    expect = oracle.collect_paths(fan5, 2, "tri")
+    expect = ptpath.collect_paths(fan5, 2, "tri")
     assert (3, 1, 2, 0, 4) in succ
     assert succ == expect  # the unique parent is compatible with all
 
@@ -139,5 +139,5 @@ def test_successor_count_quadratic():
     P = random_point_set(8, 123)
     c = 6  # generous constant for the O(n^2) population bound
     for i in range(1, P.n - 1):
-        for k in oracle.collect_paths(P, i, "tri"):
+        for k in ptpath.collect_paths(P, i, "tri"):
             assert len(tc.tpath_successors(TPath(k, i), P)) <= c * P.n ** 2
