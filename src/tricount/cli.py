@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 from . import sweep
 from .errors import InputError, TricountError
-from .geom import PointSet, validate_point_set
+from .geom import PointSet, bits, validate_point_set
 
 # sampled structures per stdout write.  Not redundant with stdout's buffer:
 # under PYTHONUNBUFFERED=1 every write is a syscall.  On a 2-core Xeon host,
@@ -192,14 +192,11 @@ def cmd_sequence(args) -> int:
 
 def cmd_render(args) -> int:
     P = load_point_set(args.input)
-    edges = []
+    pairs = []
     if args.structure_file:
-        edges = _read_json(args.structure_file, "structure", lambda raw: [
+        pairs = _read_json(args.structure_file, "structure", lambda raw: [
             (_vertex(a), _vertex(b)) for a, b in raw])
-        for a, b in edges:
-            if not (0 <= a < P.n and 0 <= b < P.n and a != b):
-                raise InputError(f"edge ({a}, {b}) out of range for n={P.n}")
-        edges = {tuple(sorted(e)) for e in edges}
+    edges = [P.segments[k] for k in bits(P.edge_masks(pairs)[0])]
     path_vertices: list[int] = []
     if args.path_file:
         path_vertices = _read_json(args.path_file, "path",

@@ -137,8 +137,7 @@ class PointSet:
     def segments_cross(self, e: Segment, f: Segment) -> bool:
         """Proper crossing, read off the crossing table (sharing an endpoint
         is never a crossing)."""
-        ids = self.ids
-        return bool(self.cross[ids[e[0]][e[1]]] >> ids[f[0]][f[1]] & 1)
+        return bool(self.edge_masks([e])[1] & self.edge_masks([f])[0])
 
     def above(self, f: Segment, e: Segment) -> bool:
         """Whether f crosses the sweep line above e.
@@ -161,10 +160,14 @@ class PointSet:
 
     def edge_masks(self, pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
         """Bitmask of the segments between the given vertex pairs, and its
-        blocked mask: the segments that cross one of them."""
-        ids, cross = self.ids, self.cross
+        blocked mask: the segments that cross one of them.  A pair that is
+        not two distinct int vertices of P raises PreconditionViolated."""
+        ids, cross, n = self.ids, self.cross, self.n
         emask = blocked = 0
         for a, b in pairs:
+            if not (type(a) is type(b) is int and a != b
+                    and 0 <= a < n and 0 <= b < n):
+                raise PreconditionViolated(f"not a segment: ({a!r}, {b!r})")
             k = ids[a][b]
             emask |= 1 << k
             blocked |= cross[k]
@@ -228,6 +231,15 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def adjacency(edges: Iterable[Segment], n: int) -> list[int]:
+    """Bitmask of each vertex's neighbours in the edge set."""
+    adj = [0] * n
+    for a, b in edges:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return adj
 
 
 def edge_crosses_line(s: Segment, i: int) -> bool:

@@ -17,8 +17,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import CapExceeded, InternalInvariantViolation, TooLarge
-from .geom import EdgeSet, PointSet, bits
-from .sweep import adjacency
+from .geom import EdgeSet, PointSet, adjacency, bits
 
 TRI_GUARD = 12
 PT_GUARD = 10

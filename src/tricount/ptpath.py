@@ -37,10 +37,10 @@ from . import geom
 from .errors import (EdgeDoesNotCrossLine, EdgeNotInTriangulation,
                      InternalInvariantViolation, NotFlippable,
                      PreconditionViolated)
-from .geom import EdgeSet, PointSet, Segment, bits, seg
+from .geom import EdgeSet, PointSet, Segment, adjacency, bits, seg
 from .oracle import addable, enumerate_structures
-from .sweep import (PT_SYSTEM, TRI_SYSTEM, PathKey, PathSystem, adjacency,
-                    path_chains, system_for)
+from .sweep import (PT_SYSTEM, TRI_SYSTEM, PathKey, PathSystem, path_chains,
+                    system_for)
 
 
 class Check(NamedTuple):
@@ -72,7 +72,8 @@ def is_pointed(edges: Iterable[Segment], v: int, P: PointSet) -> bool:
 
     Isolated vertices are pointed by convention.
     """
-    return P.pointed(v, adjacency(edges, P.n)[v])
+    segs, emask = P.segments, P.edge_masks(edges)[0]
+    return P.pointed(v, adjacency((segs[k] for k in bits(emask)), P.n)[v])
 
 
 def _all_pointed(edges: Iterable[Segment], P: PointSet) -> bool:
@@ -81,7 +82,7 @@ def _all_pointed(edges: Iterable[Segment], P: PointSet) -> bool:
 
 def validate_pseudotriangulation(edges: Iterable[Segment], P: PointSet) -> Check:
     """Maximal planar pointed edge set check."""
-    return validate_pt_mask(P, P.edge_masks(seg(a, b) for a, b in edges)[0])
+    return validate_pt_mask(P, P.edge_masks(edges)[0])
 
 
 def validate_pt_mask(P: PointSet, emask: int) -> Check:
@@ -115,7 +116,7 @@ def extract_path(S: EdgeSet, i: int, P: PointSet, zigzag: bool) -> PathKey:
     if not ok:
         raise PreconditionViolated(
             f"edge set is not a {'pseudo-' * zigzag}triangulation")
-    chains = path_chains(P, i, zigzag, pool=frozenset(S))
+    chains = path_chains(P, i, zigzag, ~emask)
     if len(chains) != 1:
         raise InternalInvariantViolation(
             f"expected exactly one path at l_{i}, found {len(chains)}")
@@ -167,6 +168,7 @@ def validate_ptpath(path: PTPath, P: PointSet) -> Check:
     lo, hi = geom.hull_crossing_edges(P, i)
     if edges[0] != lo:
         return Check(False, "bad_endpoints")
+    emask, blocked = P.edge_masks(edges)
 
     left = P.left
     last = lo
@@ -195,7 +197,6 @@ def validate_ptpath(path: PTPath, P: PointSet) -> Check:
     # hi crosses l_i, so ending on it closes the last excursion
     if edges[-1] != hi:
         return Check(False, "bad_endpoints")
-    emask, blocked = P.edge_masks(edges)
     if emask & blocked:
         return Check(False, "edges_cross")
     if not _all_pointed(set(edges), P):
@@ -212,6 +213,7 @@ def pt_good_edge(S: EdgeSet, e: Segment, i: int, P: PointSet) -> bool:
     meet the supporting lines of the crossing edges immediately above and
     below on different sides of l_i.
     """
+    P.edge_masks(S)  # refuses a pair that is not a segment
     if not geom.edge_crosses_line(e, i):
         raise EdgeDoesNotCrossLine(f"edge {e} does not cross l_{i}")
     if e not in S:
@@ -293,12 +295,13 @@ def tpath_successors(path: TPath, P: PointSet) -> set[PathKey]:
 def _flip_diagonal(T: EdgeSet, e: Segment, P: PointSet) -> Optional[Segment]:
     """The diagonal rs that replaces e in a flip, or None if e is not
     flippable (a hull edge, or its two faces form a reflex quadrilateral)."""
+    emask = P.edge_masks(T)[0]
     if e not in T:
         raise EdgeNotInTriangulation(f"edge {e} not in triangulation")
     # c spans a face with e iff both side edges exist and abc is empty
     a, b = e
-    opp = [c for c in range(P.n) if c not in e and seg(a, c) in T
-           and seg(b, c) in T and not P.inside(a, b, c)]
+    opp = [c for c in range(P.n) if c not in e and not P.inside(a, b, c)
+           and emask >> P.ids[a][c] & emask >> P.ids[b][c] & 1]
     if len(opp) < 2:
         return None  # hull edge
     r, s = opp

@@ -23,28 +23,19 @@ import time
 from collections import defaultdict
 from functools import reduce
 from operator import or_
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import geom
 from .errors import InternalInvariantViolation
-from .geom import EdgeSet, PointSet, Segment
+from .geom import PointSet, Segment, adjacency
 
 PathKey = tuple[int, ...]
-
-
-def adjacency(edges: Iterable[Segment], n: int) -> list[int]:
-    """Bitmask of each vertex's neighbours in the edge set."""
-    adj = [0] * n
-    for a, b in edges:
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
-    return adj
 
 
 # -- chain search --------------------------------------------------------
 
 def path_chains(P: PointSet, i: int, zigzag: bool,
-                pool: Optional[EdgeSet] = None) -> list[PathKey]:
+                blocked: int = 0) -> list[PathKey]:
     """The path population at l_i, strictly ascending: every valid PT-path
     chain if zigzag, else every valid T-path chain (at l_1 the forced
     chain, the hull edges at vertex 0).
@@ -53,8 +44,8 @@ def path_chains(P: PointSet, i: int, zigzag: bool,
     zigzag the search never moves along one side of l_i.  It carries one
     bitmask over P.segments, the chain's edges and every segment crossing
     one, and the open excursion as a vertex mask with its convex-turn count
-    and entry edge.  With a pool (extraction from a structure), every
-    segment outside it starts out blocked.  The output is ascending: the
+    and entry edge.  That bitmask starts as blocked (extraction passes
+    the segments outside its structure).  The output is ascending: the
     next vertex is tried in ascending order, same-side and cross-back
     candidates in one loop, and every chain ends at the upper hull edge.
 
@@ -135,12 +126,9 @@ def path_chains(P: PointSet, i: int, zigzag: bool,
 
     a, b = lo
     k = eid[a][b]
-    blocked = 1 << k | cross[k]
-    if pool is not None:
-        outside = ~P.edge_masks(pool)[0]
-        if outside >> k & 1:
-            return out
-        blocked |= outside
+    if blocked >> k & 1:
+        return out
+    blocked |= 1 << k | cross[k]
     for v0, v1 in ((a, b), (b, a)):
         extend([v0, v1], blocked, 1 << v1, 0, lo)
     return out

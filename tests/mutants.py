@@ -1,0 +1,165 @@
+"""Standing mutants: faults that the test suite is known to catch.
+
+Each entry breaks one file in one known way, and names the tests that must
+fail on the broken copy.  The runner copies src/, tests/ and pyproject.toml
+into a temporary directory, runs every selection there once unmutated (each
+must pass, or a failure would prove nothing), then applies each mutant in
+turn and requires pytest to report failed tests (exit status 1; a
+collection error or an empty selection is a broken entry, not a kill).
+
+    python tests/mutants.py            # every entry, from the repo root
+    python tests/mutants.py NAME ...   # only the named entries
+
+It exits 0 when every mutant is killed.  The list only grows: an entry
+whose code is gone is removed with its reason written down in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to the repository root
+    old: str  # must occur exactly once in file
+    new: str
+    selection: tuple[str, ...]  # pytest node ids or paths
+
+
+CHORDS = ("tests/test_sampler.py::test_hull_chord_frequencies_of_draws",)
+
+MUTANTS = [
+    Mutant("uniform parent pick", "src/tricount/sampler.py",
+           "parents[bisect_right(cum, r)]",
+           "parents[r % len(parents)]", CHORDS),
+    Mutant("clamped index, no rejection redraw", "src/tricount/sampler.py",
+           """                while r >= count:
+                    r = getrandbits(k)
+                key, count, k, e, b, cum, parents = \\
+                    parents[bisect_right(cum, r)]""",
+           """                key, count, k, e, b, cum, parents = \\
+                    parents[min(bisect_right(cum, r), len(parents) - 1)]""",
+           CHORDS),
+    Mutant("monotone removals only from j >= m + 1",
+           "tests/monotone_reference.py",
+           "for j in range(max(1, m), len(path) - 1):",
+           "for j in range(m + 1, len(path) - 1):",
+           ("tests/test_monotone_reference.py",)),
+    Mutant("flip partner crosses k and nothing else of S",
+           "tests/flip_reference.py",
+           "partners = [f for f in bits(free) if addable(adj, f)]",
+           "partners = [f for f in range(len(segs))\n"
+           "                            if cross[f] & S == 1 << k"
+           " and addable(adj, f)]",
+           ("tests/test_flip_reference.py",)),
+    Mutant("flip of hull edges", "tests/flip_reference.py",
+           """                if hull >> k & 1:
+                    continue
+""", "", ("tests/test_flip_reference.py",)),
+    Mutant("swapped hull_crossing_edges pair", "src/tricount/geom.py",
+           "return crossing[0], crossing[1]",
+           "return crossing[1], crossing[0]",
+           ("tests/test_geom.py::test_hull_crossing_edges_lower_first",)),
+    Mutant("one-vertex close without its emptiness test in tri",
+           "src/tricount/sweep.py",
+           "if tri & ly[w] & left[w][x]:",
+           "if zigzag and tri & ly[w] & left[w][x]:",
+           ("tests/test_sweep.py::test_validator_agrees_with_population",)),
+    Mutant("validate_tpath without edge_not_crossing_line",
+           "src/tricount/ptpath.py",
+           """        if not geom.edge_crosses_line((a, b), i):
+            return Check(False, "degenerate_edge" if a == b
+                         else "edge_not_crossing_line")""",
+           """        if a == b:
+            return Check(False, "degenerate_edge")""",
+           ("tests/test_tpath.py::test_validate_tpath",)),
+    Mutant("the draw re-raise removed",
+           "src/tricount/sampler.py",
+           """            try:
+                emask = _complete(P, system.zigzag, emask, blocked, stars)
+            except IncompatibleTuple as exc:
+                raise InternalInvariantViolation(f"a drawn {exc}") from exc""",
+           "            emask = _complete(P, system.zigzag, emask, blocked,"
+           " stars)",
+           ("tests/test_sampler.py::test_failed_draw_check_is_internal",)),
+    Mutant("extraction from a non-structure not refused",
+           "src/tricount/ptpath.py",
+           """    if not ok:
+        raise PreconditionViolated(
+            f"edge set is not a""",
+           """    if False:
+        raise PreconditionViolated(
+            f"edge set is not a""",
+           ("tests/test_ptpath.py::test_extraction_blames_a_bad_edge_set",)),
+    Mutant("edge_masks without its pair check", "src/tricount/geom.py",
+           "if not (type(a) is type(b) is int and a != b\n"
+           "                    and 0 <= a < n and 0 <= b < n)",
+           "if False",
+           ("tests/test_geom.py::test_edge_masks_is_the_door_to_segments",
+            "tests/test_ptpath.py::test_extraction_blames_a_bad_edge_set",
+            "tests/test_ptpath.py::test_a_non_segment_is_refused",
+            "tests/test_cli.py::test_render_non_segment_exit2")),
+]
+
+
+def _pytest(work: Path, selection) -> int:
+    # no bytecode is written, so a restored file is never read from a
+    # cache compiled from its mutant
+    env = dict(os.environ, PYTHONPATH=str(work / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         *selection], cwd=work, env=env, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL).returncode
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    mutants = [m for m in MUTANTS if not names or m.name in names]
+    for m in mutants:
+        count = (ROOT / m.file).read_text().count(m.old)
+        if count != 1 or m.old == m.new:
+            print(f"broken entry {m.name!r}: its text occurs {count} times "
+                  f"in {m.file}", file=sys.stderr)
+            return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for d in ("src", "tests"):
+            shutil.copytree(ROOT / d, work / d, ignore=shutil.ignore_patterns(
+                "__pycache__", ".hypothesis", ".pytest_cache"))
+        shutil.copy(ROOT / "pyproject.toml", work)
+        selection = sorted({s for m in mutants for s in m.selection})
+        if _pytest(work, selection) != 0:
+            print("the selections fail on the unmutated copy", file=sys.stderr)
+            return 2
+        survivors = 0
+        for m in mutants:
+            path = work / m.file
+            original = path.read_text()
+            path.write_text(original.replace(m.old, m.new))
+            t0 = time.perf_counter()
+            status = _pytest(work, m.selection)
+            path.write_text(original)
+            verdict = {1: "killed"}.get(status, f"SURVIVED (pytest {status})")
+            survivors += status != 1
+            print(f"{verdict:<20} {time.perf_counter() - t0:6.1f} s  {m.name}",
+                  flush=True)
+    print(f"{len(mutants) - survivors} of {len(mutants)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

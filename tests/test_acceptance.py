@@ -121,7 +121,8 @@ def test_criterion_6_structural_lemmas():
                 paths = []
                 for i in range(1, P.n):
                     # uniqueness: exactly one valid chain per (T, i)
-                    chains = sweep.path_chains(P, i, False, pool=T)
+                    chains = sweep.path_chains(P, i, False,
+                                               ~P.edge_masks(T)[0])
                     assert len(chains) == 1
                     path = tc.TPath(chains[0], i)
                     paths.append(path.vertices)

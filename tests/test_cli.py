@@ -442,6 +442,21 @@ def test_render_bad_reference(tmp_path, capsys):
                  "--out", str(tmp_path / "x.svg")]) == 2
 
 
+@pytest.mark.parametrize("content", [[[2, 2]], [[0, 9]], [[-1, 2]]])
+def test_render_non_segment_exit2(tmp_path, capsys, content):
+    # structure edges become segments through PointSet.edge_masks, which
+    # refuses a pair that is not two distinct vertices of the point set
+    f = write_points(tmp_path, FAN5)
+    sf = tmp_path / "structure.json"
+    sf.write_text(json.dumps([[0, 1]] + content))
+    out = tmp_path / "x.svg"
+    assert main(["render", f, "--structure-file", str(sf),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: not a segment: {tuple(content[0])}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag,content", [
     ("--structure-file", [[0, 1.9], [1, 3]]),
     ("--structure-file", [[0, 1], [True, 3]]),

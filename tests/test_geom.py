@@ -8,6 +8,7 @@ from tricount.errors import (
     CollinearTriple,
     DuplicatePoint,
     InputError,
+    PreconditionViolated,
     TooFewPoints,
 )
 from tricount.geom import (
@@ -152,6 +153,23 @@ def test_segments_cross(fan5):
     assert not fan5.segments_cross((0, 1), (3, 4))  # disjoint
     # symmetry
     assert fan5.segments_cross((1, 4), (0, 3))
+
+
+def test_edge_masks_is_the_door_to_segments(fan5):
+    # a pair in either order is its segment, and its blocked mask is the
+    # segments crossing it
+    k = fan5.ids[0][3]
+    assert fan5.edge_masks([(3, 0)]) == fan5.edge_masks([(0, 3)]) == \
+        (1 << k, fan5.cross[k])
+    assert fan5.edge_masks([]) == (0, 0)
+    # anything but two distinct int vertices 0..n-1 is refused, never read
+    # off the tables (a negative index would alias vertex n + index)
+    for pair in ((2, 2), (1, 9), (-1, 2), (0, 5), (-5, 1), (1.0, 2),
+                 (True, 2), ("1", 2), (None, 2)):
+        with pytest.raises(PreconditionViolated, match="not a segment"):
+            fan5.edge_masks([(0, 1), pair])
+        with pytest.raises(PreconditionViolated):
+            fan5.segments_cross(pair, (0, 1))
 
 
 def test_edge_crosses_line():

@@ -60,6 +60,14 @@ def test_cli_import_loads_only_the_engine():
     assert loaded.isdisjoint(LAZY), sorted(loaded & set(LAZY))
 
 
+def test_oracle_imports_only_the_kernel():
+    # the brute-force reference shares no code with the engine it checks
+    preloaded = _loaded_modules("pass")
+    loaded = _loaded_modules("import tricount.oracle") - preloaded
+    assert {"tricount.oracle", "tricount.geom"} <= loaded
+    assert "tricount.sweep" not in loaded
+
+
 RUNS = {"count": "sweep", "sample": "sampler", "enumerate": "oracle"}
 
 

@@ -77,10 +77,12 @@ def test_extract_ptpath(fan5, tri3):
         for i in range(1, fan5.n):
             path = tc.extract_ptpath(S, i, fan5)
             assert tc.validate_ptpath(path, fan5)
-            assert len(sweep.path_chains(fan5, i, True, pool=S)) == 1
+            assert len(sweep.path_chains(fan5, i, True,
+                                         ~fan5.edge_masks(S)[0])) == 1
             # without either hull crossing edge nothing is extracted
             for e in geom.hull_crossing_edges(fan5, i):
-                assert sweep.path_chains(fan5, i, True, pool=S - {e}) == []
+                assert sweep.path_chains(
+                    fan5, i, True, ~fan5.edge_masks(S - {e})[0]) == []
 
 
 # a pseudo-triangulation of FAN5 that is not a triangulation
@@ -97,8 +99,11 @@ def test_extraction_blames_a_bad_edge_set(monkeypatch, fan5, family):
     # a structure less one edge in which the search finds exactly one chain
     less_one = (star - {(2, 3)}, 1) if family == "tri" else \
         (FAN5_PT - {(0, 1)}, 2)
+    # vertex 0 written as -5, which the tables would read as vertex 0
+    negative = frozenset((-5 if a == 0 else a, b) for a, b in own)
     for S, i in ((frozenset(), 1), (frozenset(fan5.segments), 2),
-                 (other, 3), less_one):
+                 (other, 3), less_one, (own | {(2, 2)}, 2),
+                 (own | {(1, 9)}, 2), (negative, 2)):
         with pytest.raises(PreconditionViolated):
             extract(S, i, fan5)
     assert extract(own, 2, fan5)
@@ -197,3 +202,49 @@ def test_validate_rejects_unpointed_chain():
             for i in range(1, P.n):
                 for key in sweep.path_chains(P, i, True):
                     assert ptpath._all_pointed(chain_edges(key), P)
+
+
+def _aliased(S, v, alias):
+    """S with vertex v written as alias."""
+    return frozenset(tuple(alias if u == v else u for u in e) for e in S)
+
+
+# conv5's fan triangulation from vertex 0
+CONV5_FAN = frozenset({(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3),
+                       (3, 4)})
+
+NON_SEGMENT = {
+    # every lemma entry reads its pairs through PointSet.edge_masks; before,
+    # each of these returned an answer for the aliased or out-of-range
+    # vertex, or failed with an IndexError, TypeError or ValueError
+    "flip": lambda fan5, conv5: tc.flip(_aliased(CONV5_FAN, 4, -1), (0, 2),
+                                        conv5),
+    "is_flippable": lambda fan5, conv5: tc.is_flippable(
+        _aliased(CONV5_FAN, 4, -1), (0, 2), conv5),
+    "is_good_edge": lambda fan5, conv5: tc.is_good_edge(
+        _aliased(CONV5_FAN, 4, -1), (0, 2), 2, conv5),
+    "pt_good_edge": lambda fan5, conv5: tc.pt_good_edge(
+        _aliased(CONV5_FAN, 4, -1), (0, 2), 2, conv5),
+    "is_pointed-9": lambda fan5, conv5: tc.is_pointed([(0, 9), (0, 1)], 0,
+                                                      conv5),
+    "is_pointed-neg": lambda fan5, conv5: tc.is_pointed([(0, -1), (0, 1)], 0,
+                                                        conv5),
+    "validate_ptpath-9": lambda fan5, conv5: tc.validate_ptpath(
+        PTPath((1, 0, 2, 9, 4), 1), fan5),
+    "validate_ptpath-neg": lambda fan5, conv5: tc.validate_ptpath(
+        PTPath((1, 0, -1), 1), fan5),
+    "ptpath_successors": lambda fan5, conv5: tc.ptpath_successors(
+        PTPath((1, 0, 2, 9, 4), 1), fan5),
+    "validate_pseudotriangulation": lambda fan5, conv5:
+        tc.validate_pseudotriangulation(_aliased(FAN5_PT, 0, -5), fan5),
+    "reconstruct": lambda fan5, conv5: tc.reconstruct([(1, 0, -1)], fan5,
+                                                      "tri"),
+    "paths_cross": lambda fan5, conv5: tc.paths_cross((1, 0, -1), (1, 0, 4),
+                                                      conv5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_SEGMENT))
+def test_a_non_segment_is_refused(fan5, conv5, name):
+    with pytest.raises(PreconditionViolated, match="not a segment"):
+        NON_SEGMENT[name](fan5, conv5)

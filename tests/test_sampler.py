@@ -354,9 +354,9 @@ def test_budget_refusal_stops_the_sweep(monkeypatch):
     sizes = [len(path_chains(P, i, False)) for i in range(1, P.n)]
     searched = []
 
-    def spy(P, i, zigzag, pool=None):
+    def spy(P, i, zigzag, blocked=0):
         searched.append(i)
-        return path_chains(P, i, zigzag, pool)
+        return path_chains(P, i, zigzag, blocked)
 
     monkeypatch.setattr(sweep, "path_chains", spy)
     for last in range(1, P.n - 1):

@@ -140,9 +140,9 @@ def test_sweep_lines_search_a_line_when_asked(monkeypatch, conv5):
     calls = []
     path_chains = sweep.path_chains
 
-    def spy(P, i, zigzag, pool=None):
+    def spy(P, i, zigzag, blocked=0):
         calls.append(i)
-        return path_chains(P, i, zigzag, pool)
+        return path_chains(P, i, zigzag, blocked)
 
     def join(P, parents, children):
         calls.append("join")
@@ -225,6 +225,23 @@ def test_validator_agrees_with_population(family):
                 assert validate(path(vs, i), P)
             for vs in _chain_variants(rng, P, i, population, 400):
                 assert bool(validate(path(vs, i), P)) == (vs in members)
+
+
+@pytest.mark.parametrize("family", ["tri", "pt"])
+def test_blocked_seed_keeps_the_chains_inside(fan5, conv6, family):
+    # a chain avoids every blocked segment: seeded with the segments
+    # outside S, the search finds exactly the population's chains that lie
+    # in S, for each structure S and for S less any one edge
+    zigzag = tc.system_for(family).zigzag
+    for P in (fan5, conv6):
+        population = {i: sweep.path_chains(P, i, zigzag)
+                      for i in range(1, P.n)}
+        for S in oracle.enumerate_structures(P, family).structures:
+            for E in [S] + [S - {e} for e in S]:
+                outside = ~P.edge_masks(E)[0]
+                for i, chains in population.items():
+                    assert sweep.path_chains(P, i, zigzag, outside) == [
+                        c for c in chains if set(ptpath.chain_edges(c)) <= E]
 
 
 def test_system_for():

@@ -48,17 +48,20 @@ def test_extract_tpath_fan_conv5(conv5):
     path = tc.extract_tpath(fan, 3, conv5)
     assert tc.validate_tpath(path, conv5)
     # uniqueness: the exhaustive chain search finds exactly this chain
-    assert sweep.path_chains(conv5, 3, False, pool=fan) == [path.vertices]
+    assert sweep.path_chains(conv5, 3, False, ~conv5.edge_masks(fan)[0]) \
+        == [path.vertices]
 
 
 def test_uniqueness_over_oracle(fan5, conv5):
     for P in (fan5, conv5):
         for T in oracle.enumerate_structures(P, "tri").structures:
             for i in range(1, P.n):
-                assert len(sweep.path_chains(P, i, False, pool=T)) == 1
+                assert len(sweep.path_chains(P, i, False,
+                                             ~P.edge_masks(T)[0])) == 1
                 # without either hull crossing edge nothing is extracted
                 for e in geom.hull_crossing_edges(P, i):
-                    assert sweep.path_chains(P, i, False, pool=T - {e}) == []
+                    assert sweep.path_chains(
+                        P, i, False, ~P.edge_masks(T - {e})[0]) == []
 
 
 def test_tpaths_are_ptpaths_of_one_vertex_excursions():
