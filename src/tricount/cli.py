@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 from . import sweep
 from .errors import InputError, TricountError
-from .geom import PointSet, bits, validate_point_set
+from .geom import PointSet, bits, hull_crossing_edges, validate_point_set
 
 # sampled structures per stdout write.  Not redundant with stdout's buffer:
 # under PYTHONUNBUFFERED=1 every write is a syscall.  On a 2-core Xeon host,
@@ -204,8 +204,8 @@ def cmd_render(args) -> int:
         for v in path_vertices:
             if not 0 <= v < P.n:
                 raise InputError(f"path vertex {v} out of range for n={P.n}")
-    if args.line is not None and not 1 <= args.line <= P.n - 1:
-        raise InputError(f"line index {args.line} out of range 1..{P.n - 1}")
+    if args.line is not None:
+        hull_crossing_edges(P, args.line)  # refuses a line P does not have
     from . import svg
     doc = svg.render_svg(P.points, structure_edges=edges,
                          path_vertices=path_vertices, line_index=args.line)

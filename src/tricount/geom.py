@@ -268,10 +268,9 @@ def region_empty(P: PointSet, i: int, u: int, exc: list[int],
 
 
 def hull_crossing_edges(P: PointSet, i: int) -> tuple[Segment, Segment]:
-    """The two hull edges crossed by l_i, the lower one first."""
+    """The two hull edges crossed by l_i (an int 1..n-1), the lower first."""
+    if not (type(i) is int and 0 < i < P.n):
+        raise PreconditionViolated(f"not a sweep line: {i!r} (1..{P.n - 1})")
     crossing = [e for e in P.hull_edges if edge_crosses_line(e, i)]
-    if len(crossing) != 2:
-        raise PreconditionViolated(
-            f"expected exactly 2 hull edges crossing l_{i}, got {crossing}")
     # hull_edges run CCW from vertex 0, lower chain first
     return crossing[0], crossing[1]

@@ -72,6 +72,8 @@ def is_pointed(edges: Iterable[Segment], v: int, P: PointSet) -> bool:
 
     Isolated vertices are pointed by convention.
     """
+    if not (type(v) is int and 0 <= v < P.n):
+        raise PreconditionViolated(f"not a vertex: {v!r}")
     segs, emask = P.segments, P.edge_masks(edges)[0]
     return P.pointed(v, adjacency((segs[k] for k in bits(emask)), P.n)[v])
 
@@ -137,8 +139,6 @@ def path_successors(path: PTPath, P: PointSet, system: PathSystem,
     check = validate(path, P)
     if not check:
         raise PreconditionViolated(f"invalid parent path: {check.reason}")
-    if path.line >= P.n - 1:
-        raise PreconditionViolated("no line beyond the last sweep position")
     children = path_chains(P, path.line + 1, system.zigzag)
     joined = system.join(P, [path.vertices], children)
     return {c for c, js in zip(children, joined) if js}
@@ -158,14 +158,12 @@ def ptpath_successors(path: PTPath, P: PointSet) -> set[PathKey]:
 
 def validate_ptpath(path: PTPath, P: PointSet) -> Check:
     vs, i = path.vertices, path.line
-    if not 1 <= i <= P.n - 1:
-        return Check(False, "bad_line_index")
+    lo, hi = geom.hull_crossing_edges(P, i)
     if len(vs) < 3:
         return Check(False, "too_short")
     if any(a == b for a, b in zip(vs, vs[1:])):
         return Check(False, "degenerate_edge")
     edges = chain_edges(vs)
-    lo, hi = geom.hull_crossing_edges(P, i)
     if edges[0] != lo:
         return Check(False, "bad_endpoints")
     emask, blocked = P.edge_masks(edges)
@@ -213,14 +211,17 @@ def pt_good_edge(S: EdgeSet, e: Segment, i: int, P: PointSet) -> bool:
     meet the supporting lines of the crossing edges immediately above and
     below on different sides of l_i.
     """
-    P.edge_masks(S)  # refuses a pair that is not a segment
+    lo, hi = geom.hull_crossing_edges(P, i)
+    smask, k = P.edge_masks(S)[0], P.edge_masks([e])[0]
+    e = P.segments[k.bit_length() - 1]  # a reversed pair is its segment
     if not geom.edge_crosses_line(e, i):
         raise EdgeDoesNotCrossLine(f"edge {e} does not cross l_{i}")
-    if e not in S:
+    if not smask & k:
         raise PreconditionViolated(f"edge {e} not in the structure")
-    if e in P.hull_edges:
+    if e in (lo, hi):
         return True
-    crossing = sorted((f for f in S if geom.edge_crosses_line(f, i)),
+    crossing = sorted((P.segments[x] for x in bits(smask)
+                       if geom.edge_crosses_line(P.segments[x], i)),
                       key=cmp_to_key(lambda f, g: 1 if P.above(f, g) else -1))
     pos = crossing.index(e)
     if pos == 0 or pos == len(crossing) - 1:
@@ -263,8 +264,7 @@ def validate_tpath(path: TPath, P: PointSet) -> Check:
       pointed.
     """
     vs, i = path.vertices, path.line
-    if not 1 <= i <= P.n - 1:
-        return Check(False, "bad_line_index")
+    geom.hull_crossing_edges(P, i)  # refuses a bad line before it is read
     if len(vs) < 3:
         return Check(False, "too_short")
     for a, b in zip(vs, vs[1:]):
@@ -292,37 +292,39 @@ def tpath_successors(path: TPath, P: PointSet) -> set[PathKey]:
 
 # -- flips and good edges ------------------------------------------------
 
-def _flip_diagonal(T: EdgeSet, e: Segment, P: PointSet) -> Optional[Segment]:
-    """The diagonal rs that replaces e in a flip, or None if e is not
-    flippable (a hull edge, or its two faces form a reflex quadrilateral)."""
-    emask = P.edge_masks(T)[0]
-    if e not in T:
+def _flip_diagonal(T: EdgeSet, e: Segment, P: PointSet
+                   ) -> tuple[Segment, Optional[Segment]]:
+    """e as its segment, and the diagonal that replaces it in a flip, or None
+    if e is a hull edge or its two faces form a reflex quadrilateral."""
+    emask, k = P.edge_masks(T)[0], P.edge_masks([e])[0]
+    a, b = e = P.segments[k.bit_length() - 1]
+    if not emask & k:
         raise EdgeNotInTriangulation(f"edge {e} not in triangulation")
     # c spans a face with e iff both side edges exist and abc is empty
-    a, b = e
     opp = [c for c in range(P.n) if c not in e and not P.inside(a, b, c)
            and emask >> P.ids[a][c] & emask >> P.ids[b][c] & 1]
     if len(opp) < 2:
-        return None  # hull edge
+        return e, None  # hull edge
     r, s = opp
     rs = seg(r, s)
-    return rs if P.segments_cross(rs, e) else None
+    return e, (rs if P.segments_cross(rs, e) else None)
 
 
 def is_flippable(T: EdgeSet, e: Segment, P: PointSet) -> bool:
-    return _flip_diagonal(T, e, P) is not None
+    return _flip_diagonal(T, e, P)[1] is not None
 
 
 def is_good_edge(T: EdgeSet, e: Segment, i: int, P: PointSet) -> bool:
     """Flippable and the two opposite vertices straddle l_i."""
-    rs = _flip_diagonal(T, e, P)
+    geom.hull_crossing_edges(P, i)  # refuses a bad line before it is read
+    e, rs = _flip_diagonal(T, e, P)
     if not geom.edge_crosses_line(e, i):
         raise EdgeDoesNotCrossLine(f"edge {e} does not cross l_{i}")
     return rs is not None and geom.edge_crosses_line(rs, i)
 
 
 def flip(T: EdgeSet, e: Segment, P: PointSet) -> EdgeSet:
-    rs = _flip_diagonal(T, e, P)
+    e, rs = _flip_diagonal(T, e, P)
     if rs is None:
         raise NotFlippable(f"edge {e} is not flippable")
     return frozenset(T - {e} | {rs})

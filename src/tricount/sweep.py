@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import geom
 from .errors import InternalInvariantViolation
-from .geom import PointSet, Segment, adjacency
+from .geom import PointSet, Segment, adjacency, bits
 
 PathKey = tuple[int, ...]
 
@@ -166,13 +166,7 @@ def tpath_join(P: PointSet, parents: Sequence[PathKey],
                 crossed[x] = reduce(or_, (u for y, u in users
                                           if cross[x] >> y & 1), 0)
             m |= crossed[x]
-        m = full & ~m
-        js = []
-        while m:
-            low = m & -m
-            js.append(low.bit_length() - 1)
-            m ^= low
-        yield js
+        yield list(bits(full & ~m))
 
 
 def ptpath_join(P: PointSet, parents: Sequence[PathKey],

@@ -109,6 +109,22 @@ MUTANTS = [
             "tests/test_ptpath.py::test_extraction_blames_a_bad_edge_set",
             "tests/test_ptpath.py::test_a_non_segment_is_refused",
             "tests/test_cli.py::test_render_non_segment_exit2")),
+    Mutant("hull_crossing_edges without its line check",
+           "src/tricount/geom.py",
+           "if not (type(i) is int and 0 < i < P.n):",
+           "if False:",
+           ("tests/test_geom.py::test_hull_crossing_edges_is_the_door_to_lines",
+            "tests/test_ptpath.py::test_a_bad_line_is_refused",
+            "tests/test_cli.py::test_render_bad_line_exit2")),
+    Mutant("is_pointed without its vertex check", "src/tricount/ptpath.py",
+           "if not (type(v) is int and 0 <= v < P.n):",
+           "if False:",
+           ("tests/test_ptpath.py::test_is_pointed_refuses_a_non_vertex",)),
+    Mutant("the single edge left unnormalised in _flip_diagonal",
+           "src/tricount/ptpath.py",
+           "a, b = e = P.segments[k.bit_length() - 1]",
+           "a, b = e",
+           ("tests/test_tpath.py::test_a_reversed_edge_is_its_segment",)),
 ]
 
 

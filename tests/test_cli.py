@@ -457,6 +457,18 @@ def test_render_non_segment_exit2(tmp_path, capsys, content):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line", ["0", "5", "-1"])
+def test_render_bad_line_exit2(tmp_path, capsys, line):
+    # --line goes through geom.hull_crossing_edges, the door for a sweep
+    # line, which refuses any but 1..n-1
+    f = write_points(tmp_path, FAN5)
+    out = tmp_path / "x.svg"
+    assert main(["render", f, "--line", line, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: not a sweep line: {line} (1..4)\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag,content", [
     ("--structure-file", [[0, 1.9], [1, 3]]),
     ("--structure-file", [[0, 1], [True, 3]]),

@@ -282,6 +282,17 @@ def test_hull_crossing_edges_lower_first():
             assert geom.hull_crossing_edges(P, i) == expect
 
 
+def test_hull_crossing_edges_is_the_door_to_lines(fan5):
+    # every line l_1 .. l_{n-1} crosses exactly two hull edges; anything
+    # but an int in 1..n-1 is refused before the hull is read (a bool or a
+    # float would otherwise be read as a line)
+    for i in range(1, fan5.n):
+        assert len(geom.hull_crossing_edges(fan5, i)) == 2
+    for i in (0, 5, -1, True, False, 1.0, 1.5, "1", None):
+        with pytest.raises(PreconditionViolated, match="not a sweep line"):
+            geom.hull_crossing_edges(fan5, i)
+
+
 def test_region_empty_matches_polygon_scan():
     # random u, w on one side of l_i, a distinct-vertex chain on the other
     rng = random.Random(11)

@@ -5,7 +5,7 @@ import tricount.geom as geom
 from tricount import oracle, ptpath, sweep
 from tricount.errors import (EdgeDoesNotCrossLine, InternalInvariantViolation,
                              PreconditionViolated)
-from tricount.ptpath import PTPath, chain_edges
+from tricount.ptpath import PTPath, TPath, chain_edges
 
 import scan_predicates as scan
 from conftest import fan5_star_triangulation, random_point_set
@@ -87,6 +87,10 @@ def test_extract_ptpath(fan5, tri3):
 
 # a pseudo-triangulation of FAN5 that is not a triangulation
 FAN5_PT = frozenset({(0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (2, 3), (3, 4)})
+# the first oracle triangulation and the last oracle pseudo-triangulation
+FAN5_T = frozenset({(0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (2, 3), (2, 4),
+                    (3, 4)})
+FAN5_S = frozenset({(0, 1), (0, 4), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4)})
 
 
 @pytest.mark.parametrize("family", ["tri", "pt"])
@@ -227,6 +231,9 @@ NON_SEGMENT = {
         _aliased(CONV5_FAN, 4, -1), (0, 2), 2, conv5),
     "is_pointed-9": lambda fan5, conv5: tc.is_pointed([(0, 9), (0, 1)], 0,
                                                       conv5),
+    "pt_good_edge-edge": lambda fan5, conv5: tc.pt_good_edge(FAN5_S, (2, 2),
+                                                             2, fan5),
+    "flip-edge": lambda fan5, conv5: tc.flip(CONV5_FAN, (2, 2), conv5),
     "is_pointed-neg": lambda fan5, conv5: tc.is_pointed([(0, -1), (0, 1)], 0,
                                                         conv5),
     "validate_ptpath-9": lambda fan5, conv5: tc.validate_ptpath(
@@ -248,3 +255,45 @@ NON_SEGMENT = {
 def test_a_non_segment_is_refused(fan5, conv5, name):
     with pytest.raises(PreconditionViolated, match="not a segment"):
         NON_SEGMENT[name](fan5, conv5)
+
+
+NOT_A_LINE = {
+    # every lemma entry reads its line through geom.hull_crossing_edges;
+    # unchecked, each of these would answer for a line that does not exist,
+    # or fail with a TypeError, an EdgeDoesNotCrossLine or another message
+    "extract_ptpath": lambda P: tc.extract_ptpath(FAN5_S, True, P),
+    "extract_tpath": lambda P: tc.extract_tpath(FAN5_T, 1.0, P),
+    "validate_ptpath-0": lambda P: tc.validate_ptpath(PTPath((1, 0, 4), 0), P),
+    "validate_ptpath-1.5": lambda P: tc.validate_ptpath(
+        PTPath((1, 0, 4), 1.5), P),
+    "validate_tpath": lambda P: tc.validate_tpath(TPath((1, 0, 4), True), P),
+    "ptpath_successors": lambda P: tc.ptpath_successors(
+        PTPath((1, 0, 4), True), P),
+    # a valid path at the last line has no line beyond it
+    "tpath_successors-last": lambda P: tc.tpath_successors(
+        tc.extract_tpath(FAN5_T, 4, P), P),
+    "is_good_edge": lambda P: tc.is_good_edge(FAN5_T, (0, 2), 1.5, P),
+    "pt_good_edge": lambda P: tc.pt_good_edge(FAN5_S, (1, 3), 0, P),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_A_LINE))
+def test_a_bad_line_is_refused(fan5, name):
+    with pytest.raises(PreconditionViolated, match="not a sweep line"):
+        NOT_A_LINE[name](fan5)
+
+
+@pytest.mark.parametrize("v", [9, 5, -1, True, 1.0])
+def test_is_pointed_refuses_a_non_vertex(fan5, v):
+    # unchecked, 9 and 5 would raise IndexError, -1 answer for vertex 4,
+    # True for vertex 1, and 1.0 raise TypeError
+    with pytest.raises(PreconditionViolated, match="not a vertex"):
+        tc.is_pointed([(0, 1), (0, 2), (0, 3)], v, fan5)
+
+
+def test_pt_good_edge_reads_a_reversed_edge_as_its_segment(fan5):
+    for i in range(1, fan5.n):
+        for a, b in FAN5_S:
+            if geom.edge_crosses_line((a, b), i):
+                assert tc.pt_good_edge(FAN5_S, (b, a), i, fan5) == \
+                    tc.pt_good_edge(FAN5_S, (a, b), i, fan5)

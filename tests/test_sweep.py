@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, assume, given, settings, strategies as st
 
 import tricount as tc
 from tricount import geom, oracle, ptpath, sampler, sweep
@@ -305,6 +305,52 @@ def test_counters_agree_under_large_affine_maps(n, seed, grid, linear, shift):
     assert count_triangulations(Q) == counts["tri"]
     if n <= 8:
         assert count_pseudotriangulations(Q) == counts["pt"]
+
+
+@st.composite
+def _family_and_points(draw):
+    """A family and a general-position integer set: tri n = 4-9, pt n = 4-8
+    (the flip counter's range), the first n of 3n drawn candidates that
+    keep general position, on a wide grid or on n // 2 + 1 columns, where
+    many points share x."""
+    family = draw(st.sampled_from(("tri", "pt")))
+    n = draw(st.integers(4, 9 if family == "tri" else 8))
+    xs = draw(st.sampled_from((st.integers(-1000, 1000),
+                               st.integers(0, n // 2))))
+    pts = []
+    for q in draw(st.lists(st.tuples(xs, st.integers(-1000, 1000)),
+                           min_size=3 * n, max_size=3 * n)):
+        if len(pts) < n and q not in pts and all(
+                geom.orientation(a, b, q)
+                for a, b in itertools.combinations(pts, 2)):
+            pts.append(q)
+    assume(len(pts) == n)
+    return family, pts
+
+
+# no shrink phase: a failure is reported as drawn within seconds; shrinking
+# its big-integer map re-runs all four counters for minutes
+@settings(derandomize=True, max_examples=60, deadline=None,
+          phases=(Phase.generate,))
+@given(drawn=_family_and_points(),
+       linear=st.tuples(*[_coefficient(10 ** 18)] * 4).filter(
+           lambda m: m[0] * m[3] != m[1] * m[2]),
+       shift=st.tuples(_coefficient(10 ** 20), _coefficient(10 ** 20)))
+def test_four_counters_agree_on_drawn_sets(drawn, linear, shift):
+    # the sweep of a drawn set and of its affine image, the oracle and the
+    # family's own reference counter, which share no search code
+    family, pts = drawn
+    (a, b, c, d), (u, v) = linear, shift
+    P = tc.validate_point_set(pts)
+    Q = tc.validate_point_set([(a * x + b * y + u, c * x + d * y + v)
+                               for x, y in pts])
+    system = tc.system_for(family)
+    count = tc.run_sweep(system, P)[0]
+    assert tc.run_sweep(system, Q)[0] == count
+    assert oracle.enumerate_structures(P, family).count == count
+    reference = count_triangulations if family == "tri" else \
+        count_pseudotriangulations
+    assert reference(Q) == count
 
 
 def test_double_chain_tri_closed_form():

@@ -144,3 +144,27 @@ def test_successor_count_quadratic():
     for i in range(1, P.n - 1):
         for k in ptpath.collect_paths(P, i, "tri"):
             assert len(tc.tpath_successors(TPath(k, i), P)) <= c * P.n ** 2
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+def test_a_reversed_edge_is_its_segment(fan5, conv5):
+    # the single edge goes through PointSet.edge_masks, like the structure,
+    # so (2, 0) is the segment (0, 2) of T, not an edge missing from it
+    fan = frozenset({(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4)})
+    T = frozenset({(0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (2, 3), (2, 4),
+                   (3, 4)})
+    for P, S in ((fan5, T), (conv5, fan)):
+        for a, b in S:
+            for f in (tc.flip, tc.is_flippable):
+                assert _outcome(f, S, (b, a), P) == _outcome(f, S, (a, b), P)
+            for i in range(1, P.n):
+                if geom.edge_crosses_line((a, b), i):
+                    assert _outcome(tc.is_good_edge, S, (b, a), i, P) == \
+                        _outcome(tc.is_good_edge, S, (a, b), i, P)
+    assert tc.flip(fan, (2, 0), conv5) == tc.flip(fan, (0, 2), conv5)
