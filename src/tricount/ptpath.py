@@ -134,8 +134,8 @@ def collect_paths(P: PointSet, i: int, family: str) -> set[PathKey]:
 
 def path_successors(path: PTPath, P: PointSet, system: PathSystem,
                     validate: Callable) -> set[PathKey]:
-    """The paths at l_{i+1} compatible with a valid path of system's
-    family: the family's join of the one parent with the next population."""
+    """The paths at l_{i+1} compatible with a valid path: the family's join
+    of it with the next population (the door refuses i + 1 = n by name)."""
     check = validate(path, P)
     if not check:
         raise PreconditionViolated(f"invalid parent path: {check.reason}")
@@ -213,7 +213,7 @@ def pt_good_edge(S: EdgeSet, e: Segment, i: int, P: PointSet) -> bool:
     """
     lo, hi = geom.hull_crossing_edges(P, i)
     smask, k = P.edge_masks(S)[0], P.edge_masks([e])[0]
-    e = P.segments[k.bit_length() - 1]  # a reversed pair is its segment
+    e = seg(*e)  # a reversed pair is its segment
     if not geom.edge_crosses_line(e, i):
         raise EdgeDoesNotCrossLine(f"edge {e} does not cross l_{i}")
     if not smask & k:
@@ -293,21 +293,21 @@ def tpath_successors(path: TPath, P: PointSet) -> set[PathKey]:
 # -- flips and good edges ------------------------------------------------
 
 def _flip_diagonal(T: EdgeSet, e: Segment, P: PointSet
-                   ) -> tuple[Segment, Optional[Segment]]:
-    """e as its segment, and the diagonal that replaces it in a flip, or None
-    if e is a hull edge or its two faces form a reflex quadrilateral."""
+                   ) -> tuple[int, Optional[Segment]]:
+    """T's other edges as a mask, and the diagonal that replaces e in a
+    flip, or None for a hull edge or a reflex quadrilateral."""
     emask, k = P.edge_masks(T)[0], P.edge_masks([e])[0]
-    a, b = e = P.segments[k.bit_length() - 1]
     if not emask & k:
         raise EdgeNotInTriangulation(f"edge {e} not in triangulation")
     # c spans a face with e iff both side edges exist and abc is empty
+    a, b = e
     opp = [c for c in range(P.n) if c not in e and not P.inside(a, b, c)
            and emask >> P.ids[a][c] & emask >> P.ids[b][c] & 1]
     if len(opp) < 2:
-        return e, None  # hull edge
+        return emask & ~k, None  # hull edge
     r, s = opp
     rs = seg(r, s)
-    return e, (rs if P.segments_cross(rs, e) else None)
+    return emask & ~k, (rs if P.segments_cross(rs, e) else None)
 
 
 def is_flippable(T: EdgeSet, e: Segment, P: PointSet) -> bool:
@@ -317,14 +317,14 @@ def is_flippable(T: EdgeSet, e: Segment, P: PointSet) -> bool:
 def is_good_edge(T: EdgeSet, e: Segment, i: int, P: PointSet) -> bool:
     """Flippable and the two opposite vertices straddle l_i."""
     geom.hull_crossing_edges(P, i)  # refuses a bad line before it is read
-    e, rs = _flip_diagonal(T, e, P)
+    rs = _flip_diagonal(T, e, P)[1]
     if not geom.edge_crosses_line(e, i):
         raise EdgeDoesNotCrossLine(f"edge {e} does not cross l_{i}")
     return rs is not None and geom.edge_crosses_line(rs, i)
 
 
 def flip(T: EdgeSet, e: Segment, P: PointSet) -> EdgeSet:
-    e, rs = _flip_diagonal(T, e, P)
+    rest, rs = _flip_diagonal(T, e, P)
     if rs is None:
         raise NotFlippable(f"edge {e} is not flippable")
-    return frozenset(T - {e} | {rs})
+    return frozenset(P.segments[x] for x in bits(rest)) | {rs}

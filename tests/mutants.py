@@ -120,10 +120,10 @@ MUTANTS = [
            "if not (type(v) is int and 0 <= v < P.n):",
            "if False:",
            ("tests/test_ptpath.py::test_is_pointed_refuses_a_non_vertex",)),
-    Mutant("the single edge left unnormalised in _flip_diagonal",
+    Mutant("the single edge compared as a raw pair in _flip_diagonal",
            "src/tricount/ptpath.py",
-           "a, b = e = P.segments[k.bit_length() - 1]",
-           "a, b = e",
+           "if not emask & k:",
+           "if e not in T:",
            ("tests/test_tpath.py::test_a_reversed_edge_is_its_segment",)),
 ]
 

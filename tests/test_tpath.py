@@ -168,3 +168,8 @@ def test_a_reversed_edge_is_its_segment(fan5, conv5):
                     assert _outcome(tc.is_good_edge, S, (b, a), i, P) == \
                         _outcome(tc.is_good_edge, S, (a, b), i, P)
     assert tc.flip(fan, (2, 0), conv5) == tc.flip(fan, (0, 2), conv5)
+    # a T that itself writes the edge reversed flips to the same 7 segments
+    written = fan - {(0, 2)} | {(2, 0)}
+    for e in ((2, 0), (0, 2)):
+        assert tc.flip(written, e, conv5) == tc.flip(fan, (0, 2), conv5)
+        assert len(tc.flip(written, e, conv5)) == 7
