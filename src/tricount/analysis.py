@@ -29,8 +29,8 @@ class BoundSequence(NamedTuple):
 
 
 def bound_sequence(K: int) -> list[BoundSequence]:
-    if K < 0:
-        raise ValueError("K must be nonnegative")
+    if type(K) is not int or K < 0:
+        raise ValueError("K must be a nonnegative int")
     if K > K_GUARD:
         raise TooLarge(f"K={K} exceeds sequence guard {K_GUARD}")
     f = [0] * (K + 1)

@@ -72,14 +72,6 @@ def load_point_set(path: str) -> PointSet:
     return validate_point_set(parse_points(text))
 
 
-def _vertex(v) -> int:
-    """A vertex index from a JSON file: an int and not a bool, the rule for
-    point coordinates too; floats and strings are refused, not coerced."""
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ValueError(f"non-integer vertex index {v!r}")
-    return v
-
-
 def _read_json(path: str, what: str, parse):
     """parse of a JSON input file; any failure is an InputError."""
     import json
@@ -192,18 +184,13 @@ def cmd_sequence(args) -> int:
 
 def cmd_render(args) -> int:
     P = load_point_set(args.input)
-    pairs = []
-    if args.structure_file:
-        pairs = _read_json(args.structure_file, "structure", lambda raw: [
-            (_vertex(a), _vertex(b)) for a, b in raw])
+    pairs = (_read_json(args.structure_file, "structure",
+                        lambda raw: [(a, b) for a, b in raw])
+             if args.structure_file else [])
     edges = [P.segments[k] for k in bits(P.edge_masks(pairs)[0])]
-    path_vertices: list[int] = []
-    if args.path_file:
-        path_vertices = _read_json(args.path_file, "path",
-                                   lambda raw: [_vertex(v) for v in raw])
-        for v in path_vertices:
-            if not 0 <= v < P.n:
-                raise InputError(f"path vertex {v} out of range for n={P.n}")
+    path_vertices = (_read_json(args.path_file, "path", list)
+                     if args.path_file else [])
+    P.check_vertices(path_vertices)
     if args.line is not None:
         hull_crossing_edges(P, args.line)  # refuses a line P does not have
     from . import svg

@@ -173,6 +173,12 @@ class PointSet:
             blocked |= cross[k]
         return emask, blocked
 
+    def check_vertices(self, vertices: Iterable[int]) -> None:
+        """Refuse any value but an int vertex 0..n-1 (a bool is not one)."""
+        for v in vertices:
+            if not (type(v) is int and 0 <= v < self.n):
+                raise PreconditionViolated(f"not a vertex: {v!r}")
+
     def inside(self, a: int, b: int, c: int) -> int:
         """Bitmask of the points strictly inside triangle abc."""
         left = self.left

@@ -42,6 +42,8 @@ def enumerate_structures(P: PointSet, family: str,
                          cap: Optional[int] = None) -> EnumerationResult:
     """Every triangulation ("tri") or pointed pseudo-triangulation ("pt")
     of P as a set of segments, in sorted order."""
+    if cap is not None and (type(cap) is not int or cap < 0):
+        raise ValueError("cap must be a nonnegative int")
     if family == "tri":
         guard, name = TRI_GUARD, "triangulation"
         target = 3 * P.n - 3 - len(P.hull)

@@ -72,8 +72,7 @@ def is_pointed(edges: Iterable[Segment], v: int, P: PointSet) -> bool:
 
     Isolated vertices are pointed by convention.
     """
-    if not (type(v) is int and 0 <= v < P.n):
-        raise PreconditionViolated(f"not a vertex: {v!r}")
+    P.check_vertices([v])
     segs, emask = P.segments, P.edge_masks(edges)[0]
     return P.pointed(v, adjacency((segs[k] for k in bits(emask)), P.n)[v])
 
@@ -159,6 +158,7 @@ def ptpath_successors(path: PTPath, P: PointSet) -> set[PathKey]:
 def validate_ptpath(path: PTPath, P: PointSet) -> Check:
     vs, i = path.vertices, path.line
     lo, hi = geom.hull_crossing_edges(P, i)
+    P.check_vertices(vs)
     if len(vs) < 3:
         return Check(False, "too_short")
     if any(a == b for a, b in zip(vs, vs[1:])):
@@ -265,6 +265,7 @@ def validate_tpath(path: TPath, P: PointSet) -> Check:
     """
     vs, i = path.vertices, path.line
     geom.hull_crossing_edges(P, i)  # refuses a bad line before it is read
+    P.check_vertices(vs)
     if len(vs) < 3:
         return Check(False, "too_short")
     for a, b in zip(vs, vs[1:]):

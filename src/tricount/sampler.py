@@ -125,8 +125,11 @@ def draws(P: PointSet, family: str, seed: int, m: int,
     """m i.i.d. uniform draws, each its path tuple (l_1 first) and its
     structure, yielded one at a time.  The guards, the sweep and the nodes
     run at the call, so a refusal comes before any draw."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
+    if type(m) is not int or m < 0:
+        raise ValueError("m must be a nonnegative int")
+    if max_table_entries is not None and (
+            type(max_table_entries) is not int or max_table_entries < 0):
+        raise ValueError("max_table_entries must be a nonnegative int")
     if m > M_GUARD:
         raise TooLarge(f"m={m} exceeds sample guard {M_GUARD}")
     system = system_for(family)

@@ -116,10 +116,16 @@ MUTANTS = [
            ("tests/test_geom.py::test_hull_crossing_edges_is_the_door_to_lines",
             "tests/test_ptpath.py::test_a_bad_line_is_refused",
             "tests/test_cli.py::test_render_bad_line_exit2")),
-    Mutant("is_pointed without its vertex check", "src/tricount/ptpath.py",
-           "if not (type(v) is int and 0 <= v < P.n):",
+    Mutant("check_vertices without its vertex check", "src/tricount/geom.py",
+           "if not (type(v) is int and 0 <= v < self.n):",
            "if False:",
-           ("tests/test_ptpath.py::test_is_pointed_refuses_a_non_vertex",)),
+           ("tests/test_geom.py::test_check_vertices_is_the_door_to_vertices",
+            "tests/test_ptpath.py::test_is_pointed_refuses_a_non_vertex",
+            "tests/test_ptpath.py::test_a_non_vertex_is_refused",
+            "tests/test_cli.py::test_render_bad_reference")),
+    Mutant("validate_tpath without its vertex door", "src/tricount/ptpath.py",
+           "before it is read\n    P.check_vertices(vs)", "before it is read",
+           ("tests/test_ptpath.py::test_a_non_vertex_is_refused",)),
     Mutant("the single edge compared as a raw pair in _flip_diagonal",
            "src/tricount/ptpath.py",
            "if not emask & k:",

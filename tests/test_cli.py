@@ -437,9 +437,14 @@ def test_render_points_only(tmp_path):
 def test_render_bad_reference(tmp_path, capsys):
     f = write_points(tmp_path, FAN5)
     pf = tmp_path / "path.json"
-    pf.write_text(json.dumps([0, 9]))
-    assert main(["render", f, "--path-file", str(pf),
-                 "--out", str(tmp_path / "x.svg")]) == 2
+    out = tmp_path / "x.svg"
+    # path vertices go through PointSet.check_vertices
+    for content, bad in (([0, 9], "9"), ([-1, 2], "-1"), ([True, 1], "True")):
+        pf.write_text(json.dumps(content))
+        assert main(["render", f, "--path-file", str(pf),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: not a vertex: {bad}\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("content", [[[2, 2]], [[0, 9]], [[-1, 2]]])
@@ -469,6 +474,19 @@ def test_render_bad_line_exit2(tmp_path, capsys, line):
     assert not out.exists()
 
 
+# each file's refusal, by its JSON text: PointSet.edge_masks names the
+# first pair that is no segment, PointSet.check_vertices the first path
+# vertex that is no vertex
+NON_INTEGER_REFUSAL = {
+    "[[0, 1.9], [1, 3]]": "not a segment: (0, 1.9)",
+    "[[0, 1], [true, 3]]": "not a segment: (True, 3)",
+    '[[0, "1"], [1, 3]]': "not a segment: (0, '1')",
+    "[1.5, 2, 3]": "not a vertex: 1.5",
+    '[1, "2", 3]': "not a vertex: '2'",
+    "[1, 2, true]": "not a vertex: True",
+}
+
+
 @pytest.mark.parametrize("flag,content", [
     ("--structure-file", [[0, 1.9], [1, 3]]),
     ("--structure-file", [[0, 1], [True, 3]]),
@@ -485,7 +503,7 @@ def test_render_non_integer_vertex_exit2(tmp_path, capsys, flag, content):
     out = tmp_path / "x.svg"
     assert main(["render", f, flag, str(rf), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: bad ") and "non-integer vertex index" in err
+    assert err == f"error: {NON_INTEGER_REFUSAL[json.dumps(content)]}\n"
     assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -170,6 +171,18 @@ def test_edge_masks_is_the_door_to_segments(fan5):
             fan5.edge_masks([(0, 1), pair])
         with pytest.raises(PreconditionViolated):
             fan5.segments_cross(pair, (0, 1))
+
+
+def test_check_vertices_is_the_door_to_vertices(fan5):
+    # every int 0..n-1 passes, in any order and repeated; anything else is
+    # refused by name at its first occurrence (a negative index would alias
+    # vertex n + index, and True would be read as vertex 1)
+    assert fan5.check_vertices([4, 0, 2, 2, 1, 3]) is None
+    fan5.check_vertices([])
+    for v in (5, 9, -1, -5, True, False, 1.0, "1", None, (0, 1)):
+        with pytest.raises(PreconditionViolated,
+                           match=rf"^not a vertex: {re.escape(repr(v))}$"):
+            fan5.check_vertices([0, v, 9])
 
 
 def test_edge_crosses_line():

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import tricount as tc
+from tricount import oracle
 
 from conftest import FAN5
 
@@ -164,3 +165,22 @@ def test_unknown_attribute_raises():
         tc.no_such_name
     with pytest.raises(ImportError):
         exec("from tricount import no_such_name", {})
+
+
+COUNT_PARAMETERS = {
+    "draws-m": lambda P, v: tc.draws(P, "tri", 0, v),
+    "draws-max_table_entries": lambda P, v: tc.draws(
+        P, "tri", 0, 1, max_table_entries=v),
+    "bound_sequence-K": lambda P, v: tc.bound_sequence(v),
+    "enumerate_structures-cap": lambda P, v: oracle.enumerate_structures(
+        P, "tri", cap=v),
+}
+
+
+@pytest.mark.parametrize("value", [True, 2.5, "3", -1])
+@pytest.mark.parametrize("name", sorted(COUNT_PARAMETERS))
+def test_count_parameters_refuse_a_non_int(fan5, name, value):
+    # refused at the call, never read as 1 (True), used until a later
+    # TypeError (2.5, "3"), or put into a refusal of another kind
+    with pytest.raises(ValueError, match="must be a nonnegative int$"):
+        COUNT_PARAMETERS[name](fan5, value)

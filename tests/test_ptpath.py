@@ -236,12 +236,6 @@ NON_SEGMENT = {
     "flip-edge": lambda fan5, conv5: tc.flip(CONV5_FAN, (2, 2), conv5),
     "is_pointed-neg": lambda fan5, conv5: tc.is_pointed([(0, -1), (0, 1)], 0,
                                                         conv5),
-    "validate_ptpath-9": lambda fan5, conv5: tc.validate_ptpath(
-        PTPath((1, 0, 2, 9, 4), 1), fan5),
-    "validate_ptpath-neg": lambda fan5, conv5: tc.validate_ptpath(
-        PTPath((1, 0, -1), 1), fan5),
-    "ptpath_successors": lambda fan5, conv5: tc.ptpath_successors(
-        PTPath((1, 0, 2, 9, 4), 1), fan5),
     "validate_pseudotriangulation": lambda fan5, conv5:
         tc.validate_pseudotriangulation(_aliased(FAN5_PT, 0, -5), fan5),
     "reconstruct": lambda fan5, conv5: tc.reconstruct([(1, 0, -1)], fan5,
@@ -281,6 +275,42 @@ NOT_A_LINE = {
 def test_a_bad_line_is_refused(fan5, name):
     with pytest.raises(PreconditionViolated, match="not a sweep line"):
         NOT_A_LINE[name](fan5)
+
+
+NOT_A_VERTEX = {
+    # both validators read path vertices through PointSet.check_vertices,
+    # after the line and before any vertex is compared or looked up; before,
+    # these returned a Check (edge_not_crossing_line, bad_endpoints,
+    # degenerate_edge for True read as vertex 1, too_short), raised a
+    # TypeError, or were refused only as a segment further on
+    "validate_ptpath-9": lambda P: tc.validate_ptpath(
+        PTPath((1, 0, 2, 9, 4), 1), P),
+    "validate_ptpath-neg": lambda P: tc.validate_ptpath(
+        PTPath((1, 0, -1), 1), P),
+    "ptpath_successors": lambda P: tc.ptpath_successors(
+        PTPath((1, 0, 2, 9, 4), 1), P),
+    "validate_ptpath-9-first": lambda P: tc.validate_ptpath(
+        PTPath((9, 0, 4), 1), P),
+    "validate_ptpath-str": lambda P: tc.validate_ptpath(
+        PTPath((1, 0, "4"), 1), P),
+    "validate_tpath-neg": lambda P: tc.validate_tpath(TPath((1, 0, -1), 1), P),
+    "validate_tpath-7": lambda P: tc.validate_tpath(TPath((1, 0, 7, 4), 1), P),
+    "validate_tpath-bool": lambda P: tc.validate_tpath(
+        TPath((1, True, 4), 1), P),
+    "validate_tpath-short": lambda P: tc.validate_tpath(TPath((9, 0), 1), P),
+    "validate_tpath-9-first": lambda P: tc.validate_tpath(
+        TPath((9, 0, 4), 1), P),
+    "validate_tpath-str": lambda P: tc.validate_tpath(
+        TPath((1, 0, "4"), 1), P),
+    "tpath_successors": lambda P: tc.tpath_successors(
+        TPath((1, 0, -1), 1), P),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_A_VERTEX))
+def test_a_non_vertex_is_refused(fan5, name):
+    with pytest.raises(PreconditionViolated, match="^not a vertex: "):
+        NOT_A_VERTEX[name](fan5)
 
 
 @pytest.mark.parametrize("v", [9, 5, -1, True, 1.0])
