@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import TooLarge
+from .errors import TooLarge, check_nonnegative
 
 # bound_sequence refuses K above this: the recurrence is O(K^2) products of
 # ever wider integers (K = 1000 takes about half a second, K = 2000 six)
@@ -29,8 +29,7 @@ class BoundSequence(NamedTuple):
 
 
 def bound_sequence(K: int) -> list[BoundSequence]:
-    if type(K) is not int or K < 0:
-        raise ValueError("K must be a nonnegative int")
+    check_nonnegative("K", K)
     if K > K_GUARD:
         raise TooLarge(f"K={K} exceeds sequence guard {K_GUARD}")
     f = [0] * (K + 1)

@@ -73,10 +73,13 @@ def load_point_set(path: str) -> PointSet:
 
 
 def _read_json(path: str, what: str, parse):
-    """parse of a JSON input file; any failure is an InputError."""
+    """parse of a JSON input file's list; any failure is an InputError."""
     import json
     try:
-        return parse(json.loads(Path(path).read_text()))
+        raw = json.loads(Path(path).read_text())
+        if not isinstance(raw, list):
+            raise TypeError("not a JSON list")
+        return parse(raw)
     except (OSError, TypeError, ValueError, RecursionError) as exc:
         raise InputError(f"bad {what} file: {exc}") from None
 
@@ -117,8 +120,6 @@ def cmd_count(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    if args.cap is not None and args.cap < 0:
-        raise InputError(f"--cap must be nonnegative, got {args.cap}")
     from . import oracle
     P = load_point_set(args.input)
     result = oracle.enumerate_structures(P, args.structure, cap=args.cap)
@@ -132,11 +133,6 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    if args.count < 0:
-        raise InputError(f"--count must be nonnegative, got {args.count}")
-    if args.max_table_entries is not None and args.max_table_entries < 0:
-        raise InputError("--max-table-entries must be nonnegative, "
-                         f"got {args.max_table_entries}")
     if args.format_dir is not None and args.format != "svg-dir":
         raise InputError("--format-dir needs --format svg-dir")
     from . import sampler
@@ -174,8 +170,6 @@ def cmd_sample(args) -> int:
 
 
 def cmd_sequence(args) -> int:
-    if args.k < 0:
-        raise InputError(f"--k must be nonnegative, got {args.k}")
     from . import analysis
     for row in analysis.bound_sequence(args.k):
         print(f"{row.k}\t{row.f}\t{row.g}")

@@ -27,7 +27,7 @@ class TooFewPoints(InputError):
     pass
 
 
-class PreconditionViolated(TricountError):
+class PreconditionViolated(TricountError, ValueError):
     exit_code = 2
 
 
@@ -65,3 +65,9 @@ class MemoryBudgetExceeded(ResourceRefusal):
 
 class InternalInvariantViolation(TricountError):
     exit_code = 4
+
+
+def check_nonnegative(name: str, value) -> None:
+    """The one check of a count parameter: an int (not a bool) >= 0."""
+    if type(value) is not int or value < 0:
+        raise PreconditionViolated(f"{name} must be a nonnegative int")

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .errors import CapExceeded, InternalInvariantViolation, TooLarge
+from .errors import (CapExceeded, InternalInvariantViolation, TooLarge,
+                     check_nonnegative)
 from .geom import EdgeSet, PointSet, adjacency, bits
 
 TRI_GUARD = 12
@@ -42,8 +43,8 @@ def enumerate_structures(P: PointSet, family: str,
                          cap: Optional[int] = None) -> EnumerationResult:
     """Every triangulation ("tri") or pointed pseudo-triangulation ("pt")
     of P as a set of segments, in sorted order."""
-    if cap is not None and (type(cap) is not int or cap < 0):
-        raise ValueError("cap must be a nonnegative int")
+    if cap is not None:
+        check_nonnegative("cap", cap)
     if family == "tri":
         guard, name = TRI_GUARD, "triangulation"
         target = 3 * P.n - 3 - len(P.hull)

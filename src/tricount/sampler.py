@@ -26,7 +26,7 @@ from itertools import accumulate
 from typing import Iterator, NamedTuple, Optional
 
 from .errors import (IncompatibleTuple, InternalInvariantViolation,
-                     MemoryBudgetExceeded, TooLarge)
+                     MemoryBudgetExceeded, TooLarge, check_nonnegative)
 from .geom import EdgeSet, PointSet, Segment, bits
 from .sweep import PathKey, PathSystem, sweep_lines, system_for
 
@@ -125,11 +125,10 @@ def draws(P: PointSet, family: str, seed: int, m: int,
     """m i.i.d. uniform draws, each its path tuple (l_1 first) and its
     structure, yielded one at a time.  The guards, the sweep and the nodes
     run at the call, so a refusal comes before any draw."""
-    if type(m) is not int or m < 0:
-        raise ValueError("m must be a nonnegative int")
-    if max_table_entries is not None and (
-            type(max_table_entries) is not int or max_table_entries < 0):
-        raise ValueError("max_table_entries must be a nonnegative int")
+    check_nonnegative("m", m)
+    if max_table_entries is not None:
+        check_nonnegative("max_table_entries", max_table_entries)
+    check_nonnegative("seed", seed)
     if m > M_GUARD:
         raise TooLarge(f"m={m} exceeds sample guard {M_GUARD}")
     system = system_for(family)

@@ -131,6 +131,14 @@ MUTANTS = [
            "if not emask & k:",
            "if e not in T:",
            ("tests/test_tpath.py::test_a_reversed_edge_is_its_segment",)),
+    Mutant("check_nonnegative without its sign test", "src/tricount/errors.py",
+           " or value < 0:", ":",
+           ("tests/test_package.py::test_count_parameters_refuse_a_non_int",
+            "tests/test_cli.py::test_out_of_range_argument_exit2")),
+    Mutant("draws without its seed door", "src/tricount/sampler.py",
+           '    check_nonnegative("seed", seed)\n', "",
+           ("tests/test_package.py::test_count_parameters_refuse_a_non_int",
+            "tests/test_cli.py::test_out_of_range_argument_exit2")),
 ]
 
 

@@ -106,7 +106,9 @@ def test_count_non_integer_json_exit2(tmp_path, capsys, pts):
     assert out == "" and err.startswith("error: ")
 
 
-@pytest.mark.parametrize("text", [LONG_INT, DEEP], ids=["long-int", "deep"])
+@pytest.mark.parametrize("text", [LONG_INT, DEEP, "{}", '""', '{"a": 1}', "5"],
+                         ids=["long-int", "deep", "empty-object", "string",
+                              "object", "number"])
 @pytest.mark.parametrize("argv,what", [
     (["sample", "JSON"], "JSON point"),
     (["enumerate", "JSON"], "JSON point"),
@@ -117,7 +119,8 @@ def test_count_non_integer_json_exit2(tmp_path, capsys, pts):
 ], ids=["sample", "enumerate", "render", "render-structure", "render-path"])
 def test_malformed_json_exit2(tmp_path, capsys, argv, what, text):
     # the cases of test_count_non_integer_json_exit2 in the other commands'
-    # point files and in render's reference files: exit 2, no output
+    # point files and in render's reference files, and JSON that is not a
+    # list: exit 2, no output
     (tmp_path / "pts.json").write_text('{"points": ' + text + "}")
     (tmp_path / "ref.json").write_text(text)
     names = {"FILE": write_points(tmp_path, FAN5),
@@ -127,7 +130,21 @@ def test_malformed_json_exit2(tmp_path, capsys, argv, what, text):
     assert main([names.get(a, a) for a in argv]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"error: bad {what} file: ")
+    if text[0] != "[" and what in ("structure", "path"):
+        assert err == f"error: bad {what} file: not a JSON list\n"
     assert not (tmp_path / "x.svg").exists()
+
+
+# by flag: a count is refused by the library parameter that reads it, and
+# --threads, which no library parameter reads, by the CLI
+OUT_OF_RANGE = {
+    "--threads": "--threads must be at least 1, got 0",
+    "--k": "K must be a nonnegative int",
+    "--count": "m must be a nonnegative int",
+    "--cap": "cap must be a nonnegative int",
+    "--max-table-entries": "max_table_entries must be a nonnegative int",
+    "--seed": "seed must be a nonnegative int",
+}
 
 
 @pytest.mark.parametrize("argv", [
@@ -136,12 +153,13 @@ def test_malformed_json_exit2(tmp_path, capsys, argv, what, text):
     ["sample", "FILE", "--count", "-2"],
     ["enumerate", "FILE", "--cap", "-1"],
     ["sample", "FILE", "--max-table-entries", "-1"],
+    ["sample", "FILE", "--seed", "-1"],
 ])
 def test_out_of_range_argument_exit2(tmp_path, capsys, argv):
     f = write_points(tmp_path, FAN5)
     assert main([f if a == "FILE" else a for a in argv]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error:")
+    assert out == "" and err == f"error: {OUT_OF_RANGE[argv[-2]]}\n"
 
 
 def test_count_bad_file_exit2(tmp_path, capsys):

@@ -171,6 +171,7 @@ COUNT_PARAMETERS = {
     "draws-m": lambda P, v: tc.draws(P, "tri", 0, v),
     "draws-max_table_entries": lambda P, v: tc.draws(
         P, "tri", 0, 1, max_table_entries=v),
+    "draws-seed": lambda P, v: tc.draws(P, "tri", v, 1),
     "bound_sequence-K": lambda P, v: tc.bound_sequence(v),
     "enumerate_structures-cap": lambda P, v: oracle.enumerate_structures(
         P, "tri", cap=v),
@@ -181,6 +182,8 @@ COUNT_PARAMETERS = {
 @pytest.mark.parametrize("name", sorted(COUNT_PARAMETERS))
 def test_count_parameters_refuse_a_non_int(fan5, name, value):
     # refused at the call, never read as 1 (True), used until a later
-    # TypeError (2.5, "3"), or put into a refusal of another kind
-    with pytest.raises(ValueError, match="must be a nonnegative int$"):
+    # TypeError (2.5, "3"), or put into a refusal of another kind; a seed
+    # is never read as another seed's stream (random.Random takes abs(-1))
+    with pytest.raises(ValueError, match="must be a nonnegative int$") as exc:
         COUNT_PARAMETERS[name](fan5, value)
+    assert exc.value.exit_code == 2
