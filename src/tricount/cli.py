@@ -72,16 +72,16 @@ def load_point_set(path: str) -> PointSet:
     return validate_point_set(parse_points(text))
 
 
-def _read_json(path: str, what: str, parse):
-    """parse of a JSON input file's list; any failure is an InputError."""
+def _read_json(path: str, what: str) -> list:
+    """A JSON input file's list; any failure to read one is an InputError."""
     import json
     try:
         raw = json.loads(Path(path).read_text())
-        if not isinstance(raw, list):
-            raise TypeError("not a JSON list")
-        return parse(raw)
-    except (OSError, TypeError, ValueError, RecursionError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"bad {what} file: {exc}") from None
+    if not isinstance(raw, list):
+        raise InputError(f"bad {what} file: not a JSON list")
+    return raw
 
 
 def write_text(path, text: str) -> None:
@@ -178,11 +178,10 @@ def cmd_sequence(args) -> int:
 
 def cmd_render(args) -> int:
     P = load_point_set(args.input)
-    pairs = (_read_json(args.structure_file, "structure",
-                        lambda raw: [(a, b) for a, b in raw])
+    pairs = (_read_json(args.structure_file, "structure")
              if args.structure_file else [])
     edges = [P.segments[k] for k in bits(P.edge_masks(pairs)[0])]
-    path_vertices = (_read_json(args.path_file, "path", list)
+    path_vertices = (_read_json(args.path_file, "path")
                      if args.path_file else [])
     P.check_vertices(path_vertices)
     if args.line is not None:

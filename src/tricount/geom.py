@@ -40,7 +40,7 @@ EdgeSet = frozenset[Segment]
 def seg(a: int, b: int) -> Segment:
     """Normalize an index pair into a Segment (a < b)."""
     if a == b:
-        raise ValueError("degenerate segment")
+        raise PreconditionViolated(f"not a segment: ({a!r}, {b!r})")
     return (a, b) if a < b else (b, a)
 
 
@@ -134,11 +134,6 @@ class PointSet:
 
     # -- basic predicates on vertex indices ------------------------------
 
-    def segments_cross(self, e: Segment, f: Segment) -> bool:
-        """Proper crossing, read off the crossing table (sharing an endpoint
-        is never a crossing)."""
-        return bool(self.edge_masks([e])[1] & self.edge_masks([f])[0])
-
     def above(self, f: Segment, e: Segment) -> bool:
         """Whether f crosses the sweep line above e.
 
@@ -160,11 +155,16 @@ class PointSet:
 
     def edge_masks(self, pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
         """Bitmask of the segments between the given vertex pairs, and its
-        blocked mask: the segments that cross one of them.  A pair that is
-        not two distinct int vertices of P raises PreconditionViolated."""
+        blocked mask: the segments that cross one of them.  Any item but a
+        pair of two distinct int vertices of P raises PreconditionViolated."""
         ids, cross, n = self.ids, self.cross, self.n
         emask = blocked = 0
-        for a, b in pairs:
+        for item in pairs:
+            try:
+                a, b = item
+            except (TypeError, ValueError):
+                raise PreconditionViolated(
+                    f"not a segment: {item!r}") from None
             if not (type(a) is type(b) is int and a != b
                     and 0 <= a < n and 0 <= b < n):
                 raise PreconditionViolated(f"not a segment: ({a!r}, {b!r})")

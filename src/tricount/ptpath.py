@@ -307,8 +307,7 @@ def _flip_diagonal(T: EdgeSet, e: Segment, P: PointSet
     if len(opp) < 2:
         return emask & ~k, None  # hull edge
     r, s = opp
-    rs = seg(r, s)
-    return emask & ~k, (rs if P.segments_cross(rs, e) else None)
+    return emask & ~k, (seg(r, s) if P.cross[P.ids[r][s]] & k else None)
 
 
 def is_flippable(T: EdgeSet, e: Segment, P: PointSet) -> bool:

@@ -139,6 +139,23 @@ MUTANTS = [
            '    check_nonnegative("seed", seed)\n', "",
            ("tests/test_package.py::test_count_parameters_refuse_a_non_int",
             "tests/test_cli.py::test_out_of_range_argument_exit2")),
+    Mutant("edge_masks without its item guard", "src/tricount/geom.py",
+           """            try:
+                a, b = item
+            except (TypeError, ValueError):
+                raise PreconditionViolated(
+                    f"not a segment: {item!r}") from None""",
+           "            a, b = item",
+           ("tests/test_geom.py::test_edge_masks_is_the_door_to_segments",
+            "tests/test_cli.py::test_render_non_segment_exit2[triple]")),
+    Mutant("parse_points without its two-token check", "src/tricount/cli.py",
+           """        if len(parts) != 2:
+            raise InputError(f"line {lineno}: expected 'x y', got {body!r}")
+""", "", ("tests/test_cli.py::test_count_bad_file_exit2",)),
+    Mutant("pt_good_edge without its membership check",
+           "src/tricount/ptpath.py",
+           "if not smask & k:", "if False:",
+           ("tests/test_ptpath.py::test_pt_good_edge",)),
 ]
 
 

@@ -91,11 +91,23 @@ LONG_INT = "[[0, 0], [1" + "0" * 4300 + ", 5], [3, 1]]"
 DEEP = "[" * 100_000 + "]" * 100_000
 
 
+# each point list's refusal, by its JSON text
+POINT_REFUSAL = {
+    "[[0, 0], [2.7, 2], [3, 7], [4, 8], [6, 18]]":
+        "non-integer coordinate 2.7 in [2.7, 2]",
+    "[[0, 0], [true, 5], [3, 1]]": "non-integer coordinate True in [True, 5]",
+    "[[0, 0], [1, 2, 3], [2, 5]]": "expected an (x, y) pair, got [1, 2, 3]",
+    "[[0, 0], 5, [2, 5]]": "expected an (x, y) pair, got 5",
+}
+
+
 @pytest.mark.parametrize("pts", [
     [[0, 0], [2.7, 2], [3, 7], [4, 8], [6, 18]],
     [[0, 0], [True, 5], [3, 1]],
     pytest.param(LONG_INT, id="long-int"),
     pytest.param(DEEP, id="deep"),
+    pytest.param([[0, 0], [1, 2, 3], [2, 5]], id="triple"),
+    pytest.param([[0, 0], 5, [2, 5]], id="scalar"),
 ])
 def test_count_non_integer_json_exit2(tmp_path, capsys, pts):
     p = tmp_path / "pts.json"
@@ -103,7 +115,11 @@ def test_count_non_integer_json_exit2(tmp_path, capsys, pts):
                                   else json.dumps(pts)) + "}")
     assert main(["count", str(p)]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error: ")
+    assert out == ""
+    if isinstance(pts, str):
+        assert err.startswith("error: bad JSON point file: ")
+    else:
+        assert err == f"error: {POINT_REFUSAL[json.dumps(pts)]}\n"
 
 
 @pytest.mark.parametrize("text", [LONG_INT, DEEP, "{}", '""', '{"a": 1}', "5"],
@@ -172,6 +188,11 @@ def test_count_bad_file_exit2(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: line 2: non-integer coordinate")
+    # a line of three tokens is refused, not read as its first two
+    p.write_text("0 0\n1 2 3\n3 1\n")
+    assert main(["count", str(p)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: line 2: expected 'x y', got '1 2 3'\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -465,18 +486,24 @@ def test_render_bad_reference(tmp_path, capsys):
         assert not out.exists()
 
 
-@pytest.mark.parametrize("content", [[[2, 2]], [[0, 9]], [[-1, 2]]])
+@pytest.mark.parametrize("content", [
+    [[2, 2]], [[0, 9]], [[-1, 2]],
+    pytest.param([[0, 1, 2]], id="triple"), pytest.param([5], id="scalar"),
+])
 def test_render_non_segment_exit2(tmp_path, capsys, content):
-    # structure edges become segments through PointSet.edge_masks, which
-    # refuses a pair that is not two distinct vertices of the point set
+    # structure items become segments through PointSet.edge_masks, which
+    # refuses a pair that is not two distinct vertices of the point set by
+    # its values, and any other item whole
     f = write_points(tmp_path, FAN5)
     sf = tmp_path / "structure.json"
     sf.write_text(json.dumps([[0, 1]] + content))
     out = tmp_path / "x.svg"
     assert main(["render", f, "--structure-file", str(sf),
                  "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err == f"error: not a segment: {tuple(content[0])}\n"
+    item = content[0]
+    if isinstance(item, list) and len(item) == 2:
+        item = tuple(item)
+    assert capsys.readouterr().err == f"error: not a segment: {item!r}\n"
     assert not out.exists()
 
 

@@ -149,11 +149,14 @@ def test_triangle_empty_table_matches_scan():
 
 
 def test_segments_cross(fan5):
-    assert fan5.segments_cross((0, 3), (1, 4))   # hull quad diagonals
-    assert not fan5.segments_cross((0, 1), (1, 3))  # shared endpoint
-    assert not fan5.segments_cross((0, 1), (3, 4))  # disjoint
+    def crosses(e, f):
+        return bool(fan5.edge_masks([e])[1] & fan5.edge_masks([f])[0])
+
+    assert crosses((0, 3), (1, 4))   # hull quad diagonals
+    assert not crosses((0, 1), (1, 3))  # shared endpoint
+    assert not crosses((0, 1), (3, 4))  # disjoint
     # symmetry
-    assert fan5.segments_cross((1, 4), (0, 3))
+    assert crosses((1, 4), (0, 3))
 
 
 def test_edge_masks_is_the_door_to_segments(fan5):
@@ -169,8 +172,11 @@ def test_edge_masks_is_the_door_to_segments(fan5):
                  (True, 2), ("1", 2), (None, 2)):
         with pytest.raises(PreconditionViolated, match="not a segment"):
             fan5.edge_masks([(0, 1), pair])
-        with pytest.raises(PreconditionViolated):
-            fan5.segments_cross(pair, (0, 1))
+    # an item that is no pair at all is refused whole, by its value
+    for item in ((0, 1, 2), 5, None, (3,)):
+        with pytest.raises(PreconditionViolated,
+                           match=rf"^not a segment: {re.escape(repr(item))}$"):
+            fan5.edge_masks([(0, 1), item])
 
 
 def test_check_vertices_is_the_door_to_vertices(fan5):
@@ -226,7 +232,8 @@ def test_kernel_matches_orientation_scan():
         segs = P.segments
         for e in segs:
             for f in segs:
-                assert P.segments_cross(e, f) == scan.segments_cross(e, f, P)
+                assert bool(P.edge_masks([e])[1] & P.edge_masks([f])[0]) \
+                    == scan.segments_cross(e, f, P)
         for a in range(n):
             for b in range(a + 1, n):
                 for c in range(b + 1, n):
@@ -253,8 +260,8 @@ def test_kernel_matches_orientation_scan():
 
 
 def test_crossing_table_matches_pairwise():
-    # the table is read off left-of masks, and P.segments_cross reads the
-    # table; compare every pair with the orientation scan
+    # the table is read off left-of masks, and PointSet.edge_masks reads
+    # the table; compare every pair with the orientation scan
     for n in range(4, 13):
         P = random_point_set(n, 1100 + n)
         segs, ids, cross = P.segments, P.ids, P.cross
@@ -275,7 +282,7 @@ def test_above_matches_crossing_ordinate():
             ys = {e: scan.cross_y(P, e, i) for e in crossing}
             for e in crossing:
                 for f in crossing:
-                    if f != e and not P.segments_cross(e, f):
+                    if f != e and not scan.segments_cross(e, f, P):
                         assert P.above(f, e) == (ys[f] > ys[e])
 
 

@@ -43,7 +43,8 @@ def test_structure_invariants(fan5):
         for T in tri.structures:
             assert hull_edges <= T
             assert len(T) == 3 * n - 3 - len(hull)
-            assert not any(P.segments_cross(e, f) for e in T for f in T)
+            emask, blocked = P.edge_masks(T)
+            assert not emask & blocked
         pt = oracle.enumerate_structures(P, "pt")
         assert len(set(pt.structures)) == pt.count
         for S in pt.structures:

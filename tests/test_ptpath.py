@@ -49,7 +49,7 @@ def test_validate_pseudotriangulation_matches_oracle(n, seed):
             r = tc.validate_pseudotriangulation(S - {e}, P)
             assert not r and r.reason == "not_maximal"
         for e in segs:
-            if e not in S and not any(P.segments_cross(e, f) for f in S):
+            if e not in S and not P.edge_masks([e])[0] & P.edge_masks(S)[1]:
                 r = tc.validate_pseudotriangulation(S | {e}, P)
                 assert not r and r.reason == "not_pointed"
     for T in oracle.enumerate_structures(P, "tri").structures:
@@ -67,6 +67,7 @@ def test_validate_ptpath_initial(fan5):
     assert tc.validate_ptpath(PTPath((1, 0, 4), 1), fan5)
     r = tc.validate_ptpath(PTPath((4, 0, 1), 1), fan5)
     assert not r
+    assert tc.validate_ptpath(PTPath((1, 0), 1), fan5).reason == "too_short"
 
 
 def test_extract_ptpath(fan5, tri3):
@@ -147,6 +148,12 @@ def test_pt_good_edge(fan5):
                 assert tc.pt_good_edge(S, e, 2, fan5)
     with pytest.raises(EdgeDoesNotCrossLine):
         tc.pt_good_edge(S, (0, 1), 2, fan5)
+    # a segment that crosses l_2 but is no edge of S (hull edges all are)
+    e = next(f for f in fan5.segments
+             if geom.edge_crosses_line(f, 2) and f not in S)
+    with pytest.raises(PreconditionViolated) as exc:
+        tc.pt_good_edge(S, e, 2, fan5)
+    assert str(exc.value) == f"edge {e} not in the structure"
 
 
 def test_good_edges_are_path_crossings():
@@ -242,6 +249,8 @@ NON_SEGMENT = {
                                                       "tri"),
     "paths_cross": lambda fan5, conv5: tc.paths_cross((1, 0, -1), (1, 0, 4),
                                                       conv5),
+    # a repeated vertex makes no chain edge
+    "PTPath.edges": lambda fan5, conv5: PTPath((1, 1, 2), 1).edges(),
 }
 
 

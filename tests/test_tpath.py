@@ -81,7 +81,7 @@ def test_is_flippable(fan5, conv5):
     T = fan5_star_triangulation()
     # spoke (0,2): quad 1,2,4,0 - convexity decided exactly
     assert tc.is_flippable(T, (0, 2), fan5) == \
-        fan5.segments_cross((1, 4), (0, 2))
+        bool(fan5.edge_masks([(1, 4)])[1] & fan5.edge_masks([(0, 2)])[0])
     for h in ((0, 1), (1, 3), (3, 4), (0, 4)):
         assert not tc.is_flippable(T, h, fan5)
     fan = frozenset({(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4)})
