@@ -15,7 +15,6 @@ _SOURCE = {name: module for module, names in {
     "analysis": ("BoundSequence", "bound_sequence"),
     "errors": ("TricountError",),
     "geom": ("PointSet", "validate_point_set"),
-    "oracle": ("EnumerationResult",),
     "ptpath": ("PTPath", "TPath", "collect_paths", "extract_ptpath",
                "extract_tpath", "flip", "is_flippable", "is_good_edge",
                "is_pointed", "paths_cross", "pt_good_edge",

@@ -122,12 +122,12 @@ def cmd_count(args) -> int:
 def cmd_enumerate(args) -> int:
     from . import oracle
     P = load_point_set(args.input)
-    result = oracle.enumerate_structures(P, args.structure, cap=args.cap)
+    structures = oracle.enumerate_structures(P, args.structure, cap=args.cap)
     if args.format == "json":
         import json
-        print(json.dumps([sorted(map(list, S)) for S in result.structures]))
+        print(json.dumps([sorted(map(list, S)) for S in structures]))
     else:
-        for S in result.structures:
+        for S in structures:
             print(" ".join(f"{a}-{b}" for a, b in sorted(S)))
     return 0
 

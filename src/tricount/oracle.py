@@ -29,18 +29,8 @@ def addable(P: PointSet, adj: list[int], a: int, b: int) -> bool:
     return P.pointed(a, adj[a] | 1 << b) and P.pointed(b, adj[b] | 1 << a)
 
 
-class EnumerationResult:
-    def __init__(self, family: str):
-        self.family = family  # "tri" or "pt"
-        self.structures: list[EdgeSet] = []
-
-    @property
-    def count(self) -> int:
-        return len(self.structures)
-
-
 def enumerate_structures(P: PointSet, family: str,
-                         cap: Optional[int] = None) -> EnumerationResult:
+                         cap: Optional[int] = None) -> list[EdgeSet]:
     """Every triangulation ("tri") or pointed pseudo-triangulation ("pt")
     of P as a set of segments, in sorted order."""
     if cap is not None:
@@ -65,7 +55,7 @@ def enumerate_structures(P: PointSet, family: str,
     # block[k]: the segments whose inclusion can rule segment k out
     block = [cross[k] | inner[a] | inner[b] for k, (a, b) in enumerate(edges)]
     adj = adjacency(P.hull_edges, n)  # of the included segments
-    result = EnumerationResult(family)
+    structures: list[EdgeSet] = []
 
     def rec(imask: int, xmask: int, avail: int) -> None:
         free = avail & ~xmask
@@ -76,8 +66,8 @@ def enumerate_structures(P: PointSet, family: str,
                     raise InternalInvariantViolation(
                         f"maximal {family} set with {len(chosen)} edges, "
                         f"expected {target}")
-                result.structures.append(chosen)
-                if cap is not None and len(result.structures) > cap:
+                structures.append(chosen)
+                if cap is not None and len(structures) > cap:
                     raise CapExceeded(f"more than {cap} structures")
             return
         # an excluded but still addable segment must be ruled out later
@@ -103,6 +93,6 @@ def enumerate_structures(P: PointSet, family: str,
 
     hmask = P.edge_masks(P.hull_edges)[0]
     rec(hmask, 0, ((1 << len(edges)) - 1) ^ hmask)
-    result.structures.sort(key=sorted)
-    return result
+    structures.sort(key=sorted)
+    return structures
 

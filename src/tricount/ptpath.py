@@ -128,7 +128,7 @@ def collect_paths(P: PointSet, i: int, family: str) -> set[PathKey]:
     """Reference path population: extract from every enumerated structure."""
     zigzag = system_for(family).zigzag
     return {extract_path(S, i, P, zigzag)
-            for S in enumerate_structures(P, family).structures}
+            for S in enumerate_structures(P, family)}
 
 
 def path_successors(path: PTPath, P: PointSet, system: PathSystem,

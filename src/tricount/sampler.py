@@ -37,7 +37,6 @@ M_GUARD = 100_000
 
 
 class ReconstructedStructure(NamedTuple):
-    family: str
     mask: int  # bit k: segments[k] is an edge
     segments: list[Segment]  # the point set's segments, by bit
 
@@ -95,7 +94,7 @@ def reconstruct(tuple_keys: list[PathKey], P: PointSet,
     zigzag = system_for(family).zigzag
     pairs = (e for key in tuple_keys for e in zip(key, key[1:]))
     emask = _complete(P, zigzag, *P.edge_masks(pairs), _stars(P))
-    return ReconstructedStructure(family, emask, P.segments)
+    return ReconstructedStructure(emask, P.segments)
 
 
 def _root(P: PointSet, system: PathSystem,
@@ -156,6 +155,6 @@ def draws(P: PointSet, family: str, seed: int, m: int,
                 emask = _complete(P, system.zigzag, emask, blocked, stars)
             except IncompatibleTuple as exc:
                 raise InternalInvariantViolation(f"a drawn {exc}") from exc
-            yield chosen, ReconstructedStructure(family, emask, P.segments)
+            yield chosen, ReconstructedStructure(emask, P.segments)
 
     return walk()

@@ -8,6 +8,7 @@ import pytest
 
 import tricount as tc
 from tricount.geom import orientation
+from tricount.sweep import sweep_lines
 
 # subprocess tests run `python -m tricount.cli`; let them import from src/
 # as the test process does (pyproject's pytest pythonpath)
@@ -93,6 +94,41 @@ def line_tables(lines):
         counts = ([1] * len(keys) if counts is None else
                   [sum(counts[j] for j in js) for js in parents])
         yield Table(line, keys, counts, parents)
+
+
+def rotated_key(key, n):
+    """A path key of an n-point set as a key of its 180-degree image, and
+    back: vertex v is vertex n-1-v there, and the lower end is the upper."""
+    return tuple(n - 1 - v for v in reversed(key))
+
+
+def forward_backward(P, family):
+    """Each line l_m of P's sweep, l_1 first, as its forward table and its
+    backward counts B: the image of P turned by 180 degrees sweeps the other
+    way, and its line l_{n-m} is l_m, so B maps each path of the image's
+    population there, as a key of P, to its forward count.  A structure of
+    P is a path at l_m with a structure on either side, so F(key) * B(key)
+    of them have that path there."""
+    system = tc.system_for(family)
+    image = tc.validate_point_set([(-x, -y) for x, y in P.points])
+    back = list(line_tables(sweep_lines(system, image)))
+    for table in line_tables(sweep_lines(system, P)):
+        b = back[P.n - 1 - table.line]
+        yield table, {rotated_key(k, P.n): c
+                      for k, c in zip(b.keys, b.counts)}
+
+
+def check_forward_backward(P, family):
+    """Assert, at every line, that the population's image is exactly the
+    image's population and that the sum of F * B over it is the count N;
+    return N."""
+    sums = []
+    for table, B in forward_backward(P, family):
+        assert set(table.keys) == B.keys(), (family, table.line)
+        sums.append(sum(F * B[k] for k, F in zip(table.keys, table.counts)))
+    # l_{n-1} holds the one path, whose forward count is N
+    assert sums == [table.counts[0]] * len(sums), (family, sums)
+    return sums[0]
 
 
 @pytest.fixture(scope="session")

@@ -37,11 +37,13 @@ class Mutant(NamedTuple):
 
 
 CHORDS = ("tests/test_sampler.py::test_hull_chord_frequencies_of_draws",)
+MIDDLE_LINE = (
+    "tests/test_sampler.py::test_middle_line_path_frequencies_of_draws",)
 
 MUTANTS = [
     Mutant("uniform parent pick", "src/tricount/sampler.py",
            "parents[bisect_right(cum, r)]",
-           "parents[r % len(parents)]", CHORDS),
+           "parents[r % len(parents)]", CHORDS + MIDDLE_LINE),
     Mutant("clamped index, no rejection redraw", "src/tricount/sampler.py",
            """                while r >= count:
                     r = getrandbits(k)
@@ -49,7 +51,14 @@ MUTANTS = [
                     parents[bisect_right(cum, r)]""",
            """                key, count, k, e, b, cum, parents = \\
                     parents[min(bisect_right(cum, r), len(parents) - 1)]""",
-           CHORDS),
+           CHORDS + MIDDLE_LINE),
+    Mutant("parent weights in reversed order", "src/tricount/sampler.py",
+           "accumulate(p[1] for p in nodes)",
+           "accumulate(p[1] for p in nodes[::-1])",
+           MIDDLE_LINE),
+    Mutant("parent thresholds off by one", "src/tricount/sampler.py",
+           "parents[bisect_right(cum, r)]",
+           "parents[bisect_right(cum, r - 1)]", CHORDS),
     Mutant("monotone removals only from j >= m + 1",
            "tests/monotone_reference.py",
            "for j in range(max(1, m), len(path) - 1):",

@@ -60,11 +60,11 @@ def test_criterion_1_oracle_equivalence_tri(tmp_path):
             for s in SEEDS:
                 pts = random_point_set(n, 1000 * n + s).points
                 got, P = count_inprocess(pts, "tri")
-                assert got == oracle.enumerate_structures(P, "tri").count
+                assert got == len(oracle.enumerate_structures(P, "tri"))
         for n in range(3, 11):
             pts = conv_points(n)
             got, P = count_inprocess(pts, "tri")
-            assert got == oracle.enumerate_structures(P, "tri").count
+            assert got == len(oracle.enumerate_structures(P, "tri"))
         # the CLI path itself, spot-checked end to end
         assert cli_count(tmp_path, FAN5, "tri") == 3
         assert cli_count(tmp_path, conv_points(6), "tri") == 14
@@ -77,11 +77,11 @@ def test_criterion_2_oracle_equivalence_pt(tmp_path):
                 pts = random_point_set(n, 2000 * n + s).points
                 got, P = count_inprocess(pts, "pt")
                 assert got == \
-                    oracle.enumerate_structures(P, "pt").count
+                    len(oracle.enumerate_structures(P, "pt"))
         for n in range(3, 9):
             got, P = count_inprocess(conv_points(n), "pt")
             assert got == \
-                oracle.enumerate_structures(P, "pt").count
+                len(oracle.enumerate_structures(P, "pt"))
         assert cli_count(tmp_path, FAN5, "pt") == 8
 
 
@@ -114,7 +114,7 @@ def test_criterion_5_path_population_equivalence():
 def test_criterion_6_structural_lemmas():
     with criterion(6, "structural lemma suite"):
         for P in instances_structural(max_n=8):
-            tris = oracle.enumerate_structures(P, "tri").structures
+            tris = oracle.enumerate_structures(P, "tri")
             sigs = set()
             for T in tris:
                 covered = set()
@@ -146,7 +146,7 @@ def test_criterion_6_structural_lemmas():
                             assert keys[a] == keys[b] or \
                                 tc.paths_cross(keys[a], keys[b], P)
 
-            pts_structs = oracle.enumerate_structures(P, "pt").structures
+            pts_structs = oracle.enumerate_structures(P, "pt")
             sigs = set()
             for S in pts_structs:
                 covered = set()
@@ -194,7 +194,7 @@ def test_criterion_8_sampler_uniformity():
                 (FAN5, "pt", 3000)]
         for pts, fam, m in jobs:
             P = tc.validate_point_set(pts)
-            cats = oracle.enumerate_structures(P, fam).structures
+            cats = oracle.enumerate_structures(P, fam)
             run = sample(P, fam, seed=20260824, m=m)
             counter = collections.Counter(s.edges for s in run.structures)
             observed = [counter[S] for S in cats]

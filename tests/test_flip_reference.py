@@ -21,7 +21,7 @@ def test_convex_catalan():
 @pytest.mark.parametrize("n", range(5, 10))
 def test_matches_oracle(n):
     P = random_point_set(n, 1000 * n)
-    expect = len(oracle.enumerate_structures(P, "pt").structures)
+    expect = len(oracle.enumerate_structures(P, "pt"))
     assert count_pseudotriangulations(P) == expect
 
 

@@ -21,7 +21,7 @@ def test_convex_catalan():
 def test_matches_oracle(n):
     for s in range(6):
         P = random_point_set(n, 900 + 10 * n + s)
-        expect = len(oracle.enumerate_structures(P, "tri").structures)
+        expect = len(oracle.enumerate_structures(P, "tri"))
         assert count_triangulations(P) == expect
 
 

@@ -13,16 +13,16 @@ def test_catalan():
 
 
 def test_triangulation_counts(fan5, conv6, tri3):
-    assert oracle.enumerate_structures(tri3, "tri").count == 1
-    assert oracle.enumerate_structures(conv6, "tri").count == 14
-    assert oracle.enumerate_structures(fan5, "tri").count == 3
+    assert len(oracle.enumerate_structures(tri3, "tri")) == 1
+    assert len(oracle.enumerate_structures(conv6, "tri")) == 14
+    assert len(oracle.enumerate_structures(fan5, "tri")) == 3
 
 
 def test_pt_counts(fan5, conv5, tri3):
-    assert oracle.enumerate_structures(tri3, "pt").count == 1
-    assert oracle.enumerate_structures(conv5, "pt").count == 5
+    assert len(oracle.enumerate_structures(tri3, "pt")) == 1
+    assert len(oracle.enumerate_structures(conv5, "pt")) == 5
     # golden value pinned by this enumerator
-    assert oracle.enumerate_structures(fan5, "pt").count == 8
+    assert len(oracle.enumerate_structures(fan5, "pt")) == 8
 
 
 def test_convex_position_catalan():
@@ -31,7 +31,7 @@ def test_convex_position_catalan():
     for fam, guard in (("tri", oracle.TRI_GUARD), ("pt", oracle.PT_GUARD)):
         for n in range(3, guard + 1):
             P = tc.validate_point_set(conv_points(n))
-            assert oracle.enumerate_structures(P, fam).count == \
+            assert len(oracle.enumerate_structures(P, fam)) == \
                 catalan(n - 2)
 
 
@@ -39,15 +39,15 @@ def test_structure_invariants(fan5):
     for P in [fan5] + [random_point_set(n, 300 + n) for n in range(5, 10)]:
         n, hull, hull_edges = P.n, P.hull, set(P.hull_edges)
         tri = oracle.enumerate_structures(P, "tri")
-        assert len(set(tri.structures)) == tri.count
-        for T in tri.structures:
+        assert len(set(tri)) == len(tri)
+        for T in tri:
             assert hull_edges <= T
             assert len(T) == 3 * n - 3 - len(hull)
             emask, blocked = P.edge_masks(T)
             assert not emask & blocked
         pt = oracle.enumerate_structures(P, "pt")
-        assert len(set(pt.structures)) == pt.count
-        for S in pt.structures:
+        assert len(set(pt)) == len(pt)
+        for S in pt:
             assert hull_edges <= S
             assert len(S) == 2 * n - 3
             assert tc.validate_pseudotriangulation(S, P)
@@ -58,7 +58,7 @@ def test_structure_invariants(fan5):
 def test_oracle_matches_sweep_at_guard(fam, n):
     for seed in range(3):
         P = random_point_set(n, 400 + 10 * n + seed)
-        assert oracle.enumerate_structures(P, fam).count == \
+        assert len(oracle.enumerate_structures(P, fam)) == \
             tc.run_sweep(tc.system_for(fam), P)[0]
 
 
@@ -81,7 +81,7 @@ def test_collect_paths(fan5, conv5):
         assert len(ptpath.collect_paths(fan5, 1, fam)) == 1
     tri = oracle.enumerate_structures(conv5, "tri")
     for i in range(1, conv5.n):
-        assert len(ptpath.collect_paths(conv5, i, "tri")) <= tri.count
+        assert len(ptpath.collect_paths(conv5, i, "tri")) <= len(tri)
 
 
 def triangulations_via_flips(P, start):
@@ -102,12 +102,17 @@ def triangulations_via_flips(P, start):
 def test_flip_closure_matches_enumeration(fan5):
     for P in (fan5, random_point_set(6, 5), random_point_set(7, 6)):
         res = oracle.enumerate_structures(P, "tri")
-        closure = triangulations_via_flips(P, res.structures[0])
-        assert closure == set(res.structures)
+        closure = triangulations_via_flips(P, res[0])
+        assert closure == set(res)
+
+
+def test_enumeration_is_the_sorted_list(fan5):
+    for fam in ("tri", "pt"):
+        structures = oracle.enumerate_structures(fan5, fam)
+        assert type(structures) is list
+        assert structures == sorted(structures, key=sorted)
 
 
 def test_enumerate_structures_dispatch(tri3):
-    assert oracle.enumerate_structures(tri3, "tri").family == "tri"
-    assert oracle.enumerate_structures(tri3, "pt").family == "pt"
     with pytest.raises(ValueError):
         oracle.enumerate_structures(tri3, "x")

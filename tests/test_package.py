@@ -100,7 +100,7 @@ def test_count_and_sample_do_not_load_json(tmp_path, argv):
 
 
 def test_lazy_exports_are_the_module_bindings():
-    assert len(tc.__all__) == len(set(tc.__all__)) == 30
+    assert len(tc.__all__) == len(set(tc.__all__)) == 29
     for name in tc.__all__:
         module = importlib.import_module(f"tricount.{tc._SOURCE[name]}")
         assert getattr(tc, name) is getattr(module, name), name

@@ -41,7 +41,7 @@ def test_validate_pseudotriangulation_matches_oracle(n, seed):
     # edge removed or one non-crossing edge added, and among the
     # triangulations exactly those that are pseudo-triangulations
     P = random_point_set(n, seed)
-    structures = set(oracle.enumerate_structures(P, "pt").structures)
+    structures = set(oracle.enumerate_structures(P, "pt"))
     segs = P.segments
     for S in structures:
         assert tc.validate_pseudotriangulation(S, P)
@@ -52,13 +52,13 @@ def test_validate_pseudotriangulation_matches_oracle(n, seed):
             if e not in S and not P.edge_masks([e])[0] & P.edge_masks(S)[1]:
                 r = tc.validate_pseudotriangulation(S | {e}, P)
                 assert not r and r.reason == "not_pointed"
-    for T in oracle.enumerate_structures(P, "tri").structures:
+    for T in oracle.enumerate_structures(P, "tri"):
         assert bool(tc.validate_pseudotriangulation(T, P)) == \
             (T in structures)
 
 
 def test_oracle_structures_validate(fan5):
-    for S in oracle.enumerate_structures(fan5, "pt").structures:
+    for S in oracle.enumerate_structures(fan5, "pt"):
         assert tc.validate_pseudotriangulation(S, fan5)
         assert len(S) == 2 * fan5.n - 3
 
@@ -74,7 +74,7 @@ def test_extract_ptpath(fan5, tri3):
     T = frozenset({(0, 1), (0, 2), (1, 2)})
     assert tc.extract_ptpath(T, 1, tri3).vertices == \
         tc.extract_tpath(T, 1, tri3).vertices
-    for S in oracle.enumerate_structures(fan5, "pt").structures:
+    for S in oracle.enumerate_structures(fan5, "pt"):
         for i in range(1, fan5.n):
             path = tc.extract_ptpath(S, i, fan5)
             assert tc.validate_ptpath(path, fan5)
@@ -121,15 +121,15 @@ def test_convex_position_pt_equals_t(conv5):
     # in convex position every pseudo-triangulation is a triangulation
     tri = oracle.enumerate_structures(conv5, "tri")
     pt = oracle.enumerate_structures(conv5, "pt")
-    assert set(tri.structures) == set(pt.structures)
-    for T in tri.structures:
+    assert set(tri) == set(pt)
+    for T in tri:
         for i in range(1, conv5.n):
             assert tc.extract_ptpath(T, i, conv5).vertices == \
                 tc.extract_tpath(T, i, conv5).vertices
 
 
 def test_crossing_positions(fan5):
-    S = next(iter(oracle.enumerate_structures(fan5, "pt").structures))
+    S = next(iter(oracle.enumerate_structures(fan5, "pt")))
     path = tc.extract_ptpath(S, 2, fan5)
     crossing = [k for k, e in enumerate(path.edges())
                 if geom.edge_crosses_line(e, path.line)]
@@ -139,8 +139,7 @@ def test_crossing_positions(fan5):
 
 
 def test_pt_good_edge(fan5):
-    S = frozenset(sorted(oracle.enumerate_structures(fan5, "pt")
-                         .structures)[0])
+    S = frozenset(sorted(oracle.enumerate_structures(fan5, "pt"))[0])
     for e in S:
         if geom.edge_crosses_line(e, 2):
             hull_edges = {(0, 1), (1, 3), (3, 4), (0, 4)}
@@ -160,7 +159,7 @@ def test_good_edges_are_path_crossings():
     # signpost rule agrees with the extracted path's crossing edges
     for n, seed in ((5, 20), (6, 21), (7, 22)):
         P = random_point_set(n, seed)
-        for S in oracle.enumerate_structures(P, "pt").structures:
+        for S in oracle.enumerate_structures(P, "pt"):
             for i in range(1, P.n):
                 path = tc.extract_ptpath(S, i, P)
                 crossing = {e for e in path.edges()
@@ -171,7 +170,7 @@ def test_good_edges_are_path_crossings():
 
 
 def test_every_edge_on_some_ptpath(fan5):
-    for S in oracle.enumerate_structures(fan5, "pt").structures:
+    for S in oracle.enumerate_structures(fan5, "pt"):
         covered = set()
         for i in range(1, fan5.n):
             covered |= set(tc.extract_ptpath(S, i, fan5).edges())

@@ -1,5 +1,6 @@
 import collections
 import hashlib
+import itertools
 import math
 import random
 import weakref
@@ -17,14 +18,21 @@ from tricount.errors import (
     TooLarge,
 )
 
-from conftest import (FAN5, conv_points, line_tables, random_point_set,
-                      random_points, sample)
+from conftest import (FAN5, conv_points, forward_backward, line_tables,
+                      random_point_set, random_points, sample)
 
 
 def test_three_points_constant(tri3):
     run = sample(tri3, "tri", seed=1, m=5)
     T = frozenset({(0, 1), (0, 2), (1, 2)})
     assert all(s.edges == T for s in run.structures)
+
+
+def test_a_draw_is_its_mask_over_the_segments(fan5):
+    ((_, s),) = sampler.draws(fan5, "pt", 0, 1)
+    assert s._fields == ("mask", "segments")
+    assert s.segments == fan5.segments
+    assert s.edges == {fan5.segments[k] for k in tc.geom.bits(s.mask)}
 
 
 def test_seed_determinism(conv5):
@@ -38,7 +46,7 @@ def test_seed_determinism(conv5):
 def test_samples_are_valid_structures(fan5):
     for fam in ("tri", "pt"):
         run = sample(fan5, fam, seed=3, m=30)
-        valid = set(oracle.enumerate_structures(fan5, fam).structures)
+        valid = set(oracle.enumerate_structures(fan5, fam))
         for s in run.structures:
             assert s.edges in valid
 
@@ -46,7 +54,7 @@ def test_samples_are_valid_structures(fan5):
 def test_reconstruct_round_trip(fan5, conv5):
     for P in (fan5, conv5, random_point_set(6, 60)):
         for fam in ("tri", "pt"):
-            for S in oracle.enumerate_structures(P, fam).structures:
+            for S in oracle.enumerate_structures(P, fam):
                 if fam == "tri":
                     keys = [tc.extract_tpath(S, i, P).vertices
                             for i in range(1, P.n)]
@@ -57,7 +65,7 @@ def test_reconstruct_round_trip(fan5, conv5):
 
 
 def test_reconstruct_order_independent(conv5):
-    S = oracle.enumerate_structures(conv5, "tri").structures[0]
+    S = oracle.enumerate_structures(conv5, "tri")[0]
     keys = [tc.extract_tpath(S, i, conv5).vertices for i in range(1, conv5.n)]
     base = tc.reconstruct(keys, conv5, "tri").edges
     # reversed greedy candidate order must complete to the same set
@@ -211,7 +219,7 @@ def test_sampled_structures_match_reconstruct(family, n, seed):
 
 def test_chi_square_uniformity(conv5):
     from scipy.stats import chisquare
-    cats = oracle.enumerate_structures(conv5, "tri").structures
+    cats = oracle.enumerate_structures(conv5, "tri")
     run = sample(conv5, "tri", seed=11, m=2000)
     counter = collections.Counter(s.edges for s in run.structures)
     observed = [counter[S] for S in cats]
@@ -246,7 +254,7 @@ def test_hull_chord_marginals_match_oracle(family, max_n):
     for n in range(5, max_n + 1):
         for seed in range(4):
             P = random_point_set(n, 500 + 100 * seed + n)
-            structures = oracle.enumerate_structures(P, family).structures
+            structures = oracle.enumerate_structures(P, family)
             for e, marginal in hull_chords(P, family):
                 assert sum(e in S for S in structures) == marginal, (n, e)
 
@@ -266,6 +274,35 @@ def test_hull_chord_frequencies_of_draws(family, n):
         p = marginal / total
         z = (hits[e] - m * p) / math.sqrt(m * p * (1 - p))
         assert abs(z) <= 5, (e, hits[e], m * p)
+
+
+@pytest.mark.parametrize("family,n", [("tri", 14), ("pt", 11)])
+def test_middle_line_path_frequencies_of_draws(family, n):
+    # above the oracle range, every path of the middle line l_{n//2} at
+    # once: F(key) * B(key) / N is its exact marginal (forward_backward),
+    # against which 20,000 draws' tally there gives a chi-square statistic.
+    # For a uniform sampler it has mean dof and variance about 2 dof, so z
+    # is about standard normal; cells expecting under one draw widen it a
+    # little, and multinomial draws from these marginals reach z >= 5 about
+    # once in 1e4 (tri) and less than once in 1e5 (pt).  So z < 5 holds for
+    # a reseeded stream, while the parent-pick mutants that select this
+    # test read z of 200 and more.  A deficit shows no bias, so the bound
+    # is one sided.
+    P = random_point_set(n, 500 + n)
+    line = n // 2
+    table, B = next(itertools.islice(forward_backward(P, family),
+                                     line - 1, None))
+    weights = [F * B[k] for k, F in zip(table.keys, table.counts)]
+    total = sum(weights)
+    m = 20_000
+    hits = collections.Counter(
+        keys[line - 1] for keys, _ in sampler.draws(P, family, 0, m))
+    assert hits.keys() <= set(table.keys)
+    chi2 = sum((hits[k] - m * w / total) ** 2 / (m * w / total)
+               for k, w in zip(table.keys, weights))
+    dof = len(table.keys) - 1
+    z = (chi2 - dof) / math.sqrt(2 * dof)
+    assert z < 5, (z, dof)
 
 
 def test_interleaved_pt_streams_are_independent():

@@ -8,8 +8,9 @@ import tricount as tc
 from tricount import geom, oracle, ptpath, sampler, sweep
 from tricount.errors import InternalInvariantViolation
 
-from conftest import (double_chain, double_chain_tri_count, line_tables,
-                      random_point_set, random_points, sample)
+from conftest import (check_forward_backward, conv_points, double_chain,
+                      double_chain_tri_count, line_tables, random_point_set,
+                      random_points, sample)
 from flip_reference import count_pseudotriangulations
 from monotone_reference import count_triangulations
 
@@ -236,7 +237,7 @@ def test_blocked_seed_keeps_the_chains_inside(fan5, conv6, family):
     for P in (fan5, conv6):
         population = {i: sweep.path_chains(P, i, zigzag)
                       for i in range(1, P.n)}
-        for S in oracle.enumerate_structures(P, family).structures:
+        for S in oracle.enumerate_structures(P, family):
             for E in [S] + [S - {e} for e in S]:
                 outside = ~P.edge_masks(E)[0]
                 for i, chains in population.items():
@@ -255,9 +256,9 @@ def test_system_for():
 def test_sweep_matches_oracle_random(n, seed):
     P = random_point_set(n, seed)
     assert tc.run_sweep(tc.TRI_SYSTEM, P)[0] == \
-        oracle.enumerate_structures(P, "tri").count
+        len(oracle.enumerate_structures(P, "tri"))
     assert tc.run_sweep(tc.PT_SYSTEM, P)[0] == \
-        oracle.enumerate_structures(P, "pt").count
+        len(oracle.enumerate_structures(P, "pt"))
 
 
 @pytest.mark.parametrize("family,n,seed,count", [
@@ -301,7 +302,7 @@ def test_counters_agree_under_large_affine_maps(n, seed, grid, linear, shift):
     for family in ("tri", "pt"):
         counts[family] = tc.run_sweep(tc.system_for(family), P)[0]
         assert tc.run_sweep(tc.system_for(family), Q)[0] == counts[family]
-        assert oracle.enumerate_structures(Q, family).count == counts[family]
+        assert len(oracle.enumerate_structures(Q, family)) == counts[family]
     assert count_triangulations(Q) == counts["tri"]
     if n <= 8:
         assert count_pseudotriangulations(Q) == counts["pt"]
@@ -347,7 +348,7 @@ def test_four_counters_agree_on_drawn_sets(drawn, linear, shift):
     system = tc.system_for(family)
     count = tc.run_sweep(system, P)[0]
     assert tc.run_sweep(system, Q)[0] == count
-    assert oracle.enumerate_structures(P, family).count == count
+    assert len(oracle.enumerate_structures(P, family)) == count
     reference = count_triangulations if family == "tri" else \
         count_pseudotriangulations
     assert reference(Q) == count
@@ -365,4 +366,17 @@ def test_double_chain_pt_matches_oracle():
     for n in range(5, 10):
         P = tc.validate_point_set(double_chain(n))
         assert tc.run_sweep(tc.PT_SYSTEM, P)[0] == \
-            oracle.enumerate_structures(P, "pt").count
+            len(oracle.enumerate_structures(P, "pt"))
+
+
+@pytest.mark.parametrize("family,max_n,chains", [("tri", 14, (8, 10, 12)),
+                                                 ("pt", 11, (8, 10))])
+def test_forward_times_backward_is_the_count(family, max_n, chains):
+    # at every line the population turns into the 180-degree image's, and
+    # the paths' forward times backward counts add up to N: each structure
+    # has exactly one path at each line
+    sets = [random_points(n, 500 + n) for n in range(5, max_n + 1)]
+    sets += [double_chain(n) for n in chains]
+    sets += [conv_points(n) for n in (6, 9, 12)]
+    for pts in sets:
+        check_forward_backward(tc.validate_point_set(pts), family)

@@ -54,7 +54,7 @@ def test_extract_tpath_fan_conv5(conv5):
 
 def test_uniqueness_over_oracle(fan5, conv5):
     for P in (fan5, conv5):
-        for T in oracle.enumerate_structures(P, "tri").structures:
+        for T in oracle.enumerate_structures(P, "tri"):
             for i in range(1, P.n):
                 assert len(sweep.path_chains(P, i, False,
                                              ~P.edge_masks(T)[0])) == 1
@@ -111,7 +111,7 @@ def test_is_good_edge(fan5):
 def test_good_edges_lie_on_tpath():
     import tricount.geom as geom
     P = random_point_set(7, 77)
-    for T in oracle.enumerate_structures(P, "tri").structures:
+    for T in oracle.enumerate_structures(P, "tri"):
         for i in range(1, P.n):
             path_edges = set(tc.extract_tpath(T, i, P).edges())
             for e in T:
