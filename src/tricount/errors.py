@@ -1,9 +1,10 @@
 """Exception hierarchy shared by all modules.
 
-Exit-code mapping used by the CLI:
-  2 -- bad input (validation failures)
-  3 -- resource refusal (size guards, caps, memory budgets)
-  4 -- internal invariant violation (a bug, never expected on valid input)
+One class per CLI exit code; a refusal raises it or a subclass:
+  2 -- InputError: bad input, a library call's bad argument included
+       (also a ValueError)
+  3 -- ResourceRefusal: size guards, caps, memory budgets
+  4 -- InternalInvariantViolation: a bug, never expected on valid input
 """
 
 
@@ -11,7 +12,7 @@ class TricountError(Exception):
     exit_code = 1
 
 
-class InputError(TricountError):
+class InputError(TricountError, ValueError):
     exit_code = 2
 
 
@@ -27,24 +28,8 @@ class TooFewPoints(InputError):
     pass
 
 
-class PreconditionViolated(TricountError, ValueError):
-    exit_code = 2
-
-
-class EdgeNotInTriangulation(TricountError):
-    exit_code = 2
-
-
-class EdgeDoesNotCrossLine(TricountError):
-    exit_code = 2
-
-
-class NotFlippable(TricountError):
-    exit_code = 2
-
-
-class IncompatibleTuple(TricountError):
-    exit_code = 2
+class PreconditionViolated(InputError):
+    pass
 
 
 class ResourceRefusal(TricountError):

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .errors import (CapExceeded, InternalInvariantViolation, TooLarge,
-                     check_nonnegative)
+from .errors import (CapExceeded, InternalInvariantViolation,
+                     PreconditionViolated, TooLarge, check_nonnegative)
 from .geom import EdgeSet, PointSet, adjacency, bits
 
 TRI_GUARD = 12
@@ -42,7 +42,7 @@ def enumerate_structures(P: PointSet, family: str,
         guard, name = PT_GUARD, "pseudo-triangulation"
         target = 2 * P.n - 3
     else:
-        raise ValueError(f"unknown family {family!r}")
+        raise PreconditionViolated(f"unknown family {family!r}")
     if P.n > guard:
         raise TooLarge(f"n={P.n} exceeds {name} oracle guard {guard}")
     n, edges, cross = P.n, P.segments, P.cross

@@ -34,9 +34,7 @@ from functools import cmp_to_key
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import geom
-from .errors import (EdgeDoesNotCrossLine, EdgeNotInTriangulation,
-                     InternalInvariantViolation, NotFlippable,
-                     PreconditionViolated)
+from .errors import InternalInvariantViolation, PreconditionViolated
 from .geom import EdgeSet, PointSet, Segment, adjacency, bits, seg
 from .oracle import addable, enumerate_structures
 from .sweep import (PT_SYSTEM, TRI_SYSTEM, PathKey, PathSystem, path_chains,
@@ -83,18 +81,16 @@ def _all_pointed(edges: Iterable[Segment], P: PointSet) -> bool:
 
 def validate_pseudotriangulation(edges: Iterable[Segment], P: PointSet) -> Check:
     """Maximal planar pointed edge set check."""
-    return validate_pt_mask(P, P.edge_masks(edges)[0])
+    return validate_pt_mask(P, *P.edge_masks(edges))
 
 
-def validate_pt_mask(P: PointSet, emask: int) -> Check:
-    """validate_pseudotriangulation of emask, a bitmask over P.segments;
-    adjacency and blocked mask are derived from it alone."""
+def validate_pt_mask(P: PointSet, emask: int, blocked: int) -> Check:
+    """validate_pseudotriangulation of emask, a bitmask over P.segments,
+    with blocked the mask of the segments its edges cross."""
     segs = P.segments
-    edges = [segs[k] for k in bits(emask)]
-    blocked = P.edge_masks(edges)[1]
     if blocked & emask:
         return Check(False, "edges_cross")
-    adj = adjacency(edges, P.n)
+    adj = adjacency((segs[k] for k in bits(emask)), P.n)
     if not all(P.pointed(v, m) for v, m in enumerate(adj)):
         return Check(False, "not_pointed")
     free = ((1 << len(segs)) - 1) & ~(emask | blocked)
@@ -112,7 +108,7 @@ def extract_path(S: EdgeSet, i: int, P: PointSet, zigzag: bool) -> PathKey:
     without exactly one is a bug."""
     emask, blocked = P.edge_masks(S)
     # non-crossing with 3n - 3 - h edges: a triangulation
-    ok = validate_pt_mask(P, emask).ok if zigzag else not (
+    ok = validate_pt_mask(P, emask, blocked).ok if zigzag else not (
         emask & blocked or emask.bit_count() != 3 * P.n - 3 - len(P.hull))
     if not ok:
         raise PreconditionViolated(
@@ -215,7 +211,7 @@ def pt_good_edge(S: EdgeSet, e: Segment, i: int, P: PointSet) -> bool:
     smask, k = P.edge_masks(S)[0], P.edge_masks([e])[0]
     e = seg(*e)  # a reversed pair is its segment
     if not geom.edge_crosses_line(e, i):
-        raise EdgeDoesNotCrossLine(f"edge {e} does not cross l_{i}")
+        raise PreconditionViolated(f"edge {e} does not cross l_{i}")
     if not smask & k:
         raise PreconditionViolated(f"edge {e} not in the structure")
     if e in (lo, hi):
@@ -299,7 +295,7 @@ def _flip_diagonal(T: EdgeSet, e: Segment, P: PointSet
     flip, or None for a hull edge or a reflex quadrilateral."""
     emask, k = P.edge_masks(T)[0], P.edge_masks([e])[0]
     if not emask & k:
-        raise EdgeNotInTriangulation(f"edge {e} not in triangulation")
+        raise PreconditionViolated(f"edge {e} not in the structure")
     # c spans a face with e iff both side edges exist and abc is empty
     a, b = e
     opp = [c for c in range(P.n) if c not in e and not P.inside(a, b, c)
@@ -319,12 +315,12 @@ def is_good_edge(T: EdgeSet, e: Segment, i: int, P: PointSet) -> bool:
     geom.hull_crossing_edges(P, i)  # refuses a bad line before it is read
     rs = _flip_diagonal(T, e, P)[1]
     if not geom.edge_crosses_line(e, i):
-        raise EdgeDoesNotCrossLine(f"edge {e} does not cross l_{i}")
+        raise PreconditionViolated(f"edge {e} does not cross l_{i}")
     return rs is not None and geom.edge_crosses_line(rs, i)
 
 
 def flip(T: EdgeSet, e: Segment, P: PointSet) -> EdgeSet:
     rest, rs = _flip_diagonal(T, e, P)
     if rs is None:
-        raise NotFlippable(f"edge {e} is not flippable")
+        raise PreconditionViolated(f"edge {e} is not flippable")
     return frozenset(P.segments[x] for x in bits(rest)) | {rs}

@@ -25,8 +25,8 @@ from bisect import bisect_right
 from itertools import accumulate
 from typing import Iterator, NamedTuple, Optional
 
-from .errors import (IncompatibleTuple, InternalInvariantViolation,
-                     MemoryBudgetExceeded, TooLarge, check_nonnegative)
+from .errors import (InternalInvariantViolation, MemoryBudgetExceeded,
+                     PreconditionViolated, TooLarge, check_nonnegative)
 from .geom import EdgeSet, PointSet, Segment, bits
 from .sweep import PathKey, PathSystem, sweep_lines, system_for
 
@@ -64,15 +64,15 @@ def _complete(P: PointSet, zigzag: bool, emask: int, blocked: int,
     tested.  tri: the union's greedy completion in bit order; a compatible
     tuple determines its triangulation, so the order does not matter."""
     if blocked & emask:
-        raise IncompatibleTuple("tuple union has crossing edges")
+        raise PreconditionViolated("tuple union has crossing edges")
     if zigzag:
         for v, star, ends in stars:
             at_v = emask & star
             if at_v.bit_count() > 2 and not P.pointed(
                     v, sum(map(ends.__getitem__, bits(at_v)))):
-                raise IncompatibleTuple("tuple union is not pointed")
+                raise PreconditionViolated("tuple union is not pointed")
         if emask.bit_count() != 2 * P.n - 3:
-            raise InternalInvariantViolation(
+            raise PreconditionViolated(
                 "tuple union is not a pseudo-triangulation: not_maximal")
         return emask
     cross = P.cross
@@ -90,7 +90,8 @@ def _complete(P: PointSet, zigzag: bool, emask: int, blocked: int,
 
 def reconstruct(tuple_keys: list[PathKey], P: PointSet,
                 family: str) -> ReconstructedStructure:
-    """Structure of a full tuple; a partial pt tuple raises (not_maximal)."""
+    """Structure of a full tuple; a bad one raises PreconditionViolated,
+    a partial pt tuple with not_maximal."""
     zigzag = system_for(family).zigzag
     pairs = (e for key in tuple_keys for e in zip(key, key[1:]))
     emask = _complete(P, zigzag, *P.edge_masks(pairs), _stars(P))
@@ -153,7 +154,7 @@ def draws(P: PointSet, family: str, seed: int, m: int,
             # the tuple is the engine's own: a failed check is a bug
             try:
                 emask = _complete(P, system.zigzag, emask, blocked, stars)
-            except IncompatibleTuple as exc:
+            except PreconditionViolated as exc:
                 raise InternalInvariantViolation(f"a drawn {exc}") from exc
             yield chosen, ReconstructedStructure(emask, P.segments)
 

@@ -96,7 +96,7 @@ MUTANTS = [
            "src/tricount/sampler.py",
            """            try:
                 emask = _complete(P, system.zigzag, emask, blocked, stars)
-            except IncompatibleTuple as exc:
+            except PreconditionViolated as exc:
                 raise InternalInvariantViolation(f"a drawn {exc}") from exc""",
            "            emask = _complete(P, system.zigzag, emask, blocked,"
            " stars)",
@@ -165,6 +165,14 @@ MUTANTS = [
            "src/tricount/ptpath.py",
            "if not smask & k:", "if False:",
            ("tests/test_ptpath.py::test_pt_good_edge",)),
+    Mutant("a caller's non-maximal pt tuple raised as internal",
+           "src/tricount/sampler.py",
+           """            raise PreconditionViolated(
+                "tuple union is not a pseudo-triangulation: not_maximal")""",
+           """            raise InternalInvariantViolation(
+                "tuple union is not a pseudo-triangulation: not_maximal")""",
+           ("tests/test_sampler.py::test_reconstruct_rejects_pt_tuples",
+            "tests/test_package.py::test_library_refusals_are_input_errors")),
 ]
 
 

@@ -51,7 +51,7 @@ def test_validate_point_set():
     with pytest.raises(TooFewPoints):
         tc.validate_point_set([(0, 0), (1, 5)])
     for bad in (2.7, True, "3"):  # refused, never coerced
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="non-integer coordinate"):
             tc.validate_point_set([(0, 0), (bad, 5), (3, 1)])
 
 

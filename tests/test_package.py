@@ -1,6 +1,7 @@
 import ast
 import importlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,8 @@ import pytest
 
 import tricount as tc
 from tricount import oracle
+from tricount.errors import (CollinearTriple, DuplicatePoint, InputError,
+                             PreconditionViolated, TooFewPoints)
 
 from conftest import FAN5
 
@@ -186,4 +189,69 @@ def test_count_parameters_refuse_a_non_int(fan5, name, value):
     # is never read as another seed's stream (random.Random takes abs(-1))
     with pytest.raises(ValueError, match="must be a nonnegative int$") as exc:
         COUNT_PARAMETERS[name](fan5, value)
+    assert exc.value.exit_code == 2
+
+
+# a triangulation of conv5 (a fan from vertex 0), which is also its
+# pseudo-triangulation: (1, 3) is no edge of it, (0, 1) a hull edge that
+# does not cross l_2
+CONV5_FAN = frozenset({(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3),
+                       (3, 4)})
+LIBRARY_REFUSALS = {
+    "flip-non-edge": (PreconditionViolated, "edge (1, 3) not in the structure",
+                      lambda P: tc.flip(CONV5_FAN, (1, 3), P)),
+    "is_flippable-non-edge": (
+        PreconditionViolated, "edge (1, 3) not in the structure",
+        lambda P: tc.is_flippable(CONV5_FAN, (1, 3), P)),
+    "is_good_edge-non-edge": (
+        PreconditionViolated, "edge (1, 3) not in the structure",
+        lambda P: tc.is_good_edge(CONV5_FAN, (1, 3), 2, P)),
+    "flip-hull-edge": (PreconditionViolated, "edge (0, 1) is not flippable",
+                       lambda P: tc.flip(CONV5_FAN, (0, 1), P)),
+    "is_good_edge-not-crossing": (
+        PreconditionViolated, "edge (0, 1) does not cross l_2",
+        lambda P: tc.is_good_edge(CONV5_FAN, (0, 1), 2, P)),
+    "pt_good_edge-not-crossing": (
+        PreconditionViolated, "edge (0, 1) does not cross l_2",
+        lambda P: tc.pt_good_edge(CONV5_FAN, (0, 1), 2, P)),
+    "reconstruct-crossing": (
+        PreconditionViolated, "tuple union has crossing edges",
+        lambda P: tc.reconstruct([(1, 0, 4), (3, 0, 2, 1, 4)], P, "tri")),
+    # spokes from FAN5's interior point 2 to 0, 3 and 4 leave no gap above pi
+    "reconstruct-unpointed": (
+        PreconditionViolated, "tuple union is not pointed",
+        lambda P: tc.reconstruct([(0, 2, 4), (2, 3)],
+                                 tc.validate_point_set(FAN5), "pt")),
+    # a caller's partial pt tuple is bad input, not a bug
+    "reconstruct-one-path": (
+        PreconditionViolated, "not a pseudo-triangulation: not_maximal",
+        lambda P: tc.reconstruct([(1, 0, 4)], P, "pt")),
+    "system_for": (PreconditionViolated, "unknown family 'xyz'",
+                   lambda P: tc.system_for("xyz")),
+    "enumerate_structures": (
+        PreconditionViolated, "unknown family 'xyz'",
+        lambda P: oracle.enumerate_structures(P, "xyz")),
+    "validate_point_set-collinear": (
+        CollinearTriple, "collinear triple",
+        lambda P: tc.validate_point_set([(0, 0), (1, 1), (2, 2)])),
+    "validate_point_set-duplicate": (
+        DuplicatePoint, "duplicate point",
+        lambda P: tc.validate_point_set([(0, 0), (0, 0), (1, 5)])),
+    "validate_point_set-too-few": (
+        TooFewPoints, "need at least 3 points",
+        lambda P: tc.validate_point_set([(0, 0), (1, 5)])),
+    "validate_point_set-non-integer": (
+        InputError, "non-integer coordinate",
+        lambda P: tc.validate_point_set([(0, 0), (2.5, 5), (3, 1)])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY_REFUSALS))
+def test_library_refusals_are_input_errors(conv5, name):
+    # one class per exit code: every refusal of a library call's argument
+    # is an InputError, so a ValueError that the CLI exits 2 on
+    cls, message, call = LIBRARY_REFUSALS[name]
+    with pytest.raises(cls, match=re.escape(message)) as exc:
+        call(conv5)
+    assert isinstance(exc.value, ValueError)
     assert exc.value.exit_code == 2

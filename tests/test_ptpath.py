@@ -3,8 +3,7 @@ import pytest
 import tricount as tc
 import tricount.geom as geom
 from tricount import oracle, ptpath, sweep
-from tricount.errors import (EdgeDoesNotCrossLine, InternalInvariantViolation,
-                             PreconditionViolated)
+from tricount.errors import InternalInvariantViolation, PreconditionViolated
 from tricount.ptpath import PTPath, TPath, chain_edges
 
 import scan_predicates as scan
@@ -145,7 +144,7 @@ def test_pt_good_edge(fan5):
             hull_edges = {(0, 1), (1, 3), (3, 4), (0, 4)}
             if e in hull_edges:
                 assert tc.pt_good_edge(S, e, 2, fan5)
-    with pytest.raises(EdgeDoesNotCrossLine):
+    with pytest.raises(PreconditionViolated, match="does not cross l_2"):
         tc.pt_good_edge(S, (0, 1), 2, fan5)
     # a segment that crosses l_2 but is no edge of S (hull edges all are)
     e = next(f for f in fan5.segments
@@ -262,7 +261,7 @@ def test_a_non_segment_is_refused(fan5, conv5, name):
 NOT_A_LINE = {
     # every lemma entry reads its line through geom.hull_crossing_edges;
     # unchecked, each of these would answer for a line that does not exist,
-    # or fail with a TypeError, an EdgeDoesNotCrossLine or another message
+    # or fail with a TypeError or another message
     "extract_ptpath": lambda P: tc.extract_ptpath(FAN5_S, True, P),
     "extract_tpath": lambda P: tc.extract_tpath(FAN5_T, 1.0, P),
     "validate_ptpath-0": lambda P: tc.validate_ptpath(PTPath((1, 0, 4), 0), P),

@@ -12,9 +12,9 @@ import tricount as tc
 from tricount import oracle, ptpath, sampler, sweep
 from tricount.cli import main
 from tricount.errors import (
-    IncompatibleTuple,
     InternalInvariantViolation,
     MemoryBudgetExceeded,
+    PreconditionViolated,
     TooLarge,
 )
 
@@ -82,19 +82,20 @@ def test_reconstruct_order_independent(conv5):
 
 
 def test_reconstruct_rejects_crossing_tuple(conv5):
-    with pytest.raises(IncompatibleTuple):
+    with pytest.raises(PreconditionViolated, match="crossing"):
         tc.reconstruct([(1, 0, 4), (3, 0, 2, 1, 4)], conv5, "tri")
 
 
 def test_reconstruct_rejects_pt_tuples(fan5):
     # (0, 3) and (1, 4) are the diagonals of FAN5's hull quadrilateral
-    with pytest.raises(IncompatibleTuple, match="crossing"):
+    with pytest.raises(PreconditionViolated, match="crossing"):
         tc.reconstruct([(1, 0, 3), (0, 1, 4)], fan5, "pt")
     # spokes from interior point 2 to 0, 3 and 4 leave no gap above pi
-    with pytest.raises(IncompatibleTuple, match="not pointed"):
+    with pytest.raises(PreconditionViolated, match="not pointed"):
         tc.reconstruct([(0, 2, 4), (2, 3)], fan5, "pt")
-    # one line's path is no pseudo-triangulation, and it is not completed
-    with pytest.raises(InternalInvariantViolation, match="not_maximal"):
+    # one line's path is no pseudo-triangulation, and it is not completed:
+    # the caller's tuple is bad input (exit 2), not a bug
+    with pytest.raises(PreconditionViolated, match="not_maximal"):
         tc.reconstruct([(fan5.hull[1], 0, fan5.hull[-1])], fan5, "pt")
     # an unknown family is refused, not completed as a triangulation
     for family in ("xyz", "PT"):
@@ -102,15 +103,18 @@ def test_reconstruct_rejects_pt_tuples(fan5):
             tc.reconstruct([(1, 0, 4)], fan5, family)
 
 
-def _guard_reason(P, emask):
+GUARD_REASONS = {"tuple union has crossing edges": "edges_cross",
+                 "tuple union is not pointed": "not_pointed",
+                 "tuple union is not a pseudo-triangulation: not_maximal":
+                 "not_maximal"}
+
+
+def _guard_reason(P, emask, blocked):
     """The sampler's pt check of a union, as a validate_pt_mask reason."""
-    blocked = P.edge_masks(P.segments[k] for k in tc.geom.bits(emask))[1]
     try:
         sampler._complete(P, True, emask, blocked, sampler._stars(P))
-    except IncompatibleTuple as exc:
-        return "edges_cross" if "crossing" in str(exc) else "not_pointed"
-    except InternalInvariantViolation as exc:
-        return str(exc).rsplit(": ", 1)[1]
+    except PreconditionViolated as exc:
+        return GUARD_REASONS[str(exc)]
     return "ok"
 
 
@@ -132,8 +136,9 @@ def test_pt_guard_matches_validate_pt_mask(n):
                 m &= rng.getrandbits(s)
             masks.add(m)
         for m in masks:
-            want = ptpath.validate_pt_mask(P, m).reason
-            assert _guard_reason(P, m) == want, (seed, bin(m))
+            blocked = P.edge_masks(P.segments[k] for k in tc.geom.bits(m))[1]
+            want = ptpath.validate_pt_mask(P, m, blocked).reason
+            assert _guard_reason(P, m, blocked) == want, (seed, bin(m))
             reasons[want] += 1
     assert set(reasons) == {"ok", "edges_cross", "not_pointed",
                             "not_maximal"}, reasons
