@@ -99,7 +99,6 @@ def cmd_count(args) -> int:
     t0 = time.perf_counter()
     count, stats, _ = sweep.run_sweep(system, P)
     elapsed_ms = (time.perf_counter() - t0) * 1000
-    print(count)
     if args.stats:
         import json
         payload = {
@@ -116,6 +115,9 @@ def cmd_count(args) -> int:
             "line_seconds": stats.line_seconds,
         }
         write_text(args.stats, json.dumps(payload, indent=2) + "\n")
+    # printed only once the stats file is written, so a refusal to write it
+    # (exit 2) leaves stdout empty
+    print(count)
     return 0
 
 

@@ -1,8 +1,9 @@
 """Exception hierarchy shared by all modules.
 
-One class per CLI exit code; a refusal raises it or a subclass:
+One class per CLI exit code, and the message names the reason:
   2 -- InputError: bad input, a library call's bad argument included
-       (also a ValueError)
+       (also a ValueError); its one subclass, PreconditionViolated, is a
+       door's refusal of an argument
   3 -- ResourceRefusal: size guards, caps, memory budgets
   4 -- InternalInvariantViolation: a bug, never expected on valid input
 """
@@ -16,36 +17,12 @@ class InputError(TricountError, ValueError):
     exit_code = 2
 
 
-class DuplicatePoint(InputError):
-    pass
-
-
-class CollinearTriple(InputError):
-    pass
-
-
-class TooFewPoints(InputError):
-    pass
-
-
 class PreconditionViolated(InputError):
     pass
 
 
 class ResourceRefusal(TricountError):
     exit_code = 3
-
-
-class TooLarge(ResourceRefusal):
-    pass
-
-
-class CapExceeded(ResourceRefusal):
-    pass
-
-
-class MemoryBudgetExceeded(ResourceRefusal):
-    pass
 
 
 class InternalInvariantViolation(TricountError):

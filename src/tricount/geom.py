@@ -20,13 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .errors import (
-    CollinearTriple,
-    DuplicatePoint,
-    InputError,
-    PreconditionViolated,
-    TooFewPoints,
-)
+from .errors import InputError, PreconditionViolated
 
 CW = -1
 COLLINEAR = 0
@@ -65,7 +59,7 @@ class PointSet:
     The constructor takes at least three int points (not bools) in strictly
     increasing lexicographic order and refuses any other input rather than
     coerce or sort it.  It builds every table once, from one exact
-    orientation per triple, and raises CollinearTriple on a zero one.  Its
+    orientation per triple, and raises InputError on a zero one.  Its
     read-only tables:
 
     - left[a][b]: bitmask of the points strictly left of directed ab;
@@ -86,10 +80,10 @@ class PointSet:
     def __init__(self, points: Sequence[Point]):
         self.points = pts = tuple(map(_integer_point, points))
         if len(pts) < 3:
-            raise TooFewPoints(f"need at least 3 points, got {len(pts)}")
+            raise InputError(f"need at least 3 points, got {len(pts)}")
         for p, q in zip(pts, pts[1:]):
             if p == q:
-                raise DuplicatePoint(f"duplicate point {q}")
+                raise InputError(f"duplicate point {q}")
             if p > q:
                 raise InputError(f"points out of order: {p} before {q}")
         self.n = n = len(pts)
@@ -109,7 +103,7 @@ class PointSet:
                         left[c][b] |= 1 << a
                         left[a][c] |= 1 << b
                     else:
-                        raise CollinearTriple(
+                        raise InputError(
                             f"collinear triple {pts[a]}, {pts[b]}, {pts[c]}")
         self.segments = [(a, b) for a in range(n) for b in range(a + 1, n)]
         self.ids = ids = [[None] * n for _ in range(n)]

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .errors import (CapExceeded, InternalInvariantViolation,
-                     PreconditionViolated, TooLarge, check_nonnegative)
+from .errors import (InternalInvariantViolation, PreconditionViolated,
+                     ResourceRefusal, check_nonnegative)
 from .geom import EdgeSet, PointSet, adjacency, bits
 
 TRI_GUARD = 12
@@ -44,7 +44,7 @@ def enumerate_structures(P: PointSet, family: str,
     else:
         raise PreconditionViolated(f"unknown family {family!r}")
     if P.n > guard:
-        raise TooLarge(f"n={P.n} exceeds {name} oracle guard {guard}")
+        raise ResourceRefusal(f"n={P.n} exceeds {name} oracle guard {guard}")
     n, edges, cross = P.n, P.segments, P.cross
     # inner[v]: the segments at v if including one can break v's
     # pointedness, i.e. at an interior vertex in pt; none in tri
@@ -68,7 +68,7 @@ def enumerate_structures(P: PointSet, family: str,
                         f"expected {target}")
                 structures.append(chosen)
                 if cap is not None and len(structures) > cap:
-                    raise CapExceeded(f"more than {cap} structures")
+                    raise ResourceRefusal(f"more than {cap} structures")
             return
         # an excluded but still addable segment must be ruled out later
         dead = avail & xmask

@@ -25,8 +25,8 @@ from bisect import bisect_right
 from itertools import accumulate
 from typing import Iterator, NamedTuple, Optional
 
-from .errors import (InternalInvariantViolation, MemoryBudgetExceeded,
-                     PreconditionViolated, TooLarge, check_nonnegative)
+from .errors import (InternalInvariantViolation, PreconditionViolated,
+                     ResourceRefusal, check_nonnegative)
 from .geom import EdgeSet, PointSet, Segment, bits
 from .sweep import PathKey, PathSystem, sweep_lines, system_for
 
@@ -108,7 +108,7 @@ def _root(P: PointSet, system: PathSystem,
     for keys, parents in sweep_lines(system, P):
         entries += len(keys)
         if max_table_entries is not None and entries > max_table_entries:
-            raise MemoryBudgetExceeded(
+            raise ResourceRefusal(
                 f"path tables exceed {max_table_entries} entries")
         below, level = level, []
         for key, js in zip(keys, parents):
@@ -130,7 +130,7 @@ def draws(P: PointSet, family: str, seed: int, m: int,
         check_nonnegative("max_table_entries", max_table_entries)
     check_nonnegative("seed", seed)
     if m > M_GUARD:
-        raise TooLarge(f"m={m} exceeds sample guard {M_GUARD}")
+        raise ResourceRefusal(f"m={m} exceeds sample guard {M_GUARD}")
     system = system_for(family)
     root = _root(P, system, max_table_entries)
     stars = _stars(P)

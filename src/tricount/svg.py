@@ -1,20 +1,34 @@
 """Deterministic SVG rendering of point sets, structures and paths.
 
-Output is plain text assembled in a fixed order from exact rational
-coordinates, so identical inputs give byte-identical files.
+Output is plain text assembled in a fixed order in exact integer
+arithmetic, so identical inputs give byte-identical files, and a
+coordinate of any size is drawn.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .geom import Point, Segment
 
+# every coordinate is multiplied by SCALE, so that every number drawn is an
+# integer: the margins divide a width by 20, the sweep line a sum of two
+# coordinates by 2, and the strokes and radius divide a width by 100 and
+# then by 3 or 2
+SCALE = 600
 
-def _fmt(v: Fraction) -> str:
-    s = f"{float(v):.4f}".rstrip("0").rstrip(".")
-    return "0" if s == "-0" else s
+
+def _fmt(n: int) -> str:
+    """n / SCALE to at most four decimal places, rounded to nearest.
+
+    In ten-thousandths n / SCALE is n * 50 / 3, which is never halfway
+    between two integers (that needs 100 n = 6 k + 3, an even number equal
+    to an odd one), so adding a half before the floor rounds it exactly,
+    at any size."""
+    t = (n * 100 + 3) // 6
+    whole, frac = divmod(abs(t), 10_000)
+    s = f"{whole}.{frac:04d}".rstrip("0").rstrip(".")
+    return "-" + s if t < 0 else s
 
 
 def render_svg(points: Sequence[Point],
@@ -26,17 +40,18 @@ def render_svg(points: Sequence[Point],
     points are in lexicographic order (PointSet.points), so l_i runs
     between points i-1 and i; structure_edges are distinct (a < b) pairs,
     drawn in sorted order."""
-    xs = [Fraction(x) for x, _ in points]
-    ys = [Fraction(-y) for _, y in points]  # flip so larger y is higher
+    xs = [x * SCALE for x, _ in points]
+    ys = [-y * SCALE for _, y in points]  # flip so larger y is higher
     minx, maxx = min(xs), max(xs)
     miny, maxy = min(ys), max(ys)
-    w = maxx - minx or Fraction(1)
-    h = maxy - miny or Fraction(1)
-    mx, my = w / 20, h / 20  # 5% margin
+    w = maxx - minx or SCALE
+    h = maxy - miny or SCALE
+    mx, my = w // 20, h // 20  # 5% margin
     vb = (minx - mx, miny - my, w + 2 * mx, h + 2 * my)
-    unit = max(w, h) / 100
+    unit = max(w, h) // 100
+    thin = unit // 3
 
-    def pt(j: int) -> tuple[Fraction, Fraction]:
+    def pt(j: int) -> tuple[int, int]:
         return xs[j], ys[j]
 
     lines = [
@@ -48,23 +63,23 @@ def render_svg(points: Sequence[Point],
         (x1, y1), (x2, y2) = pt(e[0]), pt(e[1])
         lines.append(
             f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" '
-            f'y2="{_fmt(y2)}" stroke="black" stroke-width="{_fmt(unit / 3)}"/>')
+            f'y2="{_fmt(y2)}" stroke="black" stroke-width="{_fmt(thin)}"/>')
     for k in range(len(path_vertices) - 1):
         (x1, y1), (x2, y2) = pt(path_vertices[k]), pt(path_vertices[k + 1])
         lines.append(
             f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" '
             f'y2="{_fmt(y2)}" stroke="red" stroke-width="{_fmt(unit)}"/>')
     if line_index is not None:
-        xm = (xs[line_index - 1] + xs[line_index]) / 2
+        xm = (xs[line_index - 1] + xs[line_index]) // 2
         lines.append(
             f'<line x1="{_fmt(xm)}" y1="{_fmt(vb[1])}" x2="{_fmt(xm)}" '
             f'y2="{_fmt(vb[1] + vb[3])}" stroke="blue" '
-            f'stroke-width="{_fmt(unit / 3)}" '
+            f'stroke-width="{_fmt(thin)}" '
             f'stroke-dasharray="{_fmt(unit * 2)} {_fmt(unit * 2)}"/>')
     for j in range(len(points)):
         x, y = pt(j)
         lines.append(
-            f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(unit * 3 / 2)}" '
+            f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(unit * 3 // 2)}" '
             f'fill="black"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -173,6 +173,21 @@ MUTANTS = [
                 "tuple union is not a pseudo-triangulation: not_maximal")""",
            ("tests/test_sampler.py::test_reconstruct_rejects_pt_tuples",
             "tests/test_package.py::test_library_refusals_are_input_errors")),
+    Mutant("the count printed before its stats file", "src/tricount/cli.py",
+           """    elapsed_ms = (time.perf_counter() - t0) * 1000
+    if args.stats:""",
+           """    elapsed_ms = (time.perf_counter() - t0) * 1000
+    print(count)
+    if args.stats:""",
+           ("tests/test_cli.py::test_unwritable_output_exit2",)),
+    Mutant("svg numbers rounded toward minus infinity", "src/tricount/svg.py",
+           "(n * 100 + 3) // 6", "n * 100 // 6",
+           ("tests/test_cli.py::test_render_bytes_are_pinned",)),
+    Mutant("a guard refusal with exit code 2", "src/tricount/oracle.py",
+           'raise ResourceRefusal(f"n={P.n} exceeds',
+           'raise PreconditionViolated(f"n={P.n} exceeds',
+           ("tests/test_oracle.py::test_guards",
+            "tests/test_package.py::test_resource_refusals_exit_3")),
 ]
 
 

@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import io
 import json
 import os
@@ -237,7 +238,9 @@ def test_unwritable_output_exit2(tmp_path, capsys, argv):
     blocker.write_text("")
     argv = [a.replace("FILE", f).replace("OUT", str(blocker)) for a in argv]
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith(f"error: cannot write {blocker}")
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: cannot write {blocker}")
+    assert out == ""  # count prints only once its stats file is written
 
 
 PRINTING = [["count", "FILE"], ["enumerate", "FILE"], ["sample", "FILE"],
@@ -462,6 +465,49 @@ def test_render(tmp_path, capsys):
     assert doc.count('stroke="black"') == 8
     assert doc.count('stroke="red"') == 4
     assert doc.count("stroke-dasharray") == 1
+
+
+# sha256 of two renders, each with a structure and a sweep line: FAN5 with
+# its star triangulation and a path, and a quadrilateral whose stroke width
+# 20 / 300 rounds up to 0.0667
+RENDER_PINS = [
+    (FAN5, sorted(fan5_star_triangulation()), [3, 1, 2, 0, 4],
+     "bb01b3c867bb7b257184c2549b9b54ad0d6d715387b744214ca0979fe01c36c6"),
+    ([(0, 0), (1, 3), (3, 1), (20, 7)],
+     [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)], [],
+     "774dd92e1bfd36109e0d5ace98e70fe0d5e0f513d2772a90aa5b97f907515693"),
+]
+
+
+@pytest.mark.parametrize("pts, edges, path, digest", RENDER_PINS,
+                         ids=["fan5", "quadrilateral"])
+def test_render_bytes_are_pinned(tmp_path, pts, edges, path, digest):
+    f = write_points(tmp_path, pts)
+    sf = tmp_path / "structure.json"
+    sf.write_text(json.dumps([list(e) for e in edges]))
+    pf = tmp_path / "path.json"
+    pf.write_text(json.dumps(path))
+    out = tmp_path / "fig.svg"
+    assert main(["render", f, "--structure-file", str(sf),
+                 "--path-file", str(pf), "--line", "2",
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_render_beyond_float_range(tmp_path, capsys):
+    # every number drawn is exact integer arithmetic: a coordinate no float
+    # holds is drawn digit for digit, as count counts the set
+    big = 10 ** 400
+    f = write_points(tmp_path, [(0, 0), (big, 1), (1, big)])
+    out = tmp_path / "fig.svg"
+    assert main(["render", f, "--line", "1", "--out", str(out)]) == 0
+    outdir = tmp_path / "svgs"
+    assert main(["sample", f, "--format", "svg-dir",
+                 "--format-dir", str(outdir)]) == 0
+    for doc in (out.read_text(), (outdir / "sample-00000.svg").read_text()):
+        assert f'<circle cx="{big}" cy="-1" ' in doc
+    assert main(["count", f]) == 0
+    assert capsys.readouterr().out == f"{outdir}\n1\n"
 
 
 def test_render_points_only(tmp_path):

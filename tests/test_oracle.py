@@ -2,7 +2,7 @@ import pytest
 
 import tricount as tc
 from tricount import oracle, ptpath
-from tricount.errors import CapExceeded, TooLarge
+from tricount.errors import ResourceRefusal
 
 from conftest import catalan, conv_points, random_point_set
 
@@ -64,15 +64,17 @@ def test_oracle_matches_sweep_at_guard(fam, n):
 
 def test_guards():
     P = random_point_set(13, 1)
-    with pytest.raises(TooLarge):
+    with pytest.raises(ResourceRefusal,
+                       match="n=13 exceeds triangulation oracle guard 12"):
         oracle.enumerate_structures(P, "tri")
     Q = random_point_set(11, 2)
-    with pytest.raises(TooLarge):
+    with pytest.raises(ResourceRefusal,
+                       match="n=11 exceeds pseudo-triangulation oracle guard 10"):
         oracle.enumerate_structures(Q, "pt")
 
 
 def test_cap(conv6):
-    with pytest.raises(CapExceeded):
+    with pytest.raises(ResourceRefusal, match="more than 5 structures"):
         oracle.enumerate_structures(conv6, "tri", cap=5)
 
 

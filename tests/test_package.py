@@ -10,10 +10,9 @@ import pytest
 
 import tricount as tc
 from tricount import oracle
-from tricount.errors import (CollinearTriple, DuplicatePoint, InputError,
-                             PreconditionViolated, TooFewPoints)
+from tricount.errors import InputError, PreconditionViolated, ResourceRefusal
 
-from conftest import FAN5
+from conftest import FAN5, conv_points
 
 SRC = Path(tc.__file__).parent
 
@@ -232,13 +231,13 @@ LIBRARY_REFUSALS = {
         PreconditionViolated, "unknown family 'xyz'",
         lambda P: oracle.enumerate_structures(P, "xyz")),
     "validate_point_set-collinear": (
-        CollinearTriple, "collinear triple",
+        InputError, "collinear triple",
         lambda P: tc.validate_point_set([(0, 0), (1, 1), (2, 2)])),
     "validate_point_set-duplicate": (
-        DuplicatePoint, "duplicate point",
+        InputError, "duplicate point",
         lambda P: tc.validate_point_set([(0, 0), (0, 0), (1, 5)])),
     "validate_point_set-too-few": (
-        TooFewPoints, "need at least 3 points",
+        InputError, "need at least 3 points",
         lambda P: tc.validate_point_set([(0, 0), (1, 5)])),
     "validate_point_set-non-integer": (
         InputError, "non-integer coordinate",
@@ -255,3 +254,35 @@ def test_library_refusals_are_input_errors(conv5, name):
         call(conv5)
     assert isinstance(exc.value, ValueError)
     assert exc.value.exit_code == 2
+
+
+# every size guard, cap and budget of the library, each with its message
+RESOURCE_REFUSALS = {
+    "tri-oracle-guard": (
+        "n=13 exceeds triangulation oracle guard 12",
+        lambda P: oracle.enumerate_structures(
+            tc.validate_point_set(conv_points(13)), "tri")),
+    "pt-oracle-guard": (
+        "n=11 exceeds pseudo-triangulation oracle guard 10",
+        lambda P: oracle.enumerate_structures(
+            tc.validate_point_set(conv_points(11)), "pt")),
+    "oracle-cap": ("more than 1 structures",
+                   lambda P: oracle.enumerate_structures(P, "tri", cap=1)),
+    "sample-guard": ("m=100001 exceeds sample guard 100000",
+                     lambda P: tc.draws(P, "tri", 0, 100_001)),
+    "table-budget": ("path tables exceed 1 entries",
+                     lambda P: tc.draws(P, "tri", 0, 1, max_table_entries=1)),
+    "sequence-guard": ("K=1001 exceeds sequence guard 1000",
+                       lambda P: tc.bound_sequence(1001)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESOURCE_REFUSALS))
+def test_resource_refusals_exit_3(conv5, name):
+    # one class per exit code: every guard, cap and budget is a
+    # ResourceRefusal, never an InputError, so the CLI exits 3 on it
+    message, call = RESOURCE_REFUSALS[name]
+    with pytest.raises(ResourceRefusal, match=re.escape(message)) as exc:
+        call(conv5)
+    assert not isinstance(exc.value, InputError)
+    assert exc.value.exit_code == 3

@@ -13,9 +13,8 @@ from tricount import oracle, ptpath, sampler, sweep
 from tricount.cli import main
 from tricount.errors import (
     InternalInvariantViolation,
-    MemoryBudgetExceeded,
     PreconditionViolated,
-    TooLarge,
+    ResourceRefusal,
 )
 
 from conftest import (FAN5, conv_points, forward_backward, line_tables,
@@ -327,7 +326,8 @@ def test_draw_count_guard(monkeypatch, conv5):
         raise AssertionError("the sweep ran")
 
     monkeypatch.setattr(sampler, "sweep_lines", no_sweep)
-    with pytest.raises(TooLarge, match="sample guard"):
+    with pytest.raises(ResourceRefusal,
+                       match=f"m={sampler.M_GUARD + 1} exceeds sample guard"):
         sampler.draws(conv5, "tri", 0, sampler.M_GUARD + 1)
     with pytest.raises(ValueError, match="nonnegative"):
         sampler.draws(conv5, "tri", 0, -1)
@@ -335,7 +335,7 @@ def test_draw_count_guard(monkeypatch, conv5):
 
 def test_draws_is_the_sample_stream(conv6):
     # the sweep runs at the call, even for no draws
-    with pytest.raises(MemoryBudgetExceeded):
+    with pytest.raises(ResourceRefusal, match="path tables exceed 1 entries"):
         sampler.draws(conv6, "tri", 0, 0, max_table_entries=1)
     stream = list(sampler.draws(conv6, "pt", 4, 30))
     assert list(sampler.draws(conv6, "pt", 4, 30)) == stream
@@ -404,7 +404,7 @@ def test_budget_refusal_stops_the_sweep(monkeypatch):
     for last in range(1, P.n - 1):
         budget = sum(sizes[:last]) - 1
         searched.clear()
-        with pytest.raises(MemoryBudgetExceeded,
+        with pytest.raises(ResourceRefusal,
                            match=f"path tables exceed {budget} entries"):
             sampler.draws(P, "tri", 0, 1, max_table_entries=budget)
         assert searched == list(range(1, last + 1))
@@ -415,5 +415,5 @@ def test_budget_refusal_stops_the_sweep(monkeypatch):
 
 
 def test_memory_budget(conv5):
-    with pytest.raises(MemoryBudgetExceeded):
+    with pytest.raises(ResourceRefusal, match="path tables exceed 2 entries"):
         sample(conv5, "tri", seed=0, m=1, max_table_entries=2)
