@@ -2,8 +2,7 @@
 
 One class per CLI exit code, and the message names the reason:
   2 -- InputError: bad input, a library call's bad argument included
-       (also a ValueError); its one subclass, PreconditionViolated, is a
-       door's refusal of an argument
+       (also a ValueError)
   3 -- ResourceRefusal: size guards, caps, memory budgets
   4 -- InternalInvariantViolation: a bug, never expected on valid input
 """
@@ -17,10 +16,6 @@ class InputError(TricountError, ValueError):
     exit_code = 2
 
 
-class PreconditionViolated(InputError):
-    pass
-
-
 class ResourceRefusal(TricountError):
     exit_code = 3
 
@@ -32,4 +27,4 @@ class InternalInvariantViolation(TricountError):
 def check_nonnegative(name: str, value) -> None:
     """The one check of a count parameter: an int (not a bool) >= 0."""
     if type(value) is not int or value < 0:
-        raise PreconditionViolated(f"{name} must be a nonnegative int")
+        raise InputError(f"{name} must be a nonnegative int")

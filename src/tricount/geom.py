@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InputError, PreconditionViolated
+from .errors import InputError
 
 CW = -1
 COLLINEAR = 0
@@ -34,7 +34,7 @@ EdgeSet = frozenset[Segment]
 def seg(a: int, b: int) -> Segment:
     """Normalize an index pair into a Segment (a < b)."""
     if a == b:
-        raise PreconditionViolated(f"not a segment: ({a!r}, {b!r})")
+        raise InputError(f"not a segment: ({a!r}, {b!r})")
     return (a, b) if a < b else (b, a)
 
 
@@ -150,18 +150,18 @@ class PointSet:
     def edge_masks(self, pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
         """Bitmask of the segments between the given vertex pairs, and its
         blocked mask: the segments that cross one of them.  Any item but a
-        pair of two distinct int vertices of P raises PreconditionViolated."""
+        pair of two distinct int vertices of P raises InputError."""
         ids, cross, n = self.ids, self.cross, self.n
         emask = blocked = 0
         for item in pairs:
             try:
                 a, b = item
             except (TypeError, ValueError):
-                raise PreconditionViolated(
+                raise InputError(
                     f"not a segment: {item!r}") from None
             if not (type(a) is type(b) is int and a != b
                     and 0 <= a < n and 0 <= b < n):
-                raise PreconditionViolated(f"not a segment: ({a!r}, {b!r})")
+                raise InputError(f"not a segment: ({a!r}, {b!r})")
             k = ids[a][b]
             emask |= 1 << k
             blocked |= cross[k]
@@ -171,7 +171,7 @@ class PointSet:
         """Refuse any value but an int vertex 0..n-1 (a bool is not one)."""
         for v in vertices:
             if not (type(v) is int and 0 <= v < self.n):
-                raise PreconditionViolated(f"not a vertex: {v!r}")
+                raise InputError(f"not a vertex: {v!r}")
 
     def inside(self, a: int, b: int, c: int) -> int:
         """Bitmask of the points strictly inside triangle abc."""
@@ -270,7 +270,7 @@ def region_empty(P: PointSet, i: int, u: int, exc: list[int],
 def hull_crossing_edges(P: PointSet, i: int) -> tuple[Segment, Segment]:
     """The two hull edges crossed by l_i (an int 1..n-1), the lower first."""
     if not (type(i) is int and 0 < i < P.n):
-        raise PreconditionViolated(f"not a sweep line: {i!r} (1..{P.n - 1})")
+        raise InputError(f"not a sweep line: {i!r} (1..{P.n - 1})")
     crossing = [e for e in P.hull_edges if edge_crosses_line(e, i)]
     # hull_edges run CCW from vertex 0, lower chain first
     return crossing[0], crossing[1]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .errors import (InternalInvariantViolation, PreconditionViolated,
+from .errors import (InputError, InternalInvariantViolation,
                      ResourceRefusal, check_nonnegative)
 from .geom import EdgeSet, PointSet, adjacency, bits
 
@@ -42,7 +42,7 @@ def enumerate_structures(P: PointSet, family: str,
         guard, name = PT_GUARD, "pseudo-triangulation"
         target = 2 * P.n - 3
     else:
-        raise PreconditionViolated(f"unknown family {family!r}")
+        raise InputError(f"unknown family {family!r}")
     if P.n > guard:
         raise ResourceRefusal(f"n={P.n} exceeds {name} oracle guard {guard}")
     n, edges, cross = P.n, P.segments, P.cross

@@ -34,7 +34,7 @@ from functools import cmp_to_key
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import geom
-from .errors import InternalInvariantViolation, PreconditionViolated
+from .errors import InputError, InternalInvariantViolation
 from .geom import EdgeSet, PointSet, Segment, adjacency, bits, seg
 from .oracle import addable, enumerate_structures
 from .sweep import (PT_SYSTEM, TRI_SYSTEM, PathKey, PathSystem, path_chains,
@@ -111,7 +111,7 @@ def extract_path(S: EdgeSet, i: int, P: PointSet, zigzag: bool) -> PathKey:
     ok = validate_pt_mask(P, emask, blocked).ok if zigzag else not (
         emask & blocked or emask.bit_count() != 3 * P.n - 3 - len(P.hull))
     if not ok:
-        raise PreconditionViolated(
+        raise InputError(
             f"edge set is not a {'pseudo-' * zigzag}triangulation")
     chains = path_chains(P, i, zigzag, ~emask)
     if len(chains) != 1:
@@ -133,7 +133,7 @@ def path_successors(path: PTPath, P: PointSet, system: PathSystem,
     of it with the next population (the door refuses i + 1 = n by name)."""
     check = validate(path, P)
     if not check:
-        raise PreconditionViolated(f"invalid parent path: {check.reason}")
+        raise InputError(f"invalid parent path: {check.reason}")
     children = path_chains(P, path.line + 1, system.zigzag)
     joined = system.join(P, [path.vertices], children)
     return {c for c, js in zip(children, joined) if js}
@@ -211,9 +211,9 @@ def pt_good_edge(S: EdgeSet, e: Segment, i: int, P: PointSet) -> bool:
     smask, k = P.edge_masks(S)[0], P.edge_masks([e])[0]
     e = seg(*e)  # a reversed pair is its segment
     if not geom.edge_crosses_line(e, i):
-        raise PreconditionViolated(f"edge {e} does not cross l_{i}")
+        raise InputError(f"edge {e} does not cross l_{i}")
     if not smask & k:
-        raise PreconditionViolated(f"edge {e} not in the structure")
+        raise InputError(f"edge {e} not in the structure")
     if e in (lo, hi):
         return True
     crossing = sorted((P.segments[x] for x in bits(smask)
@@ -295,7 +295,7 @@ def _flip_diagonal(T: EdgeSet, e: Segment, P: PointSet
     flip, or None for a hull edge or a reflex quadrilateral."""
     emask, k = P.edge_masks(T)[0], P.edge_masks([e])[0]
     if not emask & k:
-        raise PreconditionViolated(f"edge {e} not in the structure")
+        raise InputError(f"edge {e} not in the structure")
     # c spans a face with e iff both side edges exist and abc is empty
     a, b = e
     opp = [c for c in range(P.n) if c not in e and not P.inside(a, b, c)
@@ -315,12 +315,12 @@ def is_good_edge(T: EdgeSet, e: Segment, i: int, P: PointSet) -> bool:
     geom.hull_crossing_edges(P, i)  # refuses a bad line before it is read
     rs = _flip_diagonal(T, e, P)[1]
     if not geom.edge_crosses_line(e, i):
-        raise PreconditionViolated(f"edge {e} does not cross l_{i}")
+        raise InputError(f"edge {e} does not cross l_{i}")
     return rs is not None and geom.edge_crosses_line(rs, i)
 
 
 def flip(T: EdgeSet, e: Segment, P: PointSet) -> EdgeSet:
     rest, rs = _flip_diagonal(T, e, P)
     if rs is None:
-        raise PreconditionViolated(f"edge {e} is not flippable")
+        raise InputError(f"edge {e} is not flippable")
     return frozenset(P.segments[x] for x in bits(rest)) | {rs}

@@ -25,10 +25,10 @@ from bisect import bisect_right
 from itertools import accumulate
 from typing import Iterator, NamedTuple, Optional
 
-from .errors import (InternalInvariantViolation, PreconditionViolated,
+from .errors import (InputError, InternalInvariantViolation,
                      ResourceRefusal, check_nonnegative)
 from .geom import EdgeSet, PointSet, Segment, bits
-from .sweep import PathKey, PathSystem, sweep_lines, system_for
+from .sweep import PathKey, PathSystem, path_chains, sweep_lines, system_for
 
 # draws are streamed, so m bounds time and output size, not memory: about
 # 0.8 KB of JSON a draw at tri n=14 (80 MB at this guard); m above it is
@@ -64,15 +64,15 @@ def _complete(P: PointSet, zigzag: bool, emask: int, blocked: int,
     tested.  tri: the union's greedy completion in bit order; a compatible
     tuple determines its triangulation, so the order does not matter."""
     if blocked & emask:
-        raise PreconditionViolated("tuple union has crossing edges")
+        raise InputError("tuple union has crossing edges")
     if zigzag:
         for v, star, ends in stars:
             at_v = emask & star
             if at_v.bit_count() > 2 and not P.pointed(
                     v, sum(map(ends.__getitem__, bits(at_v)))):
-                raise PreconditionViolated("tuple union is not pointed")
+                raise InputError("tuple union is not pointed")
         if emask.bit_count() != 2 * P.n - 3:
-            raise PreconditionViolated(
+            raise InputError(
                 "tuple union is not a pseudo-triangulation: not_maximal")
         return emask
     cross = P.cross
@@ -90,11 +90,15 @@ def _complete(P: PointSet, zigzag: bool, emask: int, blocked: int,
 
 def reconstruct(tuple_keys: list[PathKey], P: PointSet,
                 family: str) -> ReconstructedStructure:
-    """Structure of a full tuple; a bad one raises PreconditionViolated,
-    a partial pt tuple with not_maximal."""
+    """Structure of a full tuple, its paths at l_1 .. l_{n-1} in order; a
+    bad one raises InputError, a partial pt tuple with not_maximal."""
     zigzag = system_for(family).zigzag
-    pairs = (e for key in tuple_keys for e in zip(key, key[1:]))
+    keys = [tuple(key) for key in tuple_keys]
+    pairs = (e for key in keys for e in zip(key, key[1:]))
     emask = _complete(P, zigzag, *P.edge_masks(pairs), _stars(P))
+    if [path_chains(P, i, zigzag, ~emask) for i in range(1, P.n)] != \
+            [[key] for key in keys]:
+        raise InputError("tuple is not its structure's paths")
     return ReconstructedStructure(emask, P.segments)
 
 
@@ -154,7 +158,7 @@ def draws(P: PointSet, family: str, seed: int, m: int,
             # the tuple is the engine's own: a failed check is a bug
             try:
                 emask = _complete(P, system.zigzag, emask, blocked, stars)
-            except PreconditionViolated as exc:
+            except InputError as exc:
                 raise InternalInvariantViolation(f"a drawn {exc}") from exc
             yield chosen, ReconstructedStructure(emask, P.segments)
 

@@ -16,6 +16,13 @@ from .geom import Point, Segment
 # coordinates by 2, and the strokes and radius divide a width by 100 and
 # then by 3 or 2
 SCALE = 600
+BLOCK = 10 ** 4000  # str() converts at most 4300 digits by default
+
+
+def _digits(m: int) -> str:
+    """str(m) for an int m >= 0 of any size, 4000 digits at a time."""
+    head, tail = divmod(m, BLOCK)
+    return f"{_digits(head)}{tail:04000d}" if head else str(tail)
 
 
 def _fmt(n: int) -> str:
@@ -27,7 +34,7 @@ def _fmt(n: int) -> str:
     at any size."""
     t = (n * 100 + 3) // 6
     whole, frac = divmod(abs(t), 10_000)
-    s = f"{whole}.{frac:04d}".rstrip("0").rstrip(".")
+    s = f"{_digits(whole)}.{frac:04d}".rstrip("0").rstrip(".")
     return "-" + s if t < 0 else s
 
 

@@ -96,7 +96,7 @@ MUTANTS = [
            "src/tricount/sampler.py",
            """            try:
                 emask = _complete(P, system.zigzag, emask, blocked, stars)
-            except PreconditionViolated as exc:
+            except InputError as exc:
                 raise InternalInvariantViolation(f"a drawn {exc}") from exc""",
            "            emask = _complete(P, system.zigzag, emask, blocked,"
            " stars)",
@@ -104,10 +104,10 @@ MUTANTS = [
     Mutant("extraction from a non-structure not refused",
            "src/tricount/ptpath.py",
            """    if not ok:
-        raise PreconditionViolated(
+        raise InputError(
             f"edge set is not a""",
            """    if False:
-        raise PreconditionViolated(
+        raise InputError(
             f"edge set is not a""",
            ("tests/test_ptpath.py::test_extraction_blames_a_bad_edge_set",)),
     Mutant("edge_masks without its pair check", "src/tricount/geom.py",
@@ -152,7 +152,7 @@ MUTANTS = [
            """            try:
                 a, b = item
             except (TypeError, ValueError):
-                raise PreconditionViolated(
+                raise InputError(
                     f"not a segment: {item!r}") from None""",
            "            a, b = item",
            ("tests/test_geom.py::test_edge_masks_is_the_door_to_segments",
@@ -167,7 +167,7 @@ MUTANTS = [
            ("tests/test_ptpath.py::test_pt_good_edge",)),
     Mutant("a caller's non-maximal pt tuple raised as internal",
            "src/tricount/sampler.py",
-           """            raise PreconditionViolated(
+           """            raise InputError(
                 "tuple union is not a pseudo-triangulation: not_maximal")""",
            """            raise InternalInvariantViolation(
                 "tuple union is not a pseudo-triangulation: not_maximal")""",
@@ -185,9 +185,22 @@ MUTANTS = [
            ("tests/test_cli.py::test_render_bytes_are_pinned",)),
     Mutant("a guard refusal with exit code 2", "src/tricount/oracle.py",
            'raise ResourceRefusal(f"n={P.n} exceeds',
-           'raise PreconditionViolated(f"n={P.n} exceeds',
+           'raise InputError(f"n={P.n} exceeds',
            ("tests/test_oracle.py::test_guards",
             "tests/test_package.py::test_resource_refusals_exit_3")),
+    Mutant("svg numbers printed by str() alone", "src/tricount/svg.py",
+           'f"{_digits(whole)}.{frac:04d}"', 'f"{whole}.{frac:04d}"',
+           ("tests/test_cli.py::test_render_beyond_float_range",)),
+    Mutant("reconstruct without its line-by-line check",
+           "src/tricount/sampler.py",
+           """    if [path_chains(P, i, zigzag, ~emask) for i in range(1, P.n)] != \\
+            [[key] for key in keys]:
+        raise InputError("tuple is not its structure's paths")
+""", "", ("tests/test_package.py::test_library_refusals_are_input_errors",)),
+    Mutant("_read_json without its non-list check", "src/tricount/cli.py",
+           """    if not isinstance(raw, list):
+        raise InputError(f"bad {what} file: not a JSON list")
+""", "", ("tests/test_exit_codes.py::test_every_input_exits_0_2_or_3",)),
 ]
 
 

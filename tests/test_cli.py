@@ -1,3 +1,4 @@
+import contextlib
 import errno
 import hashlib
 import io
@@ -494,20 +495,43 @@ def test_render_bytes_are_pinned(tmp_path, pts, edges, path, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+@contextlib.contextmanager
+def int_str_limit(digits):
+    """Python's limit on the digits of an int-to-str conversion set to
+    digits (0 lifts it) for the duration."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def test_render_beyond_float_range(tmp_path, capsys):
     # every number drawn is exact integer arithmetic: a coordinate no float
-    # holds is drawn digit for digit, as count counts the set
-    big = 10 ** 400
-    f = write_points(tmp_path, [(0, 0), (big, 1), (1, big)])
-    out = tmp_path / "fig.svg"
-    assert main(["render", f, "--line", "1", "--out", str(out)]) == 0
-    outdir = tmp_path / "svgs"
-    assert main(["sample", f, "--format", "svg-dir",
-                 "--format-dir", str(outdir)]) == 0
-    for doc in (out.read_text(), (outdir / "sample-00000.svg").read_text()):
-        assert f'<circle cx="{big}" cy="-1" ' in doc
-    assert main(["count", f]) == 0
-    assert capsys.readouterr().out == f"{outdir}\n1\n"
+    # holds is drawn digit for digit, as count counts the set; so is one of
+    # 4300 digits, the most str() converts by default, although the
+    # viewBox's 1.1 times it has 4301
+    big, nines = 10 ** 400, 10 ** 4300 - 1
+    with int_str_limit(0):
+        nines_box = (f'viewBox="-{11 * 10 ** 4299 - 2}.9 -1.05 '
+                     f'{22 * 10 ** 4299 - 3}.8 1.1"')
+    for name, pts, drawn in (
+            ("big", [(0, 0), (big, 1), (1, big)],
+             f'<circle cx="{big}" cy="-1" '),
+            ("nines", [(-nines, 0), (0, 1), (nines, 0)], nines_box)):
+        f = write_points(tmp_path, pts, name=f"{name}.txt")
+        out = tmp_path / f"{name}.svg"
+        outdir = tmp_path / name
+        with int_str_limit(4300):
+            assert main(["render", f, "--line", "1", "--out", str(out)]) == 0
+            assert main(["sample", f, "--format", "svg-dir",
+                         "--format-dir", str(outdir)]) == 0
+            assert main(["count", f]) == 0
+        for doc in (out.read_text(),
+                    (outdir / "sample-00000.svg").read_text()):
+            assert drawn in doc
+        assert capsys.readouterr() == (f"{outdir}\n1\n", "")
 
 
 def test_render_points_only(tmp_path):

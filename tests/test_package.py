@@ -10,7 +10,7 @@ import pytest
 
 import tricount as tc
 from tricount import oracle
-from tricount.errors import InputError, PreconditionViolated, ResourceRefusal
+from tricount.errors import InputError, ResourceRefusal
 
 from conftest import FAN5, conv_points
 
@@ -193,54 +193,66 @@ def test_count_parameters_refuse_a_non_int(fan5, name, value):
 
 # a triangulation of conv5 (a fan from vertex 0), which is also its
 # pseudo-triangulation: (1, 3) is no edge of it, (0, 1) a hull edge that
-# does not cross l_2
+# does not cross l_2; CONV5_FAN_PATHS are its paths at l_1 .. l_4 in both
+# families
 CONV5_FAN = frozenset({(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3),
                        (3, 4)})
+CONV5_FAN_PATHS = [(1, 0, 4), (1, 2, 0, 4), (2, 3, 0, 4), (3, 4, 0)]
 LIBRARY_REFUSALS = {
-    "flip-non-edge": (PreconditionViolated, "edge (1, 3) not in the structure",
+    "flip-non-edge": ("edge (1, 3) not in the structure",
                       lambda P: tc.flip(CONV5_FAN, (1, 3), P)),
     "is_flippable-non-edge": (
-        PreconditionViolated, "edge (1, 3) not in the structure",
+        "edge (1, 3) not in the structure",
         lambda P: tc.is_flippable(CONV5_FAN, (1, 3), P)),
     "is_good_edge-non-edge": (
-        PreconditionViolated, "edge (1, 3) not in the structure",
+        "edge (1, 3) not in the structure",
         lambda P: tc.is_good_edge(CONV5_FAN, (1, 3), 2, P)),
-    "flip-hull-edge": (PreconditionViolated, "edge (0, 1) is not flippable",
+    "flip-hull-edge": ("edge (0, 1) is not flippable",
                        lambda P: tc.flip(CONV5_FAN, (0, 1), P)),
     "is_good_edge-not-crossing": (
-        PreconditionViolated, "edge (0, 1) does not cross l_2",
+        "edge (0, 1) does not cross l_2",
         lambda P: tc.is_good_edge(CONV5_FAN, (0, 1), 2, P)),
     "pt_good_edge-not-crossing": (
-        PreconditionViolated, "edge (0, 1) does not cross l_2",
+        "edge (0, 1) does not cross l_2",
         lambda P: tc.pt_good_edge(CONV5_FAN, (0, 1), 2, P)),
     "reconstruct-crossing": (
-        PreconditionViolated, "tuple union has crossing edges",
+        "tuple union has crossing edges",
         lambda P: tc.reconstruct([(1, 0, 4), (3, 0, 2, 1, 4)], P, "tri")),
     # spokes from FAN5's interior point 2 to 0, 3 and 4 leave no gap above pi
     "reconstruct-unpointed": (
-        PreconditionViolated, "tuple union is not pointed",
+        "tuple union is not pointed",
         lambda P: tc.reconstruct([(0, 2, 4), (2, 3)],
                                  tc.validate_point_set(FAN5), "pt")),
     # a caller's partial pt tuple is bad input, not a bug
     "reconstruct-one-path": (
-        PreconditionViolated, "not a pseudo-triangulation: not_maximal",
+        "not a pseudo-triangulation: not_maximal",
         lambda P: tc.reconstruct([(1, 0, 4)], P, "pt")),
-    "system_for": (PreconditionViolated, "unknown family 'xyz'",
+    # a tri tuple is completed, so a tuple that is not one path a line, in
+    # line order, is refused after the completion, not read as its union
+    "reconstruct-empty": ("tuple is not its structure's paths",
+                          lambda P: tc.reconstruct([], P, "tri")),
+    "reconstruct-last-dropped": (
+        "tuple is not its structure's paths",
+        lambda P: tc.reconstruct(CONV5_FAN_PATHS[:-1], P, "tri")),
+    "reconstruct-reversed": (
+        "tuple is not its structure's paths",
+        lambda P: tc.reconstruct(CONV5_FAN_PATHS[::-1], P, "pt")),
+    "system_for": ("unknown family 'xyz'",
                    lambda P: tc.system_for("xyz")),
     "enumerate_structures": (
-        PreconditionViolated, "unknown family 'xyz'",
+        "unknown family 'xyz'",
         lambda P: oracle.enumerate_structures(P, "xyz")),
     "validate_point_set-collinear": (
-        InputError, "collinear triple",
+        "collinear triple",
         lambda P: tc.validate_point_set([(0, 0), (1, 1), (2, 2)])),
     "validate_point_set-duplicate": (
-        InputError, "duplicate point",
+        "duplicate point",
         lambda P: tc.validate_point_set([(0, 0), (0, 0), (1, 5)])),
     "validate_point_set-too-few": (
-        InputError, "need at least 3 points",
+        "need at least 3 points",
         lambda P: tc.validate_point_set([(0, 0), (1, 5)])),
     "validate_point_set-non-integer": (
-        InputError, "non-integer coordinate",
+        "non-integer coordinate",
         lambda P: tc.validate_point_set([(0, 0), (2.5, 5), (3, 1)])),
 }
 
@@ -249,8 +261,8 @@ LIBRARY_REFUSALS = {
 def test_library_refusals_are_input_errors(conv5, name):
     # one class per exit code: every refusal of a library call's argument
     # is an InputError, so a ValueError that the CLI exits 2 on
-    cls, message, call = LIBRARY_REFUSALS[name]
-    with pytest.raises(cls, match=re.escape(message)) as exc:
+    message, call = LIBRARY_REFUSALS[name]
+    with pytest.raises(InputError, match=re.escape(message)) as exc:
         call(conv5)
     assert isinstance(exc.value, ValueError)
     assert exc.value.exit_code == 2

@@ -3,7 +3,7 @@ import pytest
 import tricount as tc
 import tricount.geom as geom
 from tricount import oracle, ptpath, sweep
-from tricount.errors import InternalInvariantViolation, PreconditionViolated
+from tricount.errors import InputError, InternalInvariantViolation
 from tricount.ptpath import PTPath, TPath, chain_edges
 
 import scan_predicates as scan
@@ -108,7 +108,7 @@ def test_extraction_blames_a_bad_edge_set(monkeypatch, fan5, family):
     for S, i in ((frozenset(), 1), (frozenset(fan5.segments), 2),
                  (other, 3), less_one, (own | {(2, 2)}, 2),
                  (own | {(1, 9)}, 2), (negative, 2)):
-        with pytest.raises(PreconditionViolated):
+        with pytest.raises(InputError):
             extract(S, i, fan5)
     assert extract(own, 2, fan5)
     monkeypatch.setattr(ptpath, "path_chains", lambda *args, **kw: [])
@@ -144,12 +144,12 @@ def test_pt_good_edge(fan5):
             hull_edges = {(0, 1), (1, 3), (3, 4), (0, 4)}
             if e in hull_edges:
                 assert tc.pt_good_edge(S, e, 2, fan5)
-    with pytest.raises(PreconditionViolated, match="does not cross l_2"):
+    with pytest.raises(InputError, match="does not cross l_2"):
         tc.pt_good_edge(S, (0, 1), 2, fan5)
     # a segment that crosses l_2 but is no edge of S (hull edges all are)
     e = next(f for f in fan5.segments
              if geom.edge_crosses_line(f, 2) and f not in S)
-    with pytest.raises(PreconditionViolated) as exc:
+    with pytest.raises(InputError) as exc:
         tc.pt_good_edge(S, e, 2, fan5)
     assert str(exc.value) == f"edge {e} not in the structure"
 
@@ -189,7 +189,7 @@ def test_successors_match_oracle(fan5):
 
 
 def test_successors_reject_invalid_parent(fan5):
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(InputError):
         tc.ptpath_successors(PTPath((4, 0, 1), 1), fan5)
 
 
@@ -254,7 +254,7 @@ NON_SEGMENT = {
 
 @pytest.mark.parametrize("name", sorted(NON_SEGMENT))
 def test_a_non_segment_is_refused(fan5, conv5, name):
-    with pytest.raises(PreconditionViolated, match="not a segment"):
+    with pytest.raises(InputError, match="not a segment"):
         NON_SEGMENT[name](fan5, conv5)
 
 
@@ -280,7 +280,7 @@ NOT_A_LINE = {
 
 @pytest.mark.parametrize("name", sorted(NOT_A_LINE))
 def test_a_bad_line_is_refused(fan5, name):
-    with pytest.raises(PreconditionViolated, match="not a sweep line"):
+    with pytest.raises(InputError, match="not a sweep line"):
         NOT_A_LINE[name](fan5)
 
 
@@ -316,7 +316,7 @@ NOT_A_VERTEX = {
 
 @pytest.mark.parametrize("name", sorted(NOT_A_VERTEX))
 def test_a_non_vertex_is_refused(fan5, name):
-    with pytest.raises(PreconditionViolated, match="^not a vertex: "):
+    with pytest.raises(InputError, match="^not a vertex: "):
         NOT_A_VERTEX[name](fan5)
 
 
@@ -324,7 +324,7 @@ def test_a_non_vertex_is_refused(fan5, name):
 def test_is_pointed_refuses_a_non_vertex(fan5, v):
     # unchecked, 9 and 5 would raise IndexError, -1 answer for vertex 4,
     # True for vertex 1, and 1.0 raise TypeError
-    with pytest.raises(PreconditionViolated, match="not a vertex"):
+    with pytest.raises(InputError, match="not a vertex"):
         tc.is_pointed([(0, 1), (0, 2), (0, 3)], v, fan5)
 
 

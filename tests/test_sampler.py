@@ -12,8 +12,8 @@ import tricount as tc
 from tricount import oracle, ptpath, sampler, sweep
 from tricount.cli import main
 from tricount.errors import (
+    InputError,
     InternalInvariantViolation,
-    PreconditionViolated,
     ResourceRefusal,
 )
 
@@ -81,20 +81,20 @@ def test_reconstruct_order_independent(conv5):
 
 
 def test_reconstruct_rejects_crossing_tuple(conv5):
-    with pytest.raises(PreconditionViolated, match="crossing"):
+    with pytest.raises(InputError, match="crossing"):
         tc.reconstruct([(1, 0, 4), (3, 0, 2, 1, 4)], conv5, "tri")
 
 
 def test_reconstruct_rejects_pt_tuples(fan5):
     # (0, 3) and (1, 4) are the diagonals of FAN5's hull quadrilateral
-    with pytest.raises(PreconditionViolated, match="crossing"):
+    with pytest.raises(InputError, match="crossing"):
         tc.reconstruct([(1, 0, 3), (0, 1, 4)], fan5, "pt")
     # spokes from interior point 2 to 0, 3 and 4 leave no gap above pi
-    with pytest.raises(PreconditionViolated, match="not pointed"):
+    with pytest.raises(InputError, match="not pointed"):
         tc.reconstruct([(0, 2, 4), (2, 3)], fan5, "pt")
     # one line's path is no pseudo-triangulation, and it is not completed:
     # the caller's tuple is bad input (exit 2), not a bug
-    with pytest.raises(PreconditionViolated, match="not_maximal"):
+    with pytest.raises(InputError, match="not_maximal"):
         tc.reconstruct([(fan5.hull[1], 0, fan5.hull[-1])], fan5, "pt")
     # an unknown family is refused, not completed as a triangulation
     for family in ("xyz", "PT"):
@@ -112,7 +112,7 @@ def _guard_reason(P, emask, blocked):
     """The sampler's pt check of a union, as a validate_pt_mask reason."""
     try:
         sampler._complete(P, True, emask, blocked, sampler._stars(P))
-    except PreconditionViolated as exc:
+    except InputError as exc:
         return GUARD_REASONS[str(exc)]
     return "ok"
 

@@ -2,7 +2,7 @@ import pytest
 
 import tricount as tc
 from tricount import geom, oracle, ptpath, sweep
-from tricount.errors import PreconditionViolated
+from tricount.errors import InputError
 from tricount.ptpath import TPath, chain_edges
 
 from conftest import conv_points, fan5_star_triangulation, random_point_set
@@ -81,7 +81,7 @@ def test_is_flippable(fan5, conv5):
         assert not tc.is_flippable(T, h, fan5)
     fan = frozenset({(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4)})
     assert tc.is_flippable(fan, (0, 2), conv5)
-    with pytest.raises(PreconditionViolated, match="not in the structure"):
+    with pytest.raises(InputError, match="not in the structure"):
         tc.is_flippable(T, (1, 4), fan5)
 
 
@@ -90,15 +90,15 @@ def test_flip(conv5):
     T2 = tc.flip(fan, (0, 2), conv5)
     assert (1, 3) in T2 and (0, 2) not in T2
     assert tc.flip(T2, (1, 3), conv5) == fan  # involution
-    with pytest.raises(PreconditionViolated, match="is not flippable"):
+    with pytest.raises(InputError, match="is not flippable"):
         tc.flip(fan, (0, 1), conv5)
 
 
 def test_is_good_edge(fan5):
     T = fan5_star_triangulation()
-    with pytest.raises(PreconditionViolated, match="not in the structure"):
+    with pytest.raises(InputError, match="not in the structure"):
         tc.is_good_edge(T, (1, 4), 2, fan5)
-    with pytest.raises(PreconditionViolated, match="does not cross l_2"):
+    with pytest.raises(InputError, match="does not cross l_2"):
         tc.is_good_edge(T, (0, 1), 2, fan5)
     assert not tc.is_good_edge(T, (0, 4), 2, fan5)  # hull edge: not flippable
 
@@ -129,7 +129,7 @@ def test_successors_match_oracle(fan5):
 
 
 def test_successors_reject_invalid_parent(fan5):
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(InputError):
         tc.tpath_successors(TPath((0, 4, 0), 1), fan5)
 
 
