@@ -8,7 +8,7 @@ position: sides are index comparisons, and the order in which segments
 cross a line is a left-of bit.
 
 A PointSet builds its exact tables once, in its constructor: the left-of
-bitmasks (PointSet.left), filled from one orientation per triple, and from
+bitmasks (PointSet.left), filled from one cross product per triple, and from
 them the segment index, the crossing masks, the segments at each vertex
 and the convex hull with its edges and interior vertices.  Crossing is a
 bit of the crossing masks; crossing order, triangle and region emptiness
@@ -22,10 +22,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError
 
-CW = -1
-COLLINEAR = 0
-CCW = 1
-
 Point = tuple[int, int]
 Segment = tuple[int, int]  # pair of vertex indices, normalized a < b
 EdgeSet = frozenset[Segment]
@@ -38,16 +34,6 @@ def seg(a: int, b: int) -> Segment:
     return (a, b) if a < b else (b, a)
 
 
-def orientation(a: Point, b: Point, c: Point) -> int:
-    """Sign of the cross product (b-a) x (c-a): CCW, CW or COLLINEAR."""
-    d = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-    if d > 0:
-        return CCW
-    if d < 0:
-        return CW
-    return COLLINEAR
-
-
 class PointSet:
     """A lexicographically sorted planar point set in general position,
     with its exact tables.
@@ -58,8 +44,8 @@ class PointSet:
 
     The constructor takes at least three int points (not bools) in strictly
     increasing lexicographic order and refuses any other input rather than
-    coerce or sort it.  It builds every table once, from one exact
-    orientation per triple, and raises InputError on a zero one.  Its
+    coerce or sort it.  It builds every table once, from one exact cross
+    product per triple, and raises InputError on a zero one.  Its
     read-only tables:
 
     - left[a][b]: bitmask of the points strictly left of directed ab;
@@ -78,7 +64,7 @@ class PointSet:
                  "hull", "hull_edges", "interior")
 
     def __init__(self, points: Sequence[Point]):
-        self.points = pts = tuple(map(_integer_point, points))
+        self.points = pts = tuple(map(_integer_point, collection(points)))
         if len(pts) < 3:
             raise InputError(f"need at least 3 points, got {len(pts)}")
         for p, q in zip(pts, pts[1:]):
@@ -87,18 +73,20 @@ class PointSet:
             if p > q:
                 raise InputError(f"points out of order: {p} before {q}")
         self.n = n = len(pts)
-        # one orientation per triple a < b < c fills all six of its entries:
-        # cyclic order keeps the sign, a transposition flips it
+        # the sign of (b-a) x (c-a) for a < b < c fills all six of the
+        # triple's entries: cyclic order keeps it, a transposition flips it
         self.left = left = [[0] * n for _ in range(n)]
-        for a in range(n):
+        for a, (ax, ay) in enumerate(pts):
             for b in range(a + 1, n):
+                dx, dy = pts[b][0] - ax, pts[b][1] - ay
                 for c in range(b + 1, n):
-                    o = orientation(pts[a], pts[b], pts[c])
-                    if o == CCW:
+                    cx, cy = pts[c]
+                    d = dx * (cy - ay) - dy * (cx - ax)
+                    if d > 0:  # abc counterclockwise
                         left[a][b] |= 1 << c
                         left[b][c] |= 1 << a
                         left[c][a] |= 1 << b
-                    elif o == CW:
+                    elif d < 0:
                         left[b][a] |= 1 << c
                         left[c][b] |= 1 << a
                         left[a][c] |= 1 << b
@@ -153,7 +141,7 @@ class PointSet:
         pair of two distinct int vertices of P raises InputError."""
         ids, cross, n = self.ids, self.cross, self.n
         emask = blocked = 0
-        for item in pairs:
+        for item in collection(pairs):
             try:
                 a, b = item
             except (TypeError, ValueError):
@@ -169,7 +157,7 @@ class PointSet:
 
     def check_vertices(self, vertices: Iterable[int]) -> None:
         """Refuse any value but an int vertex 0..n-1 (a bool is not one)."""
-        for v in vertices:
+        for v in collection(vertices):
             if not (type(v) is int and 0 <= v < self.n):
                 raise InputError(f"not a vertex: {v!r}")
 
@@ -222,7 +210,16 @@ def validate_point_set(raw: Iterable[Point]) -> PointSet:
     Coordinates must be Python ints; floats, bools and strings are refused
     rather than coerced.
     """
-    return PointSet(sorted(_integer_point(q) for q in raw))
+    return PointSet(sorted(_integer_point(q) for q in collection(raw)))
+
+
+def collection(values) -> Iterator:
+    """An iterator over a caller's collection; any other value, such as an
+    int or None, raises InputError naming it."""
+    try:
+        return iter(values)
+    except TypeError:
+        raise InputError(f"not a collection: {values!r}") from None
 
 
 def bits(mask: int) -> Iterator[int]:

@@ -244,6 +244,7 @@ class TPath(PTPath):
 
 
 def paths_cross(k1: PathKey, k2: PathKey, P: PointSet) -> bool:
+    k1, k2 = tuple(geom.collection(k1)), tuple(geom.collection(k2))
     blocked = P.edge_masks(zip(k1, k1[1:]))[1]
     return bool(blocked & P.edge_masks(zip(k2, k2[1:]))[0])
 

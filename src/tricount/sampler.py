@@ -27,7 +27,7 @@ from typing import Iterator, NamedTuple, Optional
 
 from .errors import (InputError, InternalInvariantViolation,
                      ResourceRefusal, check_nonnegative)
-from .geom import EdgeSet, PointSet, Segment, bits
+from .geom import EdgeSet, PointSet, Segment, bits, collection
 from .sweep import PathKey, PathSystem, path_chains, sweep_lines, system_for
 
 # draws are streamed, so m bounds time and output size, not memory: about
@@ -93,7 +93,7 @@ def reconstruct(tuple_keys: list[PathKey], P: PointSet,
     """Structure of a full tuple, its paths at l_1 .. l_{n-1} in order; a
     bad one raises InputError, a partial pt tuple with not_maximal."""
     zigzag = system_for(family).zigzag
-    keys = [tuple(key) for key in tuple_keys]
+    keys = [tuple(collection(key)) for key in collection(tuple_keys)]
     pairs = (e for key in keys for e in zip(key, key[1:]))
     emask = _complete(P, zigzag, *P.edge_masks(pairs), _stars(P))
     if [path_chains(P, i, zigzag, ~emask) for i in range(1, P.n)] != \

@@ -7,8 +7,9 @@ from typing import NamedTuple
 import pytest
 
 import tricount as tc
-from tricount.geom import orientation
-from tricount.sweep import sweep_lines
+from tricount.sweep import path_chains, sweep_lines
+
+from scan_predicates import sign
 
 # subprocess tests run `python -m tricount.cli`; let them import from src/
 # as the test process does (pyproject's pytest pythonpath)
@@ -34,7 +35,7 @@ def random_points(n, seed, span=40, columns=None):
         q = (rng.randrange(columns or span), rng.randrange(span))
         if q in pts:
             continue
-        if any(orientation(a, b, q) == 0
+        if any(sign(a, b, q) == 0
                for i, a in enumerate(pts) for b in pts[i + 1:]):
             continue
         pts.append(q)
@@ -129,6 +130,56 @@ def check_forward_backward(P, family):
     # l_{n-1} holds the one path, whose forward count is N
     assert sums == [table.counts[0]] * len(sums), (family, sums)
     return sums[0]
+
+
+def constrained_count(P, family, blocked):
+    """The sweep's count with blocked, a bitmask over P.segments, passed to
+    every line's search (sweep.path_chains): the compatible tuples of paths
+    that use no blocked segment, each line joined by the family's join.  A
+    child without a parent counts 0, and an emptied line empties the rest."""
+    system = tc.system_for(family)
+    keys = path_chains(P, 1, system.zigzag, blocked)
+    counts = [1] * len(keys)
+    for i in range(2, P.n):
+        children = path_chains(P, i, system.zigzag, blocked)
+        counts = [sum(counts[j] for j in js)
+                  for js in system.join(P, keys, children)]
+        keys = children
+    return sum(counts)
+
+
+def edge_counts(P, family):
+    """N(e) for each segment e of P, in P.segments order: the number of
+    structures of the family that contain e, by one constrained sweep each.
+
+    tri: block cross[e].  A triangulation T with e has no edge crossing e,
+    so neither have its paths.  Conversely, if T's paths avoid cross[e],
+    their union with e is non-crossing and completes to a triangulation T';
+    each path of T is a valid T-path whose edges lie in T', so it is the
+    path of T' at its line (a triangulation has exactly one there), and T'
+    has T's tuple, so T' = T holds e.  The sweep counts each triangulation
+    once, by its tuple, so the count is N(e).
+
+    pt: block e itself and subtract from N: every pt edge lies on one of
+    its PT-paths (the covering lemma), so the count is the structures
+    without e.
+
+    The look-alikes are wrong.  Blocking e for tri does not count the
+    triangulations without e, as some triangulation edges lie on no
+    T-path.  Blocking cross[e] for pt does not count the structures with
+    e, as a pointed set that e does not cross need not take e and stay
+    pointed.
+    """
+    if family == "tri":
+        return [constrained_count(P, family, c) for c in P.cross]
+    total = constrained_count(P, family, 0)
+    return [total - constrained_count(P, family, 1 << k)
+            for k in range(len(P.segments))]
+
+
+def structure_edge_count(P, family):
+    """|E|, the number of edges of every structure of the family on P."""
+    return 3 * P.n - 3 - len(P.hull) if family == "tri" else 2 * P.n - 3
 
 
 @pytest.fixture(scope="session")

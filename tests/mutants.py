@@ -200,7 +200,21 @@ MUTANTS = [
     Mutant("_read_json without its non-list check", "src/tricount/cli.py",
            """    if not isinstance(raw, list):
         raise InputError(f"bad {what} file: not a JSON list")
-""", "", ("tests/test_exit_codes.py::test_every_input_exits_0_2_or_3",)),
+""", "", ("tests/test_exit_codes.py::test_every_input_exits_0_2_or_3",
+             "tests/test_cli.py::test_malformed_json_exit2")),
+    Mutant("a clockwise triple's left-of bit set in the reverse entry",
+           "src/tricount/geom.py",
+           "left[c][b] |= 1 << a", "left[b][c] |= 1 << a",
+           ("tests/test_geom.py::test_orientation_basic",
+            "tests/test_geom.py::test_orientation_antisymmetric")),
+    # the chord and marginal tests, whose draws and marginals come from the
+    # same faulty tables, pass on it
+    Mutant("pt join refuses a shared vertex of six or more union edges",
+           "src/tricount/sweep.py",
+           "P.pointed(v, adj[j][v] | ac[v])",
+           "P.pointed(v, adj[j][v] | ac[v])"
+           " and (adj[j][v] | ac[v]).bit_count() < 6",
+           ("tests/test_sweep.py::test_edge_counts_sum_to_count_times_edges",)),
 ]
 
 

@@ -3,9 +3,11 @@
 Each function decides its predicate straight from exact orientation signs
 or exact rational coordinates, one point or one direction at a time, the
 way the library did before its predicates were derived from the left-of
-masks PointSet.left.  The convex hull reference sorts the points no
-triangle contains by orientation about vertex 0, independently of the
-hull walk over those masks.  The tests compare the kernel against them.
+masks PointSet.left.  The sign is computed here, from the points, so the
+kernel and its reference share no geometric predicate.  The convex hull
+reference sorts the points no triangle contains by orientation about
+vertex 0, independently of the hull walk over those masks.  The tests
+compare the kernel against them.
 
 The rational references work in sheared coordinates x' = 2*(M*x + y),
 y' = 2*y, with M large enough that the sheared x-order is the
@@ -20,14 +22,21 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Iterable, Sequence
 
-from tricount.geom import (
-    CCW, PointSet, Segment, edge_crosses_line, orientation, seg)
+from tricount.geom import Point, PointSet, Segment, edge_crosses_line, seg
 
 RPoint = tuple[Fraction, Fraction]
 
 
+def sign(p: Point, q: Point, r: Point) -> int:
+    """Sign of the cross product (q-p) x (r-p): 1 if pqr turns
+    counterclockwise, -1 if clockwise, 0 if collinear."""
+    d = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+    return (d > 0) - (d < 0)
+
+
 def orient(P: PointSet, a: int, b: int, c: int) -> int:
-    return orientation(P.points[a], P.points[b], P.points[c])
+    """The sign of P's points with indices a, b and c."""
+    return sign(P.points[a], P.points[b], P.points[c])
 
 
 def _triangle_empty_scan(a: int, b: int, c: int, P: PointSet) -> bool:
@@ -80,7 +89,7 @@ def convex_hull(P: PointSet) -> list[int]:
                           for a in range(n) for b in range(a + 1, n)
                           for c in range(b + 1, n) if v not in (a, b, c))]
     return [0] + sorted(corners, key=cmp_to_key(
-        lambda p, q: -1 if orient(P, 0, p, q) == CCW else 1))
+        lambda p, q: -orient(P, 0, p, q)))
 
 
 def is_pointed(edges: Iterable[Segment], v: int, P: PointSet) -> bool:

@@ -18,6 +18,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from tricount import geom
 from tricount.cli import main
 from tricount.errors import InputError, check_nonnegative
+from tricount.ptpath import paths_cross
+from tricount.sampler import reconstruct
 
 from conftest import random_points
 
@@ -138,11 +140,20 @@ VALUES = st.one_of(JSON_VALUES, st.integers(), st.floats(),
                    st.binary(max_size=2))
 
 
+# a collection of values, or a whole value that is no collection
+ITEMS = st.one_of(st.lists(VALUES, max_size=4), st.none(), st.integers(),
+                  st.floats(), st.booleans())
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(items=st.lists(VALUES, max_size=4), value=VALUES)
+@given(items=ITEMS, value=VALUES)
 def test_doors_accept_or_refuse_as_input_errors(fan5, items, value):
-    for door in (lambda: fan5.edge_masks(items),
+    for door in (lambda: geom.PointSet(items),
+                 lambda: geom.validate_point_set(items),
+                 lambda: fan5.edge_masks(items),
                  lambda: fan5.check_vertices(items),
+                 lambda: reconstruct(items, fan5, "tri"),
+                 lambda: paths_cross(items, (0, 1, 4), fan5),
                  lambda: geom.hull_crossing_edges(fan5, value),
                  lambda: check_nonnegative("value", value)):
         try:

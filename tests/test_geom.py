@@ -6,13 +6,7 @@ from hypothesis import given, strategies as st
 
 import tricount.geom as geom
 from tricount.errors import InputError
-from tricount.geom import (
-    CCW,
-    COLLINEAR,
-    CW,
-    orientation,
-    seg,
-)
+from tricount.geom import seg
 import tricount as tc
 
 import scan_predicates as scan
@@ -20,18 +14,39 @@ from conftest import (FAN5, conv_points, double_chain, random_point_set,
                       random_points)
 
 
+def assert_left_is_sign(P):
+    """Each left-of bit of the kernel against the reference sign."""
+    for a in range(P.n):
+        for b in range(P.n):
+            for c in range(P.n):
+                assert (P.left[a][b] >> c & 1) == \
+                    (scan.orient(P, a, b, c) > 0), (a, b, c)
+
+
 def test_orientation_basic():
-    assert orientation((0, 0), (1, 0), (0, 1)) == CCW
-    assert orientation((0, 0), (1, 0), (2, 0)) == COLLINEAR
-    assert orientation((0, 0), (0, 1), (1, 0)) == CW
+    assert scan.sign((0, 0), (1, 0), (0, 1)) == 1
+    assert scan.sign((0, 0), (1, 0), (2, 0)) == 0
+    assert scan.sign((0, 0), (0, 1), (1, 0)) == -1
+    # sorted, (1, 0) is vertex 2: right of 0 -> 1, left of 1 -> 0
+    P = geom.PointSet([(0, 0), (0, 1), (1, 0)])
+    assert P.left[0][1] == 0 and P.left[1][0] == 1 << 2
+    assert_left_is_sign(P)
+    with pytest.raises(InputError, match="collinear triple"):
+        geom.PointSet([(0, 0), (1, 0), (2, 0)])
 
 
 @given(st.lists(st.tuples(st.integers(-50, 50), st.integers(-50, 50)),
                 min_size=3, max_size=3, unique=True))
 def test_orientation_antisymmetric(pts):
     a, b, c = pts
-    assert orientation(a, b, c) == -orientation(b, a, c)
-    assert orientation(a, b, c) == -orientation(a, c, b)
+    assert scan.sign(a, b, c) == -scan.sign(b, a, c)
+    assert scan.sign(a, b, c) == -scan.sign(a, c, b)
+    # the kernel fills all six left-of entries of the triple from one sign
+    if scan.sign(a, b, c):
+        assert_left_is_sign(tc.validate_point_set(pts))
+    else:
+        with pytest.raises(InputError, match="collinear triple"):
+            tc.validate_point_set(pts)
 
 
 def test_validate_point_set():
@@ -63,7 +78,7 @@ def test_convex_hull(fan5, conv5, tri3):
     h = fan5.hull
     for k in range(len(h)):
         assert scan.orient(fan5, h[k], h[(k + 1) % len(h)],
-                          h[(k + 2) % len(h)]) == CCW
+                           h[(k + 2) % len(h)]) == 1
 
 
 def test_hull_invariant_under_permutation():
@@ -223,6 +238,7 @@ def test_kernel_matches_orientation_scan():
     rng = random.Random(7)
     for n in range(5, 13):
         P = random_point_set(n, 700 + n)
+        assert_left_is_sign(P)
         segs = P.segments
         for e in segs:
             for f in segs:

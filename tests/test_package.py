@@ -254,6 +254,35 @@ LIBRARY_REFUSALS = {
     "validate_point_set-non-integer": (
         "non-integer coordinate",
         lambda P: tc.validate_point_set([(0, 0), (2.5, 5), (3, 1)])),
+    # a value that is no collection, where a door expects one, is refused
+    # by name in the door, not left to a TypeError
+    "PointSet-non-collection": ("not a collection: 5",
+                                lambda P: tc.PointSet(5)),
+    "validate_point_set-non-collection": (
+        "not a collection: None", lambda P: tc.validate_point_set(None)),
+    "edge_masks-non-collection": ("not a collection: 5",
+                                  lambda P: P.edge_masks(5)),
+    "check_vertices-non-collection": ("not a collection: 5",
+                                      lambda P: P.check_vertices(5)),
+    "reconstruct-non-collection": (
+        "not a collection: 5", lambda P: tc.reconstruct(5, P, "tri")),
+    "reconstruct-non-collection-key": (
+        "not a collection: 5", lambda P: tc.reconstruct([5], P, "tri")),
+    "paths_cross-non-collection": (
+        "not a collection: 5", lambda P: tc.paths_cross(5, (0, 1), P)),
+    # and through those doors
+    "validate_pseudotriangulation-non-collection": (
+        "not a collection: 5",
+        lambda P: tc.validate_pseudotriangulation(5, P)),
+    "extract_tpath-non-collection": (
+        "not a collection: 5", lambda P: tc.extract_tpath(5, 1, P)),
+    "flip-non-collection": ("not a collection: 5",
+                            lambda P: tc.flip(5, (0, 1), P)),
+    "is_pointed-non-collection": ("not a collection: 5",
+                                  lambda P: tc.is_pointed(5, 0, P)),
+    "validate_tpath-non-collection": (
+        "not a collection: 5",
+        lambda P: tc.validate_tpath(tc.TPath(5, 1), P)),
 }
 
 

@@ -9,10 +9,12 @@ from tricount import geom, oracle, ptpath, sampler, sweep
 from tricount.errors import InternalInvariantViolation
 
 from conftest import (check_forward_backward, conv_points, double_chain,
-                      double_chain_tri_count, line_tables, random_point_set,
-                      random_points, sample)
+                      double_chain_tri_count, edge_counts, line_tables,
+                      random_point_set, random_points, sample,
+                      structure_edge_count)
 from flip_reference import count_pseudotriangulations
 from monotone_reference import count_triangulations
+from scan_predicates import sign
 
 
 def first_path(P):
@@ -322,7 +324,7 @@ def _family_and_points(draw):
     for q in draw(st.lists(st.tuples(xs, st.integers(-1000, 1000)),
                            min_size=3 * n, max_size=3 * n)):
         if len(pts) < n and q not in pts and all(
-                geom.orientation(a, b, q)
+                sign(a, b, q)
                 for a, b in itertools.combinations(pts, 2)):
             pts.append(q)
     assume(len(pts) == n)
@@ -380,3 +382,33 @@ def test_forward_times_backward_is_the_count(family, max_n, chains):
     sets += [conv_points(n) for n in (6, 9, 12)]
     for pts in sets:
         check_forward_backward(tc.validate_point_set(pts), family)
+
+
+EDGE_IDENTITY_SETS = {
+    "tri": [random_points(n, 500 + n) for n in (10, 11, 12)]
+    + [conv_points(11), double_chain(10)],
+    "pt": [random_points(n, 500 + n) for n in (8, 9)] + [double_chain(8)],
+}
+
+
+@pytest.mark.parametrize("family", ["tri", "pt"])
+def test_edge_counts_sum_to_count_times_edges(family):
+    # every structure has |E| edges, so the counts N(e) of the structures
+    # that contain e add up to N * |E| over all segments: the search and
+    # the join run under a different blocked mask for each segment, and
+    # the sum needs no oracle at any n
+    for pts in EDGE_IDENTITY_SETS[family]:
+        P = tc.validate_point_set(pts)
+        count = tc.run_sweep(tc.system_for(family), P)[0]
+        assert sum(edge_counts(P, family)) == \
+            count * structure_edge_count(P, family)
+
+
+@pytest.mark.parametrize("family", ["tri", "pt"])
+@pytest.mark.parametrize("n", [7, 8])
+def test_edge_counts_match_oracle(family, n):
+    # each segment's count, hull edges and segments in no structure too
+    P = random_point_set(n, 600 + n)
+    structures = oracle.enumerate_structures(P, family)
+    assert edge_counts(P, family) == [sum(e in S for S in structures)
+                                      for e in P.segments]
