@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import ResourceRefusal, check_nonnegative
+from .errors import ResourceRefusal, check_nonnegative, shown
 
 # bound_sequence refuses K above this: the recurrence is O(K^2) products of
 # ever wider integers (K = 1000 takes about half a second, K = 2000 six)
@@ -31,7 +31,7 @@ class BoundSequence(NamedTuple):
 def bound_sequence(K: int) -> list[BoundSequence]:
     check_nonnegative("K", K)
     if K > K_GUARD:
-        raise ResourceRefusal(f"K={K} exceeds sequence guard {K_GUARD}")
+        raise ResourceRefusal(f"K={shown(K)} exceeds sequence guard {K_GUARD}")
     f = [0] * (K + 1)
     g = [0] * (K + 1)
     out = [BoundSequence(0, 0, 0)]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InputError
+from .errors import InputError, shown
 
 Point = tuple[int, int]
 Segment = tuple[int, int]  # pair of vertex indices, normalized a < b
@@ -30,7 +30,7 @@ EdgeSet = frozenset[Segment]
 def seg(a: int, b: int) -> Segment:
     """Normalize an index pair into a Segment (a < b)."""
     if a == b:
-        raise InputError(f"not a segment: ({a!r}, {b!r})")
+        raise InputError(f"not a segment: ({shown(a)}, {shown(b)})")
     return (a, b) if a < b else (b, a)
 
 
@@ -69,9 +69,10 @@ class PointSet:
             raise InputError(f"need at least 3 points, got {len(pts)}")
         for p, q in zip(pts, pts[1:]):
             if p == q:
-                raise InputError(f"duplicate point {q}")
+                raise InputError(f"duplicate point {shown(q)}")
             if p > q:
-                raise InputError(f"points out of order: {p} before {q}")
+                raise InputError(
+                    f"points out of order: {shown(p)} before {shown(q)}")
         self.n = n = len(pts)
         # the sign of (b-a) x (c-a) for a < b < c fills all six of the
         # triple's entries: cyclic order keeps it, a transposition flips it
@@ -92,7 +93,8 @@ class PointSet:
                         left[a][c] |= 1 << b
                     else:
                         raise InputError(
-                            f"collinear triple {pts[a]}, {pts[b]}, {pts[c]}")
+                            f"collinear triple {shown(pts[a])}, "
+                            f"{shown(pts[b])}, {shown(pts[c])}")
         self.segments = [(a, b) for a in range(n) for b in range(a + 1, n)]
         self.ids = ids = [[None] * n for _ in range(n)]
         for k, (a, b) in enumerate(self.segments):
@@ -146,10 +148,10 @@ class PointSet:
                 a, b = item
             except (TypeError, ValueError):
                 raise InputError(
-                    f"not a segment: {item!r}") from None
+                    f"not a segment: {shown(item)}") from None
             if not (type(a) is type(b) is int and a != b
                     and 0 <= a < n and 0 <= b < n):
-                raise InputError(f"not a segment: ({a!r}, {b!r})")
+                raise InputError(f"not a segment: ({shown(a)}, {shown(b)})")
             k = ids[a][b]
             emask |= 1 << k
             blocked |= cross[k]
@@ -159,7 +161,7 @@ class PointSet:
         """Refuse any value but an int vertex 0..n-1 (a bool is not one)."""
         for v in collection(vertices):
             if not (type(v) is int and 0 <= v < self.n):
-                raise InputError(f"not a vertex: {v!r}")
+                raise InputError(f"not a vertex: {shown(v)}")
 
     def inside(self, a: int, b: int, c: int) -> int:
         """Bitmask of the points strictly inside triangle abc."""
@@ -195,11 +197,12 @@ def _integer_point(q) -> Point:
     try:
         x, y = q
     except (TypeError, ValueError):
-        raise InputError(f"expected an (x, y) pair, got {q!r}") from None
+        raise InputError(f"expected an (x, y) pair, got {shown(q)}") from None
     for c in (x, y):
         # bool is an int subclass, but true/false are not coordinates
         if isinstance(c, bool) or not isinstance(c, int):
-            raise InputError(f"non-integer coordinate {c!r} in {q!r}")
+            raise InputError(
+                f"non-integer coordinate {shown(c)} in {shown(q)}")
     return (x, y)
 
 
@@ -219,7 +222,7 @@ def collection(values) -> Iterator:
     try:
         return iter(values)
     except TypeError:
-        raise InputError(f"not a collection: {values!r}") from None
+        raise InputError(f"not a collection: {shown(values)}") from None
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -267,7 +270,7 @@ def region_empty(P: PointSet, i: int, u: int, exc: list[int],
 def hull_crossing_edges(P: PointSet, i: int) -> tuple[Segment, Segment]:
     """The two hull edges crossed by l_i (an int 1..n-1), the lower first."""
     if not (type(i) is int and 0 < i < P.n):
-        raise InputError(f"not a sweep line: {i!r} (1..{P.n - 1})")
+        raise InputError(f"not a sweep line: {shown(i)} (1..{P.n - 1})")
     crossing = [e for e in P.hull_edges if edge_crosses_line(e, i)]
     # hull_edges run CCW from vertex 0, lower chain first
     return crossing[0], crossing[1]

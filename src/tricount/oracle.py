@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import (InputError, InternalInvariantViolation,
-                     ResourceRefusal, check_nonnegative)
+                     ResourceRefusal, check_nonnegative, shown)
 from .geom import EdgeSet, PointSet, adjacency, bits
 
 TRI_GUARD = 12
@@ -42,7 +42,7 @@ def enumerate_structures(P: PointSet, family: str,
         guard, name = PT_GUARD, "pseudo-triangulation"
         target = 2 * P.n - 3
     else:
-        raise InputError(f"unknown family {family!r}")
+        raise InputError(f"unknown family {shown(family)}")
     if P.n > guard:
         raise ResourceRefusal(f"n={P.n} exceeds {name} oracle guard {guard}")
     n, edges, cross = P.n, P.segments, P.cross

@@ -26,7 +26,7 @@ from itertools import accumulate
 from typing import Iterator, NamedTuple, Optional
 
 from .errors import (InputError, InternalInvariantViolation,
-                     ResourceRefusal, check_nonnegative)
+                     ResourceRefusal, check_nonnegative, shown)
 from .geom import EdgeSet, PointSet, Segment, bits, collection
 from .sweep import PathKey, PathSystem, path_chains, sweep_lines, system_for
 
@@ -45,32 +45,28 @@ class ReconstructedStructure(NamedTuple):
         return frozenset(self.segments[k] for k in bits(self.mask))
 
 
-def _stars(P: PointSet) -> list[tuple[int, int, dict[int, int]]]:
-    """Each interior vertex, its segments' mask and, by segment, the bit of
-    the other end: the pt check's lookup, built per draws or reconstruct."""
-    ids = P.ids
-    return [(v, P.star[v], {ids[v][u]: 1 << u for u in range(P.n) if u != v})
-            for v in P.interior]
-
-
-def _complete(P: PointSet, zigzag: bool, emask: int, blocked: int,
-              stars: list[tuple[int, int, dict[int, int]]]) -> int:
+def _complete(P: PointSet, zigzag: bool, emask: int, blocked: int) -> int:
     """The structure of a full tuple's union, checked.  pt: the union
     itself, by the covering lemma, guarded by Streinu's count: a planar
     pointed graph has at most 2n - 3 edges and exactly the pointed
     pseudo-triangulations have 2n - 3, so a partial tuple is not maximal
     (ptpath.validate_pt_mask gives the same verdicts).  A hull vertex is
-    pointed whatever its edges, so only the interior vertices of stars are
-    tested.  tri: the union's greedy completion in bit order; a compatible
-    tuple determines its triangulation, so the order does not matter."""
+    pointed whatever its edges, so only the interior vertices are tested.
+    tri: the union's greedy completion in bit order; a compatible tuple
+    determines its triangulation, so the order does not matter."""
     if blocked & emask:
         raise InputError("tuple union has crossing edges")
     if zigzag:
-        for v, star, ends in stars:
-            at_v = emask & star
-            if at_v.bit_count() > 2 and not P.pointed(
-                    v, sum(map(ends.__getitem__, bits(at_v)))):
-                raise InputError("tuple union is not pointed")
+        segs = P.segments
+        for v in P.interior:
+            at_v = emask & P.star[v]
+            if at_v.bit_count() > 2:
+                nbrs = 0
+                for k in bits(at_v):
+                    a, b = segs[k]
+                    nbrs |= 1 << (a ^ b ^ v)  # the other end
+                if not P.pointed(v, nbrs):
+                    raise InputError("tuple union is not pointed")
         if emask.bit_count() != 2 * P.n - 3:
             raise InputError(
                 "tuple union is not a pseudo-triangulation: not_maximal")
@@ -95,7 +91,7 @@ def reconstruct(tuple_keys: list[PathKey], P: PointSet,
     zigzag = system_for(family).zigzag
     keys = [tuple(collection(key)) for key in collection(tuple_keys)]
     pairs = (e for key in keys for e in zip(key, key[1:]))
-    emask = _complete(P, zigzag, *P.edge_masks(pairs), _stars(P))
+    emask = _complete(P, zigzag, *P.edge_masks(pairs))
     if [path_chains(P, i, zigzag, ~emask) for i in range(1, P.n)] != \
             [[key] for key in keys]:
         raise InputError("tuple is not its structure's paths")
@@ -134,10 +130,9 @@ def draws(P: PointSet, family: str, seed: int, m: int,
         check_nonnegative("max_table_entries", max_table_entries)
     check_nonnegative("seed", seed)
     if m > M_GUARD:
-        raise ResourceRefusal(f"m={m} exceeds sample guard {M_GUARD}")
+        raise ResourceRefusal(f"m={shown(m)} exceeds sample guard {M_GUARD}")
     system = system_for(family)
     root = _root(P, system, max_table_entries)
-    stars = _stars(P)
 
     def walk():
         getrandbits = random.Random(seed).getrandbits
@@ -157,7 +152,7 @@ def draws(P: PointSet, family: str, seed: int, m: int,
             chosen.reverse()
             # the tuple is the engine's own: a failed check is a bug
             try:
-                emask = _complete(P, system.zigzag, emask, blocked, stars)
+                emask = _complete(P, system.zigzag, emask, blocked)
             except InputError as exc:
                 raise InternalInvariantViolation(f"a drawn {exc}") from exc
             yield chosen, ReconstructedStructure(emask, P.segments)

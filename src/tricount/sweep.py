@@ -26,7 +26,7 @@ from operator import or_
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import geom
-from .errors import InputError, InternalInvariantViolation
+from .errors import InputError, InternalInvariantViolation, shown
 from .geom import PointSet, Segment, adjacency, bits
 
 PathKey = tuple[int, ...]
@@ -206,7 +206,7 @@ def system_for(family: str) -> PathSystem:
         return TRI_SYSTEM
     if family == "pt":
         return PT_SYSTEM
-    raise InputError(f"unknown family {family!r}")
+    raise InputError(f"unknown family {shown(family)}")
 
 
 class SweepStats:

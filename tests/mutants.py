@@ -95,11 +95,10 @@ MUTANTS = [
     Mutant("the draw re-raise removed",
            "src/tricount/sampler.py",
            """            try:
-                emask = _complete(P, system.zigzag, emask, blocked, stars)
+                emask = _complete(P, system.zigzag, emask, blocked)
             except InputError as exc:
                 raise InternalInvariantViolation(f"a drawn {exc}") from exc""",
-           "            emask = _complete(P, system.zigzag, emask, blocked,"
-           " stars)",
+           "            emask = _complete(P, system.zigzag, emask, blocked)",
            ("tests/test_sampler.py::test_failed_draw_check_is_internal",)),
     Mutant("extraction from a non-structure not refused",
            "src/tricount/ptpath.py",
@@ -153,7 +152,7 @@ MUTANTS = [
                 a, b = item
             except (TypeError, ValueError):
                 raise InputError(
-                    f"not a segment: {item!r}") from None""",
+                    f"not a segment: {shown(item)}") from None""",
            "            a, b = item",
            ("tests/test_geom.py::test_edge_masks_is_the_door_to_segments",
             "tests/test_cli.py::test_render_non_segment_exit2[triple]")),
@@ -215,6 +214,23 @@ MUTANTS = [
            "P.pointed(v, adj[j][v] | ac[v])"
            " and (adj[j][v] | ac[v]).bit_count() < 6",
            ("tests/test_sweep.py::test_edge_counts_sum_to_count_times_edges",)),
+    Mutant("the pt draw check reads the other end as 1 << b",
+           "src/tricount/sampler.py",
+           "nbrs |= 1 << (a ^ b ^ v)", "nbrs |= 1 << b",
+           ("tests/test_sampler.py::test_pt_guard_matches_validate_pt_mask",)),
+    Mutant("the pt draw check skips pointedness at degree 3",
+           "src/tricount/sampler.py",
+           "if at_v.bit_count() > 2:", "if at_v.bit_count() > 3:",
+           ("tests/test_sampler.py::test_pt_guard_matches_validate_pt_mask",)),
+    # a join that only drops pairs and leaves every child a parent: each
+    # tuple still counted is a structure's, so the edge identity balances
+    # again; the oracle sees the smaller count
+    Mutant("tpath_join drops parents three vertices longer than the child",
+           "src/tricount/sweep.py",
+           "yield list(bits(full & ~m))",
+           "yield [j for j in bits(full & ~m)\n"
+           "               if len(parents[j]) != len(c) + 3]",
+           ("tests/test_sweep.py::test_sweep_matches_oracle_random",)),
 ]
 
 

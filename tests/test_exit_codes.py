@@ -134,7 +134,9 @@ def test_every_input_exits_0_2_or_3(invocation):
     assert "Traceback" not in err
 
 
-VALUES = st.one_of(JSON_VALUES, st.integers(), st.floats(),
+# one digit past the limit: a door must refuse it without printing it
+BEYOND = st.sampled_from([N + 1, -N - 1])
+VALUES = st.one_of(JSON_VALUES, st.integers(), BEYOND, st.floats(),
                    st.tuples(st.integers(-2, 6), st.integers(-2, 6)),
                    st.frozensets(st.integers(-2, 6), max_size=3),
                    st.binary(max_size=2))
@@ -142,7 +144,7 @@ VALUES = st.one_of(JSON_VALUES, st.integers(), st.floats(),
 
 # a collection of values, or a whole value that is no collection
 ITEMS = st.one_of(st.lists(VALUES, max_size=4), st.none(), st.integers(),
-                  st.floats(), st.booleans())
+                  BEYOND, st.floats(), st.booleans())
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

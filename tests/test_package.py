@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import tricount as tc
-from tricount import oracle
+from tricount import geom, oracle
 from tricount.errors import InputError, ResourceRefusal
 
 from conftest import FAN5, conv_points
@@ -198,6 +198,11 @@ def test_count_parameters_refuse_a_non_int(fan5, name, value):
 CONV5_FAN = frozenset({(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3),
                        (3, 4)})
 CONV5_FAN_PATHS = [(1, 0, 4), (1, 2, 0, 4), (2, 3, 0, 4), (3, 4, 0)]
+# more digits than str() converts by default (4300), and how a message
+# names it
+BIG = 10 ** 5000
+HUGE = "<int of 16610 bits>"
+
 LIBRARY_REFUSALS = {
     "flip-non-edge": ("edge (1, 3) not in the structure",
                       lambda P: tc.flip(CONV5_FAN, (1, 3), P)),
@@ -283,6 +288,49 @@ LIBRARY_REFUSALS = {
     "validate_tpath-non-collection": (
         "not a collection: 5",
         lambda P: tc.validate_tpath(tc.TPath(5, 1), P)),
+    # an int beyond the int-to-str digit limit is named by its size, so
+    # the refusal does not fail on its own message
+    "check_vertices-huge": (f"not a vertex: {HUGE}",
+                            lambda P: P.check_vertices([BIG])),
+    "edge_masks-huge-pair": (f"not a segment: ({HUGE}, 1)",
+                             lambda P: P.edge_masks([(BIG, 1)])),
+    "edge_masks-huge-triple": ("not a segment: <unprintable tuple>",
+                               lambda P: P.edge_masks([(BIG, 1, 2)])),
+    "PointSet-huge": (f"not a collection: {HUGE}", lambda P: tc.PointSet(BIG)),
+    "hull_crossing_edges-huge": (
+        f"not a sweep line: {HUGE} (1..4)",
+        lambda P: geom.hull_crossing_edges(P, BIG)),
+    "seg-huge": (f"not a segment: ({HUGE}, {HUGE})",
+                 lambda P: geom.seg(BIG, BIG)),
+    "validate_point_set-huge-non-integer": (
+        "non-integer coordinate 2.5 in <unprintable tuple>",
+        lambda P: tc.validate_point_set([(0, 0), (1, 2), (2.5, BIG)])),
+    "validate_point_set-huge-non-pair": (
+        f"expected an (x, y) pair, got {HUGE}",
+        lambda P: tc.validate_point_set([(0, 0), BIG])),
+    "validate_point_set-huge-duplicate": (
+        "duplicate point <unprintable tuple>",
+        lambda P: tc.validate_point_set([(BIG, 0), (BIG, 0), (0, 1)])),
+    "PointSet-huge-out-of-order": (
+        "points out of order: <unprintable tuple> before (0, 1)",
+        lambda P: tc.PointSet([(BIG, 0), (0, 1), (1, 1)])),
+    "validate_point_set-huge-collinear": (
+        "collinear triple (0, 0), <unprintable tuple>, <unprintable tuple>",
+        lambda P: tc.validate_point_set([(0, 0), (BIG, 0), (2 * BIG, 0)])),
+    "is_pointed-huge": (f"not a vertex: {HUGE}",
+                        lambda P: tc.is_pointed(CONV5_FAN, BIG, P)),
+    "validate_tpath-huge": (
+        f"not a vertex: {HUGE}",
+        lambda P: tc.validate_tpath(tc.TPath((0, BIG, 4), 1), P)),
+    "flip-huge": (f"not a segment: ({HUGE}, 1)",
+                  lambda P: tc.flip(CONV5_FAN, (BIG, 1), P)),
+    "PTPath-edges-huge": (f"not a segment: ({HUGE}, {HUGE})",
+                          lambda P: tc.PTPath((BIG, BIG), 1).edges()),
+    "system_for-huge": (f"unknown family {HUGE}",
+                        lambda P: tc.system_for(BIG)),
+    "enumerate_structures-huge": (
+        f"unknown family {HUGE}",
+        lambda P: oracle.enumerate_structures(P, BIG)),
 }
 
 
@@ -315,6 +363,10 @@ RESOURCE_REFUSALS = {
                      lambda P: tc.draws(P, "tri", 0, 1, max_table_entries=1)),
     "sequence-guard": ("K=1001 exceeds sequence guard 1000",
                        lambda P: tc.bound_sequence(1001)),
+    "sample-guard-huge": (f"m={HUGE} exceeds sample guard 100000",
+                          lambda P: tc.draws(P, "tri", 0, BIG)),
+    "sequence-guard-huge": (f"K={HUGE} exceeds sequence guard 1000",
+                            lambda P: tc.bound_sequence(BIG)),
 }
 
 

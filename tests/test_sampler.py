@@ -17,8 +17,8 @@ from tricount.errors import (
     ResourceRefusal,
 )
 
-from conftest import (FAN5, conv_points, forward_backward, line_tables,
-                      random_point_set, random_points, sample)
+from conftest import (FAN5, conv_points, edge_counts, forward_backward,
+                      line_tables, random_point_set, random_points, sample)
 
 
 def test_three_points_constant(tri3):
@@ -111,7 +111,7 @@ GUARD_REASONS = {"tuple union has crossing edges": "edges_cross",
 def _guard_reason(P, emask, blocked):
     """The sampler's pt check of a union, as a validate_pt_mask reason."""
     try:
-        sampler._complete(P, True, emask, blocked, sampler._stars(P))
+        sampler._complete(P, True, emask, blocked)
     except InputError as exc:
         return GUARD_REASONS[str(exc)]
     return "ok"
@@ -307,6 +307,31 @@ def test_middle_line_path_frequencies_of_draws(family, n):
     dof = len(table.keys) - 1
     z = (chi2 - dof) / math.sqrt(2 * dof)
     assert z < 5, (z, dof)
+
+
+@pytest.mark.parametrize("family,n", [("tri", 14), ("pt", 9)])
+def test_segment_frequencies_of_draws(family, n):
+    # above the oracle range, every segment at once: N(e) / N is its exact
+    # marginal (conftest.edge_counts).  In 20,000 uniform draws its tally is
+    # Binomial(20,000, p), so a segment with p = 0 or 1 is hit exactly 0 or
+    # 20,000 times, and the others lie within |z| <= 5: summed over the 81
+    # (tri) and 30 (pt) such cells, the exact binomial tails beyond 5 sd
+    # come to 5.0e-5 and 1.7e-5, so a reseeded stream fails this test less
+    # than once in 1e4 (seed 0 reads max |z| 2.66 and 3.77)
+    P = random_point_set(n, 500 + n)
+    total = tc.run_sweep(tc.system_for(family), P)[0]
+    m = 20_000
+    hits = [0] * len(P.segments)
+    for _, s in sampler.draws(P, family, 0, m):
+        for k in tc.geom.bits(s.mask):
+            hits[k] += 1
+    for k, marginal in enumerate(edge_counts(P, family)):
+        p = marginal / total
+        if p in (0, 1):
+            assert hits[k] == m * p, (P.segments[k], hits[k])
+            continue
+        z = (hits[k] - m * p) / math.sqrt(m * p * (1 - p))
+        assert abs(z) <= 5, (P.segments[k], hits[k], m * p)
 
 
 def test_interleaved_pt_streams_are_independent():

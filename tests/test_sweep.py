@@ -8,10 +8,10 @@ import tricount as tc
 from tricount import geom, oracle, ptpath, sampler, sweep
 from tricount.errors import InternalInvariantViolation
 
-from conftest import (check_forward_backward, conv_points, double_chain,
-                      double_chain_tri_count, edge_counts, line_tables,
-                      random_point_set, random_points, sample,
-                      structure_edge_count)
+from conftest import (check_forward_backward, constrained_count,
+                      conv_points, double_chain, double_chain_tri_count,
+                      edge_counts, line_tables, random_point_set,
+                      random_points, sample, structure_edge_count)
 from flip_reference import count_pseudotriangulations
 from monotone_reference import count_triangulations
 from scan_predicates import sign
@@ -412,3 +412,31 @@ def test_edge_counts_match_oracle(family, n):
     structures = oracle.enumerate_structures(P, family)
     assert edge_counts(P, family) == [sum(e in S for S in structures)
                                       for e in P.segments]
+
+
+@pytest.mark.parametrize("family", ["tri", "pt"])
+@pytest.mark.parametrize("n", [7, 8])
+def test_constrained_counts_of_segment_sets_match_oracle(family, n):
+    # sets of 2-3 segments: tri, blocking the union of cross[e] over a
+    # pairwise non-crossing R counts the triangulations that contain R
+    # (conftest.edge_counts' argument, with R for e); pt, blocking a set F
+    # counts the structures without F (the covering lemma), drawn off the
+    # hull, as a forbidden hull edge counts 0
+    P = random_point_set(n, 600 + n)
+    masks = [P.edge_masks(S)[0] for S in oracle.enumerate_structures(P, family)]
+    hull = P.edge_masks(P.hull_edges)[0]
+    pool = [k for k in range(len(P.segments))
+            if family == "tri" or not hull >> k & 1]
+    rng = random.Random(n)
+    tested = 0
+    while tested < 60:
+        R = [P.segments[k] for k in rng.sample(pool, rng.choice([2, 3]))]
+        emask, crossing = P.edge_masks(R)
+        if family == "tri":
+            if crossing & emask:
+                continue
+            blocked, want = crossing, sum(m & emask == emask for m in masks)
+        else:
+            blocked, want = emask, sum(not m & emask for m in masks)
+        assert constrained_count(P, family, blocked) == want, R
+        tested += 1
