@@ -21,7 +21,7 @@ _SOURCE = {name: module for module, names in {
                "ptpath_successors", "tpath_successors",
                "validate_pseudotriangulation", "validate_ptpath",
                "validate_tpath"),
-    "sampler": ("ReconstructedStructure", "draws", "reconstruct"),
+    "sampler": ("draws", "reconstruct"),
     "sweep": ("PT_SYSTEM", "TRI_SYSTEM", "SweepStats", "run_sweep",
               "system_for"),
 }.items() for name in names}

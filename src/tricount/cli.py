@@ -149,9 +149,9 @@ def cmd_sample(args) -> int:
         # lexicographic order), written WRITE_BATCH draws at a time; a
         # draw's texts are picked by its mask's binary digits, lowest first
         text = [f"[{a}, {b}]" for a, b in P.segments]
-        items = ("[" + ", ".join([t for t, d in zip(text, bin(s.mask)[:1:-1])
+        items = ("[" + ", ".join([t for t, d in zip(text, bin(mask)[:1:-1])
                                   if d == "1"]) + "]"
-                 for _, s in draws)
+                 for _, mask in draws)
         sep = "["
         while batch := list(islice(items, WRITE_BATCH)):
             sys.stdout.write(sep + ", ".join(batch))
@@ -162,8 +162,9 @@ def cmd_sample(args) -> int:
         outdir = Path(args.format_dir or "samples")
         try:
             outdir.mkdir(parents=True, exist_ok=True)
-            for k, (_, s) in enumerate(draws):
-                doc = svg.render_svg(P.points, structure_edges=s.edges)
+            for k, (_, mask) in enumerate(draws):
+                edges = [P.segments[j] for j in bits(mask)]
+                doc = svg.render_svg(P.points, structure_edges=edges)
                 (outdir / f"sample-{k:05d}.svg").write_text(doc)
         except OSError as exc:
             raise InputError(f"cannot write {outdir}: {exc}") from None

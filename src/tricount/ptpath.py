@@ -101,11 +101,9 @@ def validate_pt_mask(P: PointSet, emask: int, blocked: int) -> Check:
 
 # -- extraction and successors ------------------------------------------
 
-def extract_path(S: EdgeSet, i: int, P: PointSet, zigzag: bool) -> PathKey:
-    """The vertices of structure S's unique path w.r.t. l_i: its PT-path
-    if zigzag, else (S a triangulation) its T-path.  S is checked first,
-    since a non-structure can hold exactly one chain too; a structure
-    without exactly one is a bug."""
+def _structure_mask(S: EdgeSet, P: PointSet, zigzag: bool) -> int:
+    """S's mask over P.segments, if S is a pointed pseudo-triangulation
+    (zigzag) or a triangulation; any other edge set raises InputError."""
     emask, blocked = P.edge_masks(S)
     # non-crossing with 3n - 3 - h edges: a triangulation
     ok = validate_pt_mask(P, emask, blocked).ok if zigzag else not (
@@ -113,6 +111,15 @@ def extract_path(S: EdgeSet, i: int, P: PointSet, zigzag: bool) -> PathKey:
     if not ok:
         raise InputError(
             f"edge set is not a {'pseudo-' * zigzag}triangulation")
+    return emask
+
+
+def extract_path(S: EdgeSet, i: int, P: PointSet, zigzag: bool) -> PathKey:
+    """The vertices of structure S's unique path w.r.t. l_i: its PT-path
+    if zigzag, else (S a triangulation) its T-path.  S is checked first,
+    since a non-structure can hold exactly one chain too; a structure
+    without exactly one is a bug."""
+    emask = _structure_mask(S, P, zigzag)
     chains = path_chains(P, i, zigzag, ~emask)
     if len(chains) != 1:
         raise InternalInvariantViolation(
@@ -208,7 +215,7 @@ def pt_good_edge(S: EdgeSet, e: Segment, i: int, P: PointSet) -> bool:
     below on different sides of l_i.
     """
     lo, hi = geom.hull_crossing_edges(P, i)
-    smask, k = P.edge_masks(S)[0], P.edge_masks([e])[0]
+    smask, k = _structure_mask(S, P, True), P.edge_masks([e])[0]
     e = seg(*e)  # a reversed pair is its segment
     if not geom.edge_crosses_line(e, i):
         raise InputError(f"edge {e} does not cross l_{i}")
@@ -294,7 +301,7 @@ def _flip_diagonal(T: EdgeSet, e: Segment, P: PointSet
                    ) -> tuple[int, Optional[Segment]]:
     """T's other edges as a mask, and the diagonal that replaces e in a
     flip, or None for a hull edge or a reflex quadrilateral."""
-    emask, k = P.edge_masks(T)[0], P.edge_masks([e])[0]
+    emask, k = _structure_mask(T, P, False), P.edge_masks([e])[0]
     if not emask & k:
         raise InputError(f"edge {e} not in the structure")
     # c spans a face with e iff both side edges exist and abc is empty

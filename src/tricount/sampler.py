@@ -23,26 +23,17 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from itertools import accumulate
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, Optional
 
 from .errors import (InputError, InternalInvariantViolation,
                      ResourceRefusal, check_nonnegative, shown)
-from .geom import EdgeSet, PointSet, Segment, bits, collection
+from .geom import PointSet, bits, collection
 from .sweep import PathKey, PathSystem, path_chains, sweep_lines, system_for
 
 # draws are streamed, so m bounds time and output size, not memory: about
 # 0.8 KB of JSON a draw at tri n=14 (80 MB at this guard); m above it is
 # refused
 M_GUARD = 100_000
-
-
-class ReconstructedStructure(NamedTuple):
-    mask: int  # bit k: segments[k] is an edge
-    segments: list[Segment]  # the point set's segments, by bit
-
-    @property
-    def edges(self) -> EdgeSet:
-        return frozenset(self.segments[k] for k in bits(self.mask))
 
 
 def _complete(P: PointSet, zigzag: bool, emask: int, blocked: int) -> int:
@@ -84,10 +75,10 @@ def _complete(P: PointSet, zigzag: bool, emask: int, blocked: int) -> int:
     return emask
 
 
-def reconstruct(tuple_keys: list[PathKey], P: PointSet,
-                family: str) -> ReconstructedStructure:
-    """Structure of a full tuple, its paths at l_1 .. l_{n-1} in order; a
-    bad one raises InputError, a partial pt tuple with not_maximal."""
+def reconstruct(tuple_keys: list[PathKey], P: PointSet, family: str) -> int:
+    """Structure of a full tuple, its paths at l_1 .. l_{n-1} in order, as
+    its bitmask over P.segments; a bad tuple raises InputError, a partial
+    pt tuple with not_maximal."""
     zigzag = system_for(family).zigzag
     keys = [tuple(collection(key)) for key in collection(tuple_keys)]
     pairs = (e for key in keys for e in zip(key, key[1:]))
@@ -95,7 +86,7 @@ def reconstruct(tuple_keys: list[PathKey], P: PointSet,
     if [path_chains(P, i, zigzag, ~emask) for i in range(1, P.n)] != \
             [[key] for key in keys]:
         raise InputError("tuple is not its structure's paths")
-    return ReconstructedStructure(emask, P.segments)
+    return emask
 
 
 def _root(P: PointSet, system: PathSystem,
@@ -121,10 +112,11 @@ def _root(P: PointSet, system: PathSystem,
 
 def draws(P: PointSet, family: str, seed: int, m: int,
           max_table_entries: Optional[int] = None
-          ) -> Iterator[tuple[list[PathKey], ReconstructedStructure]]:
+          ) -> Iterator[tuple[list[PathKey], int]]:
     """m i.i.d. uniform draws, each its path tuple (l_1 first) and its
-    structure, yielded one at a time.  The guards, the sweep and the nodes
-    run at the call, so a refusal comes before any draw."""
+    structure's bitmask over P.segments, yielded one at a time.  The
+    guards, the sweep and the nodes run at the call, so a refusal comes
+    before any draw."""
     check_nonnegative("m", m)
     if max_table_entries is not None:
         check_nonnegative("max_table_entries", max_table_entries)
@@ -155,6 +147,6 @@ def draws(P: PointSet, family: str, seed: int, m: int,
                 emask = _complete(P, system.zigzag, emask, blocked)
             except InputError as exc:
                 raise InternalInvariantViolation(f"a drawn {exc}") from exc
-            yield chosen, ReconstructedStructure(emask, P.segments)
+            yield chosen, emask
 
     return walk()

@@ -7,6 +7,7 @@ from typing import NamedTuple
 import pytest
 
 import tricount as tc
+from tricount.geom import bits
 from tricount.sweep import path_chains, sweep_lines
 
 from scan_predicates import sign
@@ -69,13 +70,18 @@ def catalan(m):
 
 class Sample(NamedTuple):
     tuples: list  # each draw's path keys, l_1 first
-    structures: list  # each draw's ReconstructedStructure
+    structures: list  # each draw's bitmask over P.segments
 
 
 def sample(P, family, seed, m, max_table_entries=None):
     """m seeded draws of the sampler's stream (tricount.draws), all kept."""
     run = list(tc.draws(P, family, seed, m, max_table_entries))
     return Sample([t for t, _ in run], [s for _, s in run])
+
+
+def edge_set(P, mask):
+    """A structure's bitmask over P.segments as its set of vertex pairs."""
+    return frozenset(P.segments[k] for k in bits(mask))
 
 
 class Table(NamedTuple):

@@ -231,6 +231,18 @@ MUTANTS = [
            "yield [j for j in bits(full & ~m)\n"
            "               if len(parents[j]) != len(c) + 3]",
            ("tests/test_sweep.py::test_sweep_matches_oracle_random",)),
+    Mutant("_flip_diagonal without the structure check",
+           "src/tricount/ptpath.py",
+           "_structure_mask(T, P, False)", "P.edge_masks(T)[0]",
+           ("tests/test_package.py::test_library_refusals_are_input_errors",
+            "tests/test_exit_codes.py"
+            "::test_structure_lemmas_accept_or_refuse_as_input_errors")),
+    Mutant("pt_good_edge without the structure check",
+           "src/tricount/ptpath.py",
+           "_structure_mask(S, P, True)", "P.edge_masks(S)[0]",
+           ("tests/test_package.py::test_library_refusals_are_input_errors",
+            "tests/test_exit_codes.py"
+            "::test_structure_lemmas_accept_or_refuse_as_input_errors")),
 ]
 
 

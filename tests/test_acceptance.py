@@ -13,7 +13,7 @@ from fractions import Fraction
 import tricount as tc
 import tricount.geom as geom
 from tricount import oracle, ptpath, sweep
-from conftest import (FAN5, catalan, conv_points, line_tables,
+from conftest import (FAN5, catalan, conv_points, edge_set, line_tables,
                       random_point_set, sample)
 
 
@@ -196,7 +196,8 @@ def test_criterion_8_sampler_uniformity():
             P = tc.validate_point_set(pts)
             cats = oracle.enumerate_structures(P, fam)
             run = sample(P, fam, seed=20260824, m=m)
-            counter = collections.Counter(s.edges for s in run.structures)
+            counter = collections.Counter(edge_set(P, s)
+                                          for s in run.structures)
             observed = [counter[S] for S in cats]
             assert sum(observed) == m  # every sample is a known category
             assert chisquare(observed).pvalue > 1e-3

@@ -11,11 +11,11 @@ from types import SimpleNamespace
 import pytest
 
 import tricount as tc
-from tricount import cli, sampler, sweep
+from tricount import cli, sampler, svg, sweep
 from tricount.cli import WRITE_BATCH, main
 from tricount.errors import InternalInvariantViolation
 
-from conftest import (FAN5, conv_points, fan5_star_triangulation,
+from conftest import (FAN5, conv_points, edge_set, fan5_star_triangulation,
                       random_points, sample)
 
 
@@ -366,6 +366,26 @@ def test_sample_svg_dir(tmp_path, capsys):
     assert [p.name for p in files] == [f"sample-{k:05d}.svg" for k in range(3)]
 
 
+@pytest.mark.parametrize("family", ["tri", "pt"])
+def test_sample_svg_dir_draws_the_json_draws(tmp_path, capsys, family):
+    # sample-k.svg is the render of the k-th structure that the JSON format
+    # prints for the same seed
+    pts = random_points(8, 508)
+    f = write_points(tmp_path, pts)
+    assert main(["sample", f, "--structure", family, "--count", "5",
+                 "--seed", "3"]) == 0
+    draws = json.loads(capsys.readouterr().out)
+    outdir = tmp_path / "svgs"
+    assert main(["sample", f, "--structure", family, "--count", "5",
+                 "--seed", "3", "--format", "svg-dir",
+                 "--format-dir", str(outdir)]) == 0
+    P = tc.validate_point_set(pts)
+    for k, edges in enumerate(draws):
+        assert (outdir / f"sample-{k:05d}.svg").read_text() == \
+            svg.render_svg(P.points, structure_edges=map(tuple, edges))
+    assert len(list(outdir.iterdir())) == 5
+
+
 def test_sample_format_dir_needs_svg_dir(tmp_path, capsys):
     # --format-dir with the default JSON format is refused, not ignored
     f = write_points(tmp_path, FAN5)
@@ -385,9 +405,10 @@ def test_sample_stream_is_json_of_sample(tmp_path, capsys, count):
     f = write_points(tmp_path, pts)
     assert main(["sample", f, "--structure", "pt", "--count", str(count),
                  "--seed", "6"]) == 0
-    run = sample(tc.validate_point_set(pts), "pt", seed=6, m=count)
+    P = tc.validate_point_set(pts)
+    run = sample(P, "pt", seed=6, m=count)
     assert capsys.readouterr().out == json.dumps(
-        [sorted(map(list, s.edges)) for s in run.structures]) + "\n"
+        [sorted(map(list, edge_set(P, s))) for s in run.structures]) + "\n"
 
 
 def test_sample_refusal_before_output(tmp_path, capsys):

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from tricount import geom
+from tricount import geom, ptpath
 from tricount.cli import main
 from tricount.errors import InputError, check_nonnegative
 from tricount.ptpath import paths_cross
@@ -160,5 +160,29 @@ def test_doors_accept_or_refuse_as_input_errors(fan5, items, value):
                  lambda: check_nonnegative("value", value)):
         try:
             door()
+        except InputError:
+            pass
+
+
+# a vertex pair of a five-point set, either way round
+PAIRS = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(
+    lambda p: p[0] != p[1])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(convex=st.booleans(), edges=st.lists(PAIRS, max_size=24), e=PAIRS,
+       i=st.integers(1, 4))
+def test_structure_lemmas_accept_or_refuse_as_input_errors(
+        fan5, conv5, convex, edges, e, i):
+    # any edge set, a structure or not, with pairs repeated or reversed
+    P = conv5 if convex else fan5
+    for lemma in (lambda: ptpath.flip(edges, e, P),
+                  lambda: ptpath.is_flippable(edges, e, P),
+                  lambda: ptpath.is_good_edge(edges, e, i, P),
+                  lambda: ptpath.pt_good_edge(edges, e, i, P),
+                  lambda: ptpath.extract_tpath(edges, i, P),
+                  lambda: ptpath.extract_ptpath(edges, i, P)):
+        try:
+            lemma()
         except InputError:
             pass

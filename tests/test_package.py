@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -102,7 +103,7 @@ def test_count_and_sample_do_not_load_json(tmp_path, argv):
 
 
 def test_lazy_exports_are_the_module_bindings():
-    assert len(tc.__all__) == len(set(tc.__all__)) == 29
+    assert len(tc.__all__) == len(set(tc.__all__)) == 28
     for name in tc.__all__:
         module = importlib.import_module(f"tricount.{tc._SOURCE[name]}")
         assert getattr(tc, name) is getattr(module, name), name
@@ -198,6 +199,8 @@ def test_count_parameters_refuse_a_non_int(fan5, name, value):
 CONV5_FAN = frozenset({(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3),
                        (3, 4)})
 CONV5_FAN_PATHS = [(1, 0, 4), (1, 2, 0, 4), (2, 3, 0, 4), (3, 4, 0)]
+# every segment of conv5, which no structure is
+K5 = frozenset(combinations(range(5), 2))
 # more digits than str() converts by default (4300), and how a message
 # names it
 BIG = 10 ** 5000
@@ -212,6 +215,19 @@ LIBRARY_REFUSALS = {
     "is_good_edge-non-edge": (
         "edge (1, 3) not in the structure",
         lambda P: tc.is_good_edge(CONV5_FAN, (1, 3), 2, P)),
+    # an edge set that is no structure of the family, read before its
+    # faces or its crossing order
+    "flip-non-structure": ("edge set is not a triangulation",
+                           lambda P: tc.flip(K5, (0, 2), P)),
+    "is_flippable-non-structure": (
+        "edge set is not a triangulation",
+        lambda P: tc.is_flippable(K5, (0, 2), P)),
+    "is_good_edge-non-structure": (
+        "edge set is not a triangulation",
+        lambda P: tc.is_good_edge(K5, (0, 2), 1, P)),
+    "pt_good_edge-non-structure": (
+        "edge set is not a pseudo-triangulation",
+        lambda P: tc.pt_good_edge(frozenset({(1, 3)}), (1, 3), 2, P)),
     "flip-hull-edge": ("edge (0, 1) is not flippable",
                        lambda P: tc.flip(CONV5_FAN, (0, 1), P)),
     "is_good_edge-not-crossing": (

@@ -17,29 +17,32 @@ from tricount.errors import (
     ResourceRefusal,
 )
 
-from conftest import (FAN5, conv_points, edge_counts, forward_backward,
-                      line_tables, random_point_set, random_points, sample)
+from conftest import (FAN5, conv_points, edge_counts, edge_set,
+                      forward_backward, line_tables, random_point_set,
+                      random_points, sample)
 
 
 def test_three_points_constant(tri3):
     run = sample(tri3, "tri", seed=1, m=5)
     T = frozenset({(0, 1), (0, 2), (1, 2)})
-    assert all(s.edges == T for s in run.structures)
+    assert all(edge_set(tri3, s) == T for s in run.structures)
 
 
 def test_a_draw_is_its_mask_over_the_segments(fan5):
-    ((_, s),) = sampler.draws(fan5, "pt", 0, 1)
-    assert s._fields == ("mask", "segments")
-    assert s.segments == fan5.segments
-    assert s.edges == {fan5.segments[k] for k in tc.geom.bits(s.mask)}
+    # bit k of a draw is P.segments[k]; a pt draw is its tuple's union,
+    # with nothing completed
+    for keys, s in sampler.draws(fan5, "pt", 0, 20):
+        assert type(s) is int
+        pairs = (e for key in keys for e in zip(key, key[1:]))
+        assert fan5.edge_masks(pairs)[0] == s
 
 
 def test_seed_determinism(conv5):
     a = sample(conv5, "tri", seed=9, m=20)
     b = sample(conv5, "tri", seed=9, m=20)
-    assert [s.edges for s in a.structures] == [s.edges for s in b.structures]
+    assert a.structures == b.structures
     c = sample(conv5, "tri", seed=10, m=20)
-    assert [s.edges for s in a.structures] != [s.edges for s in c.structures]
+    assert a.structures != c.structures
 
 
 def test_samples_are_valid_structures(fan5):
@@ -47,7 +50,7 @@ def test_samples_are_valid_structures(fan5):
         run = sample(fan5, fam, seed=3, m=30)
         valid = set(oracle.enumerate_structures(fan5, fam))
         for s in run.structures:
-            assert s.edges in valid
+            assert edge_set(fan5, s) in valid
 
 
 def test_reconstruct_round_trip(fan5, conv5):
@@ -60,13 +63,13 @@ def test_reconstruct_round_trip(fan5, conv5):
                 else:
                     keys = [tc.extract_ptpath(S, i, P).vertices
                             for i in range(1, P.n)]
-                assert tc.reconstruct(keys, P, fam).edges == S
+                assert tc.reconstruct(keys, P, fam) == P.edge_masks(S)[0]
 
 
 def test_reconstruct_order_independent(conv5):
     S = oracle.enumerate_structures(conv5, "tri")[0]
     keys = [tc.extract_tpath(S, i, conv5).vertices for i in range(1, conv5.n)]
-    base = tc.reconstruct(keys, conv5, "tri").edges
+    base = tc.reconstruct(keys, conv5, "tri")
     # reversed greedy candidate order must complete to the same set
     edges = set()
     for k in keys:
@@ -77,7 +80,7 @@ def test_reconstruct_order_independent(conv5):
             if e not in edges and not (conv5.edge_masks([e])[0]
                                        & conv5.edge_masks(edges)[1]):
                 edges.add(e)
-    assert frozenset(edges) == base
+    assert conv5.edge_masks(edges)[0] == base
 
 
 def test_reconstruct_rejects_crossing_tuple(conv5):
@@ -127,7 +130,7 @@ def test_pt_guard_matches_validate_pt_mask(n):
     for seed in (500 + n, 600 + n):
         P = random_point_set(n, seed)
         s = len(P.segments)
-        unions = {x.mask for x in sample(P, "pt", seed, 40).structures}
+        unions = set(sample(P, "pt", seed, 40).structures)
         masks = unions | {u ^ 1 << k for u in unions for k in range(s)}
         for _ in range(400):
             m = rng.getrandbits(s)
@@ -214,18 +217,19 @@ def test_sampled_structures_match_reconstruct(family, n, seed):
     assert len(run.tuples) == len(run.structures) == 200
     for keys, s in zip(run.tuples, run.structures):
         assert len(keys) == n - 1
-        assert tc.reconstruct(keys, P, family).edges == s.edges
+        assert tc.reconstruct(keys, P, family) == s
         if family == "pt":
             # a pt draw is its tuple's union, with nothing completed
             pairs = (e for key in keys for e in zip(key, key[1:]))
-            assert P.edge_masks(pairs)[0] == s.mask
+            assert P.edge_masks(pairs)[0] == s
 
 
 def test_chi_square_uniformity(conv5):
     from scipy.stats import chisquare
     cats = oracle.enumerate_structures(conv5, "tri")
     run = sample(conv5, "tri", seed=11, m=2000)
-    counter = collections.Counter(s.edges for s in run.structures)
+    counter = collections.Counter(edge_set(conv5, s)
+                                  for s in run.structures)
     observed = [counter[S] for S in cats]
     assert chisquare(observed).pvalue > 1e-3
 
@@ -273,7 +277,7 @@ def test_hull_chord_frequencies_of_draws(family, n):
     chords = list(hull_chords(P, family))
     hits = collections.Counter()
     for _, s in sampler.draws(P, family, 0, m):
-        hits.update(e for e, _ in chords if s.mask >> P.ids[e[0]][e[1]] & 1)
+        hits.update(e for e, _ in chords if s >> P.ids[e[0]][e[1]] & 1)
     for e, marginal in chords:
         p = marginal / total
         z = (hits[e] - m * p) / math.sqrt(m * p * (1 - p))
@@ -323,7 +327,7 @@ def test_segment_frequencies_of_draws(family, n):
     m = 20_000
     hits = [0] * len(P.segments)
     for _, s in sampler.draws(P, family, 0, m):
-        for k in tc.geom.bits(s.mask):
+        for k in tc.geom.bits(s):
             hits[k] += 1
     for k, marginal in enumerate(edge_counts(P, family)):
         p = marginal / total
