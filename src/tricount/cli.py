@@ -151,7 +151,7 @@ def cmd_sample(args) -> int:
         text = [f"[{a}, {b}]" for a, b in P.segments]
         items = ("[" + ", ".join([t for t, d in zip(text, bin(mask)[:1:-1])
                                   if d == "1"]) + "]"
-                 for _, mask in draws)
+                 for mask in draws)
         sep = "["
         while batch := list(islice(items, WRITE_BATCH)):
             sys.stdout.write(sep + ", ".join(batch))
@@ -162,7 +162,7 @@ def cmd_sample(args) -> int:
         outdir = Path(args.format_dir or "samples")
         try:
             outdir.mkdir(parents=True, exist_ok=True)
-            for k, (_, mask) in enumerate(draws):
+            for k, mask in enumerate(draws):
                 edges = [P.segments[j] for j in bits(mask)]
                 doc = svg.render_svg(P.points, structure_edges=edges)
                 (outdir / f"sample-{k:05d}.svg").write_text(doc)

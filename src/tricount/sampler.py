@@ -7,15 +7,16 @@ every structure, equally likely.  Parent choice uses exact big-integer
 cumulative thresholds, drawn as randrange(count(pi')) draws them (by
 rejection from getrandbits of the count's bit length); no floating point.
 
-A structure is one bitmask over P.segments (lexicographic order).  Each
-path becomes a node as its line arrives from sweep.sweep_lines: its edge
-and blocked masks, its parents' cumulative counts and its parent nodes,
-found by index in the previous line, so a draw is a bisect and two ORs a
-line.  Only the nodes the last line's node reaches outlive the sweep, and
-draws is a stream, so memory does not grow with the number of draws.  A
-pt draw is its union, as every pt edge lies on a PT-path (the covering
-lemma, acceptance criterion 6), checked by Streinu's edge count; tri
-draws are completed.
+A draw is its structure, one bitmask over P.segments (lexicographic
+order).  Each path becomes a node as its line arrives from
+sweep.sweep_lines: its edge and blocked masks, its parents' cumulative
+counts and its parent nodes, found by index in the previous line, so a
+draw is a bisect and two ORs a line.  No node keeps its key: a draw's
+path at l_i is path_chains(P, i, zigzag, ~mask).  Only the nodes the last
+line's node reaches outlive the sweep, and draws is a stream, so memory
+does not grow with the number of draws.  A pt draw is its union, as every
+pt edge lies on a PT-path (the covering lemma, acceptance criterion 6),
+checked by Streinu's edge count; tri draws are completed.
 """
 
 from __future__ import annotations
@@ -91,9 +92,9 @@ def reconstruct(tuple_keys: list[PathKey], P: PointSet, family: str) -> int:
 
 def _root(P: PointSet, system: PathSystem,
           max_table_entries: Optional[int]) -> tuple:
-    """The node of the path at l_{n-1}; a node is (key, count, count's bit
-    length, edge mask, blocked mask, cumulative parent counts, parent
-    nodes), whose count is the last cumulative count (cum is [1] at l_1).
+    """The node of the path at l_{n-1}; a node is (count, its bit length,
+    edge mask, blocked mask, cumulative parent counts, parent nodes), with
+    no key, and count is the last cumulative count (cum is [1] at l_1).
     Nodes are built as their line arrives; the budget is checked there."""
     level, entries = [], 0
     for keys, parents in sweep_lines(system, P):
@@ -102,21 +103,20 @@ def _root(P: PointSet, system: PathSystem,
             raise ResourceRefusal(
                 f"path tables exceed {max_table_entries} entries")
         below, level = level, []
-        for key, js in zip(keys, parents):
+        for key, js in zip(keys, parents, strict=True):
             nodes = [below[j] for j in js]
-            cum = list(accumulate(p[1] for p in nodes)) or [1]
-            level.append((key, cum[-1], cum[-1].bit_length(),
+            cum = list(accumulate(p[0] for p in nodes)) or [1]
+            level.append((cum[-1], cum[-1].bit_length(),
                           *P.edge_masks(zip(key, key[1:])), cum, nodes))
     return level[0]  # the stream has checked that l_{n-1} holds one path
 
 
 def draws(P: PointSet, family: str, seed: int, m: int,
           max_table_entries: Optional[int] = None
-          ) -> Iterator[tuple[list[PathKey], int]]:
-    """m i.i.d. uniform draws, each its path tuple (l_1 first) and its
-    structure's bitmask over P.segments, yielded one at a time.  The
-    guards, the sweep and the nodes run at the call, so a refusal comes
-    before any draw."""
+          ) -> Iterator[int]:
+    """m i.i.d. uniform draws, each its structure's bitmask over
+    P.segments, yielded one at a time.  The guards, the sweep and the
+    nodes run at the call, so a refusal comes before any draw."""
     check_nonnegative("m", m)
     if max_table_entries is not None:
         check_nonnegative("max_table_entries", max_table_entries)
@@ -129,24 +129,20 @@ def draws(P: PointSet, family: str, seed: int, m: int,
     def walk():
         getrandbits = random.Random(seed).getrandbits
         for _ in range(m):
-            key, count, k, emask, blocked, cum, parents = root
-            chosen = [key]
+            count, k, emask, blocked, cum, parents = root
             while parents:
                 # randrange(count), inlined
                 r = getrandbits(k)
                 while r >= count:
                     r = getrandbits(k)
-                key, count, k, e, b, cum, parents = \
-                    parents[bisect_right(cum, r)]
-                chosen.append(key)
+                count, k, e, b, cum, parents = parents[bisect_right(cum, r)]
                 emask |= e
                 blocked |= b
-            chosen.reverse()
             # the tuple is the engine's own: a failed check is a bug
             try:
                 emask = _complete(P, system.zigzag, emask, blocked)
             except InputError as exc:
                 raise InternalInvariantViolation(f"a drawn {exc}") from exc
-            yield chosen, emask
+            yield emask
 
     return walk()

@@ -22,6 +22,7 @@ from __future__ import annotations
 import time
 from collections import defaultdict
 from functools import reduce
+from itertools import zip_longest
 from operator import or_
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -228,10 +229,11 @@ class SweepStats:
 
 def _linked(i: int, children: Sequence[PathKey],
             parents: Iterable[list[int]]) -> Iterator[list[int]]:
-    for c, js in zip(children, parents):
-        if not js:
+    for c, js in zip_longest(children, parents):
+        if c is None or not js:
             raise InternalInvariantViolation(
-                f"path {c} at l_{i} has no parent")
+                f"path {c} at l_{i} has no parent" if c and js == [] else
+                f"join at l_{i}: too {'few' if c else 'many'} parent lists")
         yield js
 
 
@@ -243,13 +245,13 @@ def sweep_lines(system: PathSystem, P: PointSet
     are read, so no line's parent lists outlive their reading.
 
     Every chain of a population has a compatible parent, so a child with
-    none raises InternalInvariantViolation instead of being dropped (an
-    empty line then fails at the next line or at the end).  A chain is in
-    the population only if it is valid, and a valid chain at l_{i+1}
-    extends to a structure whose path there it is (ptpath).  That
-    structure's path at l_i is in the population at l_i, and the two paths
-    are compatible, as both are edges of one structure: the join must
-    report it.
+    none, or a join with a list too few or too many, raises
+    InternalInvariantViolation instead of being dropped (an empty line then
+    fails at the next line or at the end).  A chain is in the population
+    only if it is valid, and a valid chain at l_{i+1} extends to a
+    structure whose path there it is (ptpath).  That structure's path at l_i
+    is in the population at l_i, and the two paths are compatible, as both
+    are edges of one structure: the join must report it.
     """
     keys = path_chains(P, 1, system.zigzag)
     yield keys, ([] for _ in keys)

@@ -68,15 +68,19 @@ def catalan(m):
     return comb(2 * m, m) // (m + 1)
 
 
-class Sample(NamedTuple):
-    tuples: list  # each draw's path keys, l_1 first
-    structures: list  # each draw's bitmask over P.segments
-
-
 def sample(P, family, seed, m, max_table_entries=None):
-    """m seeded draws of the sampler's stream (tricount.draws), all kept."""
-    run = list(tc.draws(P, family, seed, m, max_table_entries))
-    return Sample([t for t, _ in run], [s for _, s in run])
+    """m seeded draws of the sampler's stream (tricount.draws), all kept:
+    each draw's bitmask over P.segments."""
+    return list(tc.draws(P, family, seed, m, max_table_entries))
+
+
+def draw_path(P, family, mask, i):
+    """A draw's path at l_i, recovered from its mask: the search at l_i
+    with every segment outside the structure blocked finds exactly one
+    chain, the structure's path there."""
+    chains = path_chains(P, i, tc.system_for(family).zigzag, ~mask)
+    assert len(chains) == 1, (i, bin(mask), chains)
+    return chains[0]
 
 
 def edge_set(P, mask):

@@ -47,14 +47,13 @@ MUTANTS = [
     Mutant("clamped index, no rejection redraw", "src/tricount/sampler.py",
            """                while r >= count:
                     r = getrandbits(k)
-                key, count, k, e, b, cum, parents = \\
-                    parents[bisect_right(cum, r)]""",
-           """                key, count, k, e, b, cum, parents = \\
+                count, k, e, b, cum, parents = parents[bisect_right(cum, r)]""",
+           """                count, k, e, b, cum, parents = \\
                     parents[min(bisect_right(cum, r), len(parents) - 1)]""",
            CHORDS + MIDDLE_LINE),
     Mutant("parent weights in reversed order", "src/tricount/sampler.py",
-           "accumulate(p[1] for p in nodes)",
-           "accumulate(p[1] for p in nodes[::-1])",
+           "accumulate(p[0] for p in nodes)",
+           "accumulate(p[0] for p in nodes[::-1])",
            MIDDLE_LINE),
     Mutant("parent thresholds off by one", "src/tricount/sampler.py",
            "parents[bisect_right(cum, r)]",
@@ -231,6 +230,10 @@ MUTANTS = [
            "yield [j for j in bits(full & ~m)\n"
            "               if len(parents[j]) != len(c) + 3]",
            ("tests/test_sweep.py::test_sweep_matches_oracle_random",)),
+    Mutant("_linked reads the join with plain zip", "src/tricount/sweep.py",
+           "for c, js in zip_longest(children, parents):",
+           "for c, js in zip(children, parents):",
+           ("tests/test_sweep.py::test_child_without_parent_raises",)),
     Mutant("_flip_diagonal without the structure check",
            "src/tricount/ptpath.py",
            "_structure_mask(T, P, False)", "P.edge_masks(T)[0]",

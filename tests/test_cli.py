@@ -406,9 +406,9 @@ def test_sample_stream_is_json_of_sample(tmp_path, capsys, count):
     assert main(["sample", f, "--structure", "pt", "--count", str(count),
                  "--seed", "6"]) == 0
     P = tc.validate_point_set(pts)
-    run = sample(P, "pt", seed=6, m=count)
     assert capsys.readouterr().out == json.dumps(
-        [sorted(map(list, edge_set(P, s))) for s in run.structures]) + "\n"
+        [sorted(map(list, edge_set(P, s)))
+         for s in sample(P, "pt", seed=6, m=count)]) + "\n"
 
 
 def test_sample_refusal_before_output(tmp_path, capsys):

@@ -5,6 +5,7 @@ import math
 import random
 import weakref
 from bisect import bisect_right
+from itertools import accumulate
 
 import pytest
 
@@ -17,22 +18,23 @@ from tricount.errors import (
     ResourceRefusal,
 )
 
-from conftest import (FAN5, conv_points, edge_counts, edge_set,
+from conftest import (FAN5, conv_points, draw_path, edge_counts, edge_set,
                       forward_backward, line_tables, random_point_set,
                       random_points, sample)
 
 
 def test_three_points_constant(tri3):
-    run = sample(tri3, "tri", seed=1, m=5)
     T = frozenset({(0, 1), (0, 2), (1, 2)})
-    assert all(edge_set(tri3, s) == T for s in run.structures)
+    assert all(edge_set(tri3, s) == T
+               for s in sample(tri3, "tri", seed=1, m=5))
 
 
 def test_a_draw_is_its_mask_over_the_segments(fan5):
-    # bit k of a draw is P.segments[k]; a pt draw is its tuple's union,
-    # with nothing completed
-    for keys, s in sampler.draws(fan5, "pt", 0, 20):
+    # bit k of a draw is P.segments[k]; a pt draw is the union of its
+    # paths, with nothing completed
+    for s in sampler.draws(fan5, "pt", 0, 20):
         assert type(s) is int
+        keys = [draw_path(fan5, "pt", s, i) for i in range(1, fan5.n)]
         pairs = (e for key in keys for e in zip(key, key[1:]))
         assert fan5.edge_masks(pairs)[0] == s
 
@@ -40,16 +42,15 @@ def test_a_draw_is_its_mask_over_the_segments(fan5):
 def test_seed_determinism(conv5):
     a = sample(conv5, "tri", seed=9, m=20)
     b = sample(conv5, "tri", seed=9, m=20)
-    assert a.structures == b.structures
+    assert a == b
     c = sample(conv5, "tri", seed=10, m=20)
-    assert a.structures != c.structures
+    assert a != c
 
 
 def test_samples_are_valid_structures(fan5):
     for fam in ("tri", "pt"):
-        run = sample(fan5, fam, seed=3, m=30)
         valid = set(oracle.enumerate_structures(fan5, fam))
-        for s in run.structures:
+        for s in sample(fan5, fam, seed=3, m=30):
             assert edge_set(fan5, s) in valid
 
 
@@ -130,7 +131,7 @@ def test_pt_guard_matches_validate_pt_mask(n):
     for seed in (500 + n, 600 + n):
         P = random_point_set(n, seed)
         s = len(P.segments)
-        unions = set(sample(P, "pt", seed, 40).structures)
+        unions = set(sample(P, "pt", seed, 40))
         masks = unions | {u ^ 1 << k for u in unions for k in range(s)}
         for _ in range(400):
             m = rng.getrandbits(s)
@@ -150,24 +151,31 @@ def test_walk_draws_as_randrange(monkeypatch, tri3):
     # the walk's getrandbits rejection draws what randrange(count) draws
     # from one shared stream: a chain of nodes, one per count, each with
     # thresholds cum over its parents; small counts get one parent per
-    # value, so the drawn integer itself is seen
+    # value, so the drawn integer itself is seen.  Each parent has its own
+    # edge bit and the check is patched out, so a draw's mask, the OR of
+    # its picks' bits, names the pick at every depth
     counts = [1, 2, 3, 7, 8, 9, 31, 32, 33, 2**99 + 12345]
 
     def cum_of(c):
         return list(range(1, c + 1)) if c < 64 else [c // 3, c - c // 5, c]
 
+    # the first edge bit of each depth's parents
+    first = list(accumulate((len(cum_of(c)) for c in counts), initial=0))
     node = (1, 1, 0, 0, [], [])  # count, bit length, masks, no parents
     for depth in reversed(range(len(counts))):
         c = counts[depth]
-        parents = [((depth, j),) + node for j in range(len(cum_of(c)))]
+        count, k, _, _, cum, parents = node
+        parents = [(count, k, 1 << (first[depth] + j), 0, cum, parents)
+                   for j in range(len(cum_of(c)))]
         node = (c, c.bit_length(), 0, 0, cum_of(c), parents)
-    monkeypatch.setattr(sampler, "_root", lambda *args: ("root",) + node)
-    drawn = [keys for keys, _ in sampler.draws(tri3, "tri", 17, 300)]
+    monkeypatch.setattr(sampler, "_root", lambda *args: node)
+    monkeypatch.setattr(sampler, "_complete", lambda P, zigzag, e, b: e)
+    drawn = list(sampler.draws(tri3, "tri", 17, 300))
     rng = random.Random(17)
-    expected = [[(d, bisect_right(cum_of(c), rng.randrange(c)))
-                 for d, c in enumerate(counts)][::-1] + ["root"]
-                for _ in range(300)]
-    assert drawn == expected
+    picks = [[bisect_right(cum_of(c), rng.randrange(c)) for c in counts]
+             for _ in range(300)]
+    assert drawn == [sum(1 << (f + j) for f, j in zip(first, pick))
+                     for pick in picks]
 
 
 # sha256 of `tricount sample F --structure S --count C --seed 3` stdout.
@@ -214,9 +222,9 @@ def test_sampled_structures_match_reconstruct(family, n, seed):
     # the mask walk completes each draw exactly as reconstruct does its tuple
     P = random_point_set(n, seed)
     run = sample(P, family, seed=5, m=200)
-    assert len(run.tuples) == len(run.structures) == 200
-    for keys, s in zip(run.tuples, run.structures):
-        assert len(keys) == n - 1
+    assert len(run) == 200
+    for s in run:
+        keys = [draw_path(P, family, s, i) for i in range(1, n)]
         assert tc.reconstruct(keys, P, family) == s
         if family == "pt":
             # a pt draw is its tuple's union, with nothing completed
@@ -227,9 +235,8 @@ def test_sampled_structures_match_reconstruct(family, n, seed):
 def test_chi_square_uniformity(conv5):
     from scipy.stats import chisquare
     cats = oracle.enumerate_structures(conv5, "tri")
-    run = sample(conv5, "tri", seed=11, m=2000)
-    counter = collections.Counter(edge_set(conv5, s)
-                                  for s in run.structures)
+    counter = collections.Counter(
+        edge_set(conv5, s) for s in sample(conv5, "tri", seed=11, m=2000))
     observed = [counter[S] for S in cats]
     assert chisquare(observed).pvalue > 1e-3
 
@@ -276,7 +283,7 @@ def test_hull_chord_frequencies_of_draws(family, n):
     m = 20_000
     chords = list(hull_chords(P, family))
     hits = collections.Counter()
-    for _, s in sampler.draws(P, family, 0, m):
+    for s in sampler.draws(P, family, 0, m):
         hits.update(e for e, _ in chords if s >> P.ids[e[0]][e[1]] & 1)
     for e, marginal in chords:
         p = marginal / total
@@ -303,8 +310,8 @@ def test_middle_line_path_frequencies_of_draws(family, n):
     weights = [F * B[k] for k, F in zip(table.keys, table.counts)]
     total = sum(weights)
     m = 20_000
-    hits = collections.Counter(
-        keys[line - 1] for keys, _ in sampler.draws(P, family, 0, m))
+    hits = collections.Counter(draw_path(P, family, s, line)
+                               for s in sampler.draws(P, family, 0, m))
     assert hits.keys() <= set(table.keys)
     chi2 = sum((hits[k] - m * w / total) ** 2 / (m * w / total)
                for k, w in zip(table.keys, weights))
@@ -326,7 +333,7 @@ def test_segment_frequencies_of_draws(family, n):
     total = tc.run_sweep(tc.system_for(family), P)[0]
     m = 20_000
     hits = [0] * len(P.segments)
-    for _, s in sampler.draws(P, family, 0, m):
+    for s in sampler.draws(P, family, 0, m):
         for k in tc.geom.bits(s):
             hits[k] += 1
     for k, marginal in enumerate(edge_counts(P, family)):
@@ -439,7 +446,7 @@ def test_budget_refusal_stops_the_sweep(monkeypatch):
         assert searched == list(range(1, last + 1))
     searched.clear()
     assert len(sample(P, "tri", seed=0, m=2,
-                         max_table_entries=sum(sizes)).structures) == 2
+                      max_table_entries=sum(sizes))) == 2
     assert searched == list(range(1, P.n))
 
 

@@ -6,6 +6,7 @@ from hypothesis import Phase, assume, given, settings, strategies as st
 
 import tricount as tc
 from tricount import geom, oracle, ptpath, sampler, sweep
+from tricount.cli import main
 from tricount.errors import InternalInvariantViolation
 
 from conftest import (check_forward_backward, constrained_count,
@@ -163,19 +164,30 @@ def test_sweep_lines_search_a_line_when_asked(monkeypatch, conv5):
     assert calls == [1, 2, "join", 3, 4]
 
 
-def test_child_without_parent_raises(monkeypatch, conv6):
-    # a join that loses the last child's parents stops the sweep (and the
-    # sampler, which reads the same stream)
-    def lossy(P, parents, children):
-        js = list(tc.TRI_SYSTEM.join(P, parents, children))
-        return js[:-1] + [[]]
+def test_child_without_parent_raises(monkeypatch, tmp_path, capsys, conv6):
+    # a join that loses the last child's parents, or gives one parent list
+    # too few or too many, stops the sweep and the sampler, which reads the
+    # same stream; from the CLI that is exit 4, not a traceback
+    f = tmp_path / "pts.txt"
+    f.write_text("".join(f"{x} {y}\n" for x, y in conv6.points))
+    for edit, message in [(lambda js: js[:-1] + [[]], "has no parent"),
+                          (lambda js: js[:-1], "too few parent lists"),
+                          (lambda js: js + [[0]], "too many parent lists")]:
+        def join(P, parents, children, edit=edit):
+            return edit(list(tc.TRI_SYSTEM.join(P, parents, children)))
 
-    system = sweep.PathSystem(False, lossy)
-    with pytest.raises(InternalInvariantViolation, match="at l_2 has no parent"):
-        tc.run_sweep(system, conv6)
-    monkeypatch.setattr(sampler, "system_for", lambda family: system)
-    with pytest.raises(InternalInvariantViolation, match="has no parent"):
-        sample(conv6, "tri", seed=0, m=1)
+        system = sweep.PathSystem(False, join)
+        with pytest.raises(InternalInvariantViolation,
+                           match=f"at l_2.*{message}"):
+            tc.run_sweep(system, conv6)
+        monkeypatch.setattr(sampler, "system_for", lambda family: system)
+        with pytest.raises(InternalInvariantViolation,
+                           match=f"at l_2.*{message}"):
+            sample(conv6, "tri", seed=0, m=1)
+        assert main(["sample", str(f), "--structure", "tri",
+                     "--count", "1"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, err
 
 
 def _chain_variants(rng, P, i, population, count):
