@@ -142,7 +142,7 @@ def path_successors(path: PTPath, P: PointSet, system: PathSystem,
     if not check:
         raise InputError(f"invalid parent path: {check.reason}")
     children = path_chains(P, path.line + 1, system.zigzag)
-    joined = system.join(P, [path.vertices], children)
+    joined = system.join(P, [path.vertices], children, system.zigzag)
     return {c for c, js in zip(children, joined) if js}
 
 

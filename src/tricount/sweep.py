@@ -5,9 +5,9 @@ path_chains, for both families: a T-path is a PT-path whose excursions
 are single vertices, and its wedges are their regions.  Validity is
 exactly membership in the population (ptpath): a valid chain
 extends to a structure and is then, by uniqueness, that structure's path.
-Two populations are joined child-major: each child gets the ascending
-indices of its compatible parents, read off per-segment bitmasks of the
-parents; the PT-path join adds a pointedness filter.
+Two populations are joined child-major, by one join for both families:
+each child gets the ascending indices of its compatible parents, read off
+bitmasks of the parents per segment and, for PT-paths, per corner.
 
 sweep_lines is the sweep's only loop: a stream of the lines l_1 .. l_{n-1},
 each the search's strictly ascending population (the key is the vertex
@@ -137,19 +137,25 @@ def path_chains(P: PointSet, i: int, zigzag: bool,
 
 # -- joins ---------------------------------------------------------------
 
-def tpath_join(P: PointSet, parents: Sequence[PathKey],
-               children: Sequence[PathKey]) -> Iterator[list[int]]:
-    """For each child in turn, the ascending indices of the parents
-    compatible with it.
-
-    Two chains are compatible iff no edge of one properly crosses an edge of
-    the other.  Each segment gets the bitmask of the parents that use it;
-    the parents a child edge crosses are the OR of those masks over the
-    segments it crosses, and a child keeps the parents none of its edges
-    crosses.  A child costs one word-parallel OR per edge and one step per
-    compatible parent, not one test per parent.
+def join(P: PointSet, parents: Sequence[PathKey],
+         children: Sequence[PathKey], zigzag: bool) -> Iterator[list[int]]:
+    """For each child in turn, the ascending indices of its compatible
+    parents: no edge of one crosses one of the other and, if zigzag, their
+    union is pointed.  Each segment has a row, the mask of the parents on
+    it; with zigzag so has each corner (v, p), an interior v where a parent
+    has neighbours p.  A child's edge rules out the rows of the segments it
+    crosses, its corner (v, q) the rows (v, p) with v not pointed in p | q:
+    one OR each, cached per line.  Only an interior v that both chains touch
+    can fail: a hull vertex is pointed whatever its edges, and elsewhere the
+    union's edges are one chain's, which is pointed.  A parent without v is
+    in no row of v.
     """
     cross, eid = P.cross, P.ids
+
+    def corners(k):  # interior v on chain k, with all of k's edges at v
+        adj = adjacency(zip(k, k[1:]), P.n)
+        return [(v, adj[v]) for v in P.interior if adj[v]]
+
     # segment index -> bitmask of the parents using it, set bytewise:
     # setting bit j of an int would copy the whole mask each time
     rows = defaultdict(lambda: bytearray(len(parents) // 8 + 1))
@@ -157,49 +163,42 @@ def tpath_join(P: PointSet, parents: Sequence[PathKey],
         for a, b in zip(k, k[1:]):
             rows[eid[a][b]][j >> 3] |= 1 << (j & 7)
     users = [(x, int.from_bytes(row, "little")) for x, row in rows.items()]
+    # interior v -> p -> the row of corner (v, p), set likewise
+    at = defaultdict(lambda: defaultdict(rows.default_factory))
+    for j, k in enumerate(parents) if zigzag else ():
+        for v, p in corners(k):
+            at[v][p][j >> 3] |= 1 << (j & 7)
     full = (1 << len(parents)) - 1
-    crossed: dict[int, int] = {}  # child edge -> the parents it crosses
+    ruled_out: dict = {}  # child edge or corner -> the parents it rules out
     for c in children:
         m = 0
         for a, b in zip(c, c[1:]):
             x = eid[a][b]
-            if x not in crossed:
-                crossed[x] = reduce(or_, (u for y, u in users
-                                          if cross[x] >> y & 1), 0)
-            m |= crossed[x]
+            if x not in ruled_out:
+                ruled_out[x] = reduce(or_, (u for y, u in users
+                                            if cross[x] >> y & 1), 0)
+            m |= ruled_out[x]
+        for v, q in corners(c) if zigzag else ():
+            if (v, q) not in ruled_out:
+                ruled_out[v, q] = reduce(or_, (
+                    int.from_bytes(row, "little") for p, row in at[v].items()
+                    if not P.pointed(v, p | q)), 0)
+            m |= ruled_out[v, q]
         yield list(bits(full & ~m))
-
-
-def ptpath_join(P: PointSet, parents: Sequence[PathKey],
-                children: Sequence[PathKey]) -> Iterator[list[int]]:
-    """For each child in turn, the ascending indices of the parents
-    compatible with it as PT-paths.
-
-    Compatible means non-crossing (tpath_join) with a pointed edge union.
-    Each chain of a population is pointed on its own, and a hull vertex is
-    pointed whatever its edges, so only the interior vertices both chains
-    touch can fail; they are checked on tpath_join's candidates only.
-    """
-    adj = [adjacency(zip(k, k[1:]), P.n) for k in parents]
-    for c, js in zip(children, tpath_join(P, parents, children)):
-        ac = adjacency(zip(c, c[1:]), P.n)
-        vs = set(c).difference(P.hull)
-        yield [j for j in js if all(P.pointed(v, adj[j][v] | ac[v])
-                                    for v in vs.intersection(parents[j]))]
 
 
 # -- the sweep -----------------------------------------------------------
 
 class PathSystem(NamedTuple):
-    # the family's population search: path_chains with this zigzag
+    # the family's bit: path_chains and join run with this zigzag
     zigzag: bool
-    # for each child in turn, the ascending indices of its compatible parents
-    join: Callable[[PointSet, Sequence[PathKey], Sequence[PathKey]],
+    # join for both families; a field, so that a test can run another
+    join: Callable[[PointSet, Sequence[PathKey], Sequence[PathKey], bool],
                    Iterable[list[int]]]
 
 
-TRI_SYSTEM = PathSystem(False, tpath_join)
-PT_SYSTEM = PathSystem(True, ptpath_join)
+TRI_SYSTEM = PathSystem(False, join)
+PT_SYSTEM = PathSystem(True, join)
 
 
 def system_for(family: str) -> PathSystem:
@@ -257,7 +256,8 @@ def sweep_lines(system: PathSystem, P: PointSet
     yield keys, ([] for _ in keys)
     for i in range(2, P.n):
         children = path_chains(P, i, system.zigzag)
-        yield children, _linked(i, children, system.join(P, keys, children))
+        joined = system.join(P, keys, children, system.zigzag)
+        yield children, _linked(i, children, joined)
         keys = children
     if len(keys) != 1:
         raise InternalInvariantViolation(

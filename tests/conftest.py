@@ -55,6 +55,26 @@ def double_chain(n):
             [(2 * k + 1, 1000 - k * (q - 1 - k)) for k in range(q)])
 
 
+def near_convex(m, k, seed):
+    """m points (10x, 10x^2) in convex position and k seeded points
+    strictly inside their hull, by rejection: validate_point_set refuses a
+    repeated point or a collinear triple, and a point is kept only if it is
+    an interior vertex of the set.  Few points inside keep the pt count
+    small enough for the flip counter (tests/flip_reference.py) above the
+    oracle range."""
+    rng = random.Random(seed)
+    pts = [(10 * x, 10 * x * x) for x in range(m)]
+    while len(pts) < m + k:
+        q = (rng.randrange(10 * m), rng.randrange(10 * m * m))
+        try:
+            P = tc.validate_point_set(pts + [q])
+        except tc.TricountError:
+            continue
+        if q in [P.points[v] for v in P.interior]:
+            pts.append(q)
+    return pts
+
+
 def double_chain_tri_count(n):
     p = n // 2
     return comb(n - 2, p - 1) * catalan(p - 2) * catalan(n - p - 2)
@@ -153,7 +173,7 @@ def constrained_count(P, family, blocked):
     for i in range(2, P.n):
         children = path_chains(P, i, system.zigzag, blocked)
         counts = [sum(counts[j] for j in js)
-                  for js in system.join(P, keys, children)]
+                  for js in system.join(P, keys, children, system.zigzag)]
         keys = children
     return sum(counts)
 

@@ -39,6 +39,8 @@ class Mutant(NamedTuple):
 CHORDS = ("tests/test_sampler.py::test_hull_chord_frequencies_of_draws",)
 MIDDLE_LINE = (
     "tests/test_sampler.py::test_middle_line_path_frequencies_of_draws",)
+CORNER_KILLERS = ("tests/test_sweep.py::test_join_matches_reference[pt]",
+                  "tests/test_sweep.py::test_sweep_matches_oracle_random")
 
 MUTANTS = [
     Mutant("uniform parent pick", "src/tricount/sampler.py",
@@ -209,9 +211,8 @@ MUTANTS = [
     # same faulty tables, pass on it
     Mutant("pt join refuses a shared vertex of six or more union edges",
            "src/tricount/sweep.py",
-           "P.pointed(v, adj[j][v] | ac[v])",
-           "P.pointed(v, adj[j][v] | ac[v])"
-           " and (adj[j][v] | ac[v]).bit_count() < 6",
+           "if not P.pointed(v, p | q)",
+           "if not (P.pointed(v, p | q) and (p | q).bit_count() < 6)",
            ("tests/test_sweep.py::test_edge_counts_sum_to_count_times_edges",)),
     Mutant("the pt draw check reads the other end as 1 << b",
            "src/tricount/sampler.py",
@@ -224,12 +225,38 @@ MUTANTS = [
     # a join that only drops pairs and leaves every child a parent: each
     # tuple still counted is a structure's, so the edge identity balances
     # again; the oracle sees the smaller count
-    Mutant("tpath_join drops parents three vertices longer than the child",
+    Mutant("join drops parents three vertices longer than the child",
            "src/tricount/sweep.py",
            "yield list(bits(full & ~m))",
            "yield [j for j in bits(full & ~m)\n"
            "               if len(parents[j]) != len(c) + 3]",
            ("tests/test_sweep.py::test_sweep_matches_oracle_random",)),
+    # the same fault in the pt join alone: above the oracle range, the
+    # flip count of a near-convex set sees it (as do the pt oracle tests)
+    Mutant("pt join drops parents three vertices longer than the child",
+           "src/tricount/sweep.py",
+           "yield list(bits(full & ~m))",
+           "yield [j for j in bits(full & ~m)\n"
+           "               if not zigzag or len(parents[j]) != len(c) + 3]",
+           ("tests/test_flip_reference.py::test_matches_sweep_near_convex",)),
+    # the corner rows: the first keeps parents whose union is not pointed,
+    # the second gives every child corner at v the first one's OR
+    Mutant("a corner's OR keeps only the first failing row at v",
+           "src/tricount/sweep.py",
+           "ruled_out[v, q] = reduce(or_, (", "ruled_out[v, q] = next((",
+           CORNER_KILLERS),
+    Mutant("the corner cache keyed by v alone", "src/tricount/sweep.py",
+           """            if (v, q) not in ruled_out:
+                ruled_out[v, q] = reduce(or_, (
+                    int.from_bytes(row, "little") for p, row in at[v].items()
+                    if not P.pointed(v, p | q)), 0)
+            m |= ruled_out[v, q]""",
+           """            if (v,) not in ruled_out:
+                ruled_out[v,] = reduce(or_, (
+                    int.from_bytes(row, "little") for p, row in at[v].items()
+                    if not P.pointed(v, p | q)), 0)
+            m |= ruled_out[v,]""",
+           CORNER_KILLERS),
     Mutant("_linked reads the join with plain zip", "src/tricount/sweep.py",
            "for c, js in zip_longest(children, parents):",
            "for c, js in zip(children, parents):",

@@ -399,15 +399,19 @@ def test_draws_drop_the_tables(monkeypatch, conv6):
     assert len(list(stream)) == 3
 
 
-def _keep_every_parent(P, parents, children):
+def _keep_every_parent(P, parents, children, zigzag):
     return ([*range(len(parents))] for _ in children)
+
+
+def _join_without_pointedness(P, parents, children, zigzag):
+    return sweep.join(P, parents, children, False)
 
 
 @pytest.mark.parametrize("family,system,seed", [
     # a join that keeps crossing parents
     ("tri", sweep.PathSystem(False, _keep_every_parent), 6000),
-    # the pt search without the join's pointedness filter
-    ("pt", sweep.PathSystem(True, sweep.tpath_join), 6001),
+    # the pt search with a join that runs without its pointedness rows
+    ("pt", sweep.PathSystem(True, _join_without_pointedness), 6001),
 ])
 def test_failed_draw_check_is_internal(monkeypatch, tmp_path, capsys,
                                        family, system, seed):

@@ -14,6 +14,7 @@ from conftest import (check_forward_backward, constrained_count,
                       edge_counts, line_tables, random_point_set,
                       random_points, sample, structure_edge_count)
 from flip_reference import count_pseudotriangulations
+from join_reference import ptpath_join, tpath_join
 from monotone_reference import count_triangulations
 from scan_predicates import sign
 
@@ -115,6 +116,28 @@ def test_parent_bitsets_span_several_words(family, n, seed):
     assert max(len(t.keys) for t in tables) > 64
 
 
+JOIN_REFERENCE_SETS = [random_points(n, 700 + 10 * n + s)
+                       for n in range(5, 12) for s in range(3)] + \
+    [double_chain(n) for n in range(8, 12)]
+
+
+@pytest.mark.parametrize("family", ["tri", "pt"])
+def test_join_matches_reference(family):
+    # at every line, the join gives the parent lists of the joins it
+    # replaced (tests/join_reference.py): tpath_join's for T-paths, and for
+    # PT-paths ptpath_join's, which tests pointedness pair by pair
+    zigzag = family == "pt"
+    reference = ptpath_join if zigzag else tpath_join
+    for pts in JOIN_REFERENCE_SETS:
+        P = tc.validate_point_set(pts)
+        parents = sweep.path_chains(P, 1, zigzag)
+        for i in range(2, P.n):
+            children = sweep.path_chains(P, i, zigzag)
+            assert list(sweep.join(P, parents, children, zigzag)) == \
+                list(reference(P, parents, children)), (pts, i)
+            parents = children
+
+
 @pytest.mark.parametrize("family,n,seed", [
     ("tri", 5, 3), ("tri", 9, 909), ("tri", 10, 1028),
     ("pt", 6, 606), ("pt", 8, 42),
@@ -148,9 +171,9 @@ def test_sweep_lines_search_a_line_when_asked(monkeypatch, conv5):
         calls.append(i)
         return path_chains(P, i, zigzag, blocked)
 
-    def join(P, parents, children):
+    def join(P, parents, children, zigzag):
         calls.append("join")
-        yield from tc.TRI_SYSTEM.join(P, parents, children)
+        yield from tc.TRI_SYSTEM.join(P, parents, children, zigzag)
 
     monkeypatch.setattr(sweep, "path_chains", spy)
     lines = sweep.sweep_lines(sweep.PathSystem(False, join), conv5)
@@ -173,8 +196,9 @@ def test_child_without_parent_raises(monkeypatch, tmp_path, capsys, conv6):
     for edit, message in [(lambda js: js[:-1] + [[]], "has no parent"),
                           (lambda js: js[:-1], "too few parent lists"),
                           (lambda js: js + [[0]], "too many parent lists")]:
-        def join(P, parents, children, edit=edit):
-            return edit(list(tc.TRI_SYSTEM.join(P, parents, children)))
+        def join(P, parents, children, zigzag, edit=edit):
+            return edit(list(tc.TRI_SYSTEM.join(P, parents, children,
+                                                zigzag)))
 
         system = sweep.PathSystem(False, join)
         with pytest.raises(InternalInvariantViolation,
