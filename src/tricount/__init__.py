@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 # public name -> defining submodule
 _SOURCE = {name: module for module, names in {
     "analysis": ("BoundSequence", "bound_sequence"),
-    "errors": ("TricountError",),
+    "errors": ("TricountError", "system_for"),
     "geom": ("PointSet", "validate_point_set"),
     "ptpath": ("PTPath", "TPath", "collect_paths", "extract_ptpath",
                "extract_tpath", "flip", "is_flippable", "is_good_edge",
@@ -22,8 +22,7 @@ _SOURCE = {name: module for module, names in {
                "validate_pseudotriangulation", "validate_ptpath",
                "validate_tpath"),
     "sampler": ("draws", "reconstruct"),
-    "sweep": ("PT_SYSTEM", "TRI_SYSTEM", "SweepStats", "run_sweep",
-              "system_for"),
+    "sweep": ("SweepStats", "run_sweep"),
 }.items() for name in names}
 
 __all__ = list(_SOURCE)

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import sweep
-from .errors import InputError, TricountError
+from .errors import InputError, TricountError, system_for
 from .geom import PointSet, bits, hull_crossing_edges, validate_point_set
 
 # sampled structures per stdout write.  Not redundant with stdout's buffer:
@@ -95,9 +95,9 @@ def cmd_count(args) -> int:
     if args.threads < 1:
         raise InputError(f"--threads must be at least 1, got {args.threads}")
     P = load_point_set(args.input)
-    system = sweep.system_for(args.structure)
+    zigzag = system_for(args.structure)
     t0 = time.perf_counter()
-    count, stats, _ = sweep.run_sweep(system, P)
+    count, stats, _ = sweep.run_sweep(zigzag, P)
     elapsed_ms = (time.perf_counter() - t0) * 1000
     if args.stats:
         import json

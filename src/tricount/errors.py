@@ -30,6 +30,17 @@ def check_nonnegative(name: str, value) -> None:
         raise InputError(f"{name} must be a nonnegative int")
 
 
+def system_for(family) -> bool:
+    """The one reader of a family name: its zigzag bit, with which the
+    chain search and the join run (a T-path is a PT-path whose excursions
+    are single vertices)."""
+    if family == "tri":
+        return False
+    if family == "pt":
+        return True
+    raise InputError(f"unknown family {shown(family)}")
+
+
 def shown(value) -> str:
     """repr(value) for a message that names a caller's value; it cannot
     raise, so an int past the int-to-str digit limit shows as its size and

@@ -28,8 +28,9 @@ EdgeSet = frozenset[Segment]
 
 
 def seg(a: int, b: int) -> Segment:
-    """Normalize an index pair into a Segment (a < b)."""
-    if a == b:
+    """Normalize an index pair into a Segment (a < b): two distinct ints
+    >= 0, a bool not being one."""
+    if not (type(a) is type(b) is int and a != b and min(a, b) >= 0):
         raise InputError(f"not a segment: ({shown(a)}, {shown(b)})")
     return (a, b) if a < b else (b, a)
 

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .errors import (InputError, InternalInvariantViolation,
-                     ResourceRefusal, check_nonnegative, shown)
+from .errors import (InternalInvariantViolation, ResourceRefusal,
+                     check_nonnegative, system_for)
 from .geom import EdgeSet, PointSet, adjacency, bits
 
 TRI_GUARD = 12
@@ -35,21 +35,20 @@ def enumerate_structures(P: PointSet, family: str,
     of P as a set of segments, in sorted order."""
     if cap is not None:
         check_nonnegative("cap", cap)
-    if family == "tri":
-        guard, name = TRI_GUARD, "triangulation"
-        target = 3 * P.n - 3 - len(P.hull)
-    elif family == "pt":
+    zigzag = system_for(family)
+    if zigzag:
         guard, name = PT_GUARD, "pseudo-triangulation"
         target = 2 * P.n - 3
     else:
-        raise InputError(f"unknown family {shown(family)}")
+        guard, name = TRI_GUARD, "triangulation"
+        target = 3 * P.n - 3 - len(P.hull)
     if P.n > guard:
         raise ResourceRefusal(f"n={P.n} exceeds {name} oracle guard {guard}")
     n, edges, cross = P.n, P.segments, P.cross
     # inner[v]: the segments at v if including one can break v's
     # pointedness, i.e. at an interior vertex in pt; none in tri
     inner = [0] * n
-    if family == "pt":
+    if zigzag:
         for v in P.interior:
             inner[v] = P.star[v]
     # block[k]: the segments whose inclusion can rule segment k out

@@ -21,8 +21,8 @@ parent with the next population.
 T-paths are the PT-paths whose excursions are single vertices: every edge
 crosses l_i, and every wedge spanned by two consecutive edges is empty.
 Their validation adds those checks to validate_ptpath, and extraction and
-successors are the same bodies with zigzag off and the triangulation's
-PathSystem.  Their own lemmas are paths_cross, flips and good edges.
+successors are the same bodies with zigzag off.  Their own lemmas are
+paths_cross, flips and good edges.
 
 Nothing in the package imports this module: count and sample run the
 engine alone, and the oracle is the reference it is tested against.
@@ -34,11 +34,10 @@ from functools import cmp_to_key
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import geom
-from .errors import InputError, InternalInvariantViolation
+from .errors import InputError, InternalInvariantViolation, system_for
 from .geom import EdgeSet, PointSet, Segment, adjacency, bits, seg
 from .oracle import addable, enumerate_structures
-from .sweep import (PT_SYSTEM, TRI_SYSTEM, PathKey, PathSystem, path_chains,
-                    system_for)
+from .sweep import PathKey, join, path_chains
 
 
 class Check(NamedTuple):
@@ -129,20 +128,20 @@ def extract_path(S: EdgeSet, i: int, P: PointSet, zigzag: bool) -> PathKey:
 
 def collect_paths(P: PointSet, i: int, family: str) -> set[PathKey]:
     """Reference path population: extract from every enumerated structure."""
-    zigzag = system_for(family).zigzag
+    zigzag = system_for(family)
     return {extract_path(S, i, P, zigzag)
             for S in enumerate_structures(P, family)}
 
 
-def path_successors(path: PTPath, P: PointSet, system: PathSystem,
+def path_successors(path: PTPath, P: PointSet, zigzag: bool,
                     validate: Callable) -> set[PathKey]:
-    """The paths at l_{i+1} compatible with a valid path: the family's join
-    of it with the next population (the door refuses i + 1 = n by name)."""
+    """The paths at l_{i+1} compatible with a valid path: the join of it
+    with the next population (the door refuses i + 1 = n by name)."""
     check = validate(path, P)
     if not check:
         raise InputError(f"invalid parent path: {check.reason}")
-    children = path_chains(P, path.line + 1, system.zigzag)
-    joined = system.join(P, [path.vertices], children, system.zigzag)
+    children = path_chains(P, path.line + 1, zigzag)
+    joined = join(P, [path.vertices], children, zigzag)
     return {c for c, js in zip(children, joined) if js}
 
 
@@ -153,7 +152,7 @@ def extract_ptpath(S: EdgeSet, i: int, P: PointSet) -> PTPath:
 
 def ptpath_successors(path: PTPath, P: PointSet) -> set[PathKey]:
     """PT-paths at l_{i+1} non-crossing with path and jointly pointed."""
-    return path_successors(path, P, PT_SYSTEM, validate_ptpath)
+    return path_successors(path, P, True, validate_ptpath)
 
 
 # -- validation ----------------------------------------------------------
@@ -292,7 +291,7 @@ def extract_tpath(T: EdgeSet, i: int, P: PointSet) -> TPath:
 
 def tpath_successors(path: TPath, P: PointSet) -> set[PathKey]:
     """All T-paths at l_{i+1} compatible (non-crossing) with the given path."""
-    return path_successors(path, P, TRI_SYSTEM, validate_tpath)
+    return path_successors(path, P, False, validate_tpath)
 
 
 # -- flips and good edges ------------------------------------------------

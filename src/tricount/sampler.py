@@ -27,9 +27,9 @@ from itertools import accumulate
 from typing import Iterator, Optional
 
 from .errors import (InputError, InternalInvariantViolation,
-                     ResourceRefusal, check_nonnegative, shown)
+                     ResourceRefusal, check_nonnegative, shown, system_for)
 from .geom import PointSet, bits, collection
-from .sweep import PathKey, PathSystem, path_chains, sweep_lines, system_for
+from .sweep import PathKey, path_chains, sweep_lines
 
 # draws are streamed, so m bounds time and output size, not memory: about
 # 0.8 KB of JSON a draw at tri n=14 (80 MB at this guard); m above it is
@@ -80,7 +80,7 @@ def reconstruct(tuple_keys: list[PathKey], P: PointSet, family: str) -> int:
     """Structure of a full tuple, its paths at l_1 .. l_{n-1} in order, as
     its bitmask over P.segments; a bad tuple raises InputError, a partial
     pt tuple with not_maximal."""
-    zigzag = system_for(family).zigzag
+    zigzag = system_for(family)
     keys = [tuple(collection(key)) for key in collection(tuple_keys)]
     pairs = (e for key in keys for e in zip(key, key[1:]))
     emask = _complete(P, zigzag, *P.edge_masks(pairs))
@@ -90,14 +90,14 @@ def reconstruct(tuple_keys: list[PathKey], P: PointSet, family: str) -> int:
     return emask
 
 
-def _root(P: PointSet, system: PathSystem,
+def _root(P: PointSet, zigzag: bool,
           max_table_entries: Optional[int]) -> tuple:
     """The node of the path at l_{n-1}; a node is (count, its bit length,
     edge mask, blocked mask, cumulative parent counts, parent nodes), with
     no key, and count is the last cumulative count (cum is [1] at l_1).
     Nodes are built as their line arrives; the budget is checked there."""
     level, entries = [], 0
-    for keys, parents in sweep_lines(system, P):
+    for keys, parents in sweep_lines(zigzag, P):
         entries += len(keys)
         if max_table_entries is not None and entries > max_table_entries:
             raise ResourceRefusal(
@@ -123,8 +123,8 @@ def draws(P: PointSet, family: str, seed: int, m: int,
     check_nonnegative("seed", seed)
     if m > M_GUARD:
         raise ResourceRefusal(f"m={shown(m)} exceeds sample guard {M_GUARD}")
-    system = system_for(family)
-    root = _root(P, system, max_table_entries)
+    zigzag = system_for(family)
+    root = _root(P, zigzag, max_table_entries)
 
     def walk():
         getrandbits = random.Random(seed).getrandbits
@@ -140,7 +140,7 @@ def draws(P: PointSet, family: str, seed: int, m: int,
                 blocked |= b
             # the tuple is the engine's own: a failed check is a bug
             try:
-                emask = _complete(P, system.zigzag, emask, blocked)
+                emask = _complete(P, zigzag, emask, blocked)
             except InputError as exc:
                 raise InternalInvariantViolation(f"a drawn {exc}") from exc
             yield emask

@@ -2,9 +2,11 @@
 
 A path population is found by one constrained depth-first chain search,
 path_chains, for both families: a T-path is a PT-path whose excursions
-are single vertices, and its wedges are their regions.  Validity is
-exactly membership in the population (ptpath): a valid chain
-extends to a structure and is then, by uniqueness, that structure's path.
+are single vertices, and its wedges are their regions.  So a family is
+one bit, zigzag (errors.system_for reads it off the family's name), and
+the search, the join and the sweep take it.  Validity is exactly
+membership in the population (ptpath): a valid chain extends to a
+structure and is then, by uniqueness, that structure's path.
 Two populations are joined child-major, by one join for both families:
 each child gets the ascending indices of its compatible parents, read off
 bitmasks of the parents per segment and, for PT-paths, per corner.
@@ -24,7 +26,7 @@ from collections import defaultdict
 from functools import reduce
 from itertools import zip_longest
 from operator import or_
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import geom
 from .errors import InputError, InternalInvariantViolation, shown
@@ -189,26 +191,6 @@ def join(P: PointSet, parents: Sequence[PathKey],
 
 # -- the sweep -----------------------------------------------------------
 
-class PathSystem(NamedTuple):
-    # the family's bit: path_chains and join run with this zigzag
-    zigzag: bool
-    # join for both families; a field, so that a test can run another
-    join: Callable[[PointSet, Sequence[PathKey], Sequence[PathKey], bool],
-                   Iterable[list[int]]]
-
-
-TRI_SYSTEM = PathSystem(False, join)
-PT_SYSTEM = PathSystem(True, join)
-
-
-def system_for(family: str) -> PathSystem:
-    if family == "tri":
-        return TRI_SYSTEM
-    if family == "pt":
-        return PT_SYSTEM
-    raise InputError(f"unknown family {shown(family)}")
-
-
 class SweepStats:
     def __init__(self, t_per_line: list[int]):
         self.t_per_line = t_per_line
@@ -236,7 +218,7 @@ def _linked(i: int, children: Sequence[PathKey],
         yield js
 
 
-def sweep_lines(system: PathSystem, P: PointSet
+def sweep_lines(zigzag: bool, P: PointSet
                 ) -> Iterator[tuple[list[PathKey], Iterator[list[int]]]]:
     """Each line l_1 .. l_{n-1} in turn: its ascending population and a
     lazy iterator over each chain's ascending parent indices (none at l_1).
@@ -251,12 +233,19 @@ def sweep_lines(system: PathSystem, P: PointSet
     structure whose path there it is (ptpath).  That structure's path at l_i
     is in the population at l_i, and the two paths are compatible, as both
     are edges of one structure: the join must report it.
+
+    A zigzag that is not a bool (a family's name included) or a P that is
+    not a PointSet raises InputError as the first line is asked for.
     """
-    keys = path_chains(P, 1, system.zigzag)
+    if type(zigzag) is not bool:
+        raise InputError(f"not a family bit: {shown(zigzag)}")
+    if not isinstance(P, PointSet):
+        raise InputError(f"not a PointSet: {type(P).__name__}")
+    keys = path_chains(P, 1, zigzag)
     yield keys, ([] for _ in keys)
     for i in range(2, P.n):
-        children = path_chains(P, i, system.zigzag)
-        joined = system.join(P, keys, children, system.zigzag)
+        children = path_chains(P, i, zigzag)
+        joined = join(P, keys, children, zigzag)
         yield children, _linked(i, children, joined)
         keys = children
     if len(keys) != 1:
@@ -264,12 +253,13 @@ def sweep_lines(system: PathSystem, P: PointSet
             f"expected a single path at l_{P.n - 1}, got {len(keys)}")
 
 
-def run_sweep(system: PathSystem, P: PointSet
+def run_sweep(zigzag: bool, P: PointSet
               ) -> tuple[int, SweepStats, None]:
-    """The number of structures and the sweep's per-line stats.  The third
+    """The number of structures of the family whose bit is zigzag
+    (system_for) and the sweep's per-line stats.  The third
     value is always None, kept for callers that unpack three values (the
     benchmark's tracer)."""
-    lines = sweep_lines(system, P)
+    lines = sweep_lines(zigzag, P)
     counts = [1] * len(next(lines)[0])
     stats = SweepStats([len(counts)])
     t0 = time.perf_counter()

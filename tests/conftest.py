@@ -8,7 +8,7 @@ import pytest
 
 import tricount as tc
 from tricount.geom import bits
-from tricount.sweep import path_chains, sweep_lines
+from tricount.sweep import join, path_chains, sweep_lines
 
 from scan_predicates import sign
 
@@ -98,7 +98,7 @@ def draw_path(P, family, mask, i):
     """A draw's path at l_i, recovered from its mask: the search at l_i
     with every segment outside the structure blocked finds exactly one
     chain, the structure's path there."""
-    chains = path_chains(P, i, tc.system_for(family).zigzag, ~mask)
+    chains = path_chains(P, i, tc.system_for(family), ~mask)
     assert len(chains) == 1, (i, bin(mask), chains)
     return chains[0]
 
@@ -140,10 +140,10 @@ def forward_backward(P, family):
     population there, as a key of P, to its forward count.  A structure of
     P is a path at l_m with a structure on either side, so F(key) * B(key)
     of them have that path there."""
-    system = tc.system_for(family)
+    zigzag = tc.system_for(family)
     image = tc.validate_point_set([(-x, -y) for x, y in P.points])
-    back = list(line_tables(sweep_lines(system, image)))
-    for table in line_tables(sweep_lines(system, P)):
+    back = list(line_tables(sweep_lines(zigzag, image)))
+    for table in line_tables(sweep_lines(zigzag, P)):
         b = back[P.n - 1 - table.line]
         yield table, {rotated_key(k, P.n): c
                       for k, c in zip(b.keys, b.counts)}
@@ -165,15 +165,15 @@ def check_forward_backward(P, family):
 def constrained_count(P, family, blocked):
     """The sweep's count with blocked, a bitmask over P.segments, passed to
     every line's search (sweep.path_chains): the compatible tuples of paths
-    that use no blocked segment, each line joined by the family's join.  A
+    that use no blocked segment, each line joined by sweep.join.  A
     child without a parent counts 0, and an emptied line empties the rest."""
-    system = tc.system_for(family)
-    keys = path_chains(P, 1, system.zigzag, blocked)
+    zigzag = tc.system_for(family)
+    keys = path_chains(P, 1, zigzag, blocked)
     counts = [1] * len(keys)
     for i in range(2, P.n):
-        children = path_chains(P, i, system.zigzag, blocked)
+        children = path_chains(P, i, zigzag, blocked)
         counts = [sum(counts[j] for j in js)
-                  for js in system.join(P, keys, children, system.zigzag)]
+                  for js in join(P, keys, children, zigzag)]
         keys = children
     return sum(counts)
 

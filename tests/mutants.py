@@ -2,10 +2,12 @@
 
 Each entry breaks one file in one known way, and names the tests that must
 fail on the broken copy.  The runner copies src/, tests/ and pyproject.toml
-into a temporary directory, runs every selection there once unmutated (each
-must pass, or a failure would prove nothing), then applies each mutant in
-turn and requires pytest to report failed tests (exit status 1; a
-collection error or an empty selection is a broken entry, not a kill).
+into two temporary trees, runs every selection once unmutated, half of them
+in each tree (each must pass, or a failure would prove nothing), then
+applies the mutants two at a time, each in a tree of its own, and requires
+pytest to report failed tests (exit status 1; a collection error or an
+empty selection is a broken entry, not a kill).  At most two pytest
+processes run at once, one per tree, and the verdicts print in list order.
 
     python tests/mutants.py            # every entry, from the repo root
     python tests/mutants.py NAME ...   # only the named entries
@@ -22,10 +24,15 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from queue import SimpleQueue
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
+# copied trees, and so pytest processes at most at once: one per core of a
+# 2-core host
+TREES = 2
 
 
 class Mutant(NamedTuple):
@@ -96,10 +103,10 @@ MUTANTS = [
     Mutant("the draw re-raise removed",
            "src/tricount/sampler.py",
            """            try:
-                emask = _complete(P, system.zigzag, emask, blocked)
+                emask = _complete(P, zigzag, emask, blocked)
             except InputError as exc:
                 raise InternalInvariantViolation(f"a drawn {exc}") from exc""",
-           "            emask = _complete(P, system.zigzag, emask, blocked)",
+           "            emask = _complete(P, zigzag, emask, blocked)",
            ("tests/test_sampler.py::test_failed_draw_check_is_internal",)),
     Mutant("extraction from a non-structure not refused",
            "src/tricount/ptpath.py",
@@ -273,6 +280,19 @@ MUTANTS = [
            ("tests/test_package.py::test_library_refusals_are_input_errors",
             "tests/test_exit_codes.py"
             "::test_structure_lemmas_accept_or_refuse_as_input_errors")),
+    # a family's name is truthy, so run_sweep("tri", P) would count
+    # pseudo-triangulations
+    Mutant("sweep_lines without its bit check", "src/tricount/sweep.py",
+           "if type(zigzag) is not bool:", "if False:",
+           ("tests/test_package.py::test_library_refusals_are_input_errors"
+            "[run_sweep-family-name]",)),
+    # the pt rows cleared, the tri ones set: pt keeps unpointed sets
+    Mutant("the oracle's pt rows read the negated bit",
+           "src/tricount/oracle.py",
+           "    if zigzag:\n        for v in P.interior:",
+           "    if not zigzag:\n        for v in P.interior:",
+           ("tests/test_oracle.py::test_pt_counts",
+            "tests/test_sweep.py::test_sweep_matches_oracle_random")),
 ]
 
 
@@ -299,28 +319,42 @@ def main(names: list[str]) -> int:
             print(f"broken entry {m.name!r}: its text occurs {count} times "
                   f"in {m.file}", file=sys.stderr)
             return 2
-    with tempfile.TemporaryDirectory() as tmp:
-        work = Path(tmp)
-        for d in ("src", "tests"):
-            shutil.copytree(ROOT / d, work / d, ignore=shutil.ignore_patterns(
-                "__pycache__", ".hypothesis", ".pytest_cache"))
-        shutil.copy(ROOT / "pyproject.toml", work)
+    with tempfile.TemporaryDirectory() as tmp, \
+            ThreadPoolExecutor(TREES) as pool:
+        trees = [Path(tmp) / str(t) for t in range(TREES)]
+        ignore = shutil.ignore_patterns(
+            "__pycache__", ".hypothesis", ".pytest_cache")
+        for work in trees:
+            for d in ("src", "tests"):
+                shutil.copytree(ROOT / d, work / d, ignore=ignore)
+            shutil.copy(ROOT / "pyproject.toml", work)
         selection = sorted({s for m in mutants for s in m.selection})
-        if _pytest(work, selection) != 0:
+        # an empty share would make pytest collect the whole tree
+        shares = [selection[t::TREES] for t in range(TREES)]
+        if any(pool.map(_pytest, trees, [s for s in shares if s])):
             print("the selections fail on the unmutated copy", file=sys.stderr)
             return 2
-        survivors = 0
-        for m in mutants:
+        free = SimpleQueue()  # each tree runs one mutant at a time
+        for work in trees:
+            free.put(work)
+
+        def run(m: Mutant) -> tuple[int, float]:
+            work = free.get()
             path = work / m.file
             original = path.read_text()
             path.write_text(original.replace(m.old, m.new))
             t0 = time.perf_counter()
-            status = _pytest(work, m.selection)
-            path.write_text(original)
+            try:
+                return _pytest(work, m.selection), time.perf_counter() - t0
+            finally:
+                path.write_text(original)
+                free.put(work)
+
+        survivors = 0
+        for m, (status, seconds) in zip(mutants, pool.map(run, mutants)):
             verdict = {1: "killed"}.get(status, f"SURVIVED (pytest {status})")
             survivors += status != 1
-            print(f"{verdict:<20} {time.perf_counter() - t0:6.1f} s  {m.name}",
-                  flush=True)
+            print(f"{verdict:<20} {seconds:6.1f} s  {m.name}", flush=True)
     print(f"{len(mutants) - survivors} of {len(mutants)} mutants killed")
     return 1 if survivors else 0
 

@@ -105,8 +105,8 @@ def test_criterion_5_path_population_equivalence():
     with criterion(5, "path-population equivalence"):
         for P in instances_structural(max_n=8):
             for fam in ("tri", "pt"):
-                system = tc.system_for(fam)
-                for tab in line_tables(sweep.sweep_lines(system, P)):
+                zigzag = tc.system_for(fam)
+                for tab in line_tables(sweep.sweep_lines(zigzag, P)):
                     assert set(tab.keys) == \
                         ptpath.collect_paths(P, tab.line, fam)
 
@@ -207,9 +207,9 @@ def test_criterion_8_sampler_uniformity():
                 tc.validate_point_set([(0, 0), (5, 1), (4, 3), (2, 1)])]
         for P in tiny:
             for fam in ("tri", "pt"):
-                system = tc.system_for(fam)
-                total = tc.run_sweep(system, P)[0]
-                tables = list(line_tables(sweep.sweep_lines(system, P)))
+                zigzag = tc.system_for(fam)
+                total = tc.run_sweep(zigzag, P)[0]
+                tables = list(line_tables(sweep.sweep_lines(zigzag, P)))
 
                 def walk(idx, k, prob, out):
                     if idx == 0:
@@ -232,8 +232,8 @@ def test_criterion_9_count_inequality():
             [tc.validate_point_set(conv_points(n)) for n in range(4, 9)] + \
             [random_point_set(n, 9000 + n) for n in (5, 6, 7, 8)]
         for P in insts:
-            tri_count, _, _ = tc.run_sweep(tc.TRI_SYSTEM, P)
-            pt_count, _, _ = tc.run_sweep(tc.PT_SYSTEM, P)
+            tri_count, _, _ = tc.run_sweep(False, P)
+            pt_count, _, _ = tc.run_sweep(True, P)
             assert pt_count <= 3 ** (P.n - len(P.hull)) * tri_count
 
 

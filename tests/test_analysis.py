@@ -37,25 +37,25 @@ def test_binomial_identity():
 def test_report(tri3, conv5):
     # the sweep's per-line report is its SweepStats, written as it stands
     # by `count --stats`
-    count, stats, _ = tc.run_sweep(tc.TRI_SYSTEM, tri3)
+    count, stats, _ = tc.run_sweep(False, tri3)
     assert count == 1
     assert stats.t_per_line == [1, 1]
     assert stats.t_max == 1
     assert stats.t_max <= 9 ** tri3.n  # the paper's bound on T-paths per line
 
-    count, stats, _ = tc.run_sweep(tc.TRI_SYSTEM, conv5)
+    count, stats, _ = tc.run_sweep(False, conv5)
     assert count == 5
     assert stats.t_max <= count  # small convex case
     assert stats.t_max <= 9 ** conv5.n
 
-    count, stats, _ = tc.run_sweep(tc.PT_SYSTEM, conv5)
+    count, stats, _ = tc.run_sweep(True, conv5)
     assert len(stats.t_per_line) == conv5.n - 1
     assert stats.t_max == max(stats.t_per_line)
 
 
 def test_fan5_t_per_line_golden(fan5):
     # values pinned after the oracle-validated first run
-    _, stats, _ = tc.run_sweep(tc.TRI_SYSTEM, fan5)
+    _, stats, _ = tc.run_sweep(False, fan5)
     assert stats.t_per_line == [1, 2, 2, 1]
-    _, stats, _ = tc.run_sweep(tc.PT_SYSTEM, fan5)
+    _, stats, _ = tc.run_sweep(True, fan5)
     assert stats.t_per_line == [1, 4, 4, 1]

@@ -29,11 +29,11 @@ def test_matches_oracle(n):
 @pytest.mark.parametrize("n", range(5, 10))
 def test_matches_sweep_on_double_chain(n):
     P = tc.validate_point_set(double_chain(n))
-    assert count_pseudotriangulations(P) == tc.run_sweep(tc.PT_SYSTEM, P)[0]
+    assert count_pseudotriangulations(P) == tc.run_sweep(True, P)[0]
 
 
 def test_matches_sweep_near_convex():
     # above the oracle range, where the edge identity cannot see a pt join
     # that only drops pairs: ten points in convex position and two inside
     P = tc.validate_point_set(near_convex(10, 2, 512))
-    assert count_pseudotriangulations(P) == tc.run_sweep(tc.PT_SYSTEM, P)[0]
+    assert count_pseudotriangulations(P) == tc.run_sweep(True, P)[0]

@@ -29,7 +29,7 @@ def test_matches_oracle(n):
 def test_matches_sweep_above_the_oracle_range(n):
     for seed in (500 + n, 700 + n):
         P = random_point_set(n, seed)
-        assert count_triangulations(P) == tc.run_sweep(tc.TRI_SYSTEM, P)[0]
+        assert count_triangulations(P) == tc.run_sweep(False, P)[0]
 
 
 def test_double_chain_closed_form():

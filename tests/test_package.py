@@ -103,7 +103,7 @@ def test_count_and_sample_do_not_load_json(tmp_path, argv):
 
 
 def test_lazy_exports_are_the_module_bindings():
-    assert len(tc.__all__) == len(set(tc.__all__)) == 28
+    assert len(tc.__all__) == len(set(tc.__all__)) == 26
     for name in tc.__all__:
         module = importlib.import_module(f"tricount.{tc._SOURCE[name]}")
         assert getattr(tc, name) is getattr(module, name), name
@@ -158,7 +158,7 @@ def test_readme_library_block_runs(capsys):
     scope: dict = {}
     exec(code, scope)
     assert scope["count"] == 8
-    assert tc.run_sweep(tc.TRI_SYSTEM, scope["P"])[0] == 3
+    assert tc.run_sweep(tc.system_for("tri"), scope["P"])[0] == 3
     assert [r.f for r in scope["rows"]] == [0, 1, 3, 13, 67, 381, 2307]
     assert len(capsys.readouterr().out.splitlines()) == 10
 
@@ -260,6 +260,19 @@ LIBRARY_REFUSALS = {
         lambda P: tc.reconstruct(CONV5_FAN_PATHS[::-1], P, "pt")),
     "system_for": ("unknown family 'xyz'",
                    lambda P: tc.system_for("xyz")),
+    # the sweep takes a family's bit, not its name, and a PointSet, not
+    # a point list
+    "run_sweep-family-name": ("not a family bit: 'tri'",
+                              lambda P: tc.run_sweep("tri", P)),
+    "run_sweep-none": ("not a family bit: None",
+                       lambda P: tc.run_sweep(None, P)),
+    "run_sweep-int": ("not a family bit: 1", lambda P: tc.run_sweep(1, P)),
+    "run_sweep-point-list": (
+        "not a PointSet: list",
+        lambda P: tc.run_sweep(tc.system_for("pt"), list(P.points))),
+    "draws-point-list": (
+        "not a PointSet: list",
+        lambda P: tc.draws([(0, 0), (2, 2), (3, 7)], "pt", 0, 1)),
     "enumerate_structures": (
         "unknown family 'xyz'",
         lambda P: oracle.enumerate_structures(P, "xyz")),
@@ -318,6 +331,14 @@ LIBRARY_REFUSALS = {
         lambda P: geom.hull_crossing_edges(P, BIG)),
     "seg-huge": (f"not a segment: ({HUGE}, {HUGE})",
                  lambda P: geom.seg(BIG, BIG)),
+    # a segment's ends are ints >= 0, and a bool is not one
+    "PTPath-edges-strings": (
+        "not a segment: ('a', 'b')",
+        lambda P: tc.PTPath(("a", "b", "c"), 1).edges()),
+    "seg-floats": ("not a segment: (0.5, 1.5)",
+                   lambda P: geom.seg(0.5, 1.5)),
+    "seg-bool": ("not a segment: (True, 2)", lambda P: geom.seg(True, 2)),
+    "seg-negative": ("not a segment: (-1, 2)", lambda P: geom.seg(-1, 2)),
     "validate_point_set-huge-non-integer": (
         "non-integer coordinate 2.5 in <unprintable tuple>",
         lambda P: tc.validate_point_set([(0, 0), (1, 2), (2.5, BIG)])),

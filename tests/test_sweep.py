@@ -5,7 +5,7 @@ import pytest
 from hypothesis import Phase, assume, given, settings, strategies as st
 
 import tricount as tc
-from tricount import geom, oracle, ptpath, sampler, sweep
+from tricount import geom, oracle, ptpath, sweep
 from tricount.cli import main
 from tricount.errors import InternalInvariantViolation
 
@@ -31,20 +31,20 @@ def test_first_line_is_the_hull_path(fan5, conv5, tri3):
     sets = [fan5, conv5, tri3] + [random_point_set(n, 300 + n)
                                   for n in range(3, 11)]
     for P in sets:
-        for system in (tc.TRI_SYSTEM, tc.PT_SYSTEM):
-            assert sweep.path_chains(P, 1, system.zigzag) == [first_path(P)]
+        for zigzag in (False, True):
+            assert sweep.path_chains(P, 1, zigzag) == [first_path(P)]
 
 
 def test_run_sweep_basics(fan5, conv5, tri3):
-    assert tc.run_sweep(tc.TRI_SYSTEM, tri3)[0] == 1
-    assert tc.run_sweep(tc.TRI_SYSTEM, conv5)[0] == 5
-    assert tc.run_sweep(tc.TRI_SYSTEM, fan5)[0] == 3
+    assert tc.run_sweep(False, tri3)[0] == 1
+    assert tc.run_sweep(False, conv5)[0] == 5
+    assert tc.run_sweep(False, fan5)[0] == 3
 
 
 def test_stats_boundaries(fan5, conv5, tri3):
     for P in (fan5, conv5, tri3):
-        for system in (tc.TRI_SYSTEM, tc.PT_SYSTEM):
-            _, stats, _ = tc.run_sweep(system, P)
+        for zigzag in (False, True):
+            _, stats, _ = tc.run_sweep(zigzag, P)
             assert stats.t_per_line[0] == 1
             assert stats.t_per_line[-1] == 1
             assert len(stats.t_per_line) == P.n - 1
@@ -67,10 +67,10 @@ def test_initial_successor_compatible(fan5):
 
 
 def _check_parent_tables(family, P):
-    system = tc.system_for(family)
-    tables = list(line_tables(sweep.sweep_lines(system, P)))
+    zigzag = tc.system_for(family)
+    tables = list(line_tables(sweep.sweep_lines(zigzag, P)))
     assert len(tables) == P.n - 1
-    assert tables[-1].counts == [tc.run_sweep(system, P)[0]]
+    assert tables[-1].counts == [tc.run_sweep(zigzag, P)[0]]
     assert tables[0].keys == [first_path(P)]
     assert tables[0].counts == [1]
     for tab in tables:
@@ -83,7 +83,7 @@ def _check_parent_tables(family, P):
     for prev, cur in zip(tables, tables[1:]):
         # every chain of the line is kept, as each has a compatible parent,
         # and the join keeps exactly criterion 7's compatible parents
-        assert cur.keys == sweep.path_chains(P, cur.line, system.zigzag)
+        assert cur.keys == sweep.path_chains(P, cur.line, zigzag)
         row = dict(zip(cur.keys, zip(cur.counts, cur.parents)))
         for key in cur.keys:
             expect = []
@@ -145,15 +145,15 @@ def test_join_matches_reference(family):
 def test_run_sweep_reads_the_stream(family, n, seed):
     # the stream's populations are the search's, l_1 first; run_sweep's
     # stats are the stream's populations and its parent-link totals
-    system = tc.system_for(family)
+    zigzag = tc.system_for(family)
     P = random_point_set(n, seed)
     populations, links = [], []
-    for i, (keys, parents) in enumerate(sweep.sweep_lines(system, P), 1):
-        assert keys == sweep.path_chains(P, i, system.zigzag)
+    for i, (keys, parents) in enumerate(sweep.sweep_lines(zigzag, P), 1):
+        assert keys == sweep.path_chains(P, i, zigzag)
         populations.append(len(keys))
         links.append(sum(map(len, parents)))
     assert len(populations) == n - 1 and links[0] == 0
-    _, stats, third = tc.run_sweep(system, P)
+    _, stats, third = tc.run_sweep(zigzag, P)
     assert third is None
     assert stats.t_per_line == populations
     assert stats.population == populations[1:]
@@ -165,18 +165,19 @@ def test_sweep_lines_search_a_line_when_asked(monkeypatch, conv5):
     # no line is searched before it is asked for, and no join runs before
     # its parents are read
     calls = []
-    path_chains = sweep.path_chains
+    path_chains, join = sweep.path_chains, sweep.join
 
     def spy(P, i, zigzag, blocked=0):
         calls.append(i)
         return path_chains(P, i, zigzag, blocked)
 
-    def join(P, parents, children, zigzag):
+    def join_spy(P, parents, children, zigzag):
         calls.append("join")
-        yield from tc.TRI_SYSTEM.join(P, parents, children, zigzag)
+        yield from join(P, parents, children, zigzag)
 
     monkeypatch.setattr(sweep, "path_chains", spy)
-    lines = sweep.sweep_lines(sweep.PathSystem(False, join), conv5)
+    monkeypatch.setattr(sweep, "join", join_spy)
+    lines = sweep.sweep_lines(False, conv5)
     assert calls == []
     next(lines)
     _, parents = next(lines)
@@ -193,18 +194,15 @@ def test_child_without_parent_raises(monkeypatch, tmp_path, capsys, conv6):
     # same stream; from the CLI that is exit 4, not a traceback
     f = tmp_path / "pts.txt"
     f.write_text("".join(f"{x} {y}\n" for x, y in conv6.points))
+    join = sweep.join
     for edit, message in [(lambda js: js[:-1] + [[]], "has no parent"),
                           (lambda js: js[:-1], "too few parent lists"),
                           (lambda js: js + [[0]], "too many parent lists")]:
-        def join(P, parents, children, zigzag, edit=edit):
-            return edit(list(tc.TRI_SYSTEM.join(P, parents, children,
-                                                zigzag)))
-
-        system = sweep.PathSystem(False, join)
+        monkeypatch.setattr(sweep, "join", lambda *args, edit=edit:
+                            edit(list(join(*args))))
         with pytest.raises(InternalInvariantViolation,
                            match=f"at l_2.*{message}"):
-            tc.run_sweep(system, conv6)
-        monkeypatch.setattr(sampler, "system_for", lambda family: system)
+            tc.run_sweep(False, conv6)
         with pytest.raises(InternalInvariantViolation,
                            match=f"at l_2.*{message}"):
             sample(conv6, "tri", seed=0, m=1)
@@ -255,8 +253,7 @@ def test_validator_agrees_with_population(family):
     sets += [tc.validate_point_set(double_chain(n)) for n in (6, 7, 8)]
     for P in sets:
         for i in range(1, P.n):
-            population = sweep.path_chains(P, i,
-                                           tc.system_for(family).zigzag)
+            population = sweep.path_chains(P, i, tc.system_for(family))
             # strictly ascending: the sweep keeps it without sorting
             assert all(a < b for a, b in zip(population, population[1:]))
             members = set(population)
@@ -271,7 +268,7 @@ def test_blocked_seed_keeps_the_chains_inside(fan5, conv6, family):
     # a chain avoids every blocked segment: seeded with the segments
     # outside S, the search finds exactly the population's chains that lie
     # in S, for each structure S and for S less any one edge
-    zigzag = tc.system_for(family).zigzag
+    zigzag = tc.system_for(family)
     for P in (fan5, conv6):
         population = {i: sweep.path_chains(P, i, zigzag)
                       for i in range(1, P.n)}
@@ -284,8 +281,8 @@ def test_blocked_seed_keeps_the_chains_inside(fan5, conv6, family):
 
 
 def test_system_for():
-    assert tc.system_for("tri") is tc.TRI_SYSTEM
-    assert tc.system_for("pt") is tc.PT_SYSTEM
+    assert tc.system_for("tri") is False
+    assert tc.system_for("pt") is True
     with pytest.raises(ValueError):
         tc.system_for("other")
 
@@ -293,9 +290,9 @@ def test_system_for():
 @pytest.mark.parametrize("n,seed", [(5, 10), (6, 11), (7, 12)])
 def test_sweep_matches_oracle_random(n, seed):
     P = random_point_set(n, seed)
-    assert tc.run_sweep(tc.TRI_SYSTEM, P)[0] == \
+    assert tc.run_sweep(False, P)[0] == \
         len(oracle.enumerate_structures(P, "tri"))
-    assert tc.run_sweep(tc.PT_SYSTEM, P)[0] == \
+    assert tc.run_sweep(True, P)[0] == \
         len(oracle.enumerate_structures(P, "pt"))
 
 
@@ -383,9 +380,9 @@ def test_four_counters_agree_on_drawn_sets(drawn, linear, shift):
     P = tc.validate_point_set(pts)
     Q = tc.validate_point_set([(a * x + b * y + u, c * x + d * y + v)
                                for x, y in pts])
-    system = tc.system_for(family)
-    count = tc.run_sweep(system, P)[0]
-    assert tc.run_sweep(system, Q)[0] == count
+    zigzag = tc.system_for(family)
+    count = tc.run_sweep(zigzag, P)[0]
+    assert tc.run_sweep(zigzag, Q)[0] == count
     assert len(oracle.enumerate_structures(P, family)) == count
     reference = count_triangulations if family == "tri" else \
         count_pseudotriangulations
@@ -396,14 +393,14 @@ def test_double_chain_tri_closed_form():
     # above the oracle guard too; n=16 is the heaviest x-sweep here
     for n in range(6, 17):
         P = tc.validate_point_set(double_chain(n))
-        assert tc.run_sweep(tc.TRI_SYSTEM, P)[0] == double_chain_tri_count(n)
+        assert tc.run_sweep(False, P)[0] == double_chain_tri_count(n)
 
 
 def test_double_chain_pt_matches_oracle():
     # no closed form is known for pt
     for n in range(5, 10):
         P = tc.validate_point_set(double_chain(n))
-        assert tc.run_sweep(tc.PT_SYSTEM, P)[0] == \
+        assert tc.run_sweep(True, P)[0] == \
             len(oracle.enumerate_structures(P, "pt"))
 
 
