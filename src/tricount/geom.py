@@ -268,8 +268,15 @@ def region_empty(P: PointSet, i: int, u: int, exc: list[int],
     return not odd & (left_of_line if exc[0] < i else ~left_of_line)
 
 
+def check_point_set(P) -> None:
+    """Refuse any value but a PointSet, such as a bare point list."""
+    if not isinstance(P, PointSet):
+        raise InputError(f"not a PointSet: {type(P).__name__}")
+
+
 def hull_crossing_edges(P: PointSet, i: int) -> tuple[Segment, Segment]:
     """The two hull edges crossed by l_i (an int 1..n-1), the lower first."""
+    check_point_set(P)
     if not (type(i) is int and 0 < i < P.n):
         raise InputError(f"not a sweep line: {shown(i)} (1..{P.n - 1})")
     crossing = [e for e in P.hull_edges if edge_crosses_line(e, i)]

@@ -18,7 +18,7 @@ from typing import Optional
 
 from .errors import (InternalInvariantViolation, ResourceRefusal,
                      check_nonnegative, system_for)
-from .geom import EdgeSet, PointSet, adjacency, bits
+from .geom import EdgeSet, PointSet, adjacency, bits, check_point_set
 
 TRI_GUARD = 12
 PT_GUARD = 10
@@ -36,6 +36,7 @@ def enumerate_structures(P: PointSet, family: str,
     if cap is not None:
         check_nonnegative("cap", cap)
     zigzag = system_for(family)
+    check_point_set(P)
     if zigzag:
         guard, name = PT_GUARD, "pseudo-triangulation"
         target = 2 * P.n - 3

@@ -15,8 +15,9 @@ convex turn among the excursion vertices" plus region emptiness.
 Validity coincides with membership in the population: a valid chain
 completes to a maximal planar pointed edge set, of which it is the unique
 PT-path.  So extraction is the engine's chain search with every segment
-outside the structure blocked, and successors are the engine's join of one
-parent with the next population.
+outside the structure blocked, once the draws' verdict on an edge set,
+sampler.structure_fault, has passed it, and successors are the engine's
+join of one parent with the next population.
 
 T-paths are the PT-paths whose excursions are single vertices: every edge
 crosses l_i, and every wedge spanned by two consecutive edges is empty.
@@ -37,6 +38,7 @@ from . import geom
 from .errors import InputError, InternalInvariantViolation, system_for
 from .geom import EdgeSet, PointSet, Segment, adjacency, bits, seg
 from .oracle import addable, enumerate_structures
+from .sampler import structure_fault
 from .sweep import PathKey, join, path_chains
 
 
@@ -69,6 +71,7 @@ def is_pointed(edges: Iterable[Segment], v: int, P: PointSet) -> bool:
 
     Isolated vertices are pointed by convention.
     """
+    geom.check_point_set(P)
     P.check_vertices([v])
     segs, emask = P.segments, P.edge_masks(edges)[0]
     return P.pointed(v, adjacency((segs[k] for k in bits(emask)), P.n)[v])
@@ -79,13 +82,10 @@ def _all_pointed(edges: Iterable[Segment], P: PointSet) -> bool:
 
 
 def validate_pseudotriangulation(edges: Iterable[Segment], P: PointSet) -> Check:
-    """Maximal planar pointed edge set check."""
-    return validate_pt_mask(P, *P.edge_masks(edges))
-
-
-def validate_pt_mask(P: PointSet, emask: int, blocked: int) -> Check:
-    """validate_pseudotriangulation of emask, a bitmask over P.segments,
-    with blocked the mask of the segments its edges cross."""
+    """Maximal planar pointed edge set check by the definition, segment by
+    segment: the reference for sampler.structure_fault's edge count."""
+    geom.check_point_set(P)
+    emask, blocked = P.edge_masks(edges)
     segs = P.segments
     if blocked & emask:
         return Check(False, "edges_cross")
@@ -102,14 +102,12 @@ def validate_pt_mask(P: PointSet, emask: int, blocked: int) -> Check:
 
 def _structure_mask(S: EdgeSet, P: PointSet, zigzag: bool) -> int:
     """S's mask over P.segments, if S is a pointed pseudo-triangulation
-    (zigzag) or a triangulation; any other edge set raises InputError."""
+    (zigzag) or a triangulation; else InputError with the fault's reason."""
+    geom.check_point_set(P)
     emask, blocked = P.edge_masks(S)
-    # non-crossing with 3n - 3 - h edges: a triangulation
-    ok = validate_pt_mask(P, emask, blocked).ok if zigzag else not (
-        emask & blocked or emask.bit_count() != 3 * P.n - 3 - len(P.hull))
-    if not ok:
+    if fault := structure_fault(P, zigzag, emask, blocked):
         raise InputError(
-            f"edge set is not a {'pseudo-' * zigzag}triangulation")
+            f"edge set is not a {'pseudo-' * zigzag}triangulation: {fault}")
     return emask
 
 
@@ -250,6 +248,7 @@ class TPath(PTPath):
 
 
 def paths_cross(k1: PathKey, k2: PathKey, P: PointSet) -> bool:
+    geom.check_point_set(P)
     k1, k2 = tuple(geom.collection(k1)), tuple(geom.collection(k2))
     blocked = P.edge_masks(zip(k1, k1[1:]))[1]
     return bool(blocked & P.edge_masks(zip(k2, k2[1:]))[0])

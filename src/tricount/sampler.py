@@ -15,8 +15,8 @@ draw is a bisect and two ORs a line.  No node keeps its key: a draw's
 path at l_i is path_chains(P, i, zigzag, ~mask).  Only the nodes the last
 line's node reaches outlive the sweep, and draws is a stream, so memory
 does not grow with the number of draws.  A pt draw is its union, as every
-pt edge lies on a PT-path (the covering lemma, acceptance criterion 6),
-checked by Streinu's edge count; tri draws are completed.
+pt edge lies on a PT-path (the covering lemma, acceptance criterion 6);
+tri draws are completed, and each is checked by structure_fault.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Iterator, Optional
 
 from .errors import (InputError, InternalInvariantViolation,
                      ResourceRefusal, check_nonnegative, shown, system_for)
-from .geom import PointSet, bits, collection
+from .geom import PointSet, bits, check_point_set, collection
 from .sweep import PathKey, path_chains, sweep_lines
 
 # draws are streamed, so m bounds time and output size, not memory: about
@@ -37,17 +37,16 @@ from .sweep import PathKey, path_chains, sweep_lines
 M_GUARD = 100_000
 
 
-def _complete(P: PointSet, zigzag: bool, emask: int, blocked: int) -> int:
-    """The structure of a full tuple's union, checked.  pt: the union
-    itself, by the covering lemma, guarded by Streinu's count: a planar
-    pointed graph has at most 2n - 3 edges and exactly the pointed
-    pseudo-triangulations have 2n - 3, so a partial tuple is not maximal
-    (ptpath.validate_pt_mask gives the same verdicts).  A hull vertex is
-    pointed whatever its edges, so only the interior vertices are tested.
-    tri: the union's greedy completion in bit order; a compatible tuple
-    determines its triangulation, so the order does not matter."""
+def structure_fault(P: PointSet, zigzag: bool, emask: int,
+                    blocked: int) -> str:
+    """Why emask (blocked: the segments its edges cross) is no structure
+    of the family, as ptpath.Check names it: edges_cross, not_pointed or
+    not_maximal; "" if it is one.  Maximality is a count: 3n - 3 - h
+    non-crossing edges make a triangulation, and a planar pointed graph
+    has at most 2n - 3, the pointed pseudo-triangulations exactly (Streinu).
+    A hull vertex is pointed whatever its edges."""
     if blocked & emask:
-        raise InputError("tuple union has crossing edges")
+        return "edges_cross"
     if zigzag:
         segs = P.segments
         for v in P.interior:
@@ -58,32 +57,36 @@ def _complete(P: PointSet, zigzag: bool, emask: int, blocked: int) -> int:
                     a, b = segs[k]
                     nbrs |= 1 << (a ^ b ^ v)  # the other end
                 if not P.pointed(v, nbrs):
-                    raise InputError("tuple union is not pointed")
-        if emask.bit_count() != 2 * P.n - 3:
-            raise InputError(
-                "tuple union is not a pseudo-triangulation: not_maximal")
-        return emask
+                    return "not_pointed"
+    size = 2 * P.n - 3 if zigzag else 3 * P.n - 3 - len(P.hull)
+    return "" if emask.bit_count() == size else "not_maximal"
+
+
+def _complete(P: PointSet, emask: int, blocked: int) -> int:
+    """A tri union completed greedily in bit order by segments that cross
+    none of its edges; a compatible tuple fixes its triangulation."""
     cross = P.cross
     free = ((1 << len(P.segments)) - 1) & ~(emask | blocked)
     while free:
         low = free & -free
         emask |= low
         free &= ~(low | cross[low.bit_length() - 1])
-    target = 3 * P.n - 3 - len(P.hull)
-    if emask.bit_count() != target:
-        raise InternalInvariantViolation(
-            f"completed to {emask.bit_count()} edges, expected {target}")
     return emask
 
 
 def reconstruct(tuple_keys: list[PathKey], P: PointSet, family: str) -> int:
     """Structure of a full tuple, its paths at l_1 .. l_{n-1} in order, as
-    its bitmask over P.segments; a bad tuple raises InputError, a partial
-    pt tuple with not_maximal."""
+    its bitmask over P.segments; a bad tuple raises InputError, a union
+    that is no structure with structure_fault's reason."""
     zigzag = system_for(family)
+    check_point_set(P)
     keys = [tuple(collection(key)) for key in collection(tuple_keys)]
     pairs = (e for key in keys for e in zip(key, key[1:]))
-    emask = _complete(P, zigzag, *P.edge_masks(pairs))
+    emask, blocked = P.edge_masks(pairs)
+    if not zigzag:
+        emask = _complete(P, emask, blocked)
+    if fault := structure_fault(P, zigzag, emask, blocked):
+        raise InputError(f"tuple union is not a structure: {fault}")
     if [path_chains(P, i, zigzag, ~emask) for i in range(1, P.n)] != \
             [[key] for key in keys]:
         raise InputError("tuple is not its structure's paths")
@@ -138,11 +141,12 @@ def draws(P: PointSet, family: str, seed: int, m: int,
                 count, k, e, b, cum, parents = parents[bisect_right(cum, r)]
                 emask |= e
                 blocked |= b
+            if not zigzag:
+                emask = _complete(P, emask, blocked)
             # the tuple is the engine's own: a failed check is a bug
-            try:
-                emask = _complete(P, zigzag, emask, blocked)
-            except InputError as exc:
-                raise InternalInvariantViolation(f"a drawn {exc}") from exc
+            if fault := structure_fault(P, zigzag, emask, blocked):
+                raise InternalInvariantViolation(
+                    f"drawn tuple union is not a structure: {fault}")
             yield emask
 
     return walk()

@@ -235,12 +235,11 @@ def sweep_lines(zigzag: bool, P: PointSet
     are edges of one structure: the join must report it.
 
     A zigzag that is not a bool (a family's name included) or a P that is
-    not a PointSet raises InputError as the first line is asked for.
+    not a PointSet (geom.hull_crossing_edges) raises InputError as the
+    first line is asked for.
     """
     if type(zigzag) is not bool:
         raise InputError(f"not a family bit: {shown(zigzag)}")
-    if not isinstance(P, PointSet):
-        raise InputError(f"not a PointSet: {type(P).__name__}")
     keys = path_chains(P, 1, zigzag)
     yield keys, ([] for _ in keys)
     for i in range(2, P.n):

@@ -100,17 +100,16 @@ MUTANTS = [
            """        if a == b:
             return Check(False, "degenerate_edge")""",
            ("tests/test_tpath.py::test_validate_tpath",)),
-    Mutant("the draw re-raise removed",
+    Mutant("a failed draw check raised as bad input",
            "src/tricount/sampler.py",
-           """            try:
-                emask = _complete(P, zigzag, emask, blocked)
-            except InputError as exc:
-                raise InternalInvariantViolation(f"a drawn {exc}") from exc""",
-           "            emask = _complete(P, zigzag, emask, blocked)",
+           """                raise InternalInvariantViolation(
+                    f"drawn tuple union""",
+           """                raise InputError(
+                    f"drawn tuple union""",
            ("tests/test_sampler.py::test_failed_draw_check_is_internal",)),
     Mutant("extraction from a non-structure not refused",
            "src/tricount/ptpath.py",
-           """    if not ok:
+           """    if fault := structure_fault(P, zigzag, emask, blocked):
         raise InputError(
             f"edge set is not a""",
            """    if False:
@@ -174,10 +173,9 @@ MUTANTS = [
            ("tests/test_ptpath.py::test_pt_good_edge",)),
     Mutant("a caller's non-maximal pt tuple raised as internal",
            "src/tricount/sampler.py",
-           """            raise InputError(
-                "tuple union is not a pseudo-triangulation: not_maximal")""",
-           """            raise InternalInvariantViolation(
-                "tuple union is not a pseudo-triangulation: not_maximal")""",
+           'raise InputError(f"tuple union is not a structure: {fault}")',
+           'raise InternalInvariantViolation(\n'
+           '            f"tuple union is not a structure: {fault}")',
            ("tests/test_sampler.py::test_reconstruct_rejects_pt_tuples",
             "tests/test_package.py::test_library_refusals_are_input_errors")),
     Mutant("the count printed before its stats file", "src/tricount/cli.py",
@@ -229,6 +227,21 @@ MUTANTS = [
            "src/tricount/sampler.py",
            "if at_v.bit_count() > 2:", "if at_v.bit_count() > 3:",
            ("tests/test_sampler.py::test_pt_guard_matches_validate_pt_mask",)),
+    # the one structure verdict: draws, reconstruct and the lemma entries
+    Mutant("tri size read as 2n - 3", "src/tricount/sampler.py",
+           "size = 2 * P.n - 3 if zigzag else 3 * P.n - 3 - len(P.hull)",
+           "size = 2 * P.n - 3",
+           ("tests/test_sampler.py::test_tri_verdict_matches_oracle",)),
+    Mutant("the structure verdict without its crossing test",
+           "src/tricount/sampler.py",
+           """    if blocked & emask:
+        return "edges_cross"
+""", "", ("tests/test_sampler.py::test_tri_verdict_matches_oracle",
+             "tests/test_sampler.py::test_pt_guard_matches_validate_pt_mask")),
+    Mutant("the PointSet door lets a point list through",
+           "src/tricount/geom.py",
+           "if not isinstance(P, PointSet):", "if False:",
+           ("tests/test_package.py::test_library_refusals_are_input_errors",)),
     # a join that only drops pairs and leaves every child a parent: each
     # tuple still counted is a structure's, so the edge identity balances
     # again; the oracle sees the smaller count

@@ -206,6 +206,33 @@ K5 = frozenset(combinations(range(5), 2))
 BIG = 10 ** 5000
 HUGE = "<int of 16610 bits>"
 
+# the 16 lemma and oracle entries that take a PointSet, each called on P
+# with otherwise valid arguments
+POINT_LIST_CALLS = {
+    "extract_tpath": lambda P: tc.extract_tpath(CONV5_FAN, 2, P),
+    "extract_ptpath": lambda P: tc.extract_ptpath(CONV5_FAN, 2, P),
+    "tpath_successors": lambda P: tc.tpath_successors(
+        tc.TPath(CONV5_FAN_PATHS[0], 1), P),
+    "ptpath_successors": lambda P: tc.ptpath_successors(
+        tc.PTPath(CONV5_FAN_PATHS[0], 1), P),
+    "validate_tpath": lambda P: tc.validate_tpath(
+        tc.TPath(CONV5_FAN_PATHS[1], 2), P),
+    "validate_ptpath": lambda P: tc.validate_ptpath(
+        tc.PTPath(CONV5_FAN_PATHS[1], 2), P),
+    "is_pointed": lambda P: tc.is_pointed(CONV5_FAN, 0, P),
+    "paths_cross": lambda P: tc.paths_cross(
+        CONV5_FAN_PATHS[0], CONV5_FAN_PATHS[1], P),
+    "flip": lambda P: tc.flip(CONV5_FAN, (0, 2), P),
+    "is_flippable": lambda P: tc.is_flippable(CONV5_FAN, (0, 2), P),
+    "is_good_edge": lambda P: tc.is_good_edge(CONV5_FAN, (0, 2), 1, P),
+    "pt_good_edge": lambda P: tc.pt_good_edge(CONV5_FAN, (0, 2), 1, P),
+    "validate_pseudotriangulation":
+        lambda P: tc.validate_pseudotriangulation(CONV5_FAN, P),
+    "collect_paths": lambda P: tc.collect_paths(P, 2, "pt"),
+    "reconstruct": lambda P: tc.reconstruct(CONV5_FAN_PATHS, P, "tri"),
+    "enumerate_structures": lambda P: oracle.enumerate_structures(P, "tri"),
+}
+
 LIBRARY_REFUSALS = {
     "flip-non-edge": ("edge (1, 3) not in the structure",
                       lambda P: tc.flip(CONV5_FAN, (1, 3), P)),
@@ -217,16 +244,16 @@ LIBRARY_REFUSALS = {
         lambda P: tc.is_good_edge(CONV5_FAN, (1, 3), 2, P)),
     # an edge set that is no structure of the family, read before its
     # faces or its crossing order
-    "flip-non-structure": ("edge set is not a triangulation",
+    "flip-non-structure": ("edge set is not a triangulation: edges_cross",
                            lambda P: tc.flip(K5, (0, 2), P)),
     "is_flippable-non-structure": (
-        "edge set is not a triangulation",
+        "edge set is not a triangulation: edges_cross",
         lambda P: tc.is_flippable(K5, (0, 2), P)),
     "is_good_edge-non-structure": (
-        "edge set is not a triangulation",
+        "edge set is not a triangulation: edges_cross",
         lambda P: tc.is_good_edge(K5, (0, 2), 1, P)),
     "pt_good_edge-non-structure": (
-        "edge set is not a pseudo-triangulation",
+        "edge set is not a pseudo-triangulation: not_maximal",
         lambda P: tc.pt_good_edge(frozenset({(1, 3)}), (1, 3), 2, P)),
     "flip-hull-edge": ("edge (0, 1) is not flippable",
                        lambda P: tc.flip(CONV5_FAN, (0, 1), P)),
@@ -237,16 +264,16 @@ LIBRARY_REFUSALS = {
         "edge (0, 1) does not cross l_2",
         lambda P: tc.pt_good_edge(CONV5_FAN, (0, 1), 2, P)),
     "reconstruct-crossing": (
-        "tuple union has crossing edges",
+        "tuple union is not a structure: edges_cross",
         lambda P: tc.reconstruct([(1, 0, 4), (3, 0, 2, 1, 4)], P, "tri")),
     # spokes from FAN5's interior point 2 to 0, 3 and 4 leave no gap above pi
     "reconstruct-unpointed": (
-        "tuple union is not pointed",
+        "tuple union is not a structure: not_pointed",
         lambda P: tc.reconstruct([(0, 2, 4), (2, 3)],
                                  tc.validate_point_set(FAN5), "pt")),
     # a caller's partial pt tuple is bad input, not a bug
     "reconstruct-one-path": (
-        "not a pseudo-triangulation: not_maximal",
+        "tuple union is not a structure: not_maximal",
         lambda P: tc.reconstruct([(1, 0, 4)], P, "pt")),
     # a tri tuple is completed, so a tuple that is not one path a line, in
     # line order, is refused after the completion, not read as its union
@@ -273,6 +300,11 @@ LIBRARY_REFUSALS = {
     "draws-point-list": (
         "not a PointSet: list",
         lambda P: tc.draws([(0, 0), (2, 2), (3, 7)], "pt", 0, 1)),
+    # a bare point list, refused by geom.check_point_set before any other
+    # argument is read
+    **{f"{name}-point-list": (
+        "not a PointSet: list", lambda P, call=call: call(list(P.points)))
+       for name, call in POINT_LIST_CALLS.items()},
     "enumerate_structures": (
         "unknown family 'xyz'",
         lambda P: oracle.enumerate_structures(P, "xyz")),

@@ -10,7 +10,7 @@ from itertools import accumulate
 import pytest
 
 import tricount as tc
-from tricount import oracle, ptpath, sampler, sweep
+from tricount import oracle, sampler, sweep
 from tricount.cli import main
 from tricount.errors import (
     InputError,
@@ -85,20 +85,24 @@ def test_reconstruct_order_independent(conv5):
 
 
 def test_reconstruct_rejects_crossing_tuple(conv5):
-    with pytest.raises(InputError, match="crossing"):
+    with pytest.raises(InputError,
+                       match="^tuple union is not a structure: edges_cross$"):
         tc.reconstruct([(1, 0, 4), (3, 0, 2, 1, 4)], conv5, "tri")
 
 
 def test_reconstruct_rejects_pt_tuples(fan5):
     # (0, 3) and (1, 4) are the diagonals of FAN5's hull quadrilateral
-    with pytest.raises(InputError, match="crossing"):
+    with pytest.raises(InputError,
+                       match="^tuple union is not a structure: edges_cross$"):
         tc.reconstruct([(1, 0, 3), (0, 1, 4)], fan5, "pt")
     # spokes from interior point 2 to 0, 3 and 4 leave no gap above pi
-    with pytest.raises(InputError, match="not pointed"):
+    with pytest.raises(InputError,
+                       match="^tuple union is not a structure: not_pointed$"):
         tc.reconstruct([(0, 2, 4), (2, 3)], fan5, "pt")
     # one line's path is no pseudo-triangulation, and it is not completed:
     # the caller's tuple is bad input (exit 2), not a bug
-    with pytest.raises(InputError, match="not_maximal"):
+    with pytest.raises(InputError,
+                       match="^tuple union is not a structure: not_maximal$"):
         tc.reconstruct([(fan5.hull[1], 0, fan5.hull[-1])], fan5, "pt")
     # an unknown family is refused, not completed as a triangulation
     for family in ("xyz", "PT"):
@@ -106,45 +110,59 @@ def test_reconstruct_rejects_pt_tuples(fan5):
             tc.reconstruct([(1, 0, 4)], fan5, family)
 
 
-GUARD_REASONS = {"tuple union has crossing edges": "edges_cross",
-                 "tuple union is not pointed": "not_pointed",
-                 "tuple union is not a pseudo-triangulation: not_maximal":
-                 "not_maximal"}
-
-
-def _guard_reason(P, emask, blocked):
-    """The sampler's pt check of a union, as a validate_pt_mask reason."""
-    try:
-        sampler._complete(P, True, emask, blocked)
-    except InputError as exc:
-        return GUARD_REASONS[str(exc)]
-    return "ok"
+def _verdict_masks(P, structures, rng):
+    """The masks of the structures, each with one segment toggled, and 400
+    random masks of mixed density."""
+    s = len(P.segments)
+    masks = {u ^ 1 << k for u in structures for k in range(s)} | structures
+    for _ in range(400):
+        m = rng.getrandbits(s)
+        for _ in range(rng.randrange(4)):
+            m &= rng.getrandbits(s)
+        masks.add(m)
+    return masks
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
 def test_pt_guard_matches_validate_pt_mask(n):
-    # the guard (no crossing, every vertex pointed, 2n - 3 edges) gives
-    # validate_pt_mask's verdict and reason on every sampled union, on each
-    # union with one segment toggled, and on random masks of mixed density
+    # structure_fault's pt verdict (no crossing, every interior vertex
+    # pointed, 2n - 3 edges) gives validate_pseudotriangulation's reason,
+    # which tests maximality segment by segment, on every sampled union,
+    # on each union with one segment toggled, and on random masks
     rng = random.Random(n)
     reasons = collections.Counter()
     for seed in (500 + n, 600 + n):
         P = random_point_set(n, seed)
-        s = len(P.segments)
-        unions = set(sample(P, "pt", seed, 40))
-        masks = unions | {u ^ 1 << k for u in unions for k in range(s)}
-        for _ in range(400):
-            m = rng.getrandbits(s)
-            for _ in range(rng.randrange(4)):
-                m &= rng.getrandbits(s)
-            masks.add(m)
-        for m in masks:
-            blocked = P.edge_masks(P.segments[k] for k in tc.geom.bits(m))[1]
-            want = ptpath.validate_pt_mask(P, m, blocked).reason
-            assert _guard_reason(P, m, blocked) == want, (seed, bin(m))
+        for m in _verdict_masks(P, set(sample(P, "pt", seed, 40)), rng):
+            edges = [P.segments[k] for k in tc.geom.bits(m)]
+            want = tc.validate_pseudotriangulation(edges, P).reason
+            got = sampler.structure_fault(P, True, *P.edge_masks(edges))
+            assert (got or "ok") == want, (seed, bin(m))
             reasons[want] += 1
     assert set(reasons) == {"ok", "edges_cross", "not_pointed",
                             "not_maximal"}, reasons
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_tri_verdict_matches_oracle(n):
+    # over the oracle's triangulations, each with one segment toggled, and
+    # random masks, structure_fault's tri verdict is "" exactly on the
+    # triangulations, else edges_cross for a crossing mask, else not_maximal
+    rng = random.Random(n)
+    reasons = collections.Counter()
+    for seed in (500 + n, 600 + n):
+        P = random_point_set(n, seed)
+        tris = {P.edge_masks(T)[0]
+                for T in oracle.enumerate_structures(P, "tri")}
+        for m in _verdict_masks(P, tris, rng):
+            emask, blocked = P.edge_masks(
+                P.segments[k] for k in tc.geom.bits(m))
+            want = ("" if m in tris else
+                    "edges_cross" if emask & blocked else "not_maximal")
+            assert sampler.structure_fault(P, False, emask, blocked) == \
+                want, (seed, bin(m))
+            reasons[want] += 1
+    assert set(reasons) == {"", "edges_cross", "not_maximal"}, reasons
 
 
 def test_walk_draws_as_randrange(monkeypatch, tri3):
@@ -169,7 +187,8 @@ def test_walk_draws_as_randrange(monkeypatch, tri3):
                    for j in range(len(cum_of(c)))]
         node = (c, c.bit_length(), 0, 0, cum_of(c), parents)
     monkeypatch.setattr(sampler, "_root", lambda *args: node)
-    monkeypatch.setattr(sampler, "_complete", lambda P, zigzag, e, b: e)
+    monkeypatch.setattr(sampler, "_complete", lambda P, e, b: e)
+    monkeypatch.setattr(sampler, "structure_fault", lambda *args: "")
     drawn = list(sampler.draws(tri3, "tri", 17, 300))
     rng = random.Random(17)
     picks = [[bisect_right(cum_of(c), rng.randrange(c)) for c in counts]
