@@ -7,8 +7,8 @@ The pair of sequences
 
 with f_0 = g_0 = h_0 = 0 and h_k = 1 iff k = 1 bounds the number of
 one-sided T-path signatures; f_k grows roughly like 8^k (OEIS A064062).
-The sweep's own per-line record is sweep.SweepStats, which `count --stats`
-writes as it stands.
+The sweep's own per-line record is sweep.SweepStats, which holds only what
+the sweep measured; `count --stats` derives t_max and population from it.
 """
 
 from __future__ import annotations

@@ -107,10 +107,10 @@ def cmd_count(args) -> int:
             "count": str(count),
             # per line l_1 .. l_{n-1}
             "t_per_line": stats.t_per_line,
-            "t_max": stats.t_max,
+            "t_max": max(stats.t_per_line),
             "elapsed_ms": elapsed_ms,
-            # per line l_2 .. l_{n-1}
-            "population": stats.population,
+            # per line l_2 .. l_{n-1}; every chain found is kept
+            "population": stats.t_per_line[1:],
             "join_pairs": stats.join_pairs,
             "line_seconds": stats.line_seconds,
         }

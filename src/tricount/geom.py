@@ -43,11 +43,11 @@ class PointSet:
     rightmost.  SweepIndex i in 1..n-1 denotes the line l_i with points
     0..i-1 on its left and i..n-1 on its right.
 
-    The constructor takes at least three int points (not bools) in strictly
-    increasing lexicographic order and refuses any other input rather than
-    coerce or sort it.  It builds every table once, from one exact cross
-    product per triple, and raises InputError on a zero one.  Its
-    read-only tables:
+    The constructor takes at least three points, each a tuple or a list of
+    two ints (not bools), in strictly increasing lexicographic order and
+    refuses any other input rather than coerce or sort it.  It builds every
+    table once, from one exact cross product per triple, and raises
+    InputError on a zero one.  Its read-only tables:
 
     - left[a][b]: bitmask of the points strictly left of directed ab;
     - segments: the n(n-1)/2 segments (a < b) in lexicographic order, so
@@ -195,10 +195,10 @@ class PointSet:
 
 
 def _integer_point(q) -> Point:
-    try:
-        x, y = q
-    except (TypeError, ValueError):
-        raise InputError(f"expected an (x, y) pair, got {shown(q)}") from None
+    # a set, dict, bytes or range of two items is no pair
+    if not (isinstance(q, (tuple, list)) and len(q) == 2):
+        raise InputError(f"expected an (x, y) pair, got {shown(q)}")
+    x, y = q
     for c in (x, y):
         # bool is an int subclass, but true/false are not coordinates
         if isinstance(c, bool) or not isinstance(c, int):
@@ -211,8 +211,9 @@ def validate_point_set(raw: Iterable[Point]) -> PointSet:
     """Type-check and sort a raw point list; PointSet then refuses fewer
     than three points, a repeated point or a collinear triple.
 
-    Coordinates must be Python ints; floats, bools and strings are refused
-    rather than coerced.
+    A point must be a tuple or a list of two Python ints; any other pair,
+    such as a set or a range, and floats, bools and strings as coordinates
+    are refused rather than coerced.
     """
     return PointSet(sorted(_integer_point(q) for q in collection(raw)))
 

@@ -35,7 +35,7 @@ from functools import cmp_to_key
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import geom
-from .errors import InputError, InternalInvariantViolation, system_for
+from .errors import InputError, InternalInvariantViolation, shown, system_for
 from .geom import EdgeSet, PointSet, Segment, adjacency, bits, seg
 from .oracle import addable, enumerate_structures
 from .sampler import structure_fault
@@ -155,8 +155,15 @@ def ptpath_successors(path: PTPath, P: PointSet) -> set[PathKey]:
 
 # -- validation ----------------------------------------------------------
 
+def _path(path: PTPath) -> PTPath:
+    """Refuse anything but a PTPath (a TPath is one) before it is read."""
+    if not isinstance(path, PTPath):
+        raise InputError(f"not a path: {shown(path)}")
+    return path
+
+
 def validate_ptpath(path: PTPath, P: PointSet) -> Check:
-    vs, i = path.vertices, path.line
+    vs, i = _path(path)
     lo, hi = geom.hull_crossing_edges(P, i)
     P.check_vertices(vs)
     if len(vs) < 3:
@@ -265,7 +272,7 @@ def validate_tpath(path: TPath, P: PointSet) -> Check:
     - all of v's edges cross to the other side of l_i, so the union is
       pointed.
     """
-    vs, i = path.vertices, path.line
+    vs, i = _path(path)
     geom.hull_crossing_edges(P, i)  # refuses a bad line before it is read
     P.check_vertices(vs)
     if len(vs) < 3:

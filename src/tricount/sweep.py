@@ -26,7 +26,7 @@ from collections import defaultdict
 from functools import reduce
 from itertools import zip_longest
 from operator import or_
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import geom
 from .errors import InputError, InternalInvariantViolation, shown
@@ -191,21 +191,12 @@ def join(P: PointSet, parents: Sequence[PathKey],
 
 # -- the sweep -----------------------------------------------------------
 
-class SweepStats:
-    def __init__(self, t_per_line: list[int]):
-        self.t_per_line = t_per_line
-        # per line from l_2 on: search, join and aggregation seconds, and
-        # parent links kept
-        self.line_seconds: list[float] = []
-        self.join_pairs: list[int] = []
-
-    @property
-    def t_max(self) -> int:
-        return max(self.t_per_line)
-
-    @property
-    def population(self) -> list[int]:  # chains found from l_2 on, all kept
-        return self.t_per_line[1:]
+class SweepStats(NamedTuple):
+    t_per_line: list[int]  # chains found at l_1 .. l_{n-1}, all kept
+    # per line from l_2 on: search, join and aggregation seconds, and
+    # parent links kept
+    line_seconds: list[float]
+    join_pairs: list[int]
 
 
 def _linked(i: int, children: Sequence[PathKey],
@@ -260,7 +251,7 @@ def run_sweep(zigzag: bool, P: PointSet
     benchmark's tracer)."""
     lines = sweep_lines(zigzag, P)
     counts = [1] * len(next(lines)[0])
-    stats = SweepStats([len(counts)])
+    t_per_line, line_seconds, join_pairs = [len(counts)], [], []
     t0 = time.perf_counter()
     for keys, parents in lines:
         sums, pairs = [], 0
@@ -268,8 +259,8 @@ def run_sweep(zigzag: bool, P: PointSet
             sums.append(sum(counts[j] for j in js))
             pairs += len(js)
         counts = sums
-        stats.t_per_line.append(len(keys))
-        stats.line_seconds.append(time.perf_counter() - t0)
-        stats.join_pairs.append(pairs)
+        t_per_line.append(len(keys))
+        line_seconds.append(time.perf_counter() - t0)
+        join_pairs.append(pairs)
         t0 = time.perf_counter()
-    return counts[0], stats, None
+    return counts[0], SweepStats(t_per_line, line_seconds, join_pairs), None

@@ -207,6 +207,45 @@ def edge_counts(P, family):
             for k in range(len(P.segments))]
 
 
+def link_marginals(P):
+    """N(e) for each segment e of P, in P.segments order, for pt, from one
+    forward and one backward sweep (forward_backward) instead of one
+    constrained sweep per segment.
+
+    A structure has a path at each line, and its consecutive paths are
+    one link of the join, from pi at l_i to pi' at l_{i+1}.  F(pi) * B(pi')
+    structures take that link: the sweep counts a structure once, by its
+    tuple of paths, and any compatible prefix ending at pi joins any
+    compatible suffix starting at pi'.  The rule adds F(pi) * B(pi') to
+    each segment that pi' has and pi lacks, and N to each edge of the
+    forced path at l_1 (F = 1 and B = N there).  So it counts each edge e
+    of a structure once per maximal run of consecutive lines at which e
+    lies on the structure's path.
+
+    The rule is exact iff, in every pointed pseudo-triangulation, the
+    lines at which an edge lies on the structure's PT-path form an
+    interval.  The covering lemma puts every pt edge on some PT-path, so
+    the set is never empty; that it is an interval is not proven here,
+    and the tests check the rule against edge_counts.  For tri the rule
+    undercounts: some triangulation edges lie on no T-path.
+    """
+    out = [0] * len(P.segments)
+    prev = None  # the previous line's counts F and edge masks
+    for table, B in forward_backward(P, "pt"):
+        masks = [P.edge_masks(zip(k, k[1:]))[0] for k in table.keys]
+        if prev is None:  # l_1: the forced path, in every structure
+            for k in bits(masks[0]):
+                out[k] += B[table.keys[0]]
+        else:
+            F, before = prev
+            for key, mask, js in zip(table.keys, masks, table.parents):
+                for j in js:
+                    for k in bits(mask & ~before[j]):
+                        out[k] += F[j] * B[key]
+        prev = table.counts, masks
+    return out
+
+
 def structure_edge_count(P, family):
     """|E|, the number of edges of every structure of the family on P."""
     return 3 * P.n - 3 - len(P.hull) if family == "tri" else 2 * P.n - 3

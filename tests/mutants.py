@@ -242,6 +242,18 @@ MUTANTS = [
            "src/tricount/geom.py",
            "if not isinstance(P, PointSet):", "if False:",
            ("tests/test_package.py::test_library_refusals_are_input_errors",)),
+    # a set, dict, bytes or range of two items unpacks as a pair
+    Mutant("the point door unpacks any pair", "src/tricount/geom.py",
+           "isinstance(q, (tuple, list))", 'hasattr(q, "__len__")',
+           ("tests/test_package.py::test_library_refusals_are_input_errors",)),
+    Mutant("the validators read a path without its door",
+           "src/tricount/ptpath.py",
+           "if not isinstance(path, PTPath):", "if False:",
+           ("tests/test_package.py::test_library_refusals_are_input_errors",)),
+    Mutant("`--stats` population written whole", "src/tricount/cli.py",
+           '"population": stats.t_per_line[1:],',
+           '"population": stats.t_per_line,',
+           ("tests/test_cli.py::test_count_stats_per_line",)),
     # a join that only drops pairs and leaves every child a parent: each
     # tuple still counted is a structure's, so the edge identity balances
     # again; the oracle sees the smaller count

@@ -75,7 +75,7 @@ def test_count_stats_per_line(tmp_path, capsys, structure):
     _, stats, _ = tc.run_sweep(tc.system_for(structure),
                                tc.validate_point_set(pts))
     assert data["t_per_line"] == stats.t_per_line
-    assert data["population"] == stats.population == kept
+    assert data["population"] == kept
     assert data["join_pairs"] == stats.join_pairs
 
 
@@ -100,6 +100,8 @@ POINT_REFUSAL = {
     "[[0, 0], [true, 5], [3, 1]]": "non-integer coordinate True in [True, 5]",
     "[[0, 0], [1, 2, 3], [2, 5]]": "expected an (x, y) pair, got [1, 2, 3]",
     "[[0, 0], 5, [2, 5]]": "expected an (x, y) pair, got 5",
+    # a string of two characters is no pair either
+    '[[0, 0], "ab", [2, 5]]': "expected an (x, y) pair, got 'ab'",
 }
 
 
@@ -110,6 +112,7 @@ POINT_REFUSAL = {
     pytest.param(DEEP, id="deep"),
     pytest.param([[0, 0], [1, 2, 3], [2, 5]], id="triple"),
     pytest.param([[0, 0], 5, [2, 5]], id="scalar"),
+    pytest.param([[0, 0], "ab", [2, 5]], id="string"),
 ])
 def test_count_non_integer_json_exit2(tmp_path, capsys, pts):
     p = tmp_path / "pts.json"

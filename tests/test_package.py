@@ -320,6 +320,20 @@ LIBRARY_REFUSALS = {
     "validate_point_set-non-integer": (
         "non-integer coordinate",
         lambda P: tc.validate_point_set([(0, 0), (2.5, 5), (3, 1)])),
+    # a point is a tuple or a list: two items of any other collection are
+    # no pair, where unpacking would read {5, 1} as (1, 5)
+    **{f"{door}-{kind}-point": (
+        f"expected an (x, y) pair, got {q!r}",
+        lambda P, door=door, q=q: getattr(tc, door)([(0, 0), q, (9, 9)]))
+       for door in ("PointSet", "validate_point_set")
+       for kind, q in (("set", {5, 1}), ("dict", {0: "a", 1: "b"}),
+                       ("bytes", b"\x01\x02"), ("range", range(3, 5)))},
+    # a path is a PTPath (a TPath is one), not a bare vertex tuple
+    **{f"{entry}-bare-tuple": (
+        "not a path: (1, 0, 4)",
+        lambda P, entry=entry: getattr(tc, entry)((1, 0, 4), P))
+       for entry in ("validate_ptpath", "validate_tpath",
+                     "ptpath_successors", "tpath_successors")},
     # a value that is no collection, where a door expects one, is refused
     # by name in the door, not left to a TypeError
     "PointSet-non-collection": ("not a collection: 5",
